@@ -55,13 +55,16 @@ class SearchSpace:
     def bounds(self) -> np.ndarray:
         return np.array([getattr(self, name) for name in self.NAMES], dtype=np.float64)
 
-    def round_to_grid(self, u: np.ndarray) -> dict:
-        """Snap a unit-hypercube point to the nearest integer config."""
+    def _grid_values(self, u: np.ndarray) -> np.ndarray:
+        """Nearest integer grid values (as floats) of unit points (..., dim)."""
         u = np.clip(np.asarray(u, dtype=np.float64), 0.0, 1.0)
         bounds = self.bounds()
         ints = np.floor(bounds[:, 0] + u * (bounds[:, 1] - bounds[:, 0]) + 0.5)
-        ints = np.clip(ints, bounds[:, 0], bounds[:, 1]).astype(int)
-        return dict(zip(self.NAMES, (int(v) for v in ints)))
+        return np.clip(ints, bounds[:, 0], bounds[:, 1])
+
+    def round_to_grid(self, u: np.ndarray) -> dict:
+        """Snap a unit-hypercube point to the nearest integer config."""
+        return dict(zip(self.NAMES, (int(v) for v in self._grid_values(u))))
 
     def to_unit(self, config: dict) -> np.ndarray:
         u = np.empty(self.dim)
@@ -74,8 +77,12 @@ class SearchSpace:
         return u
 
     def snap_unit(self, u: np.ndarray) -> np.ndarray:
-        """Unit coordinates of the grid point nearest to ``u``."""
-        return self.to_unit(self.round_to_grid(u))
+        """Unit coordinates of the grid point nearest to ``u``, for one point
+        (dim,) or a pool (n, dim); equals ``to_unit(round_to_grid(u))``
+        bit for bit."""
+        bounds = self.bounds()
+        span = np.maximum(bounds[:, 1] - bounds[:, 0], 1.0)
+        return (self._grid_values(u) - bounds[:, 0]) / span
 
 
 @dataclass(frozen=True)
@@ -241,7 +248,7 @@ def propose(state: GPState, space: SearchSpace, pool_size: int,
     if rng is None:
         rng = np.random.default_rng(0)
     pool_u = rng.uniform(size=(pool_size, space.dim))
-    snapped = np.stack([space.snap_unit(u) for u in pool_u])
+    snapped = space.snap_unit(pool_u)
     ei = _ei_minimize(state, snapped, xi)
     best_idx = int(np.argmax(ei))
     best_cfg = space.round_to_grid(snapped[best_idx])
@@ -325,8 +332,9 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
     instead of wandering the hypercube; the final trials sweep the
     incumbent's immediate grid neighbours (best predicted mean alternating
     with highest posterior uncertainty) to settle the exact cell. A failing
-    objective is recorded with a worst-so-far penalty and skipped. Fully
-    reproducible for fixed seeds.
+    objective is recorded with a worst-so-far penalty and skipped; when no
+    trial of the initial design gives a finite value, ObjectiveFailure is
+    raised. Fully reproducible for fixed seeds.
     """
     if budget < 1:
         raise InvalidSpec("budget must be >= 1")
@@ -350,15 +358,17 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
     evaluated: set[tuple] = set()
     best_y = np.inf
     best_cfg: dict | None = None
+    last_error: Exception | None = None
 
     def evaluate(idx: int, cfg: dict):
-        nonlocal best_y, best_cfg
+        nonlocal best_y, best_cfg, last_error
         t0 = time.perf_counter()
         failed = False
         try:
             y = float(objective(cfg))
-        except Exception:  # noqa: BLE001 - penalized and skipped, not fatal
+        except Exception as exc:  # noqa: BLE001 - penalized and skipped, not fatal
             failed = True
+            last_error = exc
             finite = [t.objective for t in trials if np.isfinite(t.objective)]
             y = max(finite) if finite else np.inf
         elapsed = time.perf_counter() - t0
@@ -379,16 +389,19 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
 
     for i in range(init):
         evaluate(i, space.round_to_grid(init_points[i]))
+    if best_cfg is None:
+        # nothing for the surrogate to fit: a numeric failure, not a bad space
+        raise ObjectiveFailure(init - 1, last_error or RuntimeError("no finite objective"))
     polish_count = 0
     for i in range(init, budget):
         state = gp_fit(observations, hyper)
         cfg = None
-        if best_cfg is not None and i >= budget - polish:
+        if i >= budget - polish:
             cells = _coordinate_neighbours(space, best_cfg, evaluated)
             if cells:
                 cfg = local_pick(state, cells, explore=polish_count % 2 == 1)
                 polish_count += 1
-        elif best_cfg is not None and (i - init) % 2 == 1:
+        elif (i - init) % 2 == 1:
             cells = _box_candidates(space, best_cfg, box_radii, evaluated)
             if cells:
                 cfg = local_pick(state, cells, explore=False)
@@ -396,7 +409,5 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
             cfg = propose(state, space, pool_size, rng=rng, xi=xi, refine=True)
         evaluate(i, cfg)
 
-    if best_cfg is None:
-        raise ObjectiveFailure(budget - 1, RuntimeError("every trial failed"))
     return TuneResult(best_config=best_cfg, best_objective=best_y,
                       trials=tuple(trials), incumbent=tuple(incumbent))

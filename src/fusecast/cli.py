@@ -249,9 +249,10 @@ def cmd_train(cfg: dict, make_svg: bool = False) -> int:
     tconfig = _train_config(cfg, seed + 1)
     t0 = time.perf_counter()
     params, history = train_model(mconfig, tconfig, train_windows)
+    # saved first, so an undefined reporting metric never discards the model
+    nn.save_checkpoint(out / "checkpoint.json", params, scaler)
     report = _one_step_metrics(params, scaler, test_windows)
     elapsed = time.perf_counter() - t0
-    nn.save_checkpoint(out / "checkpoint.json", params, scaler)
     _write_json(out / "metrics.json", {
         "horizon": 1, "rmse": report.rmse, "mae": report.mae,
         "mape": report.mape, "msle": report.msle, "wall_seconds": elapsed,

@@ -7,6 +7,12 @@ pass is analytic reverse-mode differentiation of the same equations (softmax
 Jacobian, causal-convolution transpose paths included). Both delegate to a
 batched implementation so training over mini-batches and single-window
 introspection share one code path.
+
+The batched path is written as matrix products that reach BLAS: each conv
+layer is one im2col GEMM over the (B*w, k*c_in) causal windows, its kernel
+gradient one GEMM, and its input gradient one GEMM plus a col2im add over
+the k taps; Q/K/V come from one (B*w, d) @ (d, 3*h*d_k) GEMM. The scalar
+:func:`causal_conv1d` keeps the einsum formulation as the reference.
 """
 
 from __future__ import annotations
@@ -200,6 +206,22 @@ def _conv_windows(x: np.ndarray, k: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, k, axis=1)
 
 
+def _im2col(h: np.ndarray, k: int) -> np.ndarray:
+    """Causal im2col of (B, w, c): a (B*w, k*c) matrix whose row (b, t)
+    holds h[b, t-i] in column block i, zero where t-i < 0."""
+    b, w, c = h.shape
+    cols = np.zeros((b, w, k, c))
+    for i in range(k):
+        cols[:, i:, i, :] = h[:, :w - i, :]
+    return cols.reshape(b * w, k * c)
+
+
+def _conv_matrix(kern: np.ndarray) -> np.ndarray:
+    """(f, c, k) kernel as the (f, k*c) matrix matching :func:`_im2col`."""
+    f, c, k = kern.shape
+    return kern.transpose(0, 2, 1).reshape(f, k * c)
+
+
 def causal_conv1d(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) -> np.ndarray:
     """Same-length causal convolution: out[t] = b + sum_i W_i . x[t-i] with
     x[t-i] = 0 for t-i < 0.
@@ -241,15 +263,21 @@ def mha(h_in: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
     return out[0], att[0]
 
 
+def _qkv_matrix(wq, wk, wv) -> np.ndarray:
+    """Per-head projections (h, d, d_k) stacked into one (d, 3*h*d_k)
+    matrix, column blocks ordered Q, K, V, then head."""
+    h, d, dk = wq.shape
+    return np.stack([wq, wk, wv]).transpose(2, 0, 1, 3).reshape(d, 3 * h * dk)
+
+
 def _mha_batch(h_in, wq, wk, wv, wo):
-    dk = wq.shape[2]
-    q = np.einsum("bwd,hde->bhwe", h_in, wq)
-    k = np.einsum("bwd,hde->bhwe", h_in, wk)
-    v = np.einsum("bwd,hde->bhwe", h_in, wv)
-    logits = np.einsum("bhqe,bhve->bhqv", q, k) / np.sqrt(dk)
+    b, w, d = h_in.shape
+    h, _, dk = wq.shape
+    qkv = (h_in.reshape(b * w, d) @ _qkv_matrix(wq, wk, wv)).reshape(b, w, 3, h, dk)
+    q, k, v = qkv.transpose(2, 0, 3, 1, 4)               # each (B, h, w, dk)
+    logits = (q @ k.swapaxes(-1, -2)) / np.sqrt(dk)
     att = row_softmax(logits)
-    heads = np.einsum("bhqv,bhve->bhqe", att, v)       # (B, h, w, dk)
-    b, h, w, _ = heads.shape
+    heads = att @ v                                      # (B, h, w, dk)
     concat = heads.transpose(0, 2, 1, 3).reshape(b, w, h * dk)
     out = concat @ wo
     return out, att, q, k, v, concat
@@ -270,21 +298,21 @@ def _forward_batch(params: ModelParams, xb: np.ndarray) -> tuple[np.ndarray, dic
     """Vectorized forward over a batch of scaled windows (B, w).
 
     Returns predictions (B,) and a cache of every intermediate needed by
-    :func:`_backward_batch`.
+    :func:`_backward_batch`. The im2col columns are not cached: backward
+    rebuilds them from the layer inputs, which keeps the cache small.
     """
     cfg = params.config
     xb = np.asarray(xb, dtype=np.float64)
     if xb.ndim != 2 or xb.shape[1] != cfg.w:
         raise ShapeMismatch(f"expected (B, {cfg.w}) windows, got {xb.shape}")
 
+    b, w = xb.shape
     h = xb[:, :, None]
-    conv_in, conv_win, conv_pre, conv_act = [], [], [], []
+    conv_pre, conv_act = [], []
     for kern, bias in zip(params.conv_kernels, params.conv_biases):
-        win = _conv_windows(h, kern.shape[2])
-        pre = np.einsum("btcj,ocj->bto", win, kern[:, :, ::-1]) + bias
+        cols = _im2col(h, kern.shape[2])
+        pre = (cols @ _conv_matrix(kern).T + bias).reshape(b, w, kern.shape[0])
         act = relu(pre)
-        conv_in.append(h)
-        conv_win.append(win)
         conv_pre.append(pre)
         conv_act.append(act)
         h = act
@@ -296,8 +324,8 @@ def _forward_batch(params: ModelParams, xb: np.ndarray) -> tuple[np.ndarray, dic
     yhat = z @ params.w_out + params.b_out
 
     cache = {
-        "x": xb, "conv_win": conv_win, "conv_pre": conv_pre, "conv_act": conv_act,
-        "h_cnn": h_cnn, "q": q, "k": k, "v": v, "att": att, "concat": concat,
+        "x": xb, "conv_pre": conv_pre, "conv_act": conv_act,
+        "q": q, "k": k, "v": v, "att": att, "concat": concat,
         "h_att": h_att, "fused": fused, "z": z, "yhat": yhat,
     }
     return yhat, cache
@@ -305,58 +333,56 @@ def _forward_batch(params: ModelParams, xb: np.ndarray) -> tuple[np.ndarray, dic
 
 def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray) -> dict:
     """Analytic gradients of sum_b dl_dy[b] * yhat[b] w.r.t. every parameter
-    tensor."""
+    tensor. Weight and input gradients are 2-D GEMMs on the same flattened
+    (B*w, .) layouts as the forward pass."""
     cfg = params.config
     g = np.asarray(dl_dy, dtype=np.float64)
-    z, fused = cache["z"], cache["fused"]
+    z = cache["z"]
     b, w = cache["x"].shape
     d, dk, h = cfg.d, cfg.head_dim, cfg.heads
 
     grads: dict[str, np.ndarray] = {}
-    grads["head.w_out"] = np.einsum("b,bf->f", g, z)
+    grads["head.w_out"] = g @ z
     grads["head.b_out"] = np.asarray(g.sum())
 
-    dz = g[:, None] * params.w_out[None, :]
-    dfused = np.repeat(dz[:, None, :], w, axis=1) / w
-    dh_cnn = dfused[:, :, :d].copy()
-    dh_att = dfused[:, :, d:]
+    # z is the time mean of the fused map, so each of its w rows gets dL/dz / w
+    dfused = np.repeat(g[:, None] * params.w_out[None, :] / w, w, axis=0)   # (B*w, d + d')
+    dh_cnn, dh_att = dfused[:, :d], dfused[:, d:]
 
     # attention block
     concat, att, q, k, v = cache["concat"], cache["att"], cache["q"], cache["k"], cache["v"]
-    grads["attn.wo"] = np.einsum("bwe,bwf->ef", concat, dh_att)
-    dconcat = dh_att @ params.wo.T
-    dheads = dconcat.reshape(b, w, h, dk).transpose(0, 2, 1, 3)
-    datt = np.einsum("bhqe,bhve->bhqv", dheads, v)
-    dv = np.einsum("bhqv,bhqe->bhve", att, dheads)
+    grads["attn.wo"] = concat.reshape(b * w, h * dk).T @ dh_att
+    dheads = (dh_att @ params.wo.T).reshape(b, w, h, dk).transpose(0, 2, 1, 3)
+    datt = dheads @ v.swapaxes(-1, -2)
+    dv = att.swapaxes(-1, -2) @ dheads
     # softmax Jacobian per row
     dlogits = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
     dlogits /= np.sqrt(dk)
-    dq = np.einsum("bhqv,bhve->bhqe", dlogits, k)
-    dk_ = np.einsum("bhqv,bhqe->bhve", dlogits, q)
+    dq = dlogits @ k
+    dk_ = dlogits.swapaxes(-1, -2) @ q
 
-    h_cnn = cache["h_cnn"]
-    grads["attn.wq"] = np.einsum("btd,bhte->hde", h_cnn, dq)
-    grads["attn.wk"] = np.einsum("btd,bhte->hde", h_cnn, dk_)
-    grads["attn.wv"] = np.einsum("btd,bhte->hde", h_cnn, dv)
-    dh_cnn += np.einsum("bhte,hde->btd", dq, params.wq)
-    dh_cnn += np.einsum("bhte,hde->btd", dk_, params.wk)
-    dh_cnn += np.einsum("bhte,hde->btd", dv, params.wv)
+    h_cnn = cache["conv_act"][-1].reshape(b * w, d)
+    dqkv = np.stack([dq, dk_, dv], axis=2).transpose(0, 3, 2, 1, 4).reshape(b * w, 3 * h * dk)
+    dw = (h_cnn.T @ dqkv).reshape(d, 3, h, dk).transpose(1, 2, 0, 3)
+    grads["attn.wq"], grads["attn.wk"], grads["attn.wv"] = dw
+    dact = dh_cnn + dqkv @ _qkv_matrix(params.wq, params.wk, params.wv).T
 
     # convolution stack, last layer first
-    dact = dh_cnn
     for layer in reversed(range(cfg.cnn_layers)):
         kern = params.conv_kernels[layer]
-        ksz = kern.shape[2]
-        dpre = dact * (cache["conv_pre"][layer] > 0)
-        grads[f"conv{layer}.bias"] = dpre.sum(axis=(0, 1))
-        dkf = np.einsum("bto,btcj->ocj", dpre, cache["conv_win"][layer])
-        grads[f"conv{layer}.kernel"] = dkf[:, :, ::-1]
+        f, c_in, ksz = kern.shape
+        dpre = dact * (cache["conv_pre"][layer].reshape(b * w, f) > 0)
+        grads[f"conv{layer}.bias"] = dpre.sum(axis=0)
+        layer_in = cache["conv_act"][layer - 1] if layer > 0 else cache["x"][:, :, None]
+        dkm = dpre.T @ _im2col(layer_in, ksz)
+        grads[f"conv{layer}.kernel"] = dkm.reshape(f, ksz, c_in).transpose(0, 2, 1)
         if layer > 0:
-            kf = kern[:, :, ::-1]
-            dpadded = np.zeros((b, w + ksz - 1, kern.shape[1]))
-            for j in range(ksz):
-                dpadded[:, j:j + w, :] += dpre @ kf[:, :, j]
-            dact = dpadded[:, ksz - 1:, :]
+            # col2im: column block i of row (b, t) came from h[b, t-i]
+            dcols = (dpre @ _conv_matrix(kern)).reshape(b, w, ksz, c_in)
+            dh = dcols[:, :, 0, :].copy()
+            for i in range(1, ksz):
+                dh[:, :w - i, :] += dcols[:, i:, i, :]
+            dact = dh.reshape(b * w, c_in)
     return grads
 
 
@@ -392,21 +418,13 @@ def backward(params: ModelParams, trace: ForwardTrace, dl_dy: float) -> Gradient
     for layer, pre in enumerate(trace.conv_pre):
         if pre.shape != (cfg.w, cfg.filters):
             raise TraceMismatch(f"conv layer {layer} trace shape {pre.shape}")
-    # rebuild the batched cache (batch of one) from the stored intermediates
-    xb = trace.x[None]
-    conv_pre = [p[None] for p in trace.conv_pre]
-    conv_act = [a[None] for a in trace.conv_act]
-    conv_win = []
-    h = xb[:, :, None]
-    for layer, kern in enumerate(params.conv_kernels):
-        conv_win.append(_conv_windows(h, kern.shape[2]))
-        h = conv_act[layer]
+    # the batched cache (batch of one) from the stored intermediates
     cache = {
-        "x": xb, "conv_win": conv_win, "conv_pre": conv_pre, "conv_act": conv_act,
-        "h_cnn": conv_act[-1], "q": trace.q[None], "k": trace.k[None], "v": trace.v[None],
+        "x": trace.x[None], "conv_pre": [p[None] for p in trace.conv_pre],
+        "conv_act": [a[None] for a in trace.conv_act],
+        "q": trace.q[None], "k": trace.k[None], "v": trace.v[None],
         "att": trace.attention[None], "concat": trace.heads_concat[None],
-        "h_att": trace.attn_out[None], "fused": trace.fused[None],
-        "z": trace.pooled[None], "yhat": np.array([trace.prediction]),
+        "z": trace.pooled[None],
     }
     grads = _backward_batch(params, cache, np.array([dl_dy], dtype=np.float64))
     return Gradients(by_name=grads)

@@ -23,6 +23,8 @@ from .errors import (
 from .nn import Gradients, ModelConfig, ModelParams, _backward_batch, _forward_batch, init_params
 from .series import ScalerParams, WindowedDataset, scale_values, unscale_values
 
+PREDICT_BLOCK = 32  # rows per forward call in predict_batch
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -151,9 +153,15 @@ def train(config: ModelConfig, tconfig: TrainConfig,
 
 
 def predict_batch(params: ModelParams, windows: np.ndarray) -> np.ndarray:
-    """One-step predictions for scaled windows (N, w), in scaled units."""
-    yhat, _ = _forward_batch(params, windows)
-    return yhat
+    """One-step predictions for scaled windows (N, w), in scaled units.
+
+    Evaluated in blocks of ``PREDICT_BLOCK`` rows, so the forward cache and
+    im2col buffers are bounded by the block, not by N.
+    """
+    windows = np.asarray(windows, dtype=np.float64)
+    blocks = [_forward_batch(params, windows[i:i + PREDICT_BLOCK])[0]
+              for i in range(0, max(len(windows), 1), PREDICT_BLOCK)]
+    return np.concatenate(blocks)
 
 
 def forecast_recursive(params: ModelParams, scaler: ScalerParams,

@@ -13,7 +13,7 @@ from fusecast.bayesopt import (
     sq_exp_kernel,
     tune,
 )
-from fusecast.errors import DimensionMismatch, InvalidSpec
+from fusecast.errors import DimensionMismatch, InvalidSpec, ObjectiveFailure
 
 
 def make_obs(x, y):
@@ -171,6 +171,12 @@ class TestSearchSpace:
         with pytest.raises(InvalidSpec):
             SearchSpace(heads=(5, 2))
 
+    def test_snap_unit_pool_matches_per_point(self):
+        pool = np.random.default_rng(9).uniform(size=(512, 4))
+        for space in (SearchSpace(), SearchSpace(heads=(3, 3), filters=(16, 18))):
+            per_point = np.stack([space.to_unit(space.round_to_grid(u)) for u in pool])
+            assert np.array_equal(space.snap_unit(pool), per_point)
+
 
 class TestPropose:
     def test_pool_of_one_returned(self, rng):
@@ -256,6 +262,18 @@ class TestTune:
             prior = [s.objective for s in result.trials[:t.index] if np.isfinite(s.objective)]
             if prior:
                 assert t.objective == max(prior)
+
+    def test_every_initial_trial_failing_is_objective_failure(self):
+        calls = []
+
+        def objective(cfg):
+            calls.append(cfg)
+            raise RuntimeError("boom")
+
+        with pytest.raises(ObjectiveFailure) as info:
+            tune(objective, SearchSpace(), budget=6, init=3, seed=0)
+        assert len(calls) == 3 and info.value.trial == 2
+        assert isinstance(info.value.cause, RuntimeError)
 
     def test_validation(self):
         with pytest.raises(InvalidSpec):

@@ -314,6 +314,20 @@ class TestExitCodes:
             code = run("train", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 4
 
+    def test_numeric_error_every_tune_trial_failed(self, tmp_path):
+        cfg = write_config(tmp_path, **{"train.learning_rate": 1e40, "tune.budget": 4})
+        with np.errstate(all="ignore"):
+            code = run("tune", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 4
+
+    def test_undefined_metric_keeps_checkpoint(self, tmp_path):
+        # a zero-mean series leaves MSLE undefined after training
+        cfg = write_config(tmp_path, **{"data.synth.trend_slope": 0.0, "train.epochs": 1})
+        out = tmp_path / "o"
+        assert run("train", "--config", str(cfg), "--out", str(out)) == 3
+        params, _ = load_checkpoint(out / "train" / "checkpoint.json")
+        assert params.config.w == BASE_CONFIG["model"]["w"]
+
     def test_env_var_out_root(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
         monkeypatch.setenv(cli.OUT_ENV, str(tmp_path / "envroot"))

@@ -4,6 +4,8 @@ import pytest
 from fusecast.errors import BadCheckpoint, LengthMismatch, ShapeMismatch, TraceMismatch
 from fusecast.nn import (
     ModelConfig,
+    _backward_batch,
+    _forward_batch,
     backward,
     causal_conv1d,
     forward,
@@ -266,6 +268,50 @@ class TestBackward:
         _, trace = forward(other, rng.normal(size=8))
         with pytest.raises(TraceMismatch):
             backward(tiny_params, trace, 1.0)
+
+
+class TestBatchedPath:
+    """The GEMM-lowered batch path against finite differences and the
+    einsum reference convolution."""
+
+    @pytest.mark.parametrize("cfg", [
+        dict(w=5, cnn_layers=3, filters=3, kernel_size=5, heads=2, head_dim=2),
+        dict(w=6, cnn_layers=2, filters=4, kernel_size=3, heads=3, head_dim=2),
+        dict(w=7, cnn_layers=1, filters=3, kernel_size=2, heads=2, head_dim=2),
+    ], ids=["kernel-equals-window", "attn-width-differs", "one-layer"])
+    def test_finite_difference_agreement(self, cfg, rng):
+        params = init_params(ModelConfig(**cfg, seed=4))
+        xb = rng.normal(size=(3, cfg["w"]))
+        y = rng.normal(size=3)
+        yhat, cache = _forward_batch(params, xb)
+        grads = _backward_batch(params, cache, 2.0 * (yhat - y))
+        tensors = params.tensors()
+        eps = 1e-4
+
+        def loss_with(name, idx, delta):
+            bumped = {k: v.copy() for k, v in tensors.items()}
+            bumped[name][idx] += delta
+            yb, _ = _forward_batch(params.with_tensors(bumped), xb)
+            return float(((yb - y) ** 2).sum())
+
+        for name, tensor in tensors.items():
+            for idx in np.ndindex(tensor.shape):
+                fd = (loss_with(name, idx, eps) - loss_with(name, idx, -eps)) / (2 * eps)
+                analytic = float(grads[name][idx])
+                assert abs(analytic - fd) / max(abs(fd), 1e-7) < 1e-4, (name, idx)
+
+    def test_conv_preactivations_match_einsum_reference(self, rng):
+        params = init_params(ModelConfig(w=9, cnn_layers=3, filters=5, kernel_size=4,
+                                         heads=2, seed=2))
+        xb = rng.normal(size=(4, 9))
+        _, cache = _forward_batch(params, xb)
+        for b, x in enumerate(xb):
+            layer_in = x
+            for layer, (kern, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
+                np.testing.assert_allclose(cache["conv_pre"][layer][b],
+                                           causal_conv1d(layer_in, kern, bias),
+                                           rtol=0, atol=1e-12)
+                layer_in = cache["conv_act"][layer][b]
 
 
 class TestCheckpoint:

@@ -16,6 +16,7 @@ from fusecast.errors import (
 from fusecast.nn import ModelConfig, forward
 from fusecast.series import ScalerParams, SynthSpec, WindowedDataset, make_windows, scale_values, synthesize
 from fusecast.train import (
+    PREDICT_BLOCK,
     TrainConfig,
     adam_step,
     forecast_recursive,
@@ -23,6 +24,7 @@ from fusecast.train import (
     metrics,
     mse_loss,
     persistence_forecast,
+    predict_batch,
     run_stats,
     train,
 )
@@ -156,6 +158,17 @@ class TestForecastRecursive:
             expect.append(y)
             win = np.append(win[1:], y)
         np.testing.assert_array_equal(preds, np.array(expect) * scaler.std + scaler.mean)
+
+
+class TestPredictBatch:
+    def test_blocks_match_per_window_forward(self, tiny_params, rng):
+        windows = rng.normal(size=(2 * PREDICT_BLOCK + 5, 8))
+        expect = [forward(tiny_params, x)[0] for x in windows]
+        np.testing.assert_allclose(predict_batch(tiny_params, windows), expect,
+                                   rtol=0, atol=1e-12)
+
+    def test_empty(self, tiny_params):
+        assert predict_batch(tiny_params, np.zeros((0, 8))).shape == (0,)
 
 
 class TestPersistence:
