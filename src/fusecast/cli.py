@@ -107,6 +107,17 @@ _CONFIG_ERRORS = (ConfigError, InvalidSpec, InvalidFraction, EmptySpace)
 _NUMERIC_ERRORS = (DivergedLoss, SingularKernel, ObjectiveFailure)
 
 
+def _check_type(default, value, path: str) -> None:
+    """A value must have its default's type; a float accepts an int, and a
+    null default accepts anything."""
+    if default is None:
+        return
+    allowed = (int, float) if type(default) is float else type(default)
+    if not isinstance(value, allowed) or (isinstance(value, bool) and type(default) is not bool):
+        raise ConfigError(f"{path} must be {type(default).__name__}, "
+                          f"got {type(value).__name__} {value!r}")
+
+
 def _merge(defaults, override, path="config"):
     if not isinstance(override, dict):
         raise ConfigError(f"{path} must be an object")
@@ -117,6 +128,7 @@ def _merge(defaults, override, path="config"):
         if isinstance(defaults[key], dict) and defaults[key]:
             merged[key] = _merge(defaults[key], value, f"{path}.{key}")
         else:
+            _check_type(defaults[key], value, f"{path}.{key}")
             merged[key] = value
     return merged
 
@@ -250,15 +262,16 @@ def cmd_train(cfg: dict, make_svg: bool = False) -> int:
     t0 = time.perf_counter()
     params, history = train_model(mconfig, tconfig, train_windows)
     # saved first, so an undefined reporting metric never discards the model
+    # or its training history
     nn.save_checkpoint(out / "checkpoint.json", params, scaler)
+    _write_csv(out / "loss_history.csv", ["epoch", "train_mse"],
+               [[i + 1, _fmt(loss)] for i, loss in enumerate(history)])
     report = _one_step_metrics(params, scaler, test_windows)
     elapsed = time.perf_counter() - t0
     _write_json(out / "metrics.json", {
         "horizon": 1, "rmse": report.rmse, "mae": report.mae,
         "mape": report.mape, "msle": report.msle, "wall_seconds": elapsed,
     })
-    _write_csv(out / "loss_history.csv", ["epoch", "train_mse"],
-               [[i + 1, _fmt(loss)] for i, loss in enumerate(history)])
     if make_svg:
         (out / "loss.svg").write_text(svg.line_chart(
             [("train MSE", np.arange(1, len(history) + 1), history, "#1f77b4", "")],
@@ -395,6 +408,8 @@ def cmd_explain(cfg: dict, checkpoint: str, window_index: int,
         mask = [i in result.reported_lags for i in range(w)]
         (out / "influence.svg").write_text(svg.influence_panels(
             x, result.a, result.s, result.c, result.c_smooth, mask))
+    print(f"coalitions={result.coalitions} "
+          f"model_rows={result.coalitions * len(background)}", file=sys.stderr)
     print(f"prediction={result.prediction:.6g} "
           f"recency_concentration={result.recency_concentration:.2%}")
     print(f"wrote {out / 'influence.csv'}")

@@ -4,10 +4,18 @@ attention mass, their element-wise product, and Gaussian smoothing.
 Coalition values treat absent lags as draws from a background set of
 training windows: v(S) is the mean model output over composite windows that
 take the explained window on S and a background window elsewhere.
+
+The model function ``f`` that the Shapley estimators take is batched: it
+maps an (n, w) array of windows to (n,) outputs. Coalitions are evaluated
+together, every new prefix of a sampled permutation (or a chunk of the 2^w
+masks in exact mode) in one ``f`` call over all their composite windows;
+:func:`explain` runs those windows through the model in blocks of
+``PREDICT_BLOCK`` (32) rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,10 +28,12 @@ from .errors import (
     WindowTooLargeForExact,
 )
 from .nn import ModelParams, _forward_batch, forward
+from .train import PREDICT_BLOCK
 
 EXACT_MAX_WINDOW = 12
 ROW_SUM_TOL = 1e-6
 RECENT_LAGS = 10
+FILL_ROWS = 1 << 16  # composite windows built per f call, at most
 
 
 @dataclass(frozen=True)
@@ -51,10 +61,12 @@ class ExplainConfig:
 @dataclass(frozen=True)
 class ShapResult:
     """Signed per-lag attributions (model output units) and the background
-    base value; base + sum(s) recovers the prediction."""
+    base value; base + sum(s) recovers the prediction. ``coalitions`` counts
+    the distinct masks evaluated, each over the whole background."""
 
     s: np.ndarray
     base_value: float
+    coalitions: int
 
 
 @dataclass(frozen=True)
@@ -63,7 +75,7 @@ class InfluenceMap:
 
     Index 0 is the oldest lag (t-w), index w-1 the newest (t-1);
     ``reported_lags`` is the retained index range after dropping the
-    ``edge_drop`` oldest lags.
+    ``edge_drop`` oldest lags; ``coalitions`` is as in :class:`ShapResult`.
     """
 
     s: np.ndarray
@@ -74,6 +86,7 @@ class InfluenceMap:
     base_value: float
     prediction: float
     recency_concentration: float
+    coalitions: int
 
 
 def mean_attention(attention: np.ndarray) -> np.ndarray:
@@ -105,13 +118,26 @@ class _CoalitionValues:
             raise InvalidSpec("background set must be non-empty")
         self._cache: dict[int, float] = {}
 
+    def fill(self, masks) -> None:
+        """Evaluate every mask not yet cached, with one ``f`` call per chunk
+        of at most ``FILL_ROWS`` composite windows (n_masks, n_bg, w)."""
+        new = [m for m in masks if m not in self._cache]
+        w, n_bg = self.x.shape[0], len(self.background)
+        step = max(1, FILL_ROWS // n_bg)
+        for lo in range(0, len(new), step):
+            chunk = new[lo:lo + step]
+            present = np.array([[(m >> i) & 1 for i in range(w)] for m in chunk], dtype=bool)
+            composites = np.where(present[:, None, :], self.x, self.background)
+            values = np.asarray(self.f(composites.reshape(-1, w)), dtype=np.float64)
+            self._cache.update(zip(chunk, values.reshape(len(chunk), n_bg).mean(axis=1).tolist()))
+
     def __call__(self, mask: int) -> float:
         if mask not in self._cache:
-            w = self.x.shape[0]
-            present = np.array([(mask >> i) & 1 for i in range(w)], dtype=bool)
-            composites = np.where(present, self.x, self.background)
-            self._cache[mask] = float(np.mean([self.f(row) for row in composites]))
+            self.fill((mask,))
         return self._cache[mask]
+
+    def __len__(self) -> int:
+        return len(self._cache)
 
 
 def shap_exact(f, x: np.ndarray, background: np.ndarray) -> ShapResult:
@@ -125,6 +151,7 @@ def shap_exact(f, x: np.ndarray, background: np.ndarray) -> ShapResult:
     if w > EXACT_MAX_WINDOW:
         raise WindowTooLargeForExact(f"w={w} exceeds {EXACT_MAX_WINDOW}")
     v = _CoalitionValues(f, x, background)
+    v.fill(range(1 << w))
     fact = [math.factorial(n) for n in range(w + 1)]
     weights = [fact[size] * fact[w - size - 1] / fact[w] for size in range(w)]
     s = np.zeros(w)
@@ -134,7 +161,7 @@ def shap_exact(f, x: np.ndarray, background: np.ndarray) -> ShapResult:
             if mask & (1 << i):
                 continue
             s[i] += weights[size] * (v(mask | (1 << i)) - v(mask))
-    return ShapResult(s=s, base_value=v(0))
+    return ShapResult(s=s, base_value=v(0), coalitions=len(v))
 
 
 def shap_sampled(f, x: np.ndarray, background: np.ndarray, m: int,
@@ -156,10 +183,10 @@ def shap_sampled(f, x: np.ndarray, background: np.ndarray, m: int,
     order = None
     for j in range(m):
         order = rng.permutation(w) if j % 2 == 0 else order[::-1]
-        mask = 0
+        prefixes = list(itertools.accumulate(1 << int(i) for i in order))
+        v.fill([0, *prefixes])
         v_prev = v(0)
-        for i in order:
-            mask |= 1 << int(i)
+        for i, mask in zip(order, prefixes):
             v_next = v(mask)
             contrib[int(i)] += v_next - v_prev
             v_prev = v_next
@@ -171,7 +198,7 @@ def shap_sampled(f, x: np.ndarray, background: np.ndarray, m: int,
         s = s + residual * weight / weight.sum()
     else:
         s = s + residual / w
-    return ShapResult(s=s, base_value=base)
+    return ShapResult(s=s, base_value=base, coalitions=len(v))
 
 
 def combine(s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -228,9 +255,9 @@ def explain(params: ModelParams, x: np.ndarray, background: np.ndarray,
     prediction, trace = forward(params, x)
     a = mean_attention(trace.attention)
 
-    def f(window: np.ndarray) -> float:
-        yhat, _ = _forward_batch(params, window[None])
-        return float(yhat[0])
+    def f(windows: np.ndarray) -> np.ndarray:
+        return np.concatenate([_forward_batch(params, windows[i:i + PREDICT_BLOCK])[0]
+                               for i in range(0, len(windows), PREDICT_BLOCK)])
 
     if config.shap_mode == "exact":
         shap = shap_exact(f, x, background)
@@ -253,4 +280,5 @@ def explain(params: ModelParams, x: np.ndarray, background: np.ndarray,
         base_value=shap.base_value,
         prediction=prediction,
         recency_concentration=concentration,
+        coalitions=shap.coalitions,
     )

@@ -164,6 +164,20 @@ def predict_batch(params: ModelParams, windows: np.ndarray) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+def _rollout(params: ModelParams, windows: np.ndarray, horizon: int) -> np.ndarray:
+    """Recursive forecasts (n, horizon) from scaled windows (n, w): each step
+    is one forward call over all n windows, whose predictions are appended
+    as the windows slide."""
+    if horizon < 1:
+        raise InvalidSpec("horizon must be >= 1")
+    preds = np.empty((len(windows), horizon))
+    for i in range(horizon):
+        yhat, _ = _forward_batch(params, windows)
+        preds[:, i] = yhat
+        windows = np.concatenate([windows[:, 1:], yhat[:, None]], axis=1)
+    return preds
+
+
 def forecast_recursive(params: ModelParams, scaler: ScalerParams,
                        last_window: np.ndarray, horizon: int) -> np.ndarray:
     """Autoregressive multi-step forecast.
@@ -172,20 +186,13 @@ def forecast_recursive(params: ModelParams, scaler: ScalerParams,
     step predicts one value in scaled space, appends it, and slides the
     window; the returned horizon values are inverse-scaled back to raw units.
     """
-    if horizon < 1:
-        raise InvalidSpec("horizon must be >= 1")
     last_window = np.asarray(last_window, dtype=np.float64)
     if last_window.shape != (params.config.w,):
         raise ShapeMismatch(
             f"expected window of length {params.config.w}, got {last_window.shape}"
         )
     window = scale_values(last_window, scaler)
-    preds_scaled = np.empty(horizon)
-    for i in range(horizon):
-        yhat, _ = _forward_batch(params, window[None])
-        preds_scaled[i] = yhat[0]
-        window = np.concatenate([window[1:], yhat])
-    return unscale_values(preds_scaled, scaler)
+    return unscale_values(_rollout(params, window[None], horizon)[0], scaler)
 
 
 def persistence_forecast(last_value: float, horizon: int) -> np.ndarray:
@@ -261,12 +268,12 @@ def horizon_eval(params: ModelParams, scaler: ScalerParams, values: np.ndarray,
     last_start = n_test - horizon
     k = min(n_anchors, last_start + 1)
     anchors = np.unique(np.linspace(0, last_start, k).astype(int))
-    truth, model_pred, naive_pred = [], [], []
-    for a in anchors:
-        end = train_len + a
-        window = values[end - w:end]
-        truth.append(values[end:end + horizon])
-        model_pred.append(forecast_recursive(params, scaler, window, horizon))
-        naive_pred.append(persistence_forecast(values[end - 1], horizon))
+    ends = train_len + anchors
+    if ends[0] < w:
+        raise ShapeMismatch(f"training segment of {train_len} shorter than window {w}")
+    windows = np.stack([values[end - w:end] for end in ends])
+    model_pred = unscale_values(_rollout(params, scale_values(windows, scaler), horizon), scaler)
+    truth = [values[end:end + horizon] for end in ends]
+    naive_pred = [persistence_forecast(values[end - 1], horizon) for end in ends]
     y = np.concatenate(truth)
-    return metrics(y, np.concatenate(model_pred)), metrics(y, np.concatenate(naive_pred))
+    return metrics(y, model_pred.ravel()), metrics(y, np.concatenate(naive_pred))

@@ -29,6 +29,8 @@ from fusecast.series import (
 from fusecast.svg import box_stats
 from fusecast.train import TrainConfig
 
+from test_explain import rowwise
+
 
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"\n[criterion {criterion:2d}] {'PASS' if ok else 'FAIL'} - {detail}")
@@ -147,7 +149,7 @@ def test_c04_shapley_oracle_equivalence():
         f = _toy_model_fn(w, seed=w)
         x = rng.normal(size=w)
         background = rng.normal(size=(5, w))
-        result = shap_exact(f, x, background)
+        result = shap_exact(rowwise(f), x, background)
         s_oracle, base_oracle = _shap_permutation_enumeration(f, x, background)
         worst_gap = max(worst_gap, float(np.abs(result.s - s_oracle).max()),
                         abs(result.base_value - base_oracle))
@@ -163,11 +165,11 @@ def test_c05_sampled_shap_convergence():
     f = _toy_model_fn(6, seed=6)
     x = rng.normal(size=6)
     background = rng.normal(size=(4, 6))
-    exact = shap_exact(f, x, background)
+    exact = shap_exact(rowwise(f), x, background)
     bound = 0.05 * np.abs(exact.s).max()
     worst = 0.0
     for seed in range(10):
-        sampled = shap_sampled(f, x, background, m=2000, seed=seed)
+        sampled = shap_sampled(rowwise(f), x, background, m=2000, seed=seed)
         worst = max(worst, float(np.abs(sampled.s - exact.s).mean()))
     report(5, worst < bound,
            f"worst mean |sampled - exact| {worst:.3e} over 10 seeds "

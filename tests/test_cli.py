@@ -212,9 +212,23 @@ class TestExplain:
         assert [r["reported"] for r in rows] == ["true"] * 7 + ["false"]
         doc = json.loads((out / "explain" / "explain.json").read_text())
         assert 0.0 <= doc["recency_concentration"] <= 1.0
+        assert set(doc) == {"base_value", "prediction", "recency_concentration",
+                            "window_index", "config"}
         total = sum(abs(float(r["shap"])) for r in rows)
         recent = sum(abs(float(r["shap"])) for r in rows[:8])  # w < 10: all lags recent
         assert abs(doc["recency_concentration"] - (recent / total if total else 0.0)) < 1e-9
+
+    def test_coalition_counts_on_stderr(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"train.epochs": 1})
+        out = tmp_path / "o"
+        assert run("train", "--config", str(cfg), "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("explain", "--config", str(cfg), "--out", str(out),
+                   "--checkpoint", str(out / "train" / "checkpoint.json")) == 0
+        captured = capsys.readouterr()
+        # exact mode at w=8 evaluates all 2^8 masks over 8 background windows
+        assert "coalitions=256 model_rows=2048" in captured.err
+        assert "coalitions" not in captured.out
 
     def test_window_index_out_of_range(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -327,6 +341,15 @@ class TestExitCodes:
         assert run("train", "--config", str(cfg), "--out", str(out)) == 3
         params, _ = load_checkpoint(out / "train" / "checkpoint.json")
         assert params.config.w == BASE_CONFIG["model"]["w"]
+        with (out / "train" / "loss_history.csv").open() as fh:
+            assert [r["epoch"] for r in csv.DictReader(fh)] == ["1"]
+
+    @pytest.mark.parametrize("key,value", [
+        ("train.epochs", "5"), ("model.filters", 6.0), ("train.learning_rate", "1e-3")])
+    def test_override_of_wrong_type(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, **{key: value})
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert key in capsys.readouterr().err
 
     def test_env_var_out_root(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

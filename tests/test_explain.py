@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -20,9 +21,15 @@ from fusecast.explain import (
     shap_exact,
     shap_sampled,
 )
-from fusecast.nn import ModelConfig, init_params
+from fusecast.nn import ModelConfig, _forward_batch, init_params
+from fusecast.train import predict_batch
 
 from test_nn import zeroed
+
+
+def rowwise(f):
+    """Batched model function (n, w) -> (n,) from a one-window function."""
+    return lambda windows: np.array([f(row) for row in windows])
 
 
 def shap_permutation_oracle(f, x, background):
@@ -93,13 +100,13 @@ class TestMeanAttention:
 class TestShapExact:
     def test_linear_game(self):
         x = np.array([1.0, -2.0, 3.0])
-        result = shap_exact(lambda v: float(np.sum(v)), x, np.zeros((1, 3)))
+        result = shap_exact(rowwise(lambda v: float(np.sum(v))), x, np.zeros((1, 3)))
         np.testing.assert_allclose(result.s, x, atol=1e-12)
         assert abs(result.base_value) < 1e-12
 
     def test_constant_game(self, rng):
         x = rng.normal(size=4)
-        result = shap_exact(lambda v: 7.5, x, rng.normal(size=(3, 4)))
+        result = shap_exact(rowwise(lambda v: 7.5), x, rng.normal(size=(3, 4)))
         np.testing.assert_allclose(result.s, 0.0, atol=1e-12)
         assert result.base_value == 7.5
 
@@ -108,7 +115,7 @@ class TestShapExact:
         _, f = small_model(w, seed=w)
         x = rng.normal(size=w)
         background = rng.normal(size=(5, w))
-        result = shap_exact(f, x, background)
+        result = shap_exact(rowwise(f), x, background)
         s_oracle, base_oracle = shap_permutation_oracle(f, x, background)
         np.testing.assert_allclose(result.s, s_oracle, atol=1e-9)
         assert abs(result.base_value - base_oracle) < 1e-9
@@ -118,19 +125,19 @@ class TestShapExact:
         _, f = small_model(w, seed=w + 10)
         x = rng.normal(size=w)
         background = rng.normal(size=(4, w))
-        result = shap_exact(f, x, background)
+        result = shap_exact(rowwise(f), x, background)
         assert abs(result.base_value + result.s.sum() - f(x)) < 1e-9
 
     def test_window_cap(self):
         with pytest.raises(WindowTooLargeForExact):
-            shap_exact(lambda v: 0.0, np.zeros(13), np.zeros((1, 13)))
+            shap_exact(rowwise(lambda v: 0.0), np.zeros(13), np.zeros((1, 13)))
 
     def test_symmetry_of_exchangeable_lags(self):
         # f symmetric in lags 0 and 1, background identical in those lags
         f = lambda v: float(v[0] * v[1] + v[2])
         x = np.array([2.0, 2.0, 1.0])
         background = np.array([[0.5, 0.5, 0.0], [-0.5, -0.5, 1.0]])
-        result = shap_exact(f, x, background)
+        result = shap_exact(rowwise(f), x, background)
         assert abs(result.s[0] - result.s[1]) < 1e-9
 
     def test_null_player(self, rng):
@@ -138,7 +145,7 @@ class TestShapExact:
         f = lambda v: float(v[0] - 3.0 * v[1] + v[3] ** 2)
         x = rng.normal(size=4)
         background = rng.normal(size=(6, 4))
-        result = shap_exact(f, x, background)
+        result = shap_exact(rowwise(f), x, background)
         assert abs(result.s[2]) < 1e-9
 
 
@@ -148,37 +155,165 @@ class TestShapSampled:
         f = lambda v: float(weights @ v)
         x = rng.normal(size=5)
         background = rng.normal(size=(3, 5))
-        exact = shap_exact(f, x, background)
-        sampled = shap_sampled(f, x, background, m=4, seed=1)
+        exact = shap_exact(rowwise(f), x, background)
+        sampled = shap_sampled(rowwise(f), x, background, m=4, seed=1)
         np.testing.assert_allclose(sampled.s, exact.s, atol=1e-9)
 
     def test_additivity_enforced(self, rng):
         _, f = small_model(6, seed=2)
         x = rng.normal(size=6)
         background = rng.normal(size=(4, 6))
-        result = shap_sampled(f, x, background, m=40, seed=5)
+        result = shap_sampled(rowwise(f), x, background, m=40, seed=5)
         assert abs(result.base_value + result.s.sum() - f(x)) < 1e-9
 
     def test_deterministic(self, rng):
         _, f = small_model(5, seed=3)
         x = rng.normal(size=5)
         background = rng.normal(size=(4, 5))
-        a = shap_sampled(f, x, background, m=30, seed=9)
-        b = shap_sampled(f, x, background, m=30, seed=9)
+        a = shap_sampled(rowwise(f), x, background, m=30, seed=9)
+        b = shap_sampled(rowwise(f), x, background, m=30, seed=9)
         np.testing.assert_array_equal(a.s, b.s)
 
     def test_converges_to_exact(self, rng):
         _, f = small_model(6, seed=4)
         x = rng.normal(size=6)
         background = rng.normal(size=(4, 6))
-        exact = shap_exact(f, x, background)
+        exact = shap_exact(rowwise(f), x, background)
         scale = np.abs(exact.s).max()
         errors = []
         for m in (50, 500, 2000):
-            sampled = shap_sampled(f, x, background, m=m, seed=11)
+            sampled = shap_sampled(rowwise(f), x, background, m=m, seed=11)
             errors.append(np.abs(sampled.s - exact.s).mean())
         assert errors[2] <= errors[0] + 1e-12
         assert errors[2] < 0.05 * scale
+
+
+def scalar_value(f_row, x, background, mask):
+    """v(S) by the per-row definition: the mean of one model call per
+    composite window."""
+    present = np.array([(mask >> i) & 1 for i in range(len(x))], dtype=bool)
+    return float(np.mean([f_row(row) for row in np.where(present, x, background)]))
+
+
+def scalar_shap_exact(f_row, x, background):
+    """Weighted coalition formula, one model call per background row."""
+    w = len(x)
+    v = {mask: scalar_value(f_row, x, background, mask) for mask in range(1 << w)}
+    s = np.zeros(w)
+    for mask in range(1 << w):
+        size = bin(mask).count("1")
+        for i in range(w):
+            if not mask & (1 << i):
+                weight = math.factorial(size) * math.factorial(w - size - 1) / math.factorial(w)
+                s[i] += weight * (v[mask | (1 << i)] - v[mask])
+    return s, v[0]
+
+
+def scalar_shap_sampled(f_row, x, background, m, seed):
+    """Antithetic permutation sampling with the same RNG stream and residual
+    redistribution, one model call per background row."""
+    w = len(x)
+    cache = {}
+
+    def v(mask):
+        if mask not in cache:
+            cache[mask] = scalar_value(f_row, x, background, mask)
+        return cache[mask]
+
+    rng = np.random.default_rng(seed)
+    contrib = np.zeros(w)
+    order = None
+    for j in range(m):
+        order = rng.permutation(w) if j % 2 == 0 else order[::-1]
+        mask, prev = 0, v(0)
+        for i in order:
+            mask |= 1 << int(i)
+            contrib[i] += v(mask) - prev
+            prev = v(mask)
+    s = contrib / m
+    residual = v((1 << w) - 1) - v(0) - s.sum()
+    weight = np.abs(s)
+    s = s + (residual * weight / weight.sum() if weight.sum() > 0 else residual / w)
+    return s, v(0)
+
+
+def default_model(w=15, seed=0):
+    """The default model config; batched and one-row model functions."""
+    params = init_params(ModelConfig(w=w, seed=seed))
+    return (params, lambda windows: predict_batch(params, windows),
+            lambda row: float(_forward_batch(params, row[None])[0][0]))
+
+
+class Counted:
+    """Batched model function that records the rows of every call."""
+
+    def __init__(self, f):
+        self.f, self.rows = f, []
+
+    def __call__(self, windows):
+        self.rows.append(len(windows))
+        return self.f(windows)
+
+
+class TestBatchedCoalitions:
+    def test_sampled_matches_scalar_reference(self, rng):
+        _, f, f_row = default_model()
+        x = rng.normal(size=15)
+        background = rng.normal(size=(8, 15))
+        result = shap_sampled(f, x, background, m=20, seed=4)
+        s_ref, base_ref = scalar_shap_sampled(f_row, x, background, m=20, seed=4)
+        np.testing.assert_allclose(result.s, s_ref, rtol=0, atol=1e-12)
+        assert abs(result.base_value - base_ref) <= 1e-12
+
+    def test_exact_matches_scalar_reference(self, rng):
+        _, f, f_row = default_model(w=8, seed=2)
+        x = rng.normal(size=8)
+        background = rng.normal(size=(5, 8))
+        counted = Counted(f)
+        result = shap_exact(counted, x, background)
+        s_ref, base_ref = scalar_shap_exact(f_row, x, background)
+        np.testing.assert_allclose(result.s, s_ref, rtol=0, atol=1e-12)
+        assert abs(result.base_value - base_ref) <= 1e-12
+        assert result.coalitions == 1 << 8
+        assert sum(counted.rows) == len(background) * result.coalitions
+
+    def test_one_call_per_permutation(self, rng):
+        _, f, _ = default_model()
+        x = rng.normal(size=15)
+        background = rng.normal(size=(6, 15))
+        counted = Counted(f)
+        result = shap_sampled(counted, x, background, m=20, seed=1)
+        assert len(counted.rows) <= 20
+        assert sum(counted.rows) == len(background) * result.coalitions
+        # each new prefix of a permutation is a distinct mask; 0 and the full
+        # mask are shared by all
+        assert 16 <= result.coalitions <= 20 * 14 + 2
+
+    def test_exact_chunks_are_bounded(self, rng, monkeypatch):
+        # the package attribute `explain` is the function, so take the module
+        monkeypatch.setattr(sys.modules["fusecast.explain"], "FILL_ROWS", 40)
+        _, f, f_row = default_model(w=6, seed=3)
+        x = rng.normal(size=6)
+        background = rng.normal(size=(7, 6))
+        counted = Counted(f)
+        result = shap_exact(counted, x, background)
+        assert max(counted.rows) <= 40
+        assert sum(counted.rows) == 7 * 64
+        s_ref, _ = scalar_shap_exact(f_row, x, background)
+        np.testing.assert_allclose(result.s, s_ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_bg", [1, 33])
+    def test_explain_background_sizes(self, n_bg, rng):
+        params, _, f_row = default_model(seed=5)
+        x = rng.normal(size=15)
+        background = rng.normal(size=(n_bg, 15))
+        config = ExplainConfig(background_size=n_bg, sample_permutations=6, seed=7)
+        result = explain(params, x, background, config)
+        s_ref, base_ref = scalar_shap_sampled(f_row, x, background, m=6, seed=7)
+        np.testing.assert_allclose(result.s, s_ref, rtol=0, atol=1e-12)
+        assert abs(result.base_value - base_ref) <= 1e-12
+        assert abs(result.base_value + result.s.sum() - result.prediction) < 1e-9
+        assert result.coalitions >= 16
 
 
 class TestCombine:

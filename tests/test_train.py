@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,14 @@ from fusecast.errors import (
     ZeroVarianceShapeStats,
 )
 from fusecast.nn import ModelConfig, forward
-from fusecast.series import ScalerParams, SynthSpec, WindowedDataset, make_windows, scale_values, synthesize
+from fusecast.series import (ScalerParams, SynthSpec, WindowedDataset, fit_scaler, make_windows,
+                             scale_values, split, synthesize)
 from fusecast.train import (
     PREDICT_BLOCK,
     TrainConfig,
     adam_step,
     forecast_recursive,
+    horizon_eval,
     init_opt_state,
     metrics,
     mse_loss,
@@ -158,6 +162,44 @@ class TestForecastRecursive:
             expect.append(y)
             win = np.append(win[1:], y)
         np.testing.assert_array_equal(preds, np.array(expect) * scaler.std + scaler.mean)
+
+
+class TestHorizonEval:
+    def test_batched_rollout_matches_per_anchor_loop(self, tiny_params):
+        ts = synthesize(SynthSpec(length=300, period=30, amplitude=5.0, trend_slope=0.5,
+                                  noise_std=0.2, ar_coeff=0.4, seed=3))
+        train_ts, _ = split(ts, 0.8)
+        scaler = fit_scaler(train_ts)
+        train_len, horizon = len(train_ts), 6
+        model_m, naive_m = horizon_eval(tiny_params, scaler, ts.values, train_len, horizon,
+                                        n_anchors=7)
+        # reference: one recursive forecast per anchor, as the metrics define it
+        last_start = len(ts) - train_len - horizon
+        ends = train_len + np.unique(np.linspace(0, last_start, 7).astype(int))
+        y = np.concatenate([ts.values[e:e + horizon] for e in ends])
+        model = np.concatenate([forecast_recursive(tiny_params, scaler, ts.values[e - 8:e],
+                                                   horizon) for e in ends])
+        naive = np.repeat(ts.values[ends - 1], horizon)
+        for got, expect in ((model_m, metrics(y, model)), (naive_m, metrics(y, naive))):
+            for name in ("rmse", "mae", "mape", "msle"):
+                assert abs(getattr(got, name) - getattr(expect, name)) <= 1e-12, name
+
+    def test_one_forward_call_per_step(self, tiny_params, monkeypatch):
+        import fusecast.nn
+        calls = []
+
+        def counted(params, xb):
+            calls.append(len(xb))
+            return fusecast.nn._forward_batch(params, xb)
+
+        monkeypatch.setattr(sys.modules["fusecast.train"], "_forward_batch", counted)
+        values = np.linspace(1.0, 3.0, 100)
+        scaler = ScalerParams(mean=2.0, std=0.5)
+        forecast_recursive(tiny_params, scaler, values[-8:], 5)
+        assert calls == [1] * 5
+        calls.clear()
+        horizon_eval(tiny_params, scaler, values, 80, 5, n_anchors=4)
+        assert calls == [4] * 5
 
 
 class TestPredictBatch:
