@@ -16,17 +16,10 @@ from .series import (
     synthesize,
 )
 from .nn import (
-    ForwardTrace,
-    Gradients,
     ModelConfig,
     ModelParams,
-    backward,
-    causal_conv1d,
-    forward,
-    fuse_pool,
     init_params,
     load_checkpoint,
-    mha,
     relu,
     save_checkpoint,
 )

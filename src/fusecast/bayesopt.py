@@ -44,7 +44,12 @@ class SearchSpace:
 
     def __post_init__(self):
         for name in self.NAMES:
-            lo, hi = getattr(self, name)
+            bound = getattr(self, name)
+            if (not isinstance(bound, (tuple, list)) or len(bound) != 2
+                    or any(not isinstance(v, (int, np.integer)) or isinstance(v, bool)
+                           for v in bound)):
+                raise InvalidSpec(f"{name} must be a (lo, hi) pair of integers, got {bound!r}")
+            lo, hi = bound
             if lo > hi:
                 raise InvalidSpec(f"{name}: lo {lo} > hi {hi}")
 
@@ -310,6 +315,7 @@ class Trial:
     objective: float
     wall_seconds: float
     failed: bool = False
+    error: str = ""              # the objective's exception, when failed
 
 
 @dataclass(frozen=True)
@@ -363,11 +369,11 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
     def evaluate(idx: int, cfg: dict):
         nonlocal best_y, best_cfg, last_error
         t0 = time.perf_counter()
-        failed = False
+        failed, error = False, ""
         try:
             y = float(objective(cfg))
         except Exception as exc:  # noqa: BLE001 - penalized and skipped, not fatal
-            failed = True
+            failed, error = True, f"{type(exc).__name__}: {exc}"
             last_error = exc
             finite = [t.objective for t in trials if np.isfinite(t.objective)]
             y = max(finite) if finite else np.inf
@@ -378,8 +384,8 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
             if y < best_y:
                 best_y = y
                 best_cfg = cfg
-        trials.append(Trial(index=idx, config=cfg, objective=y,
-                            wall_seconds=elapsed, failed=failed))
+        trials.append(Trial(index=idx, config=cfg, objective=y, wall_seconds=elapsed,
+                            failed=failed, error=error))
         incumbent.append(best_y)
 
     def local_pick(state, cells, explore: bool) -> dict:

@@ -150,8 +150,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
         for part in parts:
             node = node[part]
         node[last] = value
-    if not cfg["horizons"] or any(h < 1 for h in cfg["horizons"]):
-        raise ConfigError("horizons must be a non-empty list of values >= 1")
+    horizons = cfg["horizons"]
+    if not horizons or any(type(h) is not int or h < 1 for h in horizons):
+        raise ConfigError(f"horizons must be a non-empty list of integers >= 1, got {horizons!r}")
     return cfg
 
 
@@ -186,6 +187,8 @@ def _load_series(cfg: dict) -> series.TimeSeries:
     if data["source"] == "csv":
         if not data["csv_path"]:
             raise ConfigError("data.source is csv but data.csv_path is unset")
+        if not isinstance(data["csv_path"], str):
+            raise ConfigError(f"data.csv_path must be a string, got {data['csv_path']!r}")
         return series.load_csv(data["csv_path"])
     if data["source"] == "synth":
         return series.synthesize(series.SynthSpec(**data["synth"]))
@@ -208,27 +211,29 @@ def _train_config(cfg: dict, seed: int, epochs: int | None = None) -> TrainConfi
     )
 
 
-def _prepared_data(cfg: dict):
-    """Series -> split -> train-fitted scaler -> scaled windows.
+def _split_windows(ts: series.TimeSeries, train_len: int, w: int,
+                   scaler: series.ScalerParams):
+    """Scale ``ts`` and cut it into (train windows, held-out windows).
 
-    Test windows are the trailing windows of the full scaled series whose
-    target falls in the test segment (their inputs may span the boundary).
+    Train windows have their target among the first ``train_len`` values;
+    the held-out windows are the rest, whose inputs may span the boundary.
     """
+    windows = series.make_windows(series.apply_scaler(ts, scaler), w)
+    first_held = train_len - w
+    if first_held <= 0:
+        raise WindowTooLarge(f"window {w} does not fit in a training segment of {train_len}")
+    return (series.WindowedDataset(windows.inputs[:first_held], windows.targets[:first_held], w),
+            series.WindowedDataset(windows.inputs[first_held:], windows.targets[first_held:], w))
+
+
+def _prepared_data(cfg: dict):
+    """Series -> split -> train-fitted scaler -> scaled train and test
+    windows (see :func:`_split_windows`)."""
     ts = _load_series(cfg)
-    train_ts, test_ts = series.split(ts, cfg["data"]["train_frac"])
+    train_ts, _ = series.split(ts, cfg["data"]["train_frac"])
     scaler = series.fit_scaler(train_ts)
-    scaled = series.apply_scaler(ts, scaler)
-    w = cfg["model"]["w"]
-    all_windows = series.make_windows(scaled, w)
-    n_train = len(train_ts)
-    first_test = n_train - w
-    if first_test <= 0:
-        raise WindowTooLarge(f"window {w} does not fit in the training segment")
-    train_windows = series.WindowedDataset(
-        all_windows.inputs[:first_test], all_windows.targets[:first_test], w)
-    test_windows = series.WindowedDataset(
-        all_windows.inputs[first_test:], all_windows.targets[first_test:], w)
-    return ts, train_ts, test_ts, scaler, train_windows, test_windows
+    train_windows, test_windows = _split_windows(ts, len(train_ts), cfg["model"]["w"], scaler)
+    return ts, train_ts, scaler, train_windows, test_windows
 
 
 def _one_step_metrics(params, scaler, test_windows) -> MetricsReport:
@@ -256,7 +261,7 @@ def cmd_train(cfg: dict, make_svg: bool = False) -> int:
     out = _out_dir(cfg, "train")
     _echo_config(cfg, out)
     seed = cfg["seed"]
-    _, _, _, scaler, train_windows, test_windows = _prepared_data(cfg)
+    _, _, scaler, train_windows, test_windows = _prepared_data(cfg)
     mconfig = _model_config(cfg, seed)
     tconfig = _train_config(cfg, seed + 1)
     t0 = time.perf_counter()
@@ -286,17 +291,13 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
     out = _out_dir(cfg, "tune")
     _echo_config(cfg, out)
     seed = cfg["seed"]
-    _, train_ts, _, _, _, _ = _prepared_data(cfg)
+    train_ts, _ = series.split(_load_series(cfg), cfg["data"]["train_frac"])
     # tuning objective: validation RMSE on the last 20% of the training
     # segment, so the test segment stays untouched until final training
-    sub_train, sub_val = series.split(train_ts, 0.8)
+    sub_train, _ = series.split(train_ts, 0.8)
     sub_scaler = series.fit_scaler(sub_train)
-    scaled = series.apply_scaler(train_ts, sub_scaler)
     w = cfg["model"]["w"]
-    windows = series.make_windows(scaled, w)
-    first_val = len(sub_train) - w
-    fit_windows = series.WindowedDataset(windows.inputs[:first_val], windows.targets[:first_val], w)
-    val_windows = series.WindowedDataset(windows.inputs[first_val:], windows.targets[first_val:], w)
+    fit_windows, val_windows = _split_windows(train_ts, len(sub_train), w, sub_scaler)
     tconfig = _train_config(cfg, seed + 1, epochs=cfg["tune"]["epochs"])
 
     def objective(trial_cfg: dict) -> float:
@@ -313,6 +314,9 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
                            init=cfg["tune"]["init"], seed=seed + 3,
                            pool_size=cfg["tune"]["pool_size"], xi=cfg["tune"]["xi"])
 
+    for trial in result.trials:
+        if trial.failed:
+            print(f"trial {trial.index} failed: {trial.error}", file=sys.stderr)
     rows = []
     for trial, best in zip(result.trials, result.incumbent):
         rows.append([trial.index, trial.config["cnn_layers"], trial.config["heads"],
@@ -368,14 +372,12 @@ def cmd_explain(cfg: dict, checkpoint: str, window_index: int,
     params, scaler = nn.load_checkpoint(checkpoint)
     ts = _load_series(cfg)
     train_ts, _ = series.split(ts, cfg["data"]["train_frac"])
-    scaled = series.apply_scaler(ts, scaler)
     w = params.config.w
-    windows = series.make_windows(scaled, w)
-    first_test = len(train_ts) - w
-    n_test = len(windows) - first_test
-    if not 0 <= window_index < n_test:
-        raise ConfigError(f"window index {window_index} outside test range [0, {n_test})")
-    x = windows.inputs[first_test + window_index]
+    train_windows, test_windows = _split_windows(ts, len(train_ts), w, scaler)
+    if not 0 <= window_index < len(test_windows):
+        raise ConfigError(
+            f"window index {window_index} outside test range [0, {len(test_windows)})")
+    x = test_windows.inputs[window_index]
 
     e = cfg["explain"]
     econfig = ExplainConfig(
@@ -384,7 +386,7 @@ def cmd_explain(cfg: dict, checkpoint: str, window_index: int,
         smoothing_sigma=e["smoothing_sigma"], edge_drop=e["edge_drop"],
         seed=seed + 2)
     background = sample_background(
-        windows.inputs[:first_test], econfig.background_size, seed=seed + 2)
+        train_windows.inputs, econfig.background_size, seed=seed + 2)
     result = explain_window(params, x, background, econfig)
 
     # newest lag (t-1) first; lag number L refers to window position w-L
@@ -423,7 +425,7 @@ def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
     runs = cfg["bench"]["runs"]
     if runs < 4:
         raise ConfigError("bench.runs must be >= 4")
-    ts, train_ts, _, scaler, train_windows, test_windows = _prepared_data(cfg)
+    ts, train_ts, scaler, train_windows, test_windows = _prepared_data(cfg)
 
     per_run: list[MetricsReport] = []
     first_params = None

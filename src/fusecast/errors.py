@@ -55,10 +55,6 @@ class ShapeMismatch(FusecastError, ValueError):
     pass
 
 
-class TraceMismatch(FusecastError, ValueError):
-    pass
-
-
 # -- train -------------------------------------------------------------
 
 class LengthMismatch(FusecastError, ValueError):

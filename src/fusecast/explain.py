@@ -27,7 +27,8 @@ from .errors import (
     MalformedAttention,
     WindowTooLargeForExact,
 )
-from .nn import ModelParams, _forward_batch, forward
+from . import nn
+from .nn import ModelParams, _forward_batch
 from .train import PREDICT_BLOCK
 
 EXACT_MAX_WINDOW = 12
@@ -252,8 +253,11 @@ def explain(params: ModelParams, x: np.ndarray, background: np.ndarray,
     """
     x = np.asarray(x, dtype=np.float64)
     w = params.config.w
-    prediction, trace = forward(params, x)
-    a = mean_attention(trace.attention)
+    # called on the nn module, so this module's `_forward_batch` name runs
+    # coalition composites only
+    yhat, cache = nn._forward_batch(params, x[None])
+    prediction = float(yhat[0])
+    a = mean_attention(cache["att"][0])
 
     def f(windows: np.ndarray) -> np.ndarray:
         return np.concatenate([_forward_batch(params, windows[i:i + PREDICT_BLOCK])[0]

@@ -2,17 +2,17 @@
 self-attention, time-wise feature fusion, global average pooling, and a
 scalar dense head.
 
-The forward pass records every intermediate tensor in a trace; the backward
-pass is analytic reverse-mode differentiation of the same equations (softmax
-Jacobian, causal-convolution transpose paths included). Both delegate to a
-batched implementation so training over mini-batches and single-window
-introspection share one code path.
+There is one model path, batched over windows: :func:`_forward_batch` maps
+(B, w) scaled windows to (B,) predictions and a cache of every
+intermediate, and :func:`_backward_batch` is analytic reverse-mode
+differentiation of the same equations (softmax Jacobian, causal-convolution
+transpose paths included) from that cache. A single window is a batch of
+one.
 
-The batched path is written as matrix products that reach BLAS: each conv
-layer is one im2col GEMM over the (B*w, k*c_in) causal windows, its kernel
-gradient one GEMM, and its input gradient one GEMM plus a col2im add over
-the k taps; Q/K/V come from one (B*w, d) @ (d, 3*h*d_k) GEMM. The scalar
-:func:`causal_conv1d` keeps the einsum formulation as the reference.
+The path is written as matrix products that reach BLAS: each conv layer is
+one im2col GEMM over the (B*w, k*c_in) causal windows, its kernel gradient
+one GEMM, and its input gradient one GEMM plus a col2im add over the k
+taps; Q/K/V come from one (B*w, d) @ (d, 3*h*d_k) GEMM.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadCheckpoint, InvalidSpec, LengthMismatch, ShapeMismatch, TraceMismatch
+from .errors import BadCheckpoint, InvalidSpec, ShapeMismatch
 from .series import ScalerParams
 
 
@@ -48,7 +48,10 @@ class ModelConfig:
         if self.head_dim is None:
             object.__setattr__(self, "head_dim", max(1, round(self.filters / self.heads)))
         for name in ("w", "cnn_layers", "filters", "kernel_size", "heads", "head_dim"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise InvalidSpec(f"{name} must be >= 1")
         if self.kernel_size > self.w:
             raise InvalidSpec("kernel_size must not exceed window size")
@@ -115,34 +118,6 @@ class ModelParams:
         )
 
 
-@dataclass(frozen=True)
-class Gradients:
-    """One tensor per ModelParams tensor, same shapes, keyed identically."""
-
-    by_name: dict
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return dict(self.by_name)
-
-
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Every intermediate of one forward pass on a single window."""
-
-    x: np.ndarray                 # (w,)
-    conv_pre: tuple               # per layer, (w, f)
-    conv_act: tuple               # per layer, (w, f)
-    q: np.ndarray                 # (h, w, d_k)
-    k: np.ndarray                 # (h, w, d_k)
-    v: np.ndarray                 # (h, w, d_k)
-    attention: np.ndarray         # (h, w, w), rows sum to 1
-    heads_concat: np.ndarray      # (w, h*d_k)
-    attn_out: np.ndarray          # (w, d')
-    fused: np.ndarray             # (w, d + d')
-    pooled: np.ndarray            # (d + d',)
-    prediction: float
-
-
 def init_params(config: ModelConfig) -> ModelParams:
     """Seeded initialization: convolution kernels use fan-in uniform scaling
     with rectifier gain (limit sqrt(6/fan_in), entry std sqrt(2/fan_in));
@@ -197,15 +172,6 @@ def row_softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _conv_windows(x: np.ndarray, k: int) -> np.ndarray:
-    """Left-zero-pad (B, w, c) by k-1 and expose sliding windows
-    (B, w, c, k); window slot j holds the input at time t-(k-1)+j."""
-    b, w, c = x.shape
-    padded = np.zeros((b, w + k - 1, c))
-    padded[:, k - 1:, :] = x
-    return np.lib.stride_tricks.sliding_window_view(padded, k, axis=1)
-
-
 def _im2col(h: np.ndarray, k: int) -> np.ndarray:
     """Causal im2col of (B, w, c): a (B*w, k*c) matrix whose row (b, t)
     holds h[b, t-i] in column block i, zero where t-i < 0."""
@@ -220,47 +186,6 @@ def _conv_matrix(kern: np.ndarray) -> np.ndarray:
     """(f, c, k) kernel as the (f, k*c) matrix matching :func:`_im2col`."""
     f, c, k = kern.shape
     return kern.transpose(0, 2, 1).reshape(f, k * c)
-
-
-def causal_conv1d(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) -> np.ndarray:
-    """Same-length causal convolution: out[t] = b + sum_i W_i . x[t-i] with
-    x[t-i] = 0 for t-i < 0.
-
-    ``x`` is (w, c_in) or (w,); ``kernels`` is (f, c_in, k) with kernel tap i
-    multiplying the input i steps in the past; returns (w, f).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2 or kernels.ndim != 3 or kernels.shape[1] != x.shape[1]:
-        raise ShapeMismatch(
-            f"input channels {x.shape} incompatible with kernels {kernels.shape}"
-        )
-    if biases.shape != (kernels.shape[0],):
-        raise ShapeMismatch(f"biases {biases.shape} incompatible with kernels {kernels.shape}")
-    if kernels.shape[2] > x.shape[0]:
-        raise ShapeMismatch("kernel longer than the window")
-    win = _conv_windows(x[None], kernels.shape[2])
-    # tap i looks i steps back: reverse taps so slot j=k-1 aligns with lag 0
-    out = np.einsum("btcj,ocj->bto", win, kernels[:, :, ::-1]) + biases
-    return out[0]
-
-
-def mha(h_in: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
-        wo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-head self-attention over a (w, d) feature map.
-
-    Per head: Q = H Wq, K = H Wk, V = H Wv, A = row_softmax(Q K^T / sqrt(d_k)),
-    head output A V; heads are concatenated and projected by ``wo``.
-    Returns (attention output (w, d'), attention weights (h, w, w)).
-    """
-    h_in = np.asarray(h_in, dtype=np.float64)
-    if h_in.ndim != 2 or wq.ndim != 3 or wq.shape[1] != h_in.shape[1]:
-        raise ShapeMismatch(f"features {h_in.shape} incompatible with wq {wq.shape}")
-    if wo.shape[0] != wq.shape[0] * wq.shape[2]:
-        raise ShapeMismatch(f"wo {wo.shape} incompatible with heads {wq.shape}")
-    out, att, *_ = _mha_batch(h_in[None], wq, wk, wv, wo)
-    return out[0], att[0]
 
 
 def _qkv_matrix(wq, wk, wv) -> np.ndarray:
@@ -281,17 +206,6 @@ def _mha_batch(h_in, wq, wk, wv, wo):
     concat = heads.transpose(0, 2, 1, 3).reshape(b, w, h * dk)
     out = concat @ wo
     return out, att, q, k, v, concat
-
-
-def fuse_pool(h_cnn: np.ndarray, h_att: np.ndarray) -> np.ndarray:
-    """Concatenate conv and attention features time-wise and average over
-    time: z = (1/w) sum_t [H_cnn[t] || H_att[t]]."""
-    if h_cnn.shape[0] != h_att.shape[0]:
-        raise LengthMismatch(
-            f"temporal lengths differ: {h_cnn.shape[0]} vs {h_att.shape[0]}"
-        )
-    fused = np.concatenate([h_cnn, h_att], axis=1)
-    return fused.mean(axis=0)
 
 
 def _forward_batch(params: ModelParams, xb: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -325,8 +239,7 @@ def _forward_batch(params: ModelParams, xb: np.ndarray) -> tuple[np.ndarray, dic
 
     cache = {
         "x": xb, "conv_pre": conv_pre, "conv_act": conv_act,
-        "q": q, "k": k, "v": v, "att": att, "concat": concat,
-        "h_att": h_att, "fused": fused, "z": z, "yhat": yhat,
+        "q": q, "k": k, "v": v, "att": att, "concat": concat, "z": z,
     }
     return yhat, cache
 
@@ -386,50 +299,6 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray) -> dict
     return grads
 
 
-def forward(params: ModelParams, x: np.ndarray) -> tuple[float, ForwardTrace]:
-    """Run the network on one scaled window and record the full trace."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.config.w,):
-        raise ShapeMismatch(f"expected window of length {params.config.w}, got {x.shape}")
-    yhat, cache = _forward_batch(params, x[None])
-    trace = ForwardTrace(
-        x=x,
-        conv_pre=tuple(p[0] for p in cache["conv_pre"]),
-        conv_act=tuple(a[0] for a in cache["conv_act"]),
-        q=cache["q"][0],
-        k=cache["k"][0],
-        v=cache["v"][0],
-        attention=cache["att"][0],
-        heads_concat=cache["concat"][0],
-        attn_out=cache["h_att"][0],
-        fused=cache["fused"][0],
-        pooled=cache["z"][0],
-        prediction=float(yhat[0]),
-    )
-    return float(yhat[0]), trace
-
-
-def backward(params: ModelParams, trace: ForwardTrace, dl_dy: float) -> Gradients:
-    """Gradients of dl_dy * prediction for every parameter tensor of the
-    forward pass that produced ``trace``."""
-    cfg = params.config
-    if len(trace.conv_pre) != cfg.cnn_layers or trace.attention.shape != (cfg.heads, cfg.w, cfg.w):
-        raise TraceMismatch("trace does not match the model configuration")
-    for layer, pre in enumerate(trace.conv_pre):
-        if pre.shape != (cfg.w, cfg.filters):
-            raise TraceMismatch(f"conv layer {layer} trace shape {pre.shape}")
-    # the batched cache (batch of one) from the stored intermediates
-    cache = {
-        "x": trace.x[None], "conv_pre": [p[None] for p in trace.conv_pre],
-        "conv_act": [a[None] for a in trace.conv_act],
-        "q": trace.q[None], "k": trace.k[None], "v": trace.v[None],
-        "att": trace.attention[None], "concat": trace.heads_concat[None],
-        "z": trace.pooled[None],
-    }
-    grads = _backward_batch(params, cache, np.array([dl_dy], dtype=np.float64))
-    return Gradients(by_name=grads)
-
-
 # -- checkpoint io -------------------------------------------------------
 
 CHECKPOINT_FORMAT = "fusecast-checkpoint"
@@ -483,8 +352,8 @@ def load_checkpoint(path) -> tuple[ModelParams, ScalerParams]:
         cfg = ModelConfig(**doc["model_config"])
         scaler = ScalerParams(**doc["scaler"])
         tensors = {name: _tensor_from_doc(t) for name, t in doc["tensors"].items()}
-    except (KeyError, TypeError) as exc:
-        raise BadCheckpoint(f"missing checkpoint fields: {exc}") from None
+    except (KeyError, TypeError, InvalidSpec) as exc:
+        raise BadCheckpoint(f"bad checkpoint fields: {exc}") from None
     template = init_params(cfg)
     expected = template.tensors()
     if set(tensors) != set(expected):

@@ -20,7 +20,7 @@ from .errors import (
     TooFewSamples,
     ZeroVarianceShapeStats,
 )
-from .nn import Gradients, ModelConfig, ModelParams, _backward_batch, _forward_batch, init_params
+from .nn import ModelConfig, ModelParams, _backward_batch, _forward_batch, init_params
 from .series import ScalerParams, WindowedDataset, scale_values, unscale_values
 
 PREDICT_BLOCK = 32  # rows per forward call in predict_batch
@@ -96,17 +96,17 @@ def init_opt_state(params: ModelParams) -> OptState:
     return OptState(m=zeros, v={name: z.copy() for name, z in zeros.items()}, step=0)
 
 
-def adam_step(params: ModelParams, grads: Gradients | dict, state: OptState,
+def adam_step(params: ModelParams, grads: dict, state: OptState,
               config: TrainConfig) -> tuple[ModelParams, OptState]:
-    """One bias-corrected adaptive-moment update, applied elementwise."""
-    gdict = grads.tensors() if isinstance(grads, Gradients) else grads
+    """One bias-corrected adaptive-moment update, applied elementwise to the
+    gradient tensors keyed as in :meth:`ModelParams.tensors`."""
     tensors = params.tensors()
-    if set(gdict) != set(tensors):
+    if set(grads) != set(tensors):
         raise ShapeMismatch("gradient tensors do not match parameter tensors")
     t = state.step + 1
     new_tensors, new_m, new_v = {}, {}, {}
     for name, theta in tensors.items():
-        g = gdict[name]
+        g = grads[name]
         if g.shape != theta.shape:
             raise ShapeMismatch(f"gradient {name} has shape {g.shape}, expected {theta.shape}")
         m = config.beta1 * state.m[name] + (1 - config.beta1) * g

@@ -15,7 +15,7 @@ import numpy as np
 
 from fusecast.bayesopt import SearchSpace, tune
 from fusecast.explain import shap_exact, shap_sampled
-from fusecast.nn import ModelConfig, backward, forward, init_params, _forward_batch
+from fusecast.nn import ModelConfig, init_params, _backward_batch, _forward_batch
 from fusecast.series import (
     SynthSpec,
     TimeSeries,
@@ -47,8 +47,8 @@ def test_c01_gradient_correctness():
     rng = np.random.default_rng(1)
     x = rng.normal(size=8)
     target = 0.3
-    y, trace = forward(params, x)
-    grads = backward(params, trace, 2.0 * (y - target)).tensors()
+    yhat, cache = _forward_batch(params, x[None])
+    grads = _backward_batch(params, cache, 2.0 * (yhat - target))
     eps = 1e-4
     worst = 0.0
     for name, tensor in params.tensors().items():
@@ -61,8 +61,8 @@ def test_c01_gradient_correctness():
                 arr = np.atleast_1d(bumped[name])
                 arr[idx] += delta
                 bumped[name] = arr.reshape(np.asarray(tensor).shape)
-                yb, _ = forward(params.with_tensors(bumped), x)
-                return (yb - target) ** 2
+                yb, _ = _forward_batch(params.with_tensors(bumped), x[None])
+                return float((yb[0] - target) ** 2)
 
             fd = (loss_with(eps) - loss_with(-eps)) / (2 * eps)
             analytic = float(np.atleast_1d(grads[name])[idx])
@@ -83,10 +83,10 @@ def test_c02_conv_causality():
         t = int(rng.integers(0, 7))
         x2 = x.copy()
         x2[t + 1:] += rng.normal(size=7 - t) * rng.uniform(1, 100)
-        _, tr1 = forward(params, x)
-        _, tr2 = forward(params, x2)
-        for a1, a2 in zip(tr1.conv_act, tr2.conv_act):
-            if not np.array_equal(a1[: t + 1], a2[: t + 1]):
+        _, c1 = _forward_batch(params, x[None])
+        _, c2 = _forward_batch(params, x2[None])
+        for a1, a2 in zip(c1["conv_act"], c2["conv_act"]):
+            if not np.array_equal(a1[0, : t + 1], a2[0, : t + 1]):
                 violations += 1
     elapsed = time.perf_counter() - t0
     report(2, violations == 0 and elapsed < 10.0,
@@ -101,10 +101,11 @@ def test_c03_attention_stochasticity():
     for trial in range(100):
         params = init_params(ModelConfig(w=8, cnn_layers=2, filters=4, kernel_size=2,
                                          heads=2, head_dim=2, seed=trial))
-        _, trace = forward(params, rng.normal(size=8))
-        sums = trace.attention.sum(axis=2)
+        _, cache = _forward_batch(params, rng.normal(size=(1, 8)))
+        attention = cache["att"][0]
+        sums = attention.sum(axis=2)
         worst_sum = max(worst_sum, float(np.abs(sums - 1.0).max()))
-        min_entry = min(min_entry, float(trace.attention.min()))
+        min_entry = min(min_entry, float(attention.min()))
     report(3, worst_sum <= 1e-6 and min_entry >= 0.0,
            f"max row-sum deviation {worst_sum:.2e} (<= 1e-6), min entry {min_entry:.2e} (>= 0)")
 

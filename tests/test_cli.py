@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from fusecast import cli
-from fusecast.nn import load_checkpoint
-from fusecast.series import SynthSpec, load_csv, synthesize
+from fusecast.nn import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from fusecast.series import ScalerParams, SynthSpec, TimeSeries, load_csv, save_csv, synthesize
 from fusecast.train import forecast_recursive, persistence_forecast
 
 
@@ -158,6 +158,17 @@ class TestTune:
             t1 = (out1 / "tune" / name).read_text()
             t2 = (out2 / "tune" / name).read_text()
             assert mask_timing(t1) == mask_timing(t2), name
+
+    def test_failed_trials_reported_on_stderr(self, tmp_path, capsys):
+        # kernels longer than the w=8 window are invalid cells
+        cfg = write_config(tmp_path, **{"tune.space.kernel_size": [2, 12]})
+        out = tmp_path / "o"
+        assert run("tune", "--config", str(cfg), "--out", str(out)) == 0
+        err = capsys.readouterr().err
+        with (out / "tune" / "tune_log.csv").open() as fh:
+            too_long = [r["trial"] for r in csv.DictReader(fh) if int(r["kernel_size"]) > 8]
+        assert too_long
+        assert re.findall(r"trial (\d+) failed: InvalidSpec: kernel_size", err) == too_long
 
 
 class TestForecast:
@@ -350,6 +361,55 @@ class TestExitCodes:
         cfg = write_config(tmp_path, **{key: value})
         assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value,field", [
+        ("train", "model.head_dim", "x", "head_dim"),
+        ("train", "horizons", ["a"], "horizons"),
+        ("forecast", "horizons", [2.5], "horizons"),
+        ("tune", "tune.space.cnn_layers", [1], "cnn_layers"),
+        ("train", "data.csv_path", 5, "data.csv_path"),
+    ])
+    def test_value_of_wrong_shape(self, tmp_path, capsys, command, key, value, field):
+        overrides = {key: value}
+        if key == "data.csv_path":
+            overrides["data.source"] = "csv"
+        cfg = write_config(tmp_path, **overrides)
+        extra = []
+        if command == "forecast":
+            ckpt = tmp_path / "ckpt.json"
+            save_checkpoint(ckpt, init_params(ModelConfig(**BASE_CONFIG["model"])),
+                            ScalerParams(mean=0.0, std=1.0))
+            extra = ["--checkpoint", str(ckpt)]
+        assert run(command, "--config", str(cfg), "--out", str(tmp_path / "o"), *extra) == 2
+        assert field in capsys.readouterr().err
+
+    @staticmethod
+    def _dated_csv(tmp_path, days=100):
+        path = tmp_path / "series.csv"
+        t = np.arange(days)
+        save_csv(TimeSeries(np.datetime64("2020-01-01") + t, 50.0 + 10.0 * np.sin(t / 7.0)), path)
+        return path
+
+    def test_tune_window_past_validation_split(self, tmp_path):
+        # 80 training days leave 64 for fitting: w=70 has no fit window
+        # whose target lies before the validation segment
+        cfg = write_config(tmp_path, **{
+            "data.source": "csv", "data.csv_path": str(self._dated_csv(tmp_path)),
+            "model.w": 70})
+        assert run("tune", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+
+    def test_explain_window_past_training_segment(self, tmp_path):
+        # 60 training days and a w=70 checkpoint: no background window
+        # lies inside the training segment
+        cfg = write_config(tmp_path, **{
+            "data.source": "csv", "data.csv_path": str(self._dated_csv(tmp_path)),
+            "data.train_frac": 0.6, "explain.shap_mode": "sampled",
+            "explain.sample_permutations": 2})
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, init_params(ModelConfig(**{**BASE_CONFIG["model"], "w": 70})),
+                        ScalerParams(mean=50.0, std=10.0))
+        assert run("explain", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--checkpoint", str(ckpt)) == 3
 
     def test_env_var_out_root(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

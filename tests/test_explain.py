@@ -423,13 +423,12 @@ class TestExplainPipeline:
         assert 0.0 <= result.recency_concentration <= 1.0
 
     def test_attention_summary_matches_trace(self, rng):
-        from fusecast.nn import forward
         from fusecast.explain import mean_attention as ma
         params, _ = small_model(7, seed=8)
         x = rng.normal(size=7)
         background = rng.normal(size=(3, 7))
         result = explain(params, x, background,
                          ExplainConfig(shap_mode="exact", smoothing_sigma=1.0))
-        _, trace = forward(params, x)
-        np.testing.assert_allclose(result.a, ma(trace.attention), atol=1e-12)
+        _, cache = _forward_batch(params, x[None])
+        np.testing.assert_allclose(result.a, ma(cache["att"][0]), atol=1e-12)
         assert abs(result.a.sum() - 1.0) < 1e-6

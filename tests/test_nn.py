@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
 
-from fusecast.errors import BadCheckpoint, LengthMismatch, ShapeMismatch, TraceMismatch
+from fusecast.errors import BadCheckpoint, LengthMismatch, ShapeMismatch
 from fusecast.nn import (
     ModelConfig,
     _backward_batch,
     _forward_batch,
-    backward,
-    causal_conv1d,
-    forward,
-    fuse_pool,
+    _mha_batch,
     init_params,
     load_checkpoint,
-    mha,
     relu,
     row_softmax,
     save_checkpoint,
@@ -20,6 +16,74 @@ from fusecast.nn import (
 from fusecast.series import ScalerParams
 
 from conftest import TINY_CONFIG
+
+
+# -- single-window references for the batched path -----------------------
+
+def _conv_windows(x: np.ndarray, k: int) -> np.ndarray:
+    """Left-zero-pad (B, w, c) by k-1 and expose sliding windows
+    (B, w, c, k); window slot j holds the input at time t-(k-1)+j."""
+    b, w, c = x.shape
+    padded = np.zeros((b, w + k - 1, c))
+    padded[:, k - 1:, :] = x
+    return np.lib.stride_tricks.sliding_window_view(padded, k, axis=1)
+
+
+def causal_conv1d(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) -> np.ndarray:
+    """Same-length causal convolution: out[t] = b + sum_i W_i . x[t-i] with
+    x[t-i] = 0 for t-i < 0.
+
+    ``x`` is (w, c_in) or (w,); ``kernels`` is (f, c_in, k) with kernel tap i
+    multiplying the input i steps in the past; returns (w, f).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[:, None]
+    if x.ndim != 2 or kernels.ndim != 3 or kernels.shape[1] != x.shape[1]:
+        raise ShapeMismatch(
+            f"input channels {x.shape} incompatible with kernels {kernels.shape}"
+        )
+    if biases.shape != (kernels.shape[0],):
+        raise ShapeMismatch(f"biases {biases.shape} incompatible with kernels {kernels.shape}")
+    if kernels.shape[2] > x.shape[0]:
+        raise ShapeMismatch("kernel longer than the window")
+    win = _conv_windows(x[None], kernels.shape[2])
+    # tap i looks i steps back: reverse taps so slot j=k-1 aligns with lag 0
+    out = np.einsum("btcj,ocj->bto", win, kernels[:, :, ::-1]) + biases
+    return out[0]
+
+
+def mha(h_in: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
+        wo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-head self-attention over a (w, d) feature map.
+
+    Per head: Q = H Wq, K = H Wk, V = H Wv, A = row_softmax(Q K^T / sqrt(d_k)),
+    head output A V; heads are concatenated and projected by ``wo``.
+    Returns (attention output (w, d'), attention weights (h, w, w)).
+    """
+    h_in = np.asarray(h_in, dtype=np.float64)
+    if h_in.ndim != 2 or wq.ndim != 3 or wq.shape[1] != h_in.shape[1]:
+        raise ShapeMismatch(f"features {h_in.shape} incompatible with wq {wq.shape}")
+    if wo.shape[0] != wq.shape[0] * wq.shape[2]:
+        raise ShapeMismatch(f"wo {wo.shape} incompatible with heads {wq.shape}")
+    out, att, *_ = _mha_batch(h_in[None], wq, wk, wv, wo)
+    return out[0], att[0]
+
+
+def fuse_pool(h_cnn: np.ndarray, h_att: np.ndarray) -> np.ndarray:
+    """Concatenate conv and attention features time-wise and average over
+    time: z = (1/w) sum_t [H_cnn[t] || H_att[t]]."""
+    if h_cnn.shape[0] != h_att.shape[0]:
+        raise LengthMismatch(
+            f"temporal lengths differ: {h_cnn.shape[0]} vs {h_att.shape[0]}"
+        )
+    fused = np.concatenate([h_cnn, h_att], axis=1)
+    return fused.mean(axis=0)
+
+
+def predict_one(params, x) -> float:
+    """The batch path on one window."""
+    return float(_forward_batch(params, np.asarray(x)[None])[0][0])
 
 
 def zeroed(params, b_out=0.0):
@@ -177,25 +241,21 @@ class TestForward:
     def test_constant_network(self, tiny_params, rng):
         constant = zeroed(tiny_params, b_out=2.5)
         for _ in range(3):
-            y, _ = forward(constant, rng.normal(size=8))
-            assert y == 2.5
+            assert predict_one(constant, rng.normal(size=8)) == 2.5
 
     def test_deterministic(self, rng):
         cfg = ModelConfig(**TINY_CONFIG, seed=3)
         x = rng.normal(size=8)
-        y1, _ = forward(init_params(cfg), x)
-        y2, _ = forward(init_params(cfg), x)
-        assert y1 == y2
+        assert predict_one(init_params(cfg), x) == predict_one(init_params(cfg), x)
 
     def test_trace_recomputes_prediction(self, tiny_params, rng):
-        x = rng.normal(size=8)
-        y, trace = forward(tiny_params, x)
-        recomputed = float(trace.pooled @ tiny_params.w_out + tiny_params.b_out)
-        assert abs(y - recomputed) < 1e-12
+        yhat, cache = _forward_batch(tiny_params, rng.normal(size=(1, 8)))
+        recomputed = float(cache["z"][0] @ tiny_params.w_out + tiny_params.b_out)
+        assert abs(float(yhat[0]) - recomputed) < 1e-12
 
     def test_trace_attention_rows(self, tiny_params, rng):
-        _, trace = forward(tiny_params, rng.normal(size=8))
-        np.testing.assert_allclose(trace.attention.sum(axis=2), 1.0, atol=1e-6)
+        _, cache = _forward_batch(tiny_params, rng.normal(size=(1, 8)))
+        np.testing.assert_allclose(cache["att"][0].sum(axis=2), 1.0, atol=1e-6)
 
     def test_conv_causality(self, tiny_params, rng):
         # perturbing the future never changes past conv activations, bitwise
@@ -204,10 +264,10 @@ class TestForward:
             t = int(rng.integers(0, 7))
             x2 = x.copy()
             x2[t + 1:] += rng.normal(size=7 - t) * 10
-            _, tr1 = forward(tiny_params, x)
-            _, tr2 = forward(tiny_params, x2)
-            for a1, a2 in zip(tr1.conv_act, tr2.conv_act):
-                np.testing.assert_array_equal(a1[: t + 1], a2[: t + 1])
+            _, c1 = _forward_batch(tiny_params, x[None])
+            _, c2 = _forward_batch(tiny_params, x2[None])
+            for a1, a2 in zip(c1["conv_act"], c2["conv_act"]):
+                np.testing.assert_array_equal(a1[0, : t + 1], a2[0, : t + 1])
 
     def test_receptive_field(self, rng):
         # with L layers of kernel k, conv output at t sees L*(k-1)+1 steps
@@ -218,71 +278,43 @@ class TestForward:
         x = rng.normal(size=16)
         x2 = x.copy()
         x2[: t - span + 1] = 0.0
-        _, tr1 = forward(params, x)
-        _, tr2 = forward(params, x2)
-        np.testing.assert_array_equal(tr1.conv_act[-1][t], tr2.conv_act[-1][t])
+        _, c1 = _forward_batch(params, x[None])
+        _, c2 = _forward_batch(params, x2[None])
+        np.testing.assert_array_equal(c1["conv_act"][-1][0, t], c2["conv_act"][-1][0, t])
 
     def test_wrong_window_length(self, tiny_params):
         with pytest.raises(ShapeMismatch):
-            forward(tiny_params, np.zeros(9))
+            _forward_batch(tiny_params, np.zeros((1, 9)))
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self, tiny_params, rng):
-        _, trace = forward(tiny_params, rng.normal(size=8))
-        grads = backward(tiny_params, trace, 0.0)
-        for t in grads.tensors().values():
+        _, cache = _forward_batch(tiny_params, rng.normal(size=(1, 8)))
+        grads = _backward_batch(tiny_params, cache, np.zeros(1))
+        for t in grads.values():
             assert not np.asarray(t).any()
 
     def test_b_out_gradient_is_upstream(self, tiny_params, rng):
-        _, trace = forward(tiny_params, rng.normal(size=8))
-        grads = backward(tiny_params, trace, -1.75)
-        assert float(grads.tensors()["head.b_out"]) == -1.75
-
-    def test_finite_difference_agreement(self, tiny_params, rng):
-        x = rng.normal(size=8)
-        target = 0.4
-        y, trace = forward(tiny_params, x)
-        grads = backward(tiny_params, trace, 2.0 * (y - target)).tensors()
-        eps = 1e-4
-        for name, tensor in tiny_params.tensors().items():
-            t = np.atleast_1d(np.asarray(tensor, dtype=np.float64))
-            for flat in range(t.size):
-                idx = np.unravel_index(flat, t.shape)
-
-                def loss_with(delta):
-                    bumped = {k: v.copy() for k, v in tiny_params.tensors().items()}
-                    arr = np.atleast_1d(bumped[name])
-                    arr[idx] += delta
-                    bumped[name] = arr.reshape(np.asarray(tensor).shape)
-                    yb, _ = forward(tiny_params.with_tensors(bumped), x)
-                    return (yb - target) ** 2
-
-                fd = (loss_with(eps) - loss_with(-eps)) / (2 * eps)
-                analytic = float(np.atleast_1d(grads[name])[idx])
-                assert abs(analytic - fd) / max(abs(fd), 1e-7) < 1e-4, (name, idx)
-
-    def test_trace_mismatch(self, tiny_params, rng):
-        other = init_params(ModelConfig(w=8, cnn_layers=1, filters=4,
-                                        kernel_size=2, heads=2, head_dim=2))
-        _, trace = forward(other, rng.normal(size=8))
-        with pytest.raises(TraceMismatch):
-            backward(tiny_params, trace, 1.0)
+        _, cache = _forward_batch(tiny_params, rng.normal(size=(1, 8)))
+        grads = _backward_batch(tiny_params, cache, np.array([-1.75]))
+        assert float(grads["head.b_out"]) == -1.75
 
 
 class TestBatchedPath:
     """The GEMM-lowered batch path against finite differences and the
-    einsum reference convolution."""
+    einsum reference convolution; a batch of one is the single-window
+    case."""
 
-    @pytest.mark.parametrize("cfg", [
-        dict(w=5, cnn_layers=3, filters=3, kernel_size=5, heads=2, head_dim=2),
-        dict(w=6, cnn_layers=2, filters=4, kernel_size=3, heads=3, head_dim=2),
-        dict(w=7, cnn_layers=1, filters=3, kernel_size=2, heads=2, head_dim=2),
-    ], ids=["kernel-equals-window", "attn-width-differs", "one-layer"])
-    def test_finite_difference_agreement(self, cfg, rng):
-        params = init_params(ModelConfig(**cfg, seed=4))
-        xb = rng.normal(size=(3, cfg["w"]))
-        y = rng.normal(size=3)
+    @pytest.mark.parametrize("cfg,seed,batch", [
+        (dict(w=5, cnn_layers=3, filters=3, kernel_size=5, heads=2, head_dim=2), 4, 3),
+        (dict(w=6, cnn_layers=2, filters=4, kernel_size=3, heads=3, head_dim=2), 4, 3),
+        (dict(w=7, cnn_layers=1, filters=3, kernel_size=2, heads=2, head_dim=2), 4, 3),
+        (TINY_CONFIG, 7, 1),
+    ], ids=["kernel-equals-window", "attn-width-differs", "one-layer", "tiny-single-window"])
+    def test_finite_difference_agreement(self, cfg, seed, batch, rng):
+        params = init_params(ModelConfig(**cfg, seed=seed))
+        xb = rng.normal(size=(batch, cfg["w"]))
+        y = rng.normal(size=batch)
         yhat, cache = _forward_batch(params, xb)
         grads = _backward_batch(params, cache, 2.0 * (yhat - y))
         tensors = params.tensors()
@@ -324,7 +356,7 @@ class TestCheckpoint:
         for name, t in tiny_params.tensors().items():
             np.testing.assert_array_equal(t, loaded.tensors()[name])
         x = rng.normal(size=8)
-        assert forward(tiny_params, x)[0] == forward(loaded, x)[0]
+        assert predict_one(tiny_params, x) == predict_one(loaded, x)
 
     def test_bad_checkpoint(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -15,7 +15,7 @@ from fusecast.errors import (
     TooFewSamples,
     ZeroVarianceShapeStats,
 )
-from fusecast.nn import ModelConfig, forward
+from fusecast.nn import ModelConfig, _forward_batch
 from fusecast.series import (ScalerParams, SynthSpec, WindowedDataset, fit_scaler, make_windows,
                              scale_values, split, synthesize)
 from fusecast.train import (
@@ -147,7 +147,7 @@ class TestForecastRecursive:
         scaler = ScalerParams(mean=3.0, std=1.5)
         window = np.linspace(1.0, 4.0, 8)
         pred = forecast_recursive(tiny_params, scaler, window, 1)
-        y, _ = forward(tiny_params, scale_values(window, scaler))
+        y = _forward_batch(tiny_params, scale_values(window, scaler)[None])[0][0]
         assert pred[0] == y * scaler.std + scaler.mean
 
     def test_three_step_rollout_oracle(self, tiny_params):
@@ -158,7 +158,7 @@ class TestForecastRecursive:
         win = scale_values(window_raw, scaler)
         expect = []
         for _ in range(3):
-            y, _ = forward(tiny_params, win)
+            y = _forward_batch(tiny_params, win[None])[0][0]
             expect.append(y)
             win = np.append(win[1:], y)
         np.testing.assert_array_equal(preds, np.array(expect) * scaler.std + scaler.mean)
@@ -205,7 +205,7 @@ class TestHorizonEval:
 class TestPredictBatch:
     def test_blocks_match_per_window_forward(self, tiny_params, rng):
         windows = rng.normal(size=(2 * PREDICT_BLOCK + 5, 8))
-        expect = [forward(tiny_params, x)[0] for x in windows]
+        expect = [_forward_batch(tiny_params, x[None])[0][0] for x in windows]
         np.testing.assert_allclose(predict_batch(tiny_params, windows), expect,
                                    rtol=0, atol=1e-12)
 
