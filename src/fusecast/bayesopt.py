@@ -397,7 +397,8 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
         evaluate(i, space.round_to_grid(init_points[i]))
     if best_cfg is None:
         # nothing for the surrogate to fit: a numeric failure, not a bad space
-        raise ObjectiveFailure(init - 1, last_error or RuntimeError("no finite objective"))
+        raise ObjectiveFailure(init - 1, last_error or RuntimeError("no finite objective"),
+                               tuple(trials))
     polish_count = 0
     for i in range(init, budget):
         state = gp_fit(observations, hyper)

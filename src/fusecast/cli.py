@@ -28,6 +28,7 @@ from .train import (
     TrainConfig,
     forecast_recursive,
     horizon_eval,
+    metric_values,
     metrics as compute_metrics,
     predict_batch,
     run_stats,
@@ -236,11 +237,10 @@ def _prepared_data(cfg: dict):
     return ts, train_ts, scaler, train_windows, test_windows
 
 
-def _one_step_metrics(params, scaler, test_windows) -> MetricsReport:
-    yhat_scaled = predict_batch(params, test_windows.inputs)
-    yhat = series.unscale_values(yhat_scaled, scaler)
-    y = series.unscale_values(test_windows.targets, scaler)
-    return compute_metrics(y, yhat)
+def _one_step(params, scaler, test_windows) -> tuple[np.ndarray, np.ndarray]:
+    """Truth and one-step predictions of the windows, in raw units."""
+    yhat = series.unscale_values(predict_batch(params, test_windows.inputs), scaler)
+    return series.unscale_values(test_windows.targets, scaler), yhat
 
 
 def cmd_synth(cfg: dict, make_svg: bool = False) -> int:
@@ -271,18 +271,23 @@ def cmd_train(cfg: dict, make_svg: bool = False) -> int:
     nn.save_checkpoint(out / "checkpoint.json", params, scaler)
     _write_csv(out / "loss_history.csv", ["epoch", "train_mse"],
                [[i + 1, _fmt(loss)] for i, loss in enumerate(history)])
-    report = _one_step_metrics(params, scaler, test_windows)
+    # an undefined MAPE or MSLE is reported as null with its reason
+    values, undefined = metric_values(*_one_step(params, scaler, test_windows))
     elapsed = time.perf_counter() - t0
     _write_json(out / "metrics.json", {
-        "horizon": 1, "rmse": report.rmse, "mae": report.mae,
-        "mape": report.mape, "msle": report.msle, "wall_seconds": elapsed,
+        "horizon": 1, **values, **({"undefined": undefined} if undefined else {}),
+        "wall_seconds": elapsed,
     })
+    for reason in undefined.values():
+        print(reason, file=sys.stderr)
     if make_svg:
         (out / "loss.svg").write_text(svg.line_chart(
             [("train MSE", np.arange(1, len(history) + 1), history, "#1f77b4", "")],
             title="training loss", xlabel="epoch", ylabel="mse"))
-    print(f"test one-step rmse={report.rmse:.6g} mae={report.mae:.6g} "
-          f"mape={report.mape:.4%} msle={report.msle:.6g}")
+    shown = {name: "undefined" if v is None else format(v, ".4%" if name == "mape" else ".6g")
+             for name, v in values.items()}
+    print(f"test one-step rmse={shown['rmse']} mae={shown['mae']} "
+          f"mape={shown['mape']} msle={shown['msle']}")
     print(f"wrote {out / 'checkpoint.json'}")
     return 0
 
@@ -306,17 +311,24 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
                                  kernel_size=trial_cfg["kernel_size"],
                                  heads=trial_cfg["heads"], seed=seed)
         params, _ = train_model(mconfig, tconfig, fit_windows)
-        return _one_step_metrics(params, sub_scaler, val_windows).rmse
+        return compute_metrics(*_one_step(params, sub_scaler, val_windows)).rmse
 
     space_cfg = cfg["tune"]["space"]
     space = bayesopt.SearchSpace(**{k: tuple(v) for k, v in space_cfg.items()})
-    result = bayesopt.tune(objective, space, budget=cfg["tune"]["budget"],
-                           init=cfg["tune"]["init"], seed=seed + 3,
-                           pool_size=cfg["tune"]["pool_size"], xi=cfg["tune"]["xi"])
 
-    for trial in result.trials:
-        if trial.failed:
-            print(f"trial {trial.index} failed: {trial.error}", file=sys.stderr)
+    def report_failed(trials):
+        for trial in trials:
+            if trial.failed:
+                print(f"trial {trial.index} failed: {trial.error}", file=sys.stderr)
+
+    try:
+        result = bayesopt.tune(objective, space, budget=cfg["tune"]["budget"],
+                               init=cfg["tune"]["init"], seed=seed + 3,
+                               pool_size=cfg["tune"]["pool_size"], xi=cfg["tune"]["xi"])
+    except ObjectiveFailure as exc:
+        report_failed(exc.trials)
+        raise
+    report_failed(result.trials)
     rows = []
     for trial, best in zip(result.trials, result.incumbent):
         rows.append([trial.index, trial.config["cnn_layers"], trial.config["heads"],
@@ -436,7 +448,7 @@ def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
         t0 = time.perf_counter()
         params, _ = train_model(mconfig, tconfig, train_windows)
         fit_seconds += time.perf_counter() - t0
-        per_run.append(_one_step_metrics(params, scaler, test_windows))
+        per_run.append(compute_metrics(*_one_step(params, scaler, test_windows)))
         if first_params is None:
             first_params = params
 

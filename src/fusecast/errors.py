@@ -104,10 +104,14 @@ class EmptySpace(FusecastError, ValueError):
 
 
 class ObjectiveFailure(FusecastError, RuntimeError):
-    def __init__(self, trial: int, cause: BaseException):
+    """``trials`` holds every trial run before the failure, failed ones
+    included, so their causes can still be reported."""
+
+    def __init__(self, trial: int, cause: BaseException, trials: tuple = ()):
         super().__init__(f"objective failed at trial {trial}: {cause!r}")
         self.trial = trial
         self.cause = cause
+        self.trials = trials
 
 
 # -- explain -----------------------------------------------------------

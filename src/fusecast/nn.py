@@ -9,10 +9,27 @@ differentiation of the same equations (softmax Jacobian, causal-convolution
 transpose paths included) from that cache. A single window is a batch of
 one.
 
-The path is written as matrix products that reach BLAS: each conv layer is
-one im2col GEMM over the (B*w, k*c_in) causal windows, its kernel gradient
-one GEMM, and its input gradient one GEMM plus a col2im add over the k
-taps; Q/K/V come from one (B*w, d) @ (d, 3*h*d_k) GEMM.
+The path is written as matrix products that reach BLAS. Feature maps are
+channel-major, (c, B*w): each conv layer is one (f, k*c) @ (k*c, B*w)
+im2col GEMM, its kernel gradient one GEMM, and its input gradient one GEMM
+plus a col2im add over the k taps; Q/K/V come from one
+(3*h*d_k, d) @ (d, B*w) GEMM.
+
+The head reads the attention output only through its time mean, and
+``mean_t(A V) Wo = (abar V) Wo`` with ``abar`` the attention weights
+averaged over queries, so the pooled output is formed without the full
+(B, w, d') attention output. Backward uses the same identity: the
+upstream gradient of A is the same for every query, so dV = abar x
+dpooled and the softmax Jacobian reduces to ``A * (u - A u)``. The softmax
+and its Jacobian run key-major, on a (w_k, B, h, w_q) buffer, so their
+max and sum over keys are elementwise over rows of B*h*w_q; ``att`` is
+its (B, h, w_q, w_k) view.
+
+The time means and head products are per-window vector products, and a
+GEMM's output columns are the windows' time steps. At the default config a
+window's prediction is then bitwise the same alone or in a batch; at
+larger layer sizes BLAS picks its GEMM kernel by matrix size, which can
+move the last bits.
 """
 
 from __future__ import annotations
@@ -164,22 +181,15 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def row_softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis with max-shift, so adding a constant to a
-    row leaves its output bit-unchanged."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _im2col(h: np.ndarray, k: int) -> np.ndarray:
-    """Causal im2col of (B, w, c): a (B*w, k*c) matrix whose row (b, t)
-    holds h[b, t-i] in column block i, zero where t-i < 0."""
-    b, w, c = h.shape
-    cols = np.zeros((b, w, k, c))
+    """Causal im2col of channel-major (c, B, w) features: a (k*c, B*w)
+    matrix whose row block i holds h shifted i steps into the past, zero
+    where t-i < 0."""
+    c, b, w = h.shape
+    cols = np.zeros((k, c, b, w))
     for i in range(k):
-        cols[:, i:, i, :] = h[:, :w - i, :]
-    return cols.reshape(b * w, k * c)
+        cols[i, :, :, i:] = h[:, :, :w - i]
+    return cols.reshape(k * c, b * w)
 
 
 def _conv_matrix(kern: np.ndarray) -> np.ndarray:
@@ -189,30 +199,47 @@ def _conv_matrix(kern: np.ndarray) -> np.ndarray:
 
 
 def _qkv_matrix(wq, wk, wv) -> np.ndarray:
-    """Per-head projections (h, d, d_k) stacked into one (d, 3*h*d_k)
-    matrix, column blocks ordered Q, K, V, then head."""
+    """Per-head projections (h, d, d_k) stacked into one (3*h*d_k, d)
+    matrix, row blocks ordered Q, K, V, then head."""
     h, d, dk = wq.shape
-    return np.stack([wq, wk, wv]).transpose(2, 0, 1, 3).reshape(d, 3 * h * dk)
+    return np.stack([wq, wk, wv]).transpose(0, 1, 3, 2).reshape(3 * h * dk, d)
+
+
+def _time_mean(w: int) -> np.ndarray:
+    """Weights of a mean over w steps, applied as one vector product per
+    window so that a window's result does not depend on its batch."""
+    return np.full(w, 1.0 / w)
 
 
 def _mha_batch(h_in, wq, wk, wv, wo):
-    b, w, d = h_in.shape
+    """Multi-head self-attention over channel-major (d, B, w) features,
+    reduced to what the pooled head reads (see the module docstring): the
+    time mean of its output, (B, d'). Also returns, for backward, ``att``
+    (B, h, w_q, w_k), q, k, v as (B, h, w, d_k) views, abar (B, h, w_k)
+    and the pooled heads (B, h*d_k)."""
+    d, b, w = h_in.shape
     h, _, dk = wq.shape
-    qkv = (h_in.reshape(b * w, d) @ _qkv_matrix(wq, wk, wv)).reshape(b, w, 3, h, dk)
-    q, k, v = qkv.transpose(2, 0, 3, 1, 4)               # each (B, h, w, dk)
-    logits = (q @ k.swapaxes(-1, -2)) / np.sqrt(dk)
-    att = row_softmax(logits)
-    heads = att @ v                                      # (B, h, w, dk)
-    concat = heads.transpose(0, 2, 1, 3).reshape(b, w, h * dk)
-    out = concat @ wo
-    return out, att, q, k, v, concat
+    qkv = (_qkv_matrix(wq, wk, wv) @ h_in.reshape(d, b * w)).reshape(3, h, dk, b, w)
+    q, k, v = qkv.transpose(0, 3, 1, 4, 2)
+    e = np.empty((w, b, h, w))                           # e[key, b, head, query]
+    np.matmul(k, q.swapaxes(-1, -2), out=e.transpose(1, 2, 0, 3))
+    # softmax over keys: max and sum run elementwise over rows of B*h*w_q
+    e -= e.max(axis=0)
+    e *= 1.0 / np.sqrt(dk)
+    np.exp(e, out=e)
+    e /= e.sum(axis=0)
+    att = e.transpose(1, 2, 3, 0)
+    abar = att.swapaxes(-1, -2) @ _time_mean(w)
+    pooled = (abar[:, :, None, :] @ v).reshape(b, 1, h * dk)
+    return (pooled @ wo)[:, 0], att, q, k, v, abar, pooled[:, 0]
 
 
 def _forward_batch(params: ModelParams, xb: np.ndarray) -> tuple[np.ndarray, dict]:
     """Vectorized forward over a batch of scaled windows (B, w).
 
     Returns predictions (B,) and a cache of every intermediate needed by
-    :func:`_backward_batch`. The im2col columns are not cached: backward
+    :func:`_backward_batch`; ``conv_pre``/``conv_act`` hold (B, w, f) views
+    of the channel-major maps. The im2col columns are not cached: backward
     rebuilds them from the layer inputs, which keeps the cache small.
     """
     cfg = params.config
@@ -221,33 +248,30 @@ def _forward_batch(params: ModelParams, xb: np.ndarray) -> tuple[np.ndarray, dic
         raise ShapeMismatch(f"expected (B, {cfg.w}) windows, got {xb.shape}")
 
     b, w = xb.shape
-    h = xb[:, :, None]
+    h = xb[None]
     conv_pre, conv_act = [], []
     for kern, bias in zip(params.conv_kernels, params.conv_biases):
-        cols = _im2col(h, kern.shape[2])
-        pre = (cols @ _conv_matrix(kern).T + bias).reshape(b, w, kern.shape[0])
-        act = relu(pre)
-        conv_pre.append(pre)
-        conv_act.append(act)
-        h = act
+        pre = _conv_matrix(kern) @ _im2col(h, kern.shape[2]) + bias[:, None]
+        pre = pre.reshape(len(kern), b, w)
+        h = relu(pre)
+        conv_pre.append(pre.transpose(1, 2, 0))
+        conv_act.append(h.transpose(1, 2, 0))
 
-    h_cnn = h  # (B, w, d)
-    h_att, att, q, k, v, concat = _mha_batch(h_cnn, params.wq, params.wk, params.wv, params.wo)
-    fused = np.concatenate([h_cnn, h_att], axis=2)
-    z = fused.mean(axis=1)
-    yhat = z @ params.w_out + params.b_out
+    h_att, att, q, k, v, abar, pooled = _mha_batch(h, params.wq, params.wk, params.wv, params.wo)
+    z = np.concatenate([h.transpose(1, 0, 2) @ _time_mean(w), h_att], axis=1)
+    yhat = (z * params.w_out).sum(axis=1) + params.b_out
 
     cache = {
-        "x": xb, "conv_pre": conv_pre, "conv_act": conv_act,
-        "q": q, "k": k, "v": v, "att": att, "concat": concat, "z": z,
+        "x": xb, "conv_pre": conv_pre, "conv_act": conv_act, "q": q, "k": k, "v": v,
+        "att": att, "abar": abar, "pooled": pooled, "z": z,
     }
     return yhat, cache
 
 
 def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray) -> dict:
     """Analytic gradients of sum_b dl_dy[b] * yhat[b] w.r.t. every parameter
-    tensor. Weight and input gradients are 2-D GEMMs on the same flattened
-    (B*w, .) layouts as the forward pass."""
+    tensor. Weight and input gradients are 2-D GEMMs on the same
+    channel-major (., B*w) layouts as the forward pass."""
     cfg = params.config
     g = np.asarray(dl_dy, dtype=np.float64)
     z = cache["z"]
@@ -257,45 +281,50 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray) -> dict
     grads: dict[str, np.ndarray] = {}
     grads["head.w_out"] = g @ z
     grads["head.b_out"] = np.asarray(g.sum())
+    dz = g[:, None] * params.w_out
 
-    # z is the time mean of the fused map, so each of its w rows gets dL/dz / w
-    dfused = np.repeat(g[:, None] * params.w_out[None, :] / w, w, axis=0)   # (B*w, d + d')
-    dh_cnn, dh_att = dfused[:, :d], dfused[:, d:]
+    # pooled attention: the upstream gradient is the same for every query
+    att, q, k, v, abar = cache["att"], cache["q"], cache["k"], cache["v"], cache["abar"]
+    grads["attn.wo"] = cache["pooled"].T @ dz[:, d:]
+    dpooled = (dz[:, d:] @ params.wo.T).reshape(b, h, 1, dk)
+    dqkv = np.empty((3, h, dk, b, w))
+    dq, dk_, dv = dqkv.transpose(0, 3, 1, 4, 2)
+    np.multiply(abar[..., None], dpooled, out=dv)
+    # dL/dA[q, key] = u[key] for every q; the logits' 1/sqrt(d_k) folded in
+    u = (v @ dpooled.swapaxes(-1, -2)).transpose(2, 0, 1, 3) / (w * np.sqrt(dk))
+    # softmax Jacobian A * (u - A u), key-major as in the forward
+    a = att.transpose(3, 0, 1, 2)
+    dlogits = a * u
+    dlogits -= a * dlogits.sum(axis=0)
+    np.matmul(dlogits.transpose(1, 2, 3, 0), k, out=dq)
+    np.matmul(dlogits.transpose(1, 2, 0, 3), q, out=dk_)
 
-    # attention block
-    concat, att, q, k, v = cache["concat"], cache["att"], cache["q"], cache["k"], cache["v"]
-    grads["attn.wo"] = concat.reshape(b * w, h * dk).T @ dh_att
-    dheads = (dh_att @ params.wo.T).reshape(b, w, h, dk).transpose(0, 2, 1, 3)
-    datt = dheads @ v.swapaxes(-1, -2)
-    dv = att.swapaxes(-1, -2) @ dheads
-    # softmax Jacobian per row
-    dlogits = att * (datt - (datt * att).sum(axis=-1, keepdims=True))
-    dlogits /= np.sqrt(dk)
-    dq = dlogits @ k
-    dk_ = dlogits.swapaxes(-1, -2) @ q
-
-    h_cnn = cache["conv_act"][-1].reshape(b * w, d)
-    dqkv = np.stack([dq, dk_, dv], axis=2).transpose(0, 3, 2, 1, 4).reshape(b * w, 3 * h * dk)
-    dw = (h_cnn.T @ dqkv).reshape(d, 3, h, dk).transpose(1, 2, 0, 3)
+    dqkv = dqkv.reshape(3 * h * dk, b * w)
+    h_cnn = cache["conv_act"][-1].transpose(2, 0, 1).reshape(d, b * w)
+    dw = (dqkv @ h_cnn.T).reshape(3, h, dk, d).swapaxes(-1, -2)
     grads["attn.wq"], grads["attn.wk"], grads["attn.wv"] = dw
-    dact = dh_cnn + dqkv @ _qkv_matrix(params.wq, params.wk, params.wv).T
+    dact = (_qkv_matrix(params.wq, params.wk, params.wv).T @ dqkv).reshape(d, b, w)
+    # z is the time mean of the conv map, so each step gets dL/dz / w
+    dact += dz[:, :d].T[:, :, None] / w
 
     # convolution stack, last layer first
     for layer in reversed(range(cfg.cnn_layers)):
         kern = params.conv_kernels[layer]
         f, c_in, ksz = kern.shape
-        dpre = dact * (cache["conv_pre"][layer].reshape(b * w, f) > 0)
-        grads[f"conv{layer}.bias"] = dpre.sum(axis=0)
-        layer_in = cache["conv_act"][layer - 1] if layer > 0 else cache["x"][:, :, None]
-        dkm = dpre.T @ _im2col(layer_in, ksz)
+        pre = cache["conv_pre"][layer].transpose(2, 0, 1)
+        dpre = (dact * (pre > 0)).reshape(f, b * w)
+        grads[f"conv{layer}.bias"] = dpre.sum(axis=1)
+        layer_in = cache["conv_act"][layer - 1].transpose(2, 0, 1) if layer else cache["x"][None]
+        dkm = dpre @ _im2col(layer_in, ksz).T
         grads[f"conv{layer}.kernel"] = dkm.reshape(f, ksz, c_in).transpose(0, 2, 1)
         if layer > 0:
-            # col2im: column block i of row (b, t) came from h[b, t-i]
-            dcols = (dpre @ _conv_matrix(kern)).reshape(b, w, ksz, c_in)
+            # col2im, time-major so each tap adds one contiguous block:
+            # column block i of row (b, t) came from h[b, t-i]
+            dcols = (dpre.T @ _conv_matrix(kern)).reshape(b, w, ksz, c_in)
             dh = dcols[:, :, 0, :].copy()
             for i in range(1, ksz):
                 dh[:, :w - i, :] += dcols[:, i:, i, :]
-            dact = dh.reshape(b * w, c_in)
+            dact = dh.transpose(2, 0, 1)
     return grads
 
 

@@ -141,8 +141,11 @@ def train(config: ModelConfig, tconfig: TrainConfig,
         for start in range(0, n, tconfig.batch_size):
             idx = order[start:start + tconfig.batch_size]
             xb, yb = data.inputs[idx], data.targets[idx]
-            yhat, cache = _forward_batch(params, xb)
-            loss, dl_dy = mse_loss(yhat, yb)
+            # a diverging step overflows on its way to the non-finite loss
+            # reported below, so numpy's overflow warnings carry nothing more
+            with np.errstate(over="ignore", invalid="ignore"):
+                yhat, cache = _forward_batch(params, xb)
+                loss, dl_dy = mse_loss(yhat, yb)
             if not np.isfinite(loss):
                 raise DivergedLoss(f"non-finite training loss at step {state.step + 1}")
             sse += loss * len(idx)
@@ -202,26 +205,41 @@ def persistence_forecast(last_value: float, horizon: int) -> np.ndarray:
     return np.full(horizon, float(last_value))
 
 
-def metrics(y: np.ndarray, yhat: np.ndarray) -> MetricsReport:
+def metric_values(y: np.ndarray, yhat: np.ndarray) -> tuple[dict, dict]:
     """RMSE, MAE, MAPE (fraction), and MSLE (log1p convention) of a
-    prediction against the truth."""
+    prediction against the truth, by name. An undefined MAPE or MSLE is
+    None, with its reason under the same name in the second dict."""
     y = np.asarray(y, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
     if y.shape != yhat.shape or y.ndim != 1:
         raise LengthMismatch(f"shapes differ: {y.shape} vs {yhat.shape}")
     if y.size == 0:
         raise EmptyInput("metrics need at least one element")
-    if np.any(y == 0.0):
-        raise MapeUndefined("MAPE undefined: some true values are zero")
-    if np.any(y <= -1.0) or np.any(yhat <= -1.0):
-        raise MsleUndefined("MSLE undefined: log1p argument <= -1")
     err = yhat - y
-    rmse = float(np.sqrt(np.mean(err * err)))
-    mae = float(np.mean(np.abs(err)))
-    mape = float(np.mean(np.abs(err / y)))
-    log_err = np.log1p(yhat) - np.log1p(y)
-    msle = float(np.mean(log_err * log_err))
-    return MetricsReport(rmse=rmse, mae=mae, mape=mape, msle=msle)
+    values = {"rmse": float(np.sqrt(np.mean(err * err))), "mae": float(np.mean(np.abs(err))),
+              "mape": None, "msle": None}
+    undefined = {}
+    if np.any(y == 0.0):
+        undefined["mape"] = "MAPE undefined: some true values are zero"
+    else:
+        values["mape"] = float(np.mean(np.abs(err / y)))
+    if np.any(y <= -1.0) or np.any(yhat <= -1.0):
+        undefined["msle"] = "MSLE undefined: log1p argument <= -1"
+    else:
+        log_err = np.log1p(yhat) - np.log1p(y)
+        values["msle"] = float(np.mean(log_err * log_err))
+    return values, undefined
+
+
+def metrics(y: np.ndarray, yhat: np.ndarray) -> MetricsReport:
+    """:func:`metric_values` as a report; raises MapeUndefined or
+    MsleUndefined when a measure is undefined."""
+    values, undefined = metric_values(y, yhat)
+    if "mape" in undefined:
+        raise MapeUndefined(undefined["mape"])
+    if "msle" in undefined:
+        raise MsleUndefined(undefined["msle"])
+    return MetricsReport(**values)
 
 
 def run_stats(values: np.ndarray) -> RunStats:

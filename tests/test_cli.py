@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -345,15 +346,30 @@ class TestExitCodes:
             code = run("tune", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 4
 
+    def test_every_failed_tune_trial_reported(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"train.learning_rate": 1e40, "tune.budget": 4,
+                                        "tune.init": 3})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("tune", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 4
+        err = capsys.readouterr().err
+        assert re.findall(r"trial (\d) failed: DivergedLoss", err) == ["0", "1", "2"]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in err
+
     def test_undefined_metric_keeps_checkpoint(self, tmp_path):
         # a zero-mean series leaves MSLE undefined after training
         cfg = write_config(tmp_path, **{"data.synth.trend_slope": 0.0, "train.epochs": 1})
         out = tmp_path / "o"
-        assert run("train", "--config", str(cfg), "--out", str(out)) == 3
+        assert run("train", "--config", str(cfg), "--out", str(out)) == 0
         params, _ = load_checkpoint(out / "train" / "checkpoint.json")
         assert params.config.w == BASE_CONFIG["model"]["w"]
         with (out / "train" / "loss_history.csv").open() as fh:
             assert [r["epoch"] for r in csv.DictReader(fh)] == ["1"]
+        doc = json.loads((out / "train" / "metrics.json").read_text())
+        assert doc["msle"] is None and "MSLE undefined" in doc["undefined"]["msle"]
+        assert np.isfinite(doc["rmse"]) and np.isfinite(doc["mae"])
 
     @pytest.mark.parametrize("key,value", [
         ("train.epochs", "5"), ("model.filters", 6.0), ("train.learning_rate", "1e-3")])

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fusecast.errors import BadCheckpoint, LengthMismatch, ShapeMismatch
 from fusecast.nn import (
     ModelConfig,
     _backward_batch,
     _forward_batch,
-    _mha_batch,
     init_params,
     load_checkpoint,
     relu,
-    row_softmax,
     save_checkpoint,
 )
 from fusecast.series import ScalerParams
@@ -53,6 +53,14 @@ def causal_conv1d(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) -> np.
     return out[0]
 
 
+def row_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis with max-shift, so adding a constant to a
+    row leaves its output bit-unchanged."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def mha(h_in: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
         wo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head self-attention over a (w, d) feature map.
@@ -66,8 +74,10 @@ def mha(h_in: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray,
         raise ShapeMismatch(f"features {h_in.shape} incompatible with wq {wq.shape}")
     if wo.shape[0] != wq.shape[0] * wq.shape[2]:
         raise ShapeMismatch(f"wo {wo.shape} incompatible with heads {wq.shape}")
-    out, att, *_ = _mha_batch(h_in[None], wq, wk, wv, wo)
-    return out[0], att[0]
+    q, k, v = (np.einsum("td,hde->hte", h_in, m) for m in (wq, wk, wv))
+    att = row_softmax(np.einsum("hqe,hse->hqs", q, k) / np.sqrt(wq.shape[2]))
+    heads = np.einsum("hqs,hse->qhe", att, v)
+    return heads.reshape(h_in.shape[0], -1) @ wo, att
 
 
 def fuse_pool(h_cnn: np.ndarray, h_att: np.ndarray) -> np.ndarray:
@@ -300,6 +310,31 @@ class TestBackward:
         assert float(grads["head.b_out"]) == -1.75
 
 
+def assert_matches_finite_differences(params, xb, y, label=None):
+    """Every entry of the analytic gradient of the summed squared loss
+    against a central difference with step 1e-4: relative error below 1e-4,
+    relative to at least 1e-7."""
+    yhat, cache = _forward_batch(params, xb)
+    grads = _backward_batch(params, cache, 2.0 * (yhat - y))
+    tensors = params.tensors()
+    eps = 1e-4
+
+    def predict_with(name, idx, delta):
+        bumped = dict(tensors)
+        bumped[name] = tensors[name].copy()
+        bumped[name][idx] += delta
+        return _forward_batch(params.with_tensors(bumped), xb)[0]
+
+    for name, tensor in tensors.items():
+        for idx in np.ndindex(tensor.shape):
+            up, down = predict_with(name, idx, eps), predict_with(name, idx, -eps)
+            # the loss difference, factored so the loss itself does not
+            # cancel: (up-y)^2 - (down-y)^2 = (up-down)(up+down-2y)
+            fd = float(((up - down) * (up + down - 2 * y)).sum()) / (2 * eps)
+            analytic = float(grads[name][idx])
+            assert abs(analytic - fd) / max(abs(fd), 1e-7) < 1e-4, (label, name, idx)
+
+
 class TestBatchedPath:
     """The GEMM-lowered batch path against finite differences and the
     einsum reference convolution; a batch of one is the single-window
@@ -313,24 +348,8 @@ class TestBatchedPath:
     ], ids=["kernel-equals-window", "attn-width-differs", "one-layer", "tiny-single-window"])
     def test_finite_difference_agreement(self, cfg, seed, batch, rng):
         params = init_params(ModelConfig(**cfg, seed=seed))
-        xb = rng.normal(size=(batch, cfg["w"]))
-        y = rng.normal(size=batch)
-        yhat, cache = _forward_batch(params, xb)
-        grads = _backward_batch(params, cache, 2.0 * (yhat - y))
-        tensors = params.tensors()
-        eps = 1e-4
-
-        def loss_with(name, idx, delta):
-            bumped = {k: v.copy() for k, v in tensors.items()}
-            bumped[name][idx] += delta
-            yb, _ = _forward_batch(params.with_tensors(bumped), xb)
-            return float(((yb - y) ** 2).sum())
-
-        for name, tensor in tensors.items():
-            for idx in np.ndindex(tensor.shape):
-                fd = (loss_with(name, idx, eps) - loss_with(name, idx, -eps)) / (2 * eps)
-                analytic = float(grads[name][idx])
-                assert abs(analytic - fd) / max(abs(fd), 1e-7) < 1e-4, (name, idx)
+        assert_matches_finite_differences(params, rng.normal(size=(batch, cfg["w"])),
+                                          rng.normal(size=batch))
 
     def test_conv_preactivations_match_einsum_reference(self, rng):
         params = init_params(ModelConfig(w=9, cnn_layers=3, filters=5, kernel_size=4,
@@ -344,6 +363,93 @@ class TestBatchedPath:
                                            causal_conv1d(layer_in, kern, bias),
                                            rtol=0, atol=1e-12)
                 layer_in = cache["conv_act"][layer][b]
+
+
+DEFAULT_CELL = dict(w=15, cnn_layers=2, filters=16, kernel_size=3, heads=2)
+ATTN_WIDTH_CELL = dict(w=6, cnn_layers=2, filters=4, kernel_size=3, heads=3, head_dim=2)
+
+
+def reference_predict(params, x):
+    """causal_conv1d -> relu per layer, then mha, fuse_pool and the dense
+    head, one window at a time."""
+    h = x
+    for kern, bias in zip(params.conv_kernels, params.conv_biases):
+        h = relu(causal_conv1d(h, kern, bias))
+    h_att, att = mha(h, params.wq, params.wk, params.wv, params.wo)
+    z = fuse_pool(h, h_att)
+    return float(z @ params.w_out + params.b_out), att, z
+
+
+class TestPooledPath:
+    """The pooled attention path against the full per-position reference,
+    and a window's prediction against the batch it runs in."""
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CELL, ATTN_WIDTH_CELL],
+                             ids=["default", "attn-width-differs"])
+    def test_matches_per_position_reference(self, cfg, rng):
+        params = init_params(ModelConfig(**cfg, seed=11))
+        xb = rng.normal(size=(5, cfg["w"]))
+        yhat, cache = _forward_batch(params, xb)
+        for b, x in enumerate(xb):
+            y, att, z = reference_predict(params, x)
+            assert abs(yhat[b] - y) < 1e-12
+            np.testing.assert_allclose(cache["att"][b], att, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(cache["z"][b], z, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CELL, ATTN_WIDTH_CELL],
+                             ids=["default", "attn-width-differs"])
+    def test_prediction_independent_of_batch(self, cfg, rng):
+        params = init_params(ModelConfig(**cfg, seed=12))
+        xb = rng.normal(size=(70, cfg["w"]))
+        whole = _forward_batch(params, xb)[0]
+        blocks = np.concatenate([_forward_batch(params, xb[i:i + 32])[0]
+                                 for i in range(0, 70, 32)])
+        alone = np.array([_forward_batch(params, x[None])[0][0] for x in xb])
+        np.testing.assert_array_equal(blocks, whole)
+        np.testing.assert_array_equal(alone, whole)
+
+
+@st.composite
+def grid_cells(draw):
+    """Small model configs spanning the grid's shape cases, with a seed and
+    a batch size."""
+    w = draw(st.integers(1, 8))
+    cfg = dict(w=w, cnn_layers=draw(st.integers(1, 3)), filters=draw(st.integers(1, 5)),
+               kernel_size=draw(st.integers(1, w)), heads=draw(st.integers(1, 3)),
+               head_dim=draw(st.integers(1, 3)), seed=draw(st.integers(0, 2**16)))
+    return cfg, draw(st.integers(1, 3))
+
+
+class TestSampledCells:
+    """Gradient and causality checks over sampled configs, not one cell."""
+
+    @given(grid_cells())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_finite_difference_agreement(self, cell):
+        cfg, batch = cell
+        params = init_params(ModelConfig(**cfg))
+        rng = np.random.default_rng(cfg["seed"])
+        xb = rng.normal(size=(batch, cfg["w"]))
+        _, cache = _forward_batch(params, xb)
+        # a finite difference across a relu kink is no derivative
+        assume(min(np.abs(pre).min() for pre in cache["conv_pre"]) > 1e-3)
+        assert_matches_finite_differences(params, xb, rng.normal(size=batch), cfg)
+
+    @given(grid_cells(), st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_future_leaves_past_conv_bitwise(self, cell, data):
+        cfg, batch = cell
+        assume(cfg["w"] >= 2)
+        params = init_params(ModelConfig(**cfg))
+        rng = np.random.default_rng(cfg["seed"])
+        t = data.draw(st.integers(0, cfg["w"] - 2))
+        xb = rng.normal(size=(batch, cfg["w"]))
+        x2 = xb.copy()
+        x2[:, t + 1:] += rng.normal(size=(batch, cfg["w"] - t - 1)) * 10
+        _, c1 = _forward_batch(params, xb)
+        _, c2 = _forward_batch(params, x2)
+        for a1, a2 in zip(c1["conv_act"], c2["conv_act"]):
+            np.testing.assert_array_equal(a1[:, : t + 1], a2[:, : t + 1])
 
 
 class TestCheckpoint:
