@@ -21,6 +21,7 @@ from scipy.stats import norm, qmc
 from .errors import (
     DimensionMismatch,
     EmptySpace,
+    FusecastError,
     InvalidSpec,
     ObjectiveFailure,
     SingularKernel,
@@ -337,10 +338,11 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
     unevaluated cells around the incumbent, so the search concentrates
     instead of wandering the hypercube; the final trials sweep the
     incumbent's immediate grid neighbours (best predicted mean alternating
-    with highest posterior uncertainty) to settle the exact cell. A failing
-    objective is recorded with a worst-so-far penalty and skipped; when no
-    trial of the initial design gives a finite value, ObjectiveFailure is
-    raised. Fully reproducible for fixed seeds.
+    with highest posterior uncertainty) to settle the exact cell. An
+    objective raising a package error, FloatingPointError or LinAlgError is
+    penalized with the worst value so far and skipped, and any other
+    exception propagates; ObjectiveFailure is raised when no initial trial
+    gives a finite value. Fully reproducible for fixed seeds.
     """
     if budget < 1:
         raise InvalidSpec("budget must be >= 1")
@@ -370,9 +372,10 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
         nonlocal best_y, best_cfg, last_error
         t0 = time.perf_counter()
         failed, error = False, ""
+        # a bad cell is penalized and skipped; any other exception is a bug
         try:
             y = float(objective(cfg))
-        except Exception as exc:  # noqa: BLE001 - penalized and skipped, not fatal
+        except (FusecastError, FloatingPointError, np.linalg.LinAlgError) as exc:
             failed, error = True, f"{type(exc).__name__}: {exc}"
             last_error = exc
             finite = [t.objective for t in trials if np.isfinite(t.objective)]

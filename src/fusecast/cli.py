@@ -5,7 +5,8 @@ fields and the effective config is echoed into the output directory. All
 CSV/JSON outputs are byte-reproducible from (config, seed), the documented
 exception being wall-clock timing fields.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure; an
+error's base class in :mod:`fusecast.errors` carries its code.
 """
 
 from __future__ import annotations
@@ -34,31 +35,7 @@ from .train import (
     run_stats,
     train as train_model,
 )
-from .errors import (
-    BadCheckpoint,
-    ConfigError,
-    DivergedLoss,
-    EmptyDataset,
-    EmptyInput,
-    EmptySpace,
-    InvalidFraction,
-    InvalidSpec,
-    LengthMismatch,
-    MapeUndefined,
-    MissingFile,
-    MsleUndefined,
-    NonFiniteValue,
-    NonMonotoneTimestamps,
-    ObjectiveFailure,
-    ParseError,
-    ShapeMismatch,
-    SingularKernel,
-    TooFewSamples,
-    WindowTooLarge,
-    WindowTooLargeForExact,
-    ZeroVariance,
-    ZeroVarianceShapeStats,
-)
+from .errors import ConfigError, FusecastError, ObjectiveFailure, WindowTooLarge
 
 OUT_ENV = "FUSECAST_OUT"
 
@@ -96,17 +73,6 @@ DEFAULT_CONFIG = {
     "horizons": [15],
     "bench": {"runs": 10, "anchors": 10},
 }
-
-CONFIG_EXIT, DATA_EXIT, NUMERIC_EXIT = 2, 3, 4
-
-_DATA_ERRORS = (MissingFile, ParseError, NonMonotoneTimestamps, NonFiniteValue,
-                BadCheckpoint, EmptyDataset, EmptyInput, WindowTooLarge,
-                WindowTooLargeForExact, LengthMismatch, ShapeMismatch,
-                MapeUndefined, MsleUndefined, TooFewSamples, ZeroVariance,
-                ZeroVarianceShapeStats)
-_CONFIG_ERRORS = (ConfigError, InvalidSpec, InvalidFraction, EmptySpace)
-_NUMERIC_ERRORS = (DivergedLoss, SingularKernel, ObjectiveFailure)
-
 
 def _check_type(default, value, path: str) -> None:
     """A value must have its default's type; a float accepts an int, and a
@@ -296,12 +262,19 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
     out = _out_dir(cfg, "tune")
     _echo_config(cfg, out)
     seed = cfg["seed"]
+    w = cfg["model"]["w"]
+    space = bayesopt.SearchSpace(**{k: tuple(v) for k, v in cfg["tune"]["space"].items()})
+    # a cell no model accepts is a config error, not a penalized trial
+    for name in space.NAMES:
+        if getattr(space, name)[0] < 1:
+            raise ConfigError(f"tune.space.{name} lower bound must be >= 1")
+    if space.kernel_size[1] > w:
+        raise ConfigError(f"tune.space.kernel_size upper bound exceeds model.w {w}")
     train_ts, _ = series.split(_load_series(cfg), cfg["data"]["train_frac"])
     # tuning objective: validation RMSE on the last 20% of the training
     # segment, so the test segment stays untouched until final training
     sub_train, _ = series.split(train_ts, 0.8)
     sub_scaler = series.fit_scaler(sub_train)
-    w = cfg["model"]["w"]
     fit_windows, val_windows = _split_windows(train_ts, len(sub_train), w, sub_scaler)
     tconfig = _train_config(cfg, seed + 1, epochs=cfg["tune"]["epochs"])
 
@@ -311,10 +284,8 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
                                  kernel_size=trial_cfg["kernel_size"],
                                  heads=trial_cfg["heads"], seed=seed)
         params, _ = train_model(mconfig, tconfig, fit_windows)
-        return compute_metrics(*_one_step(params, sub_scaler, val_windows)).rmse
-
-    space_cfg = cfg["tune"]["space"]
-    space = bayesopt.SearchSpace(**{k: tuple(v) for k, v in space_cfg.items()})
+        # RMSE is defined even where MAPE or MSLE is not
+        return metric_values(*_one_step(params, sub_scaler, val_windows))[0]["rmse"]
 
     def report_failed(trials):
         for trial in trials:
@@ -559,15 +530,9 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return cmd_bench(cfg, args.svg)
         raise ConfigError(f"unknown command {args.command}")
-    except _CONFIG_ERRORS as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return CONFIG_EXIT
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return DATA_EXIT
-    except _NUMERIC_ERRORS as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return NUMERIC_EXIT
+    except FusecastError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def entry() -> None:

@@ -1,109 +1,129 @@
 """Exception types raised across the package.
 
-Everything derives from :class:`FusecastError` so callers can catch broadly;
-data-shaped problems additionally derive from ValueError for idiomatic use.
-"""
+Everything derives from :class:`FusecastError` through one of three bases,
+each carrying the CLI's exit code and stderr prefix: :class:`ConfigError`
+(2), :class:`DataError` (3) and :class:`NumericFailure` (4). Concrete
+errors also derive from the builtin exception that fits them."""
 
 
 class FusecastError(Exception):
     """Base class for all package errors."""
 
 
-# -- series ------------------------------------------------------------
+class ConfigError(FusecastError, ValueError):
+    """A config value, or a combination of values, that no run accepts."""
+    exit_code, label = 2, "config error"
 
-class MissingFile(FusecastError, FileNotFoundError):
+
+class InvalidSpec(ConfigError):
     pass
 
 
-class ParseError(FusecastError, ValueError):
+class InvalidFraction(ConfigError):
+    pass
+
+
+class DimensionMismatch(ConfigError):
+    pass
+
+
+class EmptySpace(ConfigError):
+    pass
+
+
+class DataError(FusecastError):
+    """A series, CSV, window set or checkpoint that cannot be used."""
+    exit_code, label = 3, "data error"
+
+
+class MissingFile(DataError, FileNotFoundError):
+    pass
+
+
+class ParseError(DataError, ValueError):
     def __init__(self, row: int, message: str):
         super().__init__(f"row {row}: {message}")
         self.row = row
 
 
-class NonMonotoneTimestamps(FusecastError, ValueError):
+class NonMonotoneTimestamps(DataError, ValueError):
     def __init__(self, row: int, message: str = "timestamps not strictly increasing"):
         super().__init__(f"row {row}: {message}")
         self.row = row
 
 
-class NonFiniteValue(FusecastError, ValueError):
+class NonFiniteValue(DataError, ValueError):
     def __init__(self, row: int, message: str = "non-finite value"):
         super().__init__(f"row {row}: {message}")
         self.row = row
 
 
-class InvalidSpec(FusecastError, ValueError):
+class ZeroVariance(DataError, ValueError):
     pass
 
 
-class InvalidFraction(FusecastError, ValueError):
+class WindowTooLarge(DataError, ValueError):
     pass
 
 
-class ZeroVariance(FusecastError, ValueError):
+class ShapeMismatch(DataError, ValueError):
     pass
 
 
-class WindowTooLarge(FusecastError, ValueError):
+class LengthMismatch(DataError, ValueError):
     pass
 
 
-# -- nn ----------------------------------------------------------------
-
-class ShapeMismatch(FusecastError, ValueError):
+class EmptyInput(DataError, ValueError):
     pass
 
 
-# -- train -------------------------------------------------------------
-
-class LengthMismatch(FusecastError, ValueError):
+class EmptyDataset(DataError, ValueError):
     pass
 
 
-class EmptyInput(FusecastError, ValueError):
+class MapeUndefined(DataError, ValueError):
     pass
 
 
-class EmptyDataset(FusecastError, ValueError):
+class MsleUndefined(DataError, ValueError):
     pass
 
 
-class DivergedLoss(FusecastError, ArithmeticError):
+class TooFewSamples(DataError, ValueError):
     pass
 
 
-class MapeUndefined(FusecastError, ValueError):
+class ZeroVarianceShapeStats(DataError, ValueError):
     pass
 
 
-class MsleUndefined(FusecastError, ValueError):
+class MalformedAttention(DataError, ValueError):
     pass
 
 
-class TooFewSamples(FusecastError, ValueError):
+class WindowTooLargeForExact(DataError, ValueError):
     pass
 
 
-class ZeroVarianceShapeStats(FusecastError, ValueError):
+class BadCheckpoint(DataError, ValueError):
     pass
 
 
-# -- bayesopt ----------------------------------------------------------
+class NumericFailure(FusecastError):
+    """A computation that did not reach a finite result."""
+    exit_code, label = 4, "numeric failure"
 
-class DimensionMismatch(FusecastError, ValueError):
+
+class DivergedLoss(NumericFailure, ArithmeticError):
     pass
 
 
-class SingularKernel(FusecastError, ArithmeticError):
+class SingularKernel(NumericFailure, ArithmeticError):
     pass
 
 
-class EmptySpace(FusecastError, ValueError):
-    pass
-
-
-class ObjectiveFailure(FusecastError, RuntimeError):
+class ObjectiveFailure(NumericFailure, RuntimeError):
     """``trials`` holds every trial run before the failure, failed ones
     included, so their causes can still be reported."""
 
@@ -112,23 +132,3 @@ class ObjectiveFailure(FusecastError, RuntimeError):
         self.trial = trial
         self.cause = cause
         self.trials = trials
-
-
-# -- explain -----------------------------------------------------------
-
-class MalformedAttention(FusecastError, ValueError):
-    pass
-
-
-class WindowTooLargeForExact(FusecastError, ValueError):
-    pass
-
-
-# -- cli / io ----------------------------------------------------------
-
-class BadCheckpoint(FusecastError, ValueError):
-    pass
-
-
-class ConfigError(FusecastError, ValueError):
-    pass

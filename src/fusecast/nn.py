@@ -9,6 +9,11 @@ differentiation of the same equations (softmax Jacobian, causal-convolution
 transpose paths included) from that cache. A single window is a batch of
 one.
 
+All learnable tensors live in one float64 vector, ``ModelParams.flat``,
+laid out by :func:`param_layout` in checkpoint order, with named views
+carved once per :class:`ModelParams`. :func:`_backward_batch` returns one
+gradient vector in the same layout, so the optimizer is elementwise.
+
 The path is written as matrix products that reach BLAS. Feature maps are
 channel-major, (c, B*w): each conv layer is one (f, k*c) @ (k*c, B*w)
 im2col GEMM, its kernel gradient one GEMM, and its input gradient one GEMM
@@ -35,6 +40,7 @@ move the last bits.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,97 +90,88 @@ class ModelConfig:
         return self.heads * self.head_dim
 
 
-@dataclass(frozen=True)
+def param_layout(config: ModelConfig) -> dict[str, tuple]:
+    """Name -> shape of every learnable tensor, in the order they sit in
+    ``ModelParams.flat`` and in checkpoints: per conv layer an (f, c_in, k)
+    kernel (c_in = 1 for layer 0, else f) and an (f,) bias; per-head
+    projections wq, wk, wv (h, d, d_k); the shared output projection wo
+    (d', d') with d' = h*d_k; the dense head's (d + d',) weights and ()
+    bias."""
+    f, k, d = config.filters, config.kernel_size, config.d
+    layout: dict[str, tuple] = {}
+    for i in range(config.cnn_layers):
+        layout[f"conv{i}.kernel"] = (f, 1 if i == 0 else f, k)
+        layout[f"conv{i}.bias"] = (f,)
+    for name in ("wq", "wk", "wv"):
+        layout[f"attn.{name}"] = (config.heads, d, config.head_dim)
+    layout["attn.wo"] = (config.d_attn, config.d_attn)
+    layout["head.w_out"] = (d + config.d_attn,)
+    layout["head.b_out"] = ()
+    return layout
+
+
+def tensor_views(config: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Name -> view of ``flat`` (parameters or their gradient) shaped as in
+    :func:`param_layout`."""
+    layout = param_layout(config)
+    size = sum(map(math.prod, layout.values()))
+    if flat.shape != (size,):
+        raise ShapeMismatch(f"expected a flat vector of {size} parameters, got {flat.shape}")
+    views, start = {}, 0
+    for name, shape in layout.items():
+        views[name] = flat[start:start + math.prod(shape)].reshape(shape)
+        start += math.prod(shape)
+    return views
+
+
 class ModelParams:
-    """All learnable tensors. Shapes (L = cnn_layers, f = filters,
-    k = kernel_size, h = heads, d_k = head_dim, d = f, d' = h*d_k):
+    """All learnable tensors as one float64 vector ``flat``, laid out by
+    :func:`param_layout`, and views into it carved once: ``conv_kernels``
+    and ``conv_biases`` (one per layer), ``wq``, ``wk``, ``wv``, ``wo``,
+    ``w_out`` and ``b_out``."""
 
-    - conv_kernels[l]: (f, c_in, k) with c_in = 1 for layer 0, else f
-    - conv_biases[l]: (f,)
-    - wq, wk, wv: (h, d, d_k) per-head projections
-    - wo: (h*d_k, d') shared output projection
-    - w_out: (d + d',) dense head weights; b_out: () bias
-    """
-
-    config: ModelConfig
-    conv_kernels: tuple
-    conv_biases: tuple
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
+    def __init__(self, config: ModelConfig, flat: np.ndarray):
+        self.config = config
+        self.flat = flat
+        self._views = views = tensor_views(config, flat)
+        layers = range(config.cnn_layers)
+        self.conv_kernels = tuple(views[f"conv{i}.kernel"] for i in layers)
+        self.conv_biases = tuple(views[f"conv{i}.bias"] for i in layers)
+        self.wq, self.wk, self.wv, self.wo = (views[f"attn.{n}"] for n in ("wq", "wk", "wv", "wo"))
+        self.w_out, self.b_out = views["head.w_out"], views["head.b_out"]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        """Stable name -> tensor mapping (drives the optimizer and tests)."""
-        out: dict[str, np.ndarray] = {}
-        for i, (kern, bias) in enumerate(zip(self.conv_kernels, self.conv_biases)):
-            out[f"conv{i}.kernel"] = kern
-            out[f"conv{i}.bias"] = bias
-        out["attn.wq"] = self.wq
-        out["attn.wk"] = self.wk
-        out["attn.wv"] = self.wv
-        out["attn.wo"] = self.wo
-        out["head.w_out"] = self.w_out
-        out["head.b_out"] = self.b_out
-        return out
+        """Name -> view of ``flat``, in checkpoint order."""
+        return dict(self._views)
 
     def with_tensors(self, tensors: dict[str, np.ndarray]) -> "ModelParams":
-        n_layers = len(self.conv_kernels)
-        return ModelParams(
-            config=self.config,
-            conv_kernels=tuple(tensors[f"conv{i}.kernel"] for i in range(n_layers)),
-            conv_biases=tuple(tensors[f"conv{i}.bias"] for i in range(n_layers)),
-            wq=tensors["attn.wq"],
-            wk=tensors["attn.wk"],
-            wv=tensors["attn.wv"],
-            wo=tensors["attn.wo"],
-            w_out=tensors["head.w_out"],
-            b_out=tensors["head.b_out"],
-        )
+        """The same config over the given tensors, keyed as in :meth:`tensors`."""
+        return ModelParams(self.config,
+                           np.concatenate([np.ravel(tensors[name]) for name in self._views]))
 
 
 def init_params(config: ModelConfig) -> ModelParams:
-    """Seeded initialization: convolution kernels use fan-in uniform scaling
-    with rectifier gain (limit sqrt(6/fan_in), entry std sqrt(2/fan_in));
-    projection matrices use fan-average (Glorot) uniform; biases start at
-    zero."""
+    """Seeded initialization, drawn in layout order: convolution kernels use
+    fan-in uniform scaling with rectifier gain (limit sqrt(6/fan_in), entry
+    std sqrt(2/fan_in)); projection matrices use fan-average (Glorot)
+    uniform; biases start at zero."""
     rng = np.random.default_rng(config.seed)
-    d, dk, h = config.d, config.head_dim, config.heads
-    d_attn = config.d_attn
+    params = ModelParams(config, np.zeros(sum(map(math.prod, param_layout(config).values()))))
+    for kern in params.conv_kernels:
+        _, c_in, k = kern.shape
+        limit = np.sqrt(6.0 / (c_in * k))
+        kern[...] = rng.uniform(-limit, limit, size=kern.shape)
 
-    kernels, biases = [], []
-    c_in = 1
-    for _ in range(config.cnn_layers):
-        fan_in = c_in * config.kernel_size
-        limit = np.sqrt(6.0 / fan_in)
-        kernels.append(rng.uniform(-limit, limit, size=(config.filters, c_in, config.kernel_size)))
-        biases.append(np.zeros(config.filters))
-        c_in = config.filters
-
-    def glorot(shape, fan_in, fan_out):
+    def glorot(view, fan_in, fan_out):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape)
+        view[...] = rng.uniform(-limit, limit, size=view.shape)
 
-    wq = glorot((h, d, dk), d, dk)
-    wk = glorot((h, d, dk), d, dk)
-    wv = glorot((h, d, dk), d, dk)
-    wo = glorot((h * dk, d_attn), h * dk, d_attn)
-    w_out = glorot((d + d_attn,), d + d_attn, 1)
-    b_out = np.zeros(())
-
-    return ModelParams(
-        config=config,
-        conv_kernels=tuple(kernels),
-        conv_biases=tuple(biases),
-        wq=wq,
-        wk=wk,
-        wv=wv,
-        wo=wo,
-        w_out=w_out,
-        b_out=b_out,
-    )
+    d, dk, d_attn = config.d, config.head_dim, config.d_attn
+    for view in (params.wq, params.wk, params.wv):
+        glorot(view, d, dk)
+    glorot(params.wo, d_attn, d_attn)
+    glorot(params.w_out, d + d_attn, 1)
+    return params
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -268,24 +265,26 @@ def _forward_batch(params: ModelParams, xb: np.ndarray) -> tuple[np.ndarray, dic
     return yhat, cache
 
 
-def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray) -> dict:
-    """Analytic gradients of sum_b dl_dy[b] * yhat[b] w.r.t. every parameter
-    tensor. Weight and input gradients are 2-D GEMMs on the same
-    channel-major (., B*w) layouts as the forward pass."""
+def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray) -> np.ndarray:
+    """Analytic gradient of sum_b dl_dy[b] * yhat[b] w.r.t. ``params.flat``,
+    each tensor's part written into its view of one vector. Weight and input
+    gradients are 2-D GEMMs on the same channel-major (., B*w) layouts as
+    the forward pass."""
     cfg = params.config
     g = np.asarray(dl_dy, dtype=np.float64)
     z = cache["z"]
     b, w = cache["x"].shape
     d, dk, h = cfg.d, cfg.head_dim, cfg.heads
 
-    grads: dict[str, np.ndarray] = {}
-    grads["head.w_out"] = g @ z
-    grads["head.b_out"] = np.asarray(g.sum())
+    flat = np.empty_like(params.flat)
+    grads = tensor_views(cfg, flat)
+    grads["head.w_out"][...] = g @ z
+    grads["head.b_out"][...] = g.sum()
     dz = g[:, None] * params.w_out
 
     # pooled attention: the upstream gradient is the same for every query
     att, q, k, v, abar = cache["att"], cache["q"], cache["k"], cache["v"], cache["abar"]
-    grads["attn.wo"] = cache["pooled"].T @ dz[:, d:]
+    grads["attn.wo"][...] = cache["pooled"].T @ dz[:, d:]
     dpooled = (dz[:, d:] @ params.wo.T).reshape(b, h, 1, dk)
     dqkv = np.empty((3, h, dk, b, w))
     dq, dk_, dv = dqkv.transpose(0, 3, 1, 4, 2)
@@ -302,7 +301,8 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray) -> dict
     dqkv = dqkv.reshape(3 * h * dk, b * w)
     h_cnn = cache["conv_act"][-1].transpose(2, 0, 1).reshape(d, b * w)
     dw = (dqkv @ h_cnn.T).reshape(3, h, dk, d).swapaxes(-1, -2)
-    grads["attn.wq"], grads["attn.wk"], grads["attn.wv"] = dw
+    for name, dw_i in zip(("attn.wq", "attn.wk", "attn.wv"), dw):
+        grads[name][...] = dw_i
     dact = (_qkv_matrix(params.wq, params.wk, params.wv).T @ dqkv).reshape(d, b, w)
     # z is the time mean of the conv map, so each step gets dL/dz / w
     dact += dz[:, :d].T[:, :, None] / w
@@ -313,10 +313,10 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray) -> dict
         f, c_in, ksz = kern.shape
         pre = cache["conv_pre"][layer].transpose(2, 0, 1)
         dpre = (dact * (pre > 0)).reshape(f, b * w)
-        grads[f"conv{layer}.bias"] = dpre.sum(axis=1)
+        grads[f"conv{layer}.bias"][...] = dpre.sum(axis=1)
         layer_in = cache["conv_act"][layer - 1].transpose(2, 0, 1) if layer else cache["x"][None]
         dkm = dpre @ _im2col(layer_in, ksz).T
-        grads[f"conv{layer}.kernel"] = dkm.reshape(f, ksz, c_in).transpose(0, 2, 1)
+        grads[f"conv{layer}.kernel"][...] = dkm.reshape(f, ksz, c_in).transpose(0, 2, 1)
         if layer > 0:
             # col2im, time-major so each tap adds one contiguous block:
             # column block i of row (b, t) came from h[b, t-i]
@@ -325,7 +325,7 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray) -> dict
             for i in range(1, ksz):
                 dh[:, :w - i, :] += dcols[:, i:, i, :]
             dact = dh.transpose(2, 0, 1)
-    return grads
+    return flat
 
 
 # -- checkpoint io -------------------------------------------------------

@@ -1,5 +1,7 @@
 """Model fitting, recursive forecasting, error metrics, and multi-run
-statistics."""
+statistics. Adam updates flat moment vectors in place (see :mod:`.nn`). The
+package's ``train`` function shadows this module as ``fusecast.train``, so
+import its other names with ``from fusecast.train import ...``."""
 
 from __future__ import annotations
 
@@ -47,10 +49,11 @@ class TrainConfig:
 
 @dataclass
 class OptState:
-    """Adaptive-moment accumulators, one pair per parameter tensor."""
+    """Adam's moments over ``ModelParams.flat``, updated in place, and a scratch vector."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray
     step: int = 0
 
 
@@ -92,31 +95,32 @@ def mse_loss(yhat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def init_opt_state(params: ModelParams) -> OptState:
-    zeros = {name: np.zeros_like(t) for name, t in params.tensors().items()}
-    return OptState(m=zeros, v={name: z.copy() for name, z in zeros.items()}, step=0)
+    n = params.flat.size
+    return OptState(m=np.zeros(n), v=np.zeros(n), scratch=np.empty(n))
 
 
-def adam_step(params: ModelParams, grads: dict, state: OptState,
-              config: TrainConfig) -> tuple[ModelParams, OptState]:
-    """One bias-corrected adaptive-moment update, applied elementwise to the
-    gradient tensors keyed as in :meth:`ModelParams.tensors`."""
-    tensors = params.tensors()
-    if set(grads) != set(tensors):
-        raise ShapeMismatch("gradient tensors do not match parameter tensors")
-    t = state.step + 1
-    new_tensors, new_m, new_v = {}, {}, {}
-    for name, theta in tensors.items():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise ShapeMismatch(f"gradient {name} has shape {g.shape}, expected {theta.shape}")
-        m = config.beta1 * state.m[name] + (1 - config.beta1) * g
-        v = config.beta2 * state.v[name] + (1 - config.beta2) * g * g
-        m_hat = m / (1 - config.beta1 ** t)
-        v_hat = v / (1 - config.beta2 ** t)
-        new_tensors[name] = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
-        new_m[name] = m
-        new_v[name] = v
-    return params.with_tensors(new_tensors), OptState(m=new_m, v=new_v, step=t)
+def adam_step(params: ModelParams, grads: np.ndarray, state: OptState,
+              config: TrainConfig) -> ModelParams:
+    """One bias-corrected adaptive-moment update of ``params.flat`` by the
+    flat gradient, in the textbook formula's operation order. ``state`` is
+    advanced in place; the result is a new ModelParams over a new vector."""
+    b1, b2 = config.beta1, config.beta2
+    m, v, s = state.m, state.v, state.scratch
+    state.step += 1
+    m *= b1
+    m += np.multiply(1 - b1, grads, out=s)
+    v *= b2
+    np.multiply(1 - b2, grads, out=s)
+    s *= grads
+    v += s
+    np.divide(v, 1 - b2 ** state.step, out=s)
+    np.sqrt(s, out=s)
+    s += config.eps
+    theta = m / (1 - b1 ** state.step)
+    theta *= config.learning_rate
+    theta /= s
+    np.subtract(params.flat, theta, out=theta)
+    return ModelParams(params.config, theta)
 
 
 def train(config: ModelConfig, tconfig: TrainConfig,
@@ -149,8 +153,7 @@ def train(config: ModelConfig, tconfig: TrainConfig,
             if not np.isfinite(loss):
                 raise DivergedLoss(f"non-finite training loss at step {state.step + 1}")
             sse += loss * len(idx)
-            grads = _backward_batch(params, cache, dl_dy)
-            params, state = adam_step(params, grads, state, tconfig)
+            params = adam_step(params, _backward_batch(params, cache, dl_dy), state, tconfig)
         history.append(sse / n)
     return params, history
 

@@ -13,7 +13,7 @@ from fusecast.bayesopt import (
     sq_exp_kernel,
     tune,
 )
-from fusecast.errors import DimensionMismatch, InvalidSpec, ObjectiveFailure
+from fusecast.errors import DimensionMismatch, DivergedLoss, InvalidSpec, ObjectiveFailure
 
 
 def make_obs(x, y):
@@ -251,7 +251,7 @@ class TestTune:
     def test_objective_failure_penalized(self):
         def objective(cfg):
             if cfg["heads"] == 4:
-                raise RuntimeError("boom")
+                raise DivergedLoss("boom")
             return float(cfg["filters"])
 
         result = tune(objective, SearchSpace(), budget=12, seed=2)
@@ -263,17 +263,32 @@ class TestTune:
             if prior:
                 assert t.objective == max(prior)
 
+    def test_unexpected_exception_propagates(self):
+        # only package, floating-point and linear-algebra errors mark a
+        # bad cell; anything else is a bug in the objective
+        calls = []
+
+        def objective(cfg):
+            calls.append(cfg)
+            if len(calls) == 2:
+                raise KeyError("filters")
+            return float(cfg["filters"])
+
+        with pytest.raises(KeyError):
+            tune(objective, SearchSpace(), budget=6, init=3, seed=0)
+        assert len(calls) == 2
+
     def test_every_initial_trial_failing_is_objective_failure(self):
         calls = []
 
         def objective(cfg):
             calls.append(cfg)
-            raise RuntimeError("boom")
+            raise DivergedLoss("boom")
 
         with pytest.raises(ObjectiveFailure) as info:
             tune(objective, SearchSpace(), budget=6, init=3, seed=0)
         assert len(calls) == 3 and info.value.trial == 2
-        assert isinstance(info.value.cause, RuntimeError)
+        assert isinstance(info.value.cause, DivergedLoss)
 
     def test_validation(self):
         with pytest.raises(InvalidSpec):

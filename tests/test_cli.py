@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from fusecast import cli
+from fusecast.errors import (DimensionMismatch, DivergedLoss, FusecastError, MalformedAttention,
+                             ObjectiveFailure, SingularKernel)
 from fusecast.nn import ModelConfig, init_params, load_checkpoint, save_checkpoint
 from fusecast.series import ScalerParams, SynthSpec, TimeSeries, load_csv, save_csv, synthesize
 from fusecast.train import forecast_recursive, persistence_forecast
@@ -160,16 +162,33 @@ class TestTune:
             t2 = (out2 / "tune" / name).read_text()
             assert mask_timing(t1) == mask_timing(t2), name
 
-    def test_failed_trials_reported_on_stderr(self, tmp_path, capsys):
-        # kernels longer than the w=8 window are invalid cells
-        cfg = write_config(tmp_path, **{"tune.space.kernel_size": [2, 12]})
+    def test_failed_trials_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
+        # cells with an odd kernel size diverge; the design draws kernel
+        # sizes 3, 5 and 4, so two trials fail and one succeeds
+        def flaky_train(mconfig, tconfig, data):
+            if mconfig.kernel_size % 2:
+                raise DivergedLoss(f"kernel_size {mconfig.kernel_size}")
+            return real_train(mconfig, tconfig, data)
+
+        real_train = cli.train_model
+        monkeypatch.setattr(cli, "train_model", flaky_train)
+        cfg = write_config(tmp_path)
         out = tmp_path / "o"
         assert run("tune", "--config", str(cfg), "--out", str(out)) == 0
         err = capsys.readouterr().err
         with (out / "tune" / "tune_log.csv").open() as fh:
-            too_long = [r["trial"] for r in csv.DictReader(fh) if int(r["kernel_size"]) > 8]
-        assert too_long
-        assert re.findall(r"trial (\d+) failed: InvalidSpec: kernel_size", err) == too_long
+            rows = list(csv.DictReader(fh))
+        odd = [r["trial"] for r in rows if int(r["kernel_size"]) % 2]
+        assert odd and len(odd) < len(rows)
+        assert re.findall(r"trial (\d+) failed: DivergedLoss: kernel_size", err) == odd
+
+    def test_zero_trend_series_tunes_on_rmse(self, tmp_path):
+        # MSLE is undefined on this series, but the objective is the RMSE
+        cfg = write_config(tmp_path, **{"data.synth.trend_slope": 0.0})
+        out = tmp_path / "o"
+        assert run("tune", "--config", str(cfg), "--out", str(out)) == 0
+        with (out / "tune" / "tune_log.csv").open() as fh:
+            assert all(np.isfinite(float(r["rmse"])) for r in csv.DictReader(fh))
 
 
 class TestForecast:
@@ -357,6 +376,43 @@ class TestExitCodes:
         assert re.findall(r"trial (\d) failed: DivergedLoss", err) == ["0", "1", "2"]
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("key,bound", [
+        ("tune.space.kernel_size", [2, 12]), ("tune.space.heads", [0, 3]),
+        ("tune.space.cnn_layers", [-1, 2])])
+    def test_tune_space_outside_model(self, tmp_path, capsys, key, bound):
+        # w=8: checked before any trial, so no tune_log.csv is written
+        cfg = write_config(tmp_path, **{key: bound})
+        out = tmp_path / "o"
+        assert run("tune", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + key) and "trial" not in err
+        assert not (out / "tune" / "tune_log.csv").exists()
+
+    @pytest.mark.parametrize("error,code,prefix", [
+        (DimensionMismatch("points of shape (2,) vs (3,)"), 2, "config error"),
+        (MalformedAttention("negative attention weights"), 3, "data error"),
+        (SingularKernel("kernel matrix singular"), 4, "numeric failure")])
+    def test_error_base_class_sets_exit_code(self, tmp_path, capsys, monkeypatch,
+                                             error, code, prefix):
+        def failing(cfg, make_svg=False):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_synth", failing)
+        assert run("synth", "--config", str(write_config(tmp_path))) == code
+        assert capsys.readouterr().err == f"{prefix}: {error}\n"
+
+    def test_every_error_class_has_an_exit_code(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        classes = set(subclasses(FusecastError))
+        assert {DimensionMismatch, MalformedAttention, ObjectiveFailure} <= classes
+        labels = {2: "config error", 3: "data error", 4: "numeric failure"}
+        for cls in classes:
+            assert labels[cls.exit_code] == cls.label, cls.__name__
 
     def test_undefined_metric_keeps_checkpoint(self, tmp_path):
         # a zero-mean series leaves MSLE undefined after training

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,12 +8,14 @@ from hypothesis import strategies as st
 from fusecast.errors import BadCheckpoint, LengthMismatch, ShapeMismatch
 from fusecast.nn import (
     ModelConfig,
+    ModelParams,
     _backward_batch,
     _forward_batch,
     init_params,
     load_checkpoint,
     relu,
     save_checkpoint,
+    tensor_views,
 )
 from fusecast.series import ScalerParams
 
@@ -130,6 +134,27 @@ class TestInitParams:
         assert entries.size >= 10_000
         target = np.sqrt(2.0 / (64 * 4))
         assert abs(entries.std() - target) / target < 0.20
+
+    def test_draw_order(self):
+        # kernels layer by layer, then wq, wk, wv, wo and w_out
+        cfg = ModelConfig(w=9, cnn_layers=3, filters=5, kernel_size=3, heads=2, head_dim=3, seed=4)
+        rng = np.random.default_rng(cfg.seed)
+        expected, c_in = {}, 1
+        for i in range(cfg.cnn_layers):
+            limit = np.sqrt(6.0 / (c_in * cfg.kernel_size))
+            expected[f"conv{i}.kernel"] = rng.uniform(-limit, limit, size=(5, c_in, 3))
+            expected[f"conv{i}.bias"] = np.zeros(5)
+            c_in = 5
+        for name, shape, fans in (("attn.wq", (2, 5, 3), 8), ("attn.wk", (2, 5, 3), 8),
+                                  ("attn.wv", (2, 5, 3), 8), ("attn.wo", (6, 6), 12),
+                                  ("head.w_out", (11,), 12)):
+            limit = np.sqrt(6.0 / fans)
+            expected[name] = rng.uniform(-limit, limit, size=shape)
+        expected["head.b_out"] = np.zeros(())
+        tensors = init_params(cfg).tensors()
+        assert list(tensors) == list(expected)
+        for name, t in tensors.items():
+            np.testing.assert_array_equal(t, expected[name], err_msg=name)
 
     def test_biases_zero(self, tiny_params):
         assert not tiny_params.conv_biases[0].any()
@@ -301,13 +326,12 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self, tiny_params, rng):
         _, cache = _forward_batch(tiny_params, rng.normal(size=(1, 8)))
         grads = _backward_batch(tiny_params, cache, np.zeros(1))
-        for t in grads.values():
-            assert not np.asarray(t).any()
+        assert grads.shape == tiny_params.flat.shape and not grads.any()
 
     def test_b_out_gradient_is_upstream(self, tiny_params, rng):
         _, cache = _forward_batch(tiny_params, rng.normal(size=(1, 8)))
         grads = _backward_batch(tiny_params, cache, np.array([-1.75]))
-        assert float(grads["head.b_out"]) == -1.75
+        assert float(tensor_views(tiny_params.config, grads)["head.b_out"]) == -1.75
 
 
 def assert_matches_finite_differences(params, xb, y, label=None):
@@ -315,7 +339,7 @@ def assert_matches_finite_differences(params, xb, y, label=None):
     against a central difference with step 1e-4: relative error below 1e-4,
     relative to at least 1e-7."""
     yhat, cache = _forward_batch(params, xb)
-    grads = _backward_batch(params, cache, 2.0 * (yhat - y))
+    grads = tensor_views(params.config, _backward_batch(params, cache, 2.0 * (yhat - y)))
     tensors = params.tensors()
     eps = 1e-4
 
@@ -452,6 +476,36 @@ class TestSampledCells:
             np.testing.assert_array_equal(a1[:, : t + 1], a2[:, : t + 1])
 
 
+class TestFlatLayout:
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(**TINY_CONFIG, seed=7),
+        ModelConfig(w=15, cnn_layers=3, filters=40, kernel_size=4, heads=3, seed=5)])
+    def test_views_tile_flat_in_checkpoint_order(self, cfg, tmp_path):
+        params = init_params(cfg)
+        tensors = params.tensors()
+        names = [f"conv{i}.{part}" for i in range(cfg.cnn_layers) for part in ("kernel", "bias")]
+        names += ["attn.wq", "attn.wk", "attn.wv", "attn.wo", "head.w_out", "head.b_out"]
+        assert list(tensors) == names
+        save_checkpoint(tmp_path / "c.json", params, ScalerParams(mean=0.0, std=1.0))
+        assert list(json.loads((tmp_path / "c.json").read_text())["tensors"]) == names
+        assert sum(t.size for t in tensors.values()) == params.flat.size
+        for t in tensors.values():
+            assert np.shares_memory(t, params.flat)
+        np.testing.assert_array_equal(np.concatenate([t.ravel() for t in tensors.values()]),
+                                      params.flat)
+        for i in range(cfg.cnn_layers):
+            assert params.conv_kernels[i] is tensors[f"conv{i}.kernel"]
+            assert params.conv_biases[i] is tensors[f"conv{i}.bias"]
+        for attr in ("wq", "wk", "wv", "wo"):
+            assert getattr(params, attr) is tensors[f"attn.{attr}"]
+        assert params.w_out is tensors["head.w_out"] and params.b_out is tensors["head.b_out"]
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_size_rejected(self, tiny_params, extra):
+        with pytest.raises(ShapeMismatch):
+            ModelParams(tiny_params.config, np.zeros(tiny_params.flat.size + extra))
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tiny_params, tmp_path, rng):
         scaler = ScalerParams(mean=12.5, std=3.25)
@@ -470,6 +524,22 @@ class TestCheckpoint:
         with pytest.raises(BadCheckpoint):
             load_checkpoint(path)
         path.write_text('{"format": "something-else"}')
+        with pytest.raises(BadCheckpoint):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", ["missing", "wrong-shape", "extra"])
+    def test_tensor_set_and_shapes_checked(self, tiny_params, tmp_path, edit):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, tiny_params, ScalerParams(mean=0.0, std=1.0))
+        doc = json.loads(path.read_text())
+        if edit == "missing":
+            del doc["tensors"]["attn.wo"]
+        elif edit == "wrong-shape":
+            kernel = doc["tensors"]["conv1.kernel"]
+            kernel["shape"] = kernel["shape"][::-1]   # (2, 4, 4): same size, other layout
+        else:
+            doc["tensors"]["attn.extra"] = {"shape": [1], "data": [0.0]}
+        path.write_text(json.dumps(doc))
         with pytest.raises(BadCheckpoint):
             load_checkpoint(path)
 

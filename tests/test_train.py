@@ -15,7 +15,7 @@ from fusecast.errors import (
     TooFewSamples,
     ZeroVarianceShapeStats,
 )
-from fusecast.nn import ModelConfig, _forward_batch
+from fusecast.nn import ModelConfig, _forward_batch, init_params, tensor_views
 from fusecast.series import (ScalerParams, SynthSpec, WindowedDataset, fit_scaler, make_windows,
                              scale_values, split, synthesize)
 from fusecast.train import (
@@ -66,35 +66,68 @@ class TestMseLoss:
             mse_loss(np.zeros(0), np.zeros(0))
 
 
+def textbook_adam(tensors: dict, grads: dict, m: dict, v: dict, t: int,
+                  config: TrainConfig) -> tuple[dict, dict, dict]:
+    """Reference: the bias-corrected adaptive-moment update written per
+    tensor, with new dicts for the parameters and both moments."""
+    new_tensors, new_m, new_v = {}, {}, {}
+    for name, theta in tensors.items():
+        g = grads[name]
+        new_m[name] = config.beta1 * m[name] + (1 - config.beta1) * g
+        new_v[name] = config.beta2 * v[name] + (1 - config.beta2) * g * g
+        m_hat = new_m[name] / (1 - config.beta1 ** t)
+        v_hat = new_v[name] / (1 - config.beta2 ** t)
+        new_tensors[name] = theta - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+    return new_tensors, new_m, new_v
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self, tiny_params):
         state = init_opt_state(tiny_params)
-        zero = {name: np.zeros_like(t) for name, t in tiny_params.tensors().items()}
-        new_params, new_state = adam_step(tiny_params, zero, state, TrainConfig())
-        for name, t in tiny_params.tensors().items():
-            np.testing.assert_array_equal(t, new_params.tensors()[name])
-        assert new_state.step == 1
+        new_params = adam_step(tiny_params, np.zeros_like(tiny_params.flat), state, TrainConfig())
+        np.testing.assert_array_equal(new_params.flat, tiny_params.flat)
+        assert state.step == 1
 
     def test_first_step_is_signed_lr(self, tiny_params, rng):
         # closed form: first update = -lr * g / (|g| + eps) ~ -lr * sign(g)
         cfg = TrainConfig(learning_rate=1e-3)
-        grads = {name: rng.normal(size=t.shape) + np.sign(rng.normal(size=t.shape))
-                 for name, t in tiny_params.tensors().items()}
-        new_params, _ = adam_step(tiny_params, grads, init_opt_state(tiny_params), cfg)
-        for name, t in tiny_params.tensors().items():
-            g = np.atleast_1d(grads[name])
-            big = np.abs(g) > 1e-3
-            delta = np.atleast_1d(new_params.tensors()[name] - t)
-            expected = -cfg.learning_rate * np.sign(g)
-            np.testing.assert_allclose(delta[big], expected[big], rtol=1e-2)
+        n = tiny_params.flat.size
+        grads = rng.normal(size=n) + np.sign(rng.normal(size=n))
+        new_params = adam_step(tiny_params, grads, init_opt_state(tiny_params), cfg)
+        big = np.abs(grads) > 1e-3
+        delta = new_params.flat - tiny_params.flat
+        np.testing.assert_allclose(delta[big], -cfg.learning_rate * np.sign(grads[big]), rtol=1e-2)
 
     def test_deterministic(self, tiny_params, rng):
         cfg = TrainConfig()
-        grads = {name: rng.normal(size=t.shape) for name, t in tiny_params.tensors().items()}
+        grads = rng.normal(size=tiny_params.flat.size)
         out1 = adam_step(tiny_params, grads, init_opt_state(tiny_params), cfg)
         out2 = adam_step(tiny_params, grads, init_opt_state(tiny_params), cfg)
-        for name in tiny_params.tensors():
-            np.testing.assert_array_equal(out1[0].tensors()[name], out2[0].tensors()[name])
+        np.testing.assert_array_equal(out1.flat, out2.flat)
+
+    @pytest.mark.parametrize("config", [
+        ModelConfig(**TINY_CONFIG, seed=7),
+        ModelConfig(w=15, cnn_layers=3, filters=40, kernel_size=4, heads=3, seed=5)])
+    def test_flat_step_equals_textbook_bitwise(self, config, rng):
+        params = first = init_params(config)
+        before = first.flat.copy()
+        cfg = TrainConfig(learning_rate=3e-3)
+        state = init_opt_state(params)
+        tensors = params.tensors()
+        m = {name: np.zeros_like(t) for name, t in tensors.items()}
+        v = {name: np.zeros_like(t) for name, t in tensors.items()}
+        for t in range(1, 4):
+            grads = rng.normal(size=params.flat.size) * 10.0 ** rng.integers(-6, 2)
+            new_params = adam_step(params, grads, state, cfg)
+            tensors, m, v = textbook_adam(tensors, tensor_views(config, grads), m, v, t, cfg)
+            flat_m, flat_v = tensor_views(config, state.m), tensor_views(config, state.v)
+            for name, theta in new_params.tensors().items():
+                np.testing.assert_array_equal(theta, tensors[name], err_msg=name)
+                np.testing.assert_array_equal(flat_m[name], m[name], err_msg=name)
+                np.testing.assert_array_equal(flat_v[name], v[name], err_msg=name)
+            assert state.step == t
+            params = new_params
+        np.testing.assert_array_equal(first.flat, before)
 
 
 class TestTrain:
