@@ -25,12 +25,10 @@ import numpy as np
 from . import bayesopt, nn, series, svg
 from .explain import ExplainConfig, explain as explain_window, sample_background
 from .train import (
-    MetricsReport,
     TrainConfig,
     forecast_recursive,
     horizon_eval,
     metric_values,
-    metrics as compute_metrics,
     predict_batch,
     run_stats,
     train as train_model,
@@ -394,7 +392,8 @@ def cmd_explain(cfg: dict, checkpoint: str, window_index: int,
         (out / "influence.svg").write_text(svg.influence_panels(
             x, result.a, result.s, result.c, result.c_smooth, mask))
     print(f"coalitions={result.coalitions} "
-          f"model_rows={result.coalitions * len(background)}", file=sys.stderr)
+          f"model_rows={result.coalitions * len(background)} "
+          f"conv_windows={result.conv_windows} se_max={np.max(result.se):.3g}", file=sys.stderr)
     print(f"prediction={result.prediction:.6g} "
           f"recency_concentration={result.recency_concentration:.2%}")
     print(f"wrote {out / 'influence.csv'}")
@@ -410,7 +409,8 @@ def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
         raise ConfigError("bench.runs must be >= 4")
     ts, train_ts, scaler, train_windows, test_windows = _prepared_data(cfg)
 
-    per_run: list[MetricsReport] = []
+    per_run: list[dict] = []
+    reasons: dict[str, str] = {}
     first_params = None
     fit_seconds = 0.0
     for r in range(runs):
@@ -419,18 +419,21 @@ def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
         t0 = time.perf_counter()
         params, _ = train_model(mconfig, tconfig, train_windows)
         fit_seconds += time.perf_counter() - t0
-        per_run.append(compute_metrics(*_one_step(params, scaler, test_windows)))
+        values, undefined = metric_values(*_one_step(params, scaler, test_windows))
+        per_run.append(values)
+        reasons.update(undefined)
         if first_params is None:
             first_params = params
 
-    _write_csv(out / "runs.csv", ["run", "rmse", "mae", "mape", "msle"],
-               [[r, _fmt(m.rmse), _fmt(m.mae), _fmt(m.mape), _fmt(m.msle)]
+    names = ("rmse", "mae", "mape", "msle")
+    # an undefined MAPE or MSLE is null in the runs, and so are its stats
+    _write_csv(out / "runs.csv", ["run", *names],
+               [[r, *("null" if m[n] is None else _fmt(m[n]) for n in names)]
                 for r, m in enumerate(per_run)])
-
     stats_doc = {}
-    for name in ("rmse", "mae", "mape", "msle"):
-        vals = np.array([getattr(m, name) for m in per_run])
-        stats_doc[name] = vars(run_stats(vals))
+    for name in names:
+        vals = [m[name] for m in per_run]
+        stats_doc[name] = None if None in vals else vars(run_stats(np.array(vals)))
 
     t0 = time.perf_counter()
     horizon_doc = {}
@@ -448,10 +451,12 @@ def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
         "wall_seconds": {"fit_total": fit_seconds, "predict_total": predict_seconds},
     })
     if make_svg:
-        for name in ("rmse", "mae", "mape", "msle"):
-            vals = [getattr(m, name) for m in per_run]
-            (out / f"box_{name}.svg").write_text(
-                svg.box_plot({name: vals}, title=f"{name} over {runs} runs"))
+        for name in names:
+            if stats_doc[name] is not None:
+                (out / f"box_{name}.svg").write_text(svg.box_plot(
+                    {name: [m[name] for m in per_run]}, title=f"{name} over {runs} runs"))
+    for reason in reasons.values():
+        print(reason, file=sys.stderr)
     print(f"{runs} runs: median rmse={stats_doc['rmse']['median']:.6g}")
     print(f"wrote {out / 'bench_report.json'}")
     return 0
@@ -537,3 +542,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

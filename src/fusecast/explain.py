@@ -5,12 +5,17 @@ Coalition values treat absent lags as draws from a background set of
 training windows: v(S) is the mean model output over composite windows that
 take the explained window on S and a background window elsewhere.
 
-The model function ``f`` that the Shapley estimators take is batched: it
-maps an (n, w) array of windows to (n,) outputs. Coalitions are evaluated
-together, every new prefix of a sampled permutation (or a chunk of the 2^w
-masks in exact mode) in one ``f`` call over all their composite windows;
-:func:`explain` runs those windows through the model in blocks of
-``PREDICT_BLOCK`` (32) rows.
+The model function ``f`` that the Shapley estimators take maps coalition
+masks to outputs: ``f(present, x, background)``, with ``present`` an (n, w)
+bool array, is the (n, n_bg) model outputs of the composite windows
+``where(present[i], x, background[j])``. Sampled mode draws all its
+permutations first and evaluates every distinct prefix mask together, exact
+mode the 2^w masks, in ``f`` calls of at most ``FILL_ROWS`` composite
+windows each. :func:`explain` passes the model as such a function
+(:class:`_CoalitionModel`), which runs the conv stack and the Q/K/V
+projection once per receptive-field pattern instead of once per composite,
+through the same conv stack, attention body and head as
+:func:`fusecast.nn._forward_batch`.
 """
 
 from __future__ import annotations
@@ -29,12 +34,12 @@ from .errors import (
 )
 from . import nn
 from .nn import ModelParams, _forward_batch
-from .train import PREDICT_BLOCK
 
 EXACT_MAX_WINDOW = 12
 ROW_SUM_TOL = 1e-6
 RECENT_LAGS = 10
-FILL_ROWS = 1 << 16  # composite windows built per f call, at most
+FILL_ROWS = 1 << 16  # composite windows evaluated per f call, at most
+BLOCK_ROWS = 64      # windows per conv table and per attention block, about
 
 
 @dataclass(frozen=True)
@@ -63,11 +68,13 @@ class ExplainConfig:
 class ShapResult:
     """Signed per-lag attributions (model output units) and the background
     base value; base + sum(s) recovers the prediction. ``coalitions`` counts
-    the distinct masks evaluated, each over the whole background."""
+    the distinct masks evaluated, each over the whole background; ``se`` is
+    the per-lag standard error of ``s``."""
 
     s: np.ndarray
     base_value: float
     coalitions: int
+    se: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,9 @@ class InfluenceMap:
 
     Index 0 is the oldest lag (t-w), index w-1 the newest (t-1);
     ``reported_lags`` is the retained index range after dropping the
-    ``edge_drop`` oldest lags; ``coalitions`` is as in :class:`ShapResult`.
+    ``edge_drop`` oldest lags; ``coalitions`` and ``se`` are as in
+    :class:`ShapResult`; ``conv_windows`` counts the windows run through
+    the conv stack to evaluate them.
     """
 
     s: np.ndarray
@@ -88,6 +97,8 @@ class InfluenceMap:
     prediction: float
     recency_concentration: float
     coalitions: int
+    se: np.ndarray
+    conv_windows: int
 
 
 def mean_attention(attention: np.ndarray) -> np.ndarray:
@@ -102,6 +113,91 @@ def mean_attention(attention: np.ndarray) -> np.ndarray:
     if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
         raise MalformedAttention("attention rows must sum to 1")
     return attention.mean(axis=(0, 1))
+
+
+class _CoalitionModel:
+    """The model as a coalition model function: ``model(present, x,
+    background)`` is the (n, n_bg) outputs of the composite windows
+    ``where(present[i], x, background[j])``.
+
+    A composite's conv features at step t depend only on its mask bits
+    t-R+1..t, R = L*(k-1)+1 being the receptive field, and on j; its Q/K/V
+    at t depend only on those features. So when 2^R is below the number of
+    masks n, the conv stack and the Q/K/V GEMM run on 2^R periodic
+    representative masks x the background rows: rep c has lag i present
+    iff bit (i mod R) of c is set, so every R-bit pattern appears exactly
+    once at every step. Each composite gathers its (pattern, j, t) rows
+    from their C-contiguous (rep, j, t)-major table, the pattern index
+    being one integer product ``present @ W.T``. Otherwise the masks are
+    their own representatives and nothing is gathered. Only the logits,
+    softmax, pooled head and time mean run per composite.
+
+    Work runs in blocks over background rows and masks, so memory is set
+    by the blocks, not by n: a table holds max(2^R, ``BLOCK_ROWS``) windows
+    (periodic only when 2^R < n <= ``FILL_ROWS`` / n_bg), every other conv
+    or attention call about ``BLOCK_ROWS``, a window being w rows of
+    d + 3*h*d_k features. ``conv_windows`` counts the windows run through
+    the conv stack.
+    """
+
+    def __init__(self, params: ModelParams):
+        self.params = params
+        cfg = params.config
+        self.field = cfg.cnn_layers * (cfg.kernel_size - 1) + 1
+        self.conv_windows = 0
+
+    def _features(self, windows: np.ndarray) -> np.ndarray:
+        """(B*w, d + 3*h*d_k) table, row (window, t) holding the conv
+        features at t, then Q, K and V."""
+        for _, h in nn._conv_stack(self.params, windows):
+            pass
+        self.conv_windows += len(windows)
+        d, b, w = h.shape
+        qkv = nn._qkv(self.params, h)
+        table = np.empty((b * w, d + len(qkv)))
+        table[:, :d] = h.reshape(d, b * w).T
+        table[:, d:] = qkv.T
+        return table
+
+    def _outputs(self, rows: np.ndarray) -> np.ndarray:
+        """Predictions of the windows whose (..., w, features) table rows
+        are given: the attention body and the head."""
+        cfg = self.params.config
+        rows = rows.reshape(-1, cfg.w, rows.shape[-1])
+        q, k, v = rows[:, :, cfg.d:].reshape(len(rows), cfg.w, 3, cfg.heads, cfg.head_dim
+                                             ).transpose(2, 0, 3, 1, 4)
+        h_att = nn._mha_batch(q, k, v, self.params.wo)[0]
+        return nn._head(self.params, rows[:, :, :cfg.d].swapaxes(1, 2), h_att)[0]
+
+    def __call__(self, present: np.ndarray, x: np.ndarray,
+                 background: np.ndarray) -> np.ndarray:
+        (n, w), n_bg, field = present.shape, len(background), self.field
+        lags = np.arange(w)
+        periodic = (1 << field) < n
+        if periodic:
+            reps = ((np.arange(1 << field)[:, None] >> (lags % field)) & 1).astype(bool)
+            # pattern[i, t]: the rep matching mask i over steps t-R+1..t
+            window = (lags[None, :] <= lags[:, None]) & (lags[None, :] > lags[:, None] - field)
+            pattern = present.astype(np.int64) @ np.where(window, 1 << (lags % field), 0).T
+        else:
+            reps = present
+        out = np.empty((n, n_bg))
+        bg_step = max(1, BLOCK_ROWS // len(reps))
+        for j0 in range(0, n_bg, bg_step):
+            bg = background[j0:j0 + bg_step]
+            nb = len(bg)
+            step = max(1, BLOCK_ROWS // nb)
+            if periodic:
+                table = self._features(np.where(reps[:, None, :], x, bg).reshape(-1, w))
+                offsets = np.arange(nb)[:, None] * w + lags
+            for i0 in range(0, n, step):
+                if periodic:
+                    rows = np.take(table, pattern[i0:i0 + step, None, :] * (nb * w) + offsets, axis=0)
+                else:
+                    composites = np.where(present[i0:i0 + step, None, :], x, bg)
+                    rows = self._features(composites.reshape(-1, w))
+                out[i0:i0 + step, j0:j0 + nb] = self._outputs(rows).reshape(-1, nb)
+        return out
 
 
 class _CoalitionValues:
@@ -120,16 +216,15 @@ class _CoalitionValues:
         self._cache: dict[int, float] = {}
 
     def fill(self, masks) -> None:
-        """Evaluate every mask not yet cached, with one ``f`` call per chunk
-        of at most ``FILL_ROWS`` composite windows (n_masks, n_bg, w)."""
-        new = [m for m in masks if m not in self._cache]
+        """Evaluate every distinct mask not yet cached, with one ``f`` call
+        per chunk of masks covering at most ``FILL_ROWS`` composite windows."""
+        new = [m for m in dict.fromkeys(masks) if m not in self._cache]
         w, n_bg = self.x.shape[0], len(self.background)
         step = max(1, FILL_ROWS // n_bg)
         for lo in range(0, len(new), step):
             chunk = new[lo:lo + step]
             present = np.array([[(m >> i) & 1 for i in range(w)] for m in chunk], dtype=bool)
-            composites = np.where(present[:, None, :], self.x, self.background)
-            values = np.asarray(self.f(composites.reshape(-1, w)), dtype=np.float64)
+            values = np.asarray(self.f(present, self.x, self.background), dtype=np.float64)
             self._cache.update(zip(chunk, values.reshape(len(chunk), n_bg).mean(axis=1).tolist()))
 
     def __call__(self, mask: int) -> float:
@@ -145,7 +240,8 @@ def shap_exact(f, x: np.ndarray, background: np.ndarray) -> ShapResult:
     """Classical Shapley values via the weighted coalition formula.
 
     Enumerates all 2^w coalitions, so the window must not exceed
-    12 lags; additivity base + sum(s) = f(x) holds to rounding.
+    12 lags; additivity base + sum(s) = f(x) holds to rounding. The
+    standard error is zero.
     """
     x = np.asarray(x, dtype=np.float64)
     w = x.shape[0]
@@ -162,17 +258,21 @@ def shap_exact(f, x: np.ndarray, background: np.ndarray) -> ShapResult:
             if mask & (1 << i):
                 continue
             s[i] += weights[size] * (v(mask | (1 << i)) - v(mask))
-    return ShapResult(s=s, base_value=v(0), coalitions=len(v))
+    return ShapResult(s=s, base_value=v(0), coalitions=len(v), se=np.zeros(w))
 
 
 def shap_sampled(f, x: np.ndarray, background: np.ndarray, m: int,
                  seed: int = 0) -> ShapResult:
     """Antithetic permutation-sampling estimate of the Shapley values.
 
-    Every odd draw is the reverse of the previous order. The telescoping sum
-    of marginals makes the estimator additive up to rounding; the residual
-    f(x) - base - sum(s) is redistributed proportionally to |s_i| so the
-    additivity identity is exact for both estimators.
+    Every odd draw is the reverse of the previous order. All m orders are
+    drawn first and their prefix coalitions evaluated in one fill. The
+    telescoping sum of marginals makes the estimator additive up to
+    rounding; the residual f(x) - base - sum(s) is redistributed
+    proportionally to |s_i| so the additivity identity is exact for both
+    estimators. The standard error is that of the mean over the m // 2
+    antithetic pairs (Castro et al. 2009), before the redistribution; it
+    is NaN below two pairs.
     """
     x = np.asarray(x, dtype=np.float64)
     w = x.shape[0]
@@ -180,18 +280,17 @@ def shap_sampled(f, x: np.ndarray, background: np.ndarray, m: int,
         raise InvalidSpec("need at least one permutation")
     v = _CoalitionValues(f, x, background)
     rng = np.random.default_rng(seed)
-    contrib = np.zeros(w)
-    order = None
+    orders = []
     for j in range(m):
-        order = rng.permutation(w) if j % 2 == 0 else order[::-1]
-        prefixes = list(itertools.accumulate(1 << int(i) for i in order))
-        v.fill([0, *prefixes])
-        v_prev = v(0)
-        for i, mask in zip(order, prefixes):
-            v_next = v(mask)
-            contrib[int(i)] += v_next - v_prev
-            v_prev = v_next
-    s = contrib / m
+        orders.append(rng.permutation(w) if j % 2 == 0 else orders[-1][::-1])
+    prefixes = [list(itertools.accumulate(1 << int(i) for i in order)) for order in orders]
+    v.fill([0, *itertools.chain.from_iterable(prefixes)])
+    marginals = np.empty((m, w))
+    for row, order, masks in zip(marginals, orders, prefixes):
+        row[order] = np.diff([v(mask) for mask in masks], prepend=v(0))
+    s = marginals.sum(axis=0) / m
+    pairs = marginals[:m - m % 2].reshape(m // 2, 2, w).mean(axis=1)
+    se = pairs.std(axis=0, ddof=1) / math.sqrt(m // 2) if m >= 4 else np.full(w, np.nan)
     base = v(0)
     residual = v((1 << w) - 1) - base - s.sum()
     weight = np.abs(s)
@@ -199,7 +298,7 @@ def shap_sampled(f, x: np.ndarray, background: np.ndarray, m: int,
         s = s + residual * weight / weight.sum()
     else:
         s = s + residual / w
-    return ShapResult(s=s, base_value=base, coalitions=len(v))
+    return ShapResult(s=s, base_value=base, coalitions=len(v), se=se)
 
 
 def combine(s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -245,28 +344,24 @@ def sample_background(train_windows: np.ndarray, size: int, seed: int = 0) -> np
 def explain(params: ModelParams, x: np.ndarray, background: np.ndarray,
             config: ExplainConfig) -> InfluenceMap:
     """Full pipeline for one scaled window: forward pass for the attention
-    tensor, mean attention, Shapley attributions against the background,
-    element-wise combination, and Gaussian smoothing.
+    tensor, mean attention, Shapley attributions against the background
+    (coalitions evaluated by :class:`_CoalitionModel`), element-wise
+    combination, and Gaussian smoothing.
 
     ``recency_concentration`` is the share of total |s| carried by the 10
     most recent lags.
     """
     x = np.asarray(x, dtype=np.float64)
     w = params.config.w
-    # called on the nn module, so this module's `_forward_batch` name runs
-    # coalition composites only
-    yhat, cache = nn._forward_batch(params, x[None])
+    yhat, cache = _forward_batch(params, x[None])
     prediction = float(yhat[0])
     a = mean_attention(cache["att"][0])
 
-    def f(windows: np.ndarray) -> np.ndarray:
-        return np.concatenate([_forward_batch(params, windows[i:i + PREDICT_BLOCK])[0]
-                               for i in range(0, len(windows), PREDICT_BLOCK)])
-
+    model = _CoalitionModel(params)
     if config.shap_mode == "exact":
-        shap = shap_exact(f, x, background)
+        shap = shap_exact(model, x, background)
     else:
-        shap = shap_sampled(f, x, background, config.sample_permutations, seed=config.seed)
+        shap = shap_sampled(model, x, background, config.sample_permutations, seed=config.seed)
 
     c = combine(shap.s, a)
     c_smooth = gaussian_smooth(c, config.smoothing_sigma)
@@ -285,4 +380,6 @@ def explain(params: ModelParams, x: np.ndarray, background: np.ndarray,
         prediction=prediction,
         recency_concentration=concentration,
         coalitions=shap.coalitions,
+        se=shap.se,
+        conv_windows=model.conv_windows,
     )

@@ -7,7 +7,10 @@ There is one model path, batched over windows: :func:`_forward_batch` maps
 intermediate, and :func:`_backward_batch` is analytic reverse-mode
 differentiation of the same equations (softmax Jacobian, causal-convolution
 transpose paths included) from that cache. A single window is a batch of
-one.
+one. The forward is built from four parts, :func:`_conv_stack`,
+:func:`_qkv`, the attention body :func:`_mha_batch` (fed Q/K/V) and
+:func:`_head`, which ``explain``'s coalition model shares: it runs the
+first two on representative windows and the last two on every composite.
 
 All learnable tensors live in one float64 vector, ``ModelParams.flat``,
 laid out by :func:`param_layout` in checkpoint order, with named views
@@ -208,16 +211,34 @@ def _time_mean(w: int) -> np.ndarray:
     return np.full(w, 1.0 / w)
 
 
-def _mha_batch(h_in, wq, wk, wv, wo):
-    """Multi-head self-attention over channel-major (d, B, w) features,
-    reduced to what the pooled head reads (see the module docstring): the
-    time mean of its output, (B, d'). Also returns, for backward, ``att``
-    (B, h, w_q, w_k), q, k, v as (B, h, w, d_k) views, abar (B, h, w_k)
-    and the pooled heads (B, h*d_k)."""
-    d, b, w = h_in.shape
-    h, _, dk = wq.shape
-    qkv = (_qkv_matrix(wq, wk, wv) @ h_in.reshape(d, b * w)).reshape(3, h, dk, b, w)
-    q, k, v = qkv.transpose(0, 3, 1, 4, 2)
+def _conv_stack(params: ModelParams, xb: np.ndarray):
+    """Yield each conv layer's pre-activation and activation maps over
+    windows (B, w), channel-major (f, B, w); the last activation map is the
+    attention input. A caller that keeps only the last holds two layers'
+    maps at a time."""
+    b, w = xb.shape
+    h = xb[None]
+    for kern, bias in zip(params.conv_kernels, params.conv_biases):
+        pre = _conv_matrix(kern) @ _im2col(h, kern.shape[2]) + bias[:, None]
+        pre = pre.reshape(len(kern), b, w)
+        h = relu(pre)
+        yield pre, h
+
+
+def _qkv(params: ModelParams, h: np.ndarray) -> np.ndarray:
+    """Q/K/V of channel-major (d, B, w) features in one GEMM: a
+    (3*h*d_k, B*w) matrix, row blocks ordered Q, K, V, then head."""
+    d, b, w = h.shape
+    return _qkv_matrix(params.wq, params.wk, params.wv) @ h.reshape(d, b * w)
+
+
+def _mha_batch(q, k, v, wo):
+    """Multi-head self-attention fed (B, h, w, d_k) queries, keys and
+    values, reduced to what the pooled head reads (see the module
+    docstring): the time mean of its output, (B, d'). Also returns, for
+    backward, ``att`` (B, h, w_q, w_k), abar (B, h, w_k) and the pooled
+    heads (B, h*d_k)."""
+    b, h, w, dk = q.shape
     e = np.empty((w, b, h, w))                           # e[key, b, head, query]
     np.matmul(k, q.swapaxes(-1, -2), out=e.transpose(1, 2, 0, 3))
     # softmax over keys: max and sum run elementwise over rows of B*h*w_q
@@ -228,7 +249,15 @@ def _mha_batch(h_in, wq, wk, wv, wo):
     att = e.transpose(1, 2, 3, 0)
     abar = att.swapaxes(-1, -2) @ _time_mean(w)
     pooled = (abar[:, :, None, :] @ v).reshape(b, 1, h * dk)
-    return (pooled @ wo)[:, 0], att, q, k, v, abar, pooled[:, 0]
+    return (pooled @ wo)[:, 0], att, abar, pooled[:, 0]
+
+
+def _head(params: ModelParams, h: np.ndarray, h_att: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions (B,) from conv features (B, d, w), read through their
+    time mean, and the pooled attention output (B, d'); also the head
+    input z = [time mean, attention] (B, d + d')."""
+    z = np.concatenate([h @ _time_mean(h.shape[2]), h_att], axis=1)
+    return (z * params.w_out).sum(axis=1) + params.b_out, z
 
 
 def _forward_batch(params: ModelParams, xb: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -245,21 +274,16 @@ def _forward_batch(params: ModelParams, xb: np.ndarray) -> tuple[np.ndarray, dic
         raise ShapeMismatch(f"expected (B, {cfg.w}) windows, got {xb.shape}")
 
     b, w = xb.shape
-    h = xb[None]
-    conv_pre, conv_act = [], []
-    for kern, bias in zip(params.conv_kernels, params.conv_biases):
-        pre = _conv_matrix(kern) @ _im2col(h, kern.shape[2]) + bias[:, None]
-        pre = pre.reshape(len(kern), b, w)
-        h = relu(pre)
-        conv_pre.append(pre.transpose(1, 2, 0))
-        conv_act.append(h.transpose(1, 2, 0))
-
-    h_att, att, q, k, v, abar, pooled = _mha_batch(h, params.wq, params.wk, params.wv, params.wo)
-    z = np.concatenate([h.transpose(1, 0, 2) @ _time_mean(w), h_att], axis=1)
-    yhat = (z * params.w_out).sum(axis=1) + params.b_out
+    maps = list(_conv_stack(params, xb))
+    h = maps[-1][1]
+    qkv = _qkv(params, h).reshape(3, cfg.heads, cfg.head_dim, b, w)
+    q, k, v = qkv.transpose(0, 3, 1, 4, 2)
+    h_att, att, abar, pooled = _mha_batch(q, k, v, params.wo)
+    yhat, z = _head(params, h.transpose(1, 0, 2), h_att)
 
     cache = {
-        "x": xb, "conv_pre": conv_pre, "conv_act": conv_act, "q": q, "k": k, "v": v,
+        "x": xb, "conv_pre": [pre.transpose(1, 2, 0) for pre, _ in maps],
+        "conv_act": [act.transpose(1, 2, 0) for _, act in maps], "q": q, "k": k, "v": v,
         "att": att, "abar": abar, "pooled": pooled, "z": z,
     }
     return yhat, cache

@@ -59,12 +59,13 @@ class OptState:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """The four error measures, raw units; mape is a fraction."""
+    """The four error measures, raw units; mape is a fraction. From
+    :func:`horizon_eval` an undefined MAPE or MSLE is None."""
 
     rmse: float
     mae: float
-    mape: float
-    msle: float
+    mape: float | None
+    msle: float | None
 
 
 @dataclass(frozen=True)
@@ -279,7 +280,8 @@ def horizon_eval(params: ModelParams, scaler: ScalerParams, values: np.ndarray,
     From each of ``n_anchors`` evenly spaced anchor points in the test
     segment, forecast ``horizon`` steps recursively and pool the (truth,
     forecast) pairs; the persistence baseline repeats the last pre-anchor
-    value. Returns (model metrics, persistence metrics) in raw units.
+    value. Returns (model metrics, persistence metrics) in raw units, from
+    :func:`metric_values`, so an undefined MAPE or MSLE is None.
     """
     values = np.asarray(values, dtype=np.float64)
     w = params.config.w
@@ -297,4 +299,5 @@ def horizon_eval(params: ModelParams, scaler: ScalerParams, values: np.ndarray,
     truth = [values[end:end + horizon] for end in ends]
     naive_pred = [persistence_forecast(values[end - 1], horizon) for end in ends]
     y = np.concatenate(truth)
-    return metrics(y, model_pred.ravel()), metrics(y, np.concatenate(naive_pred))
+    return (MetricsReport(**metric_values(y, model_pred.ravel())[0]),
+            MetricsReport(**metric_values(y, np.concatenate(naive_pred))[0]))

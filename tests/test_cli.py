@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -260,6 +263,19 @@ class TestExplain:
         # exact mode at w=8 evaluates all 2^8 masks over 8 background windows
         assert "coalitions=256 model_rows=2048" in captured.err
         assert "coalitions" not in captured.out
+        # one chunk; R = 1*(3-1)+1 = 3, so 2^3 representatives per background row
+        assert "conv_windows=64 se_max=0" in captured.err
+
+    def test_sampled_standard_error_on_stderr(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"train.epochs": 1, "explain.shap_mode": "sampled",
+                                        "explain.sample_permutations": 6})
+        out = tmp_path / "o"
+        assert run("train", "--config", str(cfg), "--out", str(out)) == 0
+        capsys.readouterr()
+        assert run("explain", "--config", str(cfg), "--out", str(out),
+                   "--checkpoint", str(out / "train" / "checkpoint.json")) == 0
+        se_max = re.search(r"se_max=(\S+)", capsys.readouterr().err)
+        assert se_max and float(se_max.group(1)) > 0
 
     def test_window_index_out_of_range(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -316,6 +332,24 @@ class TestBench:
         rep = doc["horizons"]["5"]["persistence"]
         assert abs(rep["rmse"] - rmse) < 1e-9
         assert abs(rep["mae"] - mae) < 1e-9
+
+    def test_undefined_metric_is_null(self, tmp_path, capsys):
+        # a zero-mean series leaves MSLE undefined
+        cfg = write_config(tmp_path, **{"data.synth.trend_slope": 0.0, "train.epochs": 1})
+        out = tmp_path / "o"
+        assert run("bench", "--config", str(cfg), "--out", str(out), "--svg") == 0
+        assert "MSLE undefined" in capsys.readouterr().err
+        with (out / "bench" / "runs.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["msle"] for r in rows] == ["null"] * 4
+        assert all(np.isfinite(float(r["rmse"])) for r in rows)
+        doc = json.loads((out / "bench" / "bench_report.json").read_text())
+        assert doc["run_stats"]["msle"] is None
+        assert doc["run_stats"]["rmse"]["min"] <= doc["run_stats"]["rmse"]["max"]
+        assert doc["horizons"]["5"]["model"]["msle"] is None
+        assert doc["horizons"]["5"]["persistence"]["msle"] is None
+        assert not (out / "bench" / "box_msle.svg").exists()
+        assert (out / "bench" / "box_rmse.svg").exists()
 
     def test_too_few_runs_rejected(self, tmp_path):
         cfg = write_config(tmp_path, **{"bench.runs": 3})
@@ -489,3 +523,15 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         assert run("synth", "--config", str(cfg)) == 0
         assert (tmp_path / "envroot" / "synth" / "series.csv").is_file()
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize("module", ["fusecast", "fusecast.cli"])
+    def test_help_through_python_m(self, module):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: fusecast")

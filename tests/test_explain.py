@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusecast.errors import (
     InvalidSpec,
@@ -13,6 +15,7 @@ from fusecast.errors import (
 )
 from fusecast.explain import (
     ExplainConfig,
+    _CoalitionModel,
     combine,
     explain,
     gaussian_smooth,
@@ -24,12 +27,22 @@ from fusecast.explain import (
 from fusecast.nn import ModelConfig, _forward_batch, init_params
 from fusecast.train import predict_batch
 
-from test_nn import zeroed
+from test_nn import grid_cells, zeroed
+
+
+def composites(f):
+    """Coalition model function from a batched window function (n, w) ->
+    (n,): the (n_masks, n_bg) outputs of the composite windows
+    where(present[i], x, background[j])."""
+    def model(present, x, background):
+        windows = np.where(present[:, None, :], x, background).reshape(-1, len(x))
+        return np.asarray(f(windows)).reshape(len(present), len(background))
+    return model
 
 
 def rowwise(f):
-    """Batched model function (n, w) -> (n,) from a one-window function."""
-    return lambda windows: np.array([f(row) for row in windows])
+    """Coalition model function from a one-window function."""
+    return composites(lambda windows: np.array([f(row) for row in windows]))
 
 
 def shap_permutation_oracle(f, x, background):
@@ -238,21 +251,22 @@ def scalar_shap_sampled(f_row, x, background, m, seed):
 
 
 def default_model(w=15, seed=0):
-    """The default model config; batched and one-row model functions."""
+    """The default model config; coalition and one-row model functions."""
     params = init_params(ModelConfig(w=w, seed=seed))
-    return (params, lambda windows: predict_batch(params, windows),
+    return (params, composites(lambda windows: predict_batch(params, windows)),
             lambda row: float(_forward_batch(params, row[None])[0][0]))
 
 
 class Counted:
-    """Batched model function that records the rows of every call."""
+    """Coalition model function that records the composite windows of
+    every call."""
 
     def __init__(self, f):
         self.f, self.rows = f, []
 
-    def __call__(self, windows):
-        self.rows.append(len(windows))
-        return self.f(windows)
+    def __call__(self, present, x, background):
+        self.rows.append(len(present) * len(background))
+        return self.f(present, x, background)
 
 
 class TestBatchedCoalitions:
@@ -277,14 +291,13 @@ class TestBatchedCoalitions:
         assert result.coalitions == 1 << 8
         assert sum(counted.rows) == len(background) * result.coalitions
 
-    def test_one_call_per_permutation(self, rng):
+    def test_all_permutations_in_one_call(self, rng):
         _, f, _ = default_model()
         x = rng.normal(size=15)
         background = rng.normal(size=(6, 15))
         counted = Counted(f)
         result = shap_sampled(counted, x, background, m=20, seed=1)
-        assert len(counted.rows) <= 20
-        assert sum(counted.rows) == len(background) * result.coalitions
+        assert counted.rows == [len(background) * result.coalitions]
         # each new prefix of a permutation is a distinct mask; 0 and the full
         # mask are shared by all
         assert 16 <= result.coalitions <= 20 * 14 + 2
@@ -314,6 +327,135 @@ class TestBatchedCoalitions:
         assert abs(result.base_value - base_ref) <= 1e-12
         assert abs(result.base_value + result.s.sum() - result.prediction) < 1e-9
         assert result.coalitions >= 16
+
+
+def plain_outputs(params, present, x, background):
+    """(n, n_bg) outputs of the composite windows by plain forward calls."""
+    return composites(lambda windows: predict_batch(params, windows))(present, x, background)
+
+
+def receptive_field(config):
+    return config.cnn_layers * (config.kernel_size - 1) + 1
+
+
+def assert_memo_matches_plain(params, present, x, background):
+    """Outputs and coalition values of the coalition model within 1e-13 of
+    plain forward calls; the conv stack runs on min(2^R, n) windows per
+    background row."""
+    model = _CoalitionModel(params)
+    got = model(present, x, background)
+    expect = plain_outputs(params, present, x, background)
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(got.mean(axis=1), expect.mean(axis=1), rtol=0, atol=1e-13)
+    field = receptive_field(params.config)
+    assert model.conv_windows == min(1 << field, len(present)) * len(background)
+
+
+@st.composite
+def coalition_cells(draw):
+    """A small model config with a mask count and a background size."""
+    cfg, _ = draw(grid_cells())
+    return cfg, draw(st.integers(1, 40)), draw(st.integers(1, 3))
+
+
+class TestMemoizedCoalitions:
+    """The coalition model that ``explain`` uses, against plain forward calls
+    over the composite windows."""
+
+    @pytest.mark.parametrize("config,n_masks,n_bg", [
+        (dict(w=15), 300, 7),                                                    # R=5 < w
+        (dict(w=15, cnn_layers=3, filters=40, kernel_size=4, heads=3), 1100, 2),  # 2^10 < n
+        (dict(w=15, cnn_layers=3, filters=40, kernel_size=4, heads=3), 200, 2),   # 2^10 >= n
+        (dict(w=8, cnn_layers=4, kernel_size=3), 256, 5),                        # R=9 >= w
+    ])
+    def test_matches_plain_forward(self, config, n_masks, n_bg, rng):
+        params = init_params(ModelConfig(**config, seed=4))
+        w = config["w"]
+        present = rng.random((n_masks, w)) < 0.5
+        assert_memo_matches_plain(params, present, rng.normal(size=w), rng.normal(size=(n_bg, w)))
+
+    def test_exact_mode(self, rng):
+        params = init_params(ModelConfig(w=8, seed=6))
+        x, background = rng.normal(size=8), rng.normal(size=(5, 8))
+        every_mask = (np.arange(256)[:, None] >> np.arange(8)) & 1 == 1
+        assert_memo_matches_plain(params, every_mask, x, background)
+        memo = shap_exact(_CoalitionModel(params), x, background)
+        plain = shap_exact(lambda *args: plain_outputs(params, *args), x, background)
+        np.testing.assert_allclose(memo.s, plain.s, rtol=0, atol=1e-13)
+        assert abs(memo.base_value - plain.base_value) <= 1e-13
+
+    @given(coalition_cells())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_sampled_cells(self, cell):
+        cfg, n_masks, n_bg = cell
+        params = init_params(ModelConfig(**cfg))
+        rng = np.random.default_rng(cfg["seed"])
+        present = rng.random((n_masks, cfg["w"])) < 0.5
+        assert_memo_matches_plain(params, present, rng.normal(size=cfg["w"]),
+                                  rng.normal(size=(n_bg, cfg["w"])))
+
+    def test_conv_windows_bounded_per_chunk(self, rng, monkeypatch):
+        # the package attribute `explain` is the function, so take the module
+        monkeypatch.setattr(sys.modules["fusecast.explain"], "FILL_ROWS", 16 * 100)
+        params = init_params(ModelConfig(w=15, seed=2))
+        x, background = rng.normal(size=15), rng.normal(size=(16, 15))
+        model = _CoalitionModel(params)
+        counted = Counted(model)
+        shap_sampled(counted, x, background, m=40, seed=3)
+        assert len(counted.rows) > 1
+        assert model.conv_windows <= len(counted.rows) * 2 ** 5 * 16
+
+    def test_explain_reports_conv_windows(self, rng):
+        params = init_params(ModelConfig(w=15, seed=2))
+        x, background = rng.normal(size=15), rng.normal(size=(16, 15))
+        result = explain(params, x, background,
+                         ExplainConfig(background_size=16, sample_permutations=40, seed=3))
+        # one chunk of more than 2^5 masks: the 32 representatives per row
+        assert result.coalitions > 32
+        assert result.conv_windows == 32 * 16
+
+
+def scalar_standard_error(f_row, x, background, m, seed):
+    """Per-lag standard error of the mean over antithetic pairs of
+    permutation marginals, same RNG stream as shap_sampled, one model call
+    per background row."""
+    w = len(x)
+    rng = np.random.default_rng(seed)
+    marginals = np.zeros((m, w))
+    order = None
+    for j in range(m):
+        order = rng.permutation(w) if j % 2 == 0 else order[::-1]
+        mask, prev = 0, scalar_value(f_row, x, background, 0)
+        for i in order:
+            mask |= 1 << int(i)
+            cur = scalar_value(f_row, x, background, mask)
+            marginals[j, i] = cur - prev
+            prev = cur
+    pairs = [(marginals[2 * p] + marginals[2 * p + 1]) / 2 for p in range(m // 2)]
+    return np.std(pairs, axis=0, ddof=1) / math.sqrt(m // 2)
+
+
+class TestStandardError:
+    @pytest.mark.parametrize("m", [4, 11])
+    def test_matches_pair_oracle(self, m, rng):
+        _, f = small_model(5, seed=2)
+        x, background = rng.normal(size=5), rng.normal(size=(3, 5))
+        result = shap_sampled(rowwise(f), x, background, m=m, seed=5)
+        np.testing.assert_allclose(result.se, scalar_standard_error(f, x, background, m, 5),
+                                   rtol=1e-9, atol=1e-15)
+        assert np.any(result.se > 0)
+
+    def test_linear_game_has_no_spread(self, rng):
+        weights = rng.normal(size=5)
+        result = shap_sampled(rowwise(lambda v: float(weights @ v)), rng.normal(size=5),
+                              rng.normal(size=(3, 5)), m=8, seed=1)
+        np.testing.assert_allclose(result.se, 0.0, atol=1e-12)
+
+    def test_undefined_below_two_pairs_and_zero_when_exact(self, rng):
+        _, f = small_model(4, seed=1)
+        x, background = rng.normal(size=4), rng.normal(size=(2, 4))
+        assert np.all(np.isnan(shap_sampled(rowwise(f), x, background, m=3, seed=0).se))
+        np.testing.assert_array_equal(shap_exact(rowwise(f), x, background).se, 0.0)
 
 
 class TestCombine:
