@@ -393,7 +393,8 @@ def cmd_explain(cfg: dict, checkpoint: str, window_index: int,
             x, result.a, result.s, result.c, result.c_smooth, mask))
     print(f"coalitions={result.coalitions} "
           f"model_rows={result.coalitions * len(background)} "
-          f"conv_windows={result.conv_windows} se_max={np.max(result.se):.3g}", file=sys.stderr)
+          f"conv_windows={result.conv_windows} se_max={np.max(result.se):.3g} "
+          f"workers={result.workers}", file=sys.stderr)
     print(f"prediction={result.prediction:.6g} "
           f"recency_concentration={result.recency_concentration:.2%}")
     print(f"wrote {out / 'influence.csv'}")

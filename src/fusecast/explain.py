@@ -16,12 +16,21 @@ windows each. :func:`explain` passes the model as such a function
 projection once per receptive-field pattern instead of once per composite,
 through the same conv stack, attention body and head as
 :func:`fusecast.nn._forward_batch`.
+
+Within one :func:`explain` call the coalition model spreads each call's
+background blocks over every CPU the process may use: the calling process
+evaluates one contiguous group of blocks, and workers forked from it (the
+``fork`` start method only, once per :func:`explain`) evaluate the others.
+The outputs are bitwise the same for any CPU count.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +94,8 @@ class InfluenceMap:
     ``reported_lags`` is the retained index range after dropping the
     ``edge_drop`` oldest lags; ``coalitions`` and ``se`` are as in
     :class:`ShapResult`; ``conv_windows`` counts the windows run through
-    the conv stack to evaluate them.
+    the conv stack to evaluate them, and ``workers`` the processes that
+    evaluated them (1 when in-process).
     """
 
     s: np.ndarray
@@ -99,6 +109,7 @@ class InfluenceMap:
     coalitions: int
     se: np.ndarray
     conv_windows: int
+    workers: int
 
 
 def mean_attention(attention: np.ndarray) -> np.ndarray:
@@ -115,6 +126,18 @@ def mean_attention(attention: np.ndarray) -> np.ndarray:
     return attention.mean(axis=(0, 1))
 
 
+_inherited = None  # a forked worker's copy of the parent's coalition model
+
+
+def _adopt(model: _CoalitionModel) -> None:
+    global _inherited
+    _inherited = model
+
+
+def _evaluate_inherited(*task):
+    return _inherited._evaluate(*task)
+
+
 class _CoalitionModel:
     """The model as a coalition model function: ``model(present, x,
     background)`` is the (n, n_bg) outputs of the composite windows
@@ -123,21 +146,32 @@ class _CoalitionModel:
     A composite's conv features at step t depend only on its mask bits
     t-R+1..t, R = L*(k-1)+1 being the receptive field, and on j; its Q/K/V
     at t depend only on those features. So when 2^R is below the number of
-    masks n, the conv stack and the Q/K/V GEMM run on 2^R periodic
+    masks n and at most max(``FILL_ROWS // BLOCK_ROWS``, ``BLOCK_ROWS``) =
+    1024, the conv stack and the Q/K/V GEMM run on 2^R periodic
     representative masks x the background rows: rep c has lag i present
     iff bit (i mod R) of c is set, so every R-bit pattern appears exactly
     once at every step. Each composite gathers its (pattern, j, t) rows
-    from their C-contiguous (rep, j, t)-major table, the pattern index
-    being one integer product ``present @ W.T``. Otherwise the masks are
-    their own representatives and nothing is gathered. Only the logits,
-    softmax, pooled head and time mean run per composite.
+    from their C-contiguous (rep, j, t)-major table, the pattern index being
+    one integer product ``present @ W.T``. Otherwise the masks are their
+    own representatives and nothing is gathered. Only the logits, softmax,
+    pooled head and time mean run per composite.
 
     Work runs in blocks over background rows and masks, so memory is set
-    by the blocks, not by n: a table holds max(2^R, ``BLOCK_ROWS``) windows
-    (periodic only when 2^R < n <= ``FILL_ROWS`` / n_bg), every other conv
-    or attention call about ``BLOCK_ROWS``, a window being w rows of
-    d + 3*h*d_k features. ``conv_windows`` counts the windows run through
-    the conv stack.
+    by the blocks, not by n: a table holds max(2^R, ``BLOCK_ROWS``) <= 1024
+    windows, every other conv or attention call about ``BLOCK_ROWS``, a
+    window being w rows of d + 3*h*d_k features.
+
+    Inside a ``with`` block a call splits its background blocks into one
+    contiguous group per CPU this process may use. The calling process
+    evaluates the first group; workers forked on the first call with more
+    than one group evaluate the others, and leave when the block exits.
+    Workers inherit the model through the fork, so only masks, pattern
+    indices, ``x`` and background rows travel to them. Every block runs the
+    same code on the same shapes wherever it runs, so the outputs are
+    bitwise independent of the CPU count. Outside a ``with`` block, on one
+    CPU or without ``fork``, every group runs in-process. ``conv_windows``
+    counts the windows run through the conv stack, and ``workers`` the most
+    processes one call was split over.
     """
 
     def __init__(self, params: ModelParams):
@@ -145,13 +179,27 @@ class _CoalitionModel:
         cfg = params.config
         self.field = cfg.cnn_layers * (cfg.kernel_size - 1) + 1
         self.conv_windows = 0
+        self.workers = 1
+        self._cpus = 1
+        self._pool = None
+
+    def __enter__(self) -> _CoalitionModel:
+        if "fork" in multiprocessing.get_all_start_methods():
+            self._cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                          else os.cpu_count() or 1)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+            self._pool = None
+        self._cpus = 1
 
     def _features(self, windows: np.ndarray) -> np.ndarray:
         """(B*w, d + 3*h*d_k) table, row (window, t) holding the conv
         features at t, then Q, K and V."""
         for _, h in nn._conv_stack(self.params, windows):
             pass
-        self.conv_windows += len(windows)
         d, b, w = h.shape
         qkv = nn._qkv(self.params, h)
         table = np.empty((b * w, d + len(qkv)))
@@ -169,35 +217,62 @@ class _CoalitionModel:
         h_att = nn._mha_batch(q, k, v, self.params.wo)[0]
         return nn._head(self.params, rows[:, :, :cfg.d].swapaxes(1, 2), h_att)[0]
 
-    def __call__(self, present: np.ndarray, x: np.ndarray,
-                 background: np.ndarray) -> np.ndarray:
-        (n, w), n_bg, field = present.shape, len(background), self.field
+    def _evaluate(self, present: np.ndarray, pattern: np.ndarray | None, x: np.ndarray,
+                  background: np.ndarray, bg_step: int) -> tuple[np.ndarray, int]:
+        """(n, len(background)) outputs over blocks of ``bg_step`` background
+        rows, periodic when ``pattern`` is given, and the windows run
+        through the conv stack."""
+        (n, w), field = present.shape, self.field
         lags = np.arange(w)
-        periodic = (1 << field) < n
-        if periodic:
-            reps = ((np.arange(1 << field)[:, None] >> (lags % field)) & 1).astype(bool)
-            # pattern[i, t]: the rep matching mask i over steps t-R+1..t
-            window = (lags[None, :] <= lags[:, None]) & (lags[None, :] > lags[:, None] - field)
-            pattern = present.astype(np.int64) @ np.where(window, 1 << (lags % field), 0).T
-        else:
+        if pattern is None:
             reps = present
-        out = np.empty((n, n_bg))
-        bg_step = max(1, BLOCK_ROWS // len(reps))
-        for j0 in range(0, n_bg, bg_step):
+        else:
+            reps = ((np.arange(1 << field)[:, None] >> (lags % field)) & 1).astype(bool)
+        out = np.empty((n, len(background)))
+        conv_windows = 0
+        for j0 in range(0, len(background), bg_step):
             bg = background[j0:j0 + bg_step]
             nb = len(bg)
             step = max(1, BLOCK_ROWS // nb)
-            if periodic:
+            if pattern is not None:
                 table = self._features(np.where(reps[:, None, :], x, bg).reshape(-1, w))
+                conv_windows += len(reps) * nb
                 offsets = np.arange(nb)[:, None] * w + lags
             for i0 in range(0, n, step):
-                if periodic:
+                if pattern is not None:
                     rows = np.take(table, pattern[i0:i0 + step, None, :] * (nb * w) + offsets, axis=0)
                 else:
                     composites = np.where(present[i0:i0 + step, None, :], x, bg)
                     rows = self._features(composites.reshape(-1, w))
+                    conv_windows += len(composites) * nb
                 out[i0:i0 + step, j0:j0 + nb] = self._outputs(rows).reshape(-1, nb)
-        return out
+        return out, conv_windows
+
+    def __call__(self, present: np.ndarray, x: np.ndarray,
+                 background: np.ndarray) -> np.ndarray:
+        (n, w), n_bg, field = present.shape, len(background), self.field
+        periodic = (1 << field) < n and (1 << field) <= max(FILL_ROWS // BLOCK_ROWS, BLOCK_ROWS)
+        pattern = None
+        if periodic:
+            lags = np.arange(w)
+            # pattern[i, t]: the rep matching mask i over steps t-R+1..t
+            window = (lags[None, :] <= lags[:, None]) & (lags[None, :] > lags[:, None] - field)
+            pattern = present.astype(np.int64) @ np.where(window, 1 << (lags % field), 0).T
+        bg_step = max(1, BLOCK_ROWS // (1 << field if periodic else n))
+        blocks = math.ceil(n_bg / bg_step)
+        groups = min(self._cpus, blocks)
+        cuts = [g * blocks // groups * bg_step for g in range(groups)] + [n_bg]
+        tasks = [(present, pattern, x, background[lo:hi], bg_step)
+                 for lo, hi in zip(cuts, cuts[1:])]
+        if groups > 1 and self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                self._cpus - 1, mp_context=multiprocessing.get_context("fork"),
+                initializer=_adopt, initargs=(self,))
+        futures = [self._pool.submit(_evaluate_inherited, *task) for task in tasks[1:]]
+        results = [self._evaluate(*tasks[0])] + [future.result() for future in futures]
+        self.workers = max(self.workers, groups)
+        self.conv_windows += sum(count for _, count in results)
+        return np.concatenate([out for out, _ in results], axis=1)
 
 
 class _CoalitionValues:
@@ -353,22 +428,23 @@ def explain(params: ModelParams, x: np.ndarray, background: np.ndarray,
     """
     x = np.asarray(x, dtype=np.float64)
     w = params.config.w
+    edge_drop = config.edge_drop if config.edge_drop is not None else math.ceil(0.1 * w)
+    if edge_drop >= w:
+        raise InvalidSpec(f"edge_drop {edge_drop} must be < window size {w}")
     yhat, cache = _forward_batch(params, x[None])
     prediction = float(yhat[0])
     a = mean_attention(cache["att"][0])
 
-    model = _CoalitionModel(params)
-    if config.shap_mode == "exact":
-        shap = shap_exact(model, x, background)
-    else:
-        shap = shap_sampled(model, x, background, config.sample_permutations, seed=config.seed)
+    with _CoalitionModel(params) as model:
+        if config.shap_mode == "exact":
+            shap = shap_exact(model, x, background)
+        else:
+            shap = shap_sampled(model, x, background, config.sample_permutations,
+                                seed=config.seed)
 
     c = combine(shap.s, a)
     c_smooth = gaussian_smooth(c, config.smoothing_sigma)
 
-    edge_drop = config.edge_drop if config.edge_drop is not None else math.ceil(0.1 * w)
-    if edge_drop >= w:
-        raise InvalidSpec(f"edge_drop {edge_drop} must be < window size {w}")
     total = np.abs(shap.s).sum()
     recent = np.abs(shap.s[-RECENT_LAGS:]).sum()
     concentration = float(recent / total) if total > 0 else 0.0
@@ -382,4 +458,5 @@ def explain(params: ModelParams, x: np.ndarray, background: np.ndarray,
         coalitions=shap.coalitions,
         se=shap.se,
         conv_windows=model.conv_windows,
+        workers=model.workers,
     )

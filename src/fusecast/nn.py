@@ -34,10 +34,10 @@ max and sum over keys are elementwise over rows of B*h*w_q; ``att`` is
 its (B, h, w_q, w_k) view.
 
 The time means and head products are per-window vector products, and a
-GEMM's output columns are the windows' time steps. At the default config a
-window's prediction is then bitwise the same alone or in a batch; at
-larger layer sizes BLAS picks its GEMM kernel by matrix size, which can
-move the last bits.
+GEMM's output columns are the windows' time steps, but BLAS picks its GEMM
+kernel by matrix size. So a window's prediction alone and in a batch
+agree only to rounding: at the default config, 1 of 70 random windows
+differs in the last bit between a batch of 70 and a batch of one.
 """
 
 from __future__ import annotations

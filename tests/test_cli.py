@@ -266,6 +266,54 @@ class TestExplain:
         # one chunk; R = 1*(3-1)+1 = 3, so 2^3 representatives per background row
         assert "conv_windows=64 se_max=0" in captured.err
 
+    @pytest.fixture
+    def trained(self, tmp_path):
+        """A trained checkpoint and a config whose exact explain runs 4
+        background blocks: R = 3, so 8 rows per block over 32 rows."""
+        cfg = write_config(tmp_path, **{"train.epochs": 1, "explain.background_size": 32})
+        out = tmp_path / "o"
+        assert run("train", "--config", str(cfg), "--out", str(out)) == 0
+        return cfg, out / "train" / "checkpoint.json"
+
+    def test_outputs_independent_of_worker_count(self, trained, tmp_path, capsys, monkeypatch):
+        cfg, ckpt = trained
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            out = tmp_path / f"cpus{cpus}"
+            capsys.readouterr()
+            assert run("explain", "--config", str(cfg), "--out", str(out),
+                       "--checkpoint", str(ckpt)) == 0
+            err = capsys.readouterr().err
+            assert f"conv_windows={8 * 32} se_max=0 workers={cpus}" in err
+            outputs.append([(out / "explain" / name).read_bytes()
+                            for name in ("explain.json", "influence.csv")])
+        assert outputs[0] == outputs[1]
+
+    def test_worker_error_exits_3(self, trained, tmp_path, capfd, monkeypatch):
+        from fusecast.errors import ShapeMismatch
+        from fusecast.explain import _CoalitionModel
+        import multiprocessing
+
+        cfg, ckpt = trained
+        parent, outputs = os.getpid(), _CoalitionModel._outputs
+
+        def outputs_in_parent_only(self, rows):
+            if os.getpid() != parent:
+                raise ShapeMismatch("table rows do not match the window")
+            return outputs(self, rows)
+
+        monkeypatch.setattr(_CoalitionModel, "_outputs", outputs_in_parent_only)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        capfd.readouterr()
+        assert run("explain", "--config", str(cfg), "--out", str(tmp_path / "e"),
+                   "--checkpoint", str(ckpt)) == 3
+        err = capfd.readouterr().err
+        assert "data error: table rows do not match the window" in err
+        assert "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
     def test_sampled_standard_error_on_stderr(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"train.epochs": 1, "explain.shap_mode": "sampled",
                                         "explain.sample_permutations": 6})

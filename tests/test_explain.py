@@ -1,5 +1,7 @@
 import itertools
 import math
+import multiprocessing
+import os
 import sys
 
 import numpy as np
@@ -11,6 +13,7 @@ from fusecast.errors import (
     InvalidSpec,
     LengthMismatch,
     MalformedAttention,
+    ShapeMismatch,
     WindowTooLargeForExact,
 )
 from fusecast.explain import (
@@ -24,7 +27,7 @@ from fusecast.explain import (
     shap_exact,
     shap_sampled,
 )
-from fusecast.nn import ModelConfig, _forward_batch, init_params
+from fusecast.nn import ModelConfig, ModelParams, _forward_batch, init_params
 from fusecast.train import predict_batch
 
 from test_nn import grid_cells, zeroed
@@ -413,6 +416,113 @@ class TestMemoizedCoalitions:
         # one chunk of more than 2^5 masks: the 32 representatives per row
         assert result.coalitions > 32
         assert result.conv_windows == 32 * 16
+
+    @pytest.mark.parametrize("fill_rows,conv_windows", [
+        (64, 100 * 3),   # 2^5 > 64 // 4: the masks are their own representatives
+        (128, 32 * 3),   # 2^5 <= 128 // 4: one table of 2^5 windows per background row
+    ])
+    def test_representative_table_bounded(self, fill_rows, conv_windows, rng, monkeypatch):
+        module = sys.modules["fusecast.explain"]
+        monkeypatch.setattr(module, "FILL_ROWS", fill_rows)
+        monkeypatch.setattr(module, "BLOCK_ROWS", 4)
+        sizes = []
+        features = _CoalitionModel._features
+        monkeypatch.setattr(_CoalitionModel, "_features",
+                            lambda self, windows: sizes.append(len(windows)) or features(self, windows))
+        params = init_params(ModelConfig(w=15, seed=4))   # R = 5
+        present = rng.random((100, 15)) < 0.5
+        x, background = rng.normal(size=15), rng.normal(size=(3, 15))
+        model = _CoalitionModel(params)
+        got = model(present, x, background)
+        np.testing.assert_allclose(got, plain_outputs(params, present, x, background),
+                                   rtol=0, atol=1e-13)
+        assert max(sizes) <= max(fill_rows // 4, 4)
+        assert model.conv_windows == conv_windows
+
+
+def with_cpus(monkeypatch, n):
+    """Let ``explain`` see ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestParallelCoalitions:
+    """``explain`` splits coalition calls over forked workers; the outputs
+    must not depend on how many."""
+
+    @pytest.mark.parametrize("config,mode,n_bg,m", [
+        (dict(w=15), "sampled", 16, 20),                             # default cell, periodic
+        (dict(w=8, cnn_layers=4, kernel_size=3), "sampled", 6, 12),  # R = 9 >= w
+        (dict(w=8), "exact", 5, 1),
+    ])
+    def test_bitwise_independent_of_cpu_count(self, config, mode, n_bg, m, monkeypatch):
+        params = init_params(ModelConfig(**config, seed=12))
+        rng = np.random.default_rng(5)
+        x, background = rng.normal(size=config["w"]), rng.normal(size=(n_bg, config["w"]))
+        econfig = ExplainConfig(background_size=n_bg, shap_mode=mode, sample_permutations=m,
+                                seed=3)
+        results = []
+        for cpus in (1, 2, 3):
+            with_cpus(monkeypatch, cpus)
+            results.append(explain(params, x, background, econfig))
+        assert [r.workers for r in results] == [1, 2, 3]
+        one = results[0]
+        for r in results[1:]:
+            for name in ("s", "a", "c", "c_smooth", "se"):
+                np.testing.assert_array_equal(getattr(r, name), getattr(one, name))
+            assert (r.base_value, r.conv_windows, r.coalitions) == \
+                (one.base_value, one.conv_windows, one.coalitions)
+
+    def test_workers_leave_on_return_and_raise(self, rng, monkeypatch):
+        with_cpus(monkeypatch, 2)
+        params = init_params(ModelConfig(w=15, seed=2))
+        x, background = rng.normal(size=15), rng.normal(size=(8, 15))
+        config = ExplainConfig(background_size=8, sample_permutations=10)
+        assert explain(params, x, background, config).workers == 2
+        assert multiprocessing.active_children() == []
+
+        def fail(self, rows):
+            raise ShapeMismatch("bad rows")
+
+        monkeypatch.setattr(_CoalitionModel, "_outputs", fail)
+        with pytest.raises(ShapeMismatch):
+            explain(params, x, background, config)
+        assert multiprocessing.active_children() == []
+
+    def test_parameters_never_pickled(self, rng, monkeypatch):
+        def refuse(self, protocol):
+            raise AssertionError("model parameters pickled")
+
+        monkeypatch.setattr(ModelParams, "__reduce_ex__", refuse)
+        with_cpus(monkeypatch, 2)
+        params = init_params(ModelConfig(w=15, seed=2))
+        x, background = rng.normal(size=15), rng.normal(size=(8, 15))
+        result = explain(params, x, background,
+                         ExplainConfig(background_size=8, sample_permutations=10))
+        assert result.workers == 2
+
+    def test_single_background_row_starts_no_process(self, rng, monkeypatch):
+        def refuse():
+            raise AssertionError("process started")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        with_cpus(monkeypatch, 2)
+        params = init_params(ModelConfig(w=15, seed=2))
+        x, background = rng.normal(size=15), rng.normal(size=(1, 15))
+        result = explain(params, x, background,
+                         ExplainConfig(background_size=1, sample_permutations=10))
+        assert result.workers == 1
+
+    def test_edge_drop_checked_before_any_model_call(self, rng, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sys.modules["fusecast.explain"], "_forward_batch",
+                            lambda *args: calls.append("forward"))
+        monkeypatch.setattr(_CoalitionModel, "__call__",
+                            lambda self, *args: calls.append("coalitions"))
+        params = init_params(ModelConfig(w=15, seed=2))
+        x, background = rng.normal(size=15), rng.normal(size=(64, 15))
+        with pytest.raises(InvalidSpec, match="edge_drop"):
+            explain(params, x, background, ExplainConfig(edge_drop=15))
+        assert calls == []
 
 
 def scalar_standard_error(f_row, x, background, m, seed):
