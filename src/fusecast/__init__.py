@@ -8,7 +8,6 @@ from .series import (
     WindowedDataset,
     apply_scaler,
     fit_scaler,
-    invert_scaler,
     load_csv,
     make_windows,
     save_csv,
@@ -42,11 +41,8 @@ from .bayesopt import (
     Observation,
     SearchSpace,
     TuneResult,
-    expected_improvement,
     gp_fit,
-    gp_posterior,
     propose,
-    sq_exp_kernel,
     tune,
 )
 from .explain import (

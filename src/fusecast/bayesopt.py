@@ -138,18 +138,6 @@ class GPState:
     jitter: float          # effective jitter actually used
 
 
-def sq_exp_kernel(x: np.ndarray, x2: np.ndarray, hyper: GPHyper) -> float:
-    """Squared-exponential covariance between two points."""
-    x = np.asarray(x, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
-    if x.shape != x2.shape or x.ndim != 1:
-        raise DimensionMismatch(f"points of shape {x.shape} vs {x2.shape}")
-    if x.shape != hyper.length_scales.shape:
-        raise DimensionMismatch("length scales do not match the point dimension")
-    z = (x - x2) / hyper.length_scales
-    return float(hyper.signal_var * np.exp(-0.5 * np.dot(z, z)))
-
-
 def _kernel_matrix(xa: np.ndarray, xb: np.ndarray, hyper: GPHyper) -> np.ndarray:
     za = xa / hyper.length_scales
     zb = xb / hyper.length_scales
@@ -207,25 +195,6 @@ def _posterior_std_units(state: GPState, xq: np.ndarray) -> tuple[np.ndarray, np
     return mu, np.maximum(var, 0.0)
 
 
-def gp_posterior(state: GPState, x: np.ndarray) -> tuple[float, float]:
-    """Posterior mean and variance at one point, de-standardized back to
-    objective units."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (state.x.shape[1],):
-        raise DimensionMismatch(f"query of shape {x.shape}, expected ({state.x.shape[1]},)")
-    mu, var = _posterior_std_units(state, x[None])
-    return state.y_mean + state.y_std * float(mu[0]), state.y_std ** 2 * float(var[0])
-
-
-def expected_improvement(mu: float, sigma: float, f_plus: float, xi: float = 0.0) -> float:
-    """Closed-form EI for maximization: sigma * (u Phi(u) + phi(u)) with
-    u = (mu - f_plus - xi) / sigma; zero in the deterministic limit."""
-    if sigma <= 0.0:
-        return 0.0
-    u = (mu - f_plus - xi) / sigma
-    return max(0.0, float(sigma * (u * norm.cdf(u) + norm.pdf(u))))
-
-
 def _ei_minimize(state: GPState, uq: np.ndarray, xi: float) -> np.ndarray:
     """EI of candidate points for a minimized objective: scored as
     maximization of the negated standardized posterior."""
@@ -240,14 +209,12 @@ def _ei_minimize(state: GPState, uq: np.ndarray, xi: float) -> np.ndarray:
 
 
 def propose(state: GPState, space: SearchSpace, pool_size: int,
-            rng: np.random.Generator | None = None, xi: float = 0.01,
-            refine: bool = False) -> dict:
+            rng: np.random.Generator | None = None, xi: float = 0.01) -> dict:
     """Pick the next configuration to evaluate.
 
     Draws ``pool_size`` uniform points in the hypercube, snaps each to the
     integer grid, scores EI, and returns the argmax (ties break toward the
-    lowest pool index). With ``refine=True`` the winner is additionally
-    hill-climbed over grid neighbours, which never lowers its EI.
+    lowest pool index).
     """
     if pool_size < 1:
         raise EmptySpace("pool_size must be >= 1")
@@ -256,28 +223,7 @@ def propose(state: GPState, space: SearchSpace, pool_size: int,
     pool_u = rng.uniform(size=(pool_size, space.dim))
     snapped = space.snap_unit(pool_u)
     ei = _ei_minimize(state, snapped, xi)
-    best_idx = int(np.argmax(ei))
-    best_cfg = space.round_to_grid(snapped[best_idx])
-    if not refine:
-        return best_cfg
-    best_ei = ei[best_idx]
-    while True:
-        neighbours = []
-        for name in space.NAMES:
-            lo, hi = getattr(space, name)
-            for delta in (-1, 1):
-                v = best_cfg[name] + delta
-                if lo <= v <= hi:
-                    neighbours.append({**best_cfg, name: v})
-        if not neighbours:
-            return best_cfg
-        nu = np.stack([space.to_unit(c) for c in neighbours])
-        nei = _ei_minimize(state, nu, xi)
-        top = int(np.argmax(nei))
-        if nei[top] <= best_ei:
-            return best_cfg
-        best_ei = nei[top]
-        best_cfg = neighbours[top]
+    return space.round_to_grid(snapped[int(np.argmax(ei))])
 
 
 def _box_candidates(space: SearchSpace, center: dict, radii: dict,
@@ -333,16 +279,17 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
     """Minimize ``objective(config)`` over the integer grid.
 
     The first ``init`` trials (default min(5, budget)) are a seeded
-    Latin-hypercube design. After that, global EI proposals alternate with
-    exploitation steps that take the best posterior mean over a box of
-    unevaluated cells around the incumbent, so the search concentrates
-    instead of wandering the hypercube; the final trials sweep the
-    incumbent's immediate grid neighbours (best predicted mean alternating
-    with highest posterior uncertainty) to settle the exact cell. An
-    objective raising a package error, FloatingPointError or LinAlgError is
-    penalized with the worst value so far and skipped, and any other
-    exception propagates; ObjectiveFailure is raised when no initial trial
-    gives a finite value. Fully reproducible for fixed seeds.
+    Latin-hypercube design. After that, global EI proposals, each
+    hill-climbed over its grid neighbours while that raises its EI,
+    alternate with exploitation steps that take the best posterior mean
+    over a box of unevaluated cells around the incumbent, so the search
+    concentrates instead of wandering the hypercube; the final trials sweep
+    the incumbent's immediate grid neighbours (best predicted mean
+    alternating with highest posterior uncertainty) to settle the exact
+    cell. An objective raising a package error, FloatingPointError or
+    LinAlgError is penalized with the worst value so far and skipped, and
+    any other exception propagates; ObjectiveFailure is raised when no
+    initial trial gives a finite value. Fully reproducible for fixed seeds.
     """
     if budget < 1:
         raise InvalidSpec("budget must be >= 1")
@@ -416,7 +363,15 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
             if cells:
                 cfg = local_pick(state, cells, explore=False)
         if cfg is None:
-            cfg = propose(state, space, pool_size, rng=rng, xi=xi, refine=True)
+            # the global EI pick, hill-climbed over its grid neighbours
+            cfg = propose(state, space, pool_size, rng=rng, xi=xi)
+            best_ei = _ei_minimize(state, space.to_unit(cfg)[None], xi)[0]
+            while cells := _coordinate_neighbours(space, cfg, set()):
+                ei = _ei_minimize(state, np.stack([space.to_unit(c) for c in cells]), xi)
+                top = int(np.argmax(ei))
+                if ei[top] <= best_ei:
+                    break
+                best_ei, cfg = ei[top], cells[top]
         evaluate(i, cfg)
 
     return TuneResult(best_config=best_cfg, best_objective=best_y,

@@ -122,9 +122,11 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 
 def _out_dir(cfg: dict, cmd: str) -> Path:
+    """The command's output directory, holding the effective config."""
     base = cfg["out_dir"] or os.environ.get(OUT_ENV) or "fusecast_out"
     out = Path(base) / cmd
     out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "config.json", cfg)
     return out
 
 
@@ -143,10 +145,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _echo_config(cfg: dict, out: Path) -> None:
-    _write_json(out / "config.json", cfg)
-
-
 def _load_series(cfg: dict) -> series.TimeSeries:
     data = cfg["data"]
     if data["source"] == "csv":
@@ -158,22 +156,6 @@ def _load_series(cfg: dict) -> series.TimeSeries:
     if data["source"] == "synth":
         return series.synthesize(series.SynthSpec(**data["synth"]))
     raise ConfigError(f"unknown data.source {data['source']!r}")
-
-
-def _model_config(cfg: dict, seed: int) -> nn.ModelConfig:
-    m = cfg["model"]
-    return nn.ModelConfig(w=m["w"], cnn_layers=m["cnn_layers"], filters=m["filters"],
-                          kernel_size=m["kernel_size"], heads=m["heads"],
-                          head_dim=m["head_dim"], seed=seed)
-
-
-def _train_config(cfg: dict, seed: int, epochs: int | None = None) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        epochs=epochs if epochs is not None else t["epochs"],
-        batch_size=t["batch_size"], learning_rate=t["learning_rate"],
-        beta1=t["beta1"], beta2=t["beta2"], eps=t["eps"], seed=seed,
-    )
 
 
 def _split_windows(ts: series.TimeSeries, train_len: int, w: int,
@@ -209,7 +191,6 @@ def _one_step(params, scaler, test_windows) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_synth(cfg: dict, make_svg: bool = False) -> int:
     out = _out_dir(cfg, "synth")
-    _echo_config(cfg, out)
     ts = series.synthesize(series.SynthSpec(**cfg["data"]["synth"]))
     series.save_csv(ts, out / "series.csv")
     if make_svg:
@@ -223,11 +204,10 @@ def cmd_synth(cfg: dict, make_svg: bool = False) -> int:
 
 def cmd_train(cfg: dict, make_svg: bool = False) -> int:
     out = _out_dir(cfg, "train")
-    _echo_config(cfg, out)
     seed = cfg["seed"]
     _, _, scaler, train_windows, test_windows = _prepared_data(cfg)
-    mconfig = _model_config(cfg, seed)
-    tconfig = _train_config(cfg, seed + 1)
+    mconfig = nn.ModelConfig(**cfg["model"], seed=seed)
+    tconfig = TrainConfig(**cfg["train"], seed=seed + 1)
     t0 = time.perf_counter()
     params, history = train_model(mconfig, tconfig, train_windows)
     # saved first, so an undefined reporting metric never discards the model
@@ -258,7 +238,6 @@ def cmd_train(cfg: dict, make_svg: bool = False) -> int:
 
 def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
     out = _out_dir(cfg, "tune")
-    _echo_config(cfg, out)
     seed = cfg["seed"]
     w = cfg["model"]["w"]
     space = bayesopt.SearchSpace(**{k: tuple(v) for k, v in cfg["tune"]["space"].items()})
@@ -274,14 +253,11 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
     sub_train, _ = series.split(train_ts, 0.8)
     sub_scaler = series.fit_scaler(sub_train)
     fit_windows, val_windows = _split_windows(train_ts, len(sub_train), w, sub_scaler)
-    tconfig = _train_config(cfg, seed + 1, epochs=cfg["tune"]["epochs"])
+    tconfig = TrainConfig(**{**cfg["train"], "epochs": cfg["tune"]["epochs"]}, seed=seed + 1)
 
     def objective(trial_cfg: dict) -> float:
-        mconfig = nn.ModelConfig(w=w, cnn_layers=trial_cfg["cnn_layers"],
-                                 filters=trial_cfg["filters"],
-                                 kernel_size=trial_cfg["kernel_size"],
-                                 heads=trial_cfg["heads"], seed=seed)
-        params, _ = train_model(mconfig, tconfig, fit_windows)
+        params, _ = train_model(nn.ModelConfig(w=w, **trial_cfg, seed=seed), tconfig,
+                                fit_windows)
         # RMSE is defined even where MAPE or MSLE is not
         return metric_values(*_one_step(params, sub_scaler, val_windows))[0]["rmse"]
 
@@ -306,13 +282,8 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
     _write_csv(out / "tune_log.csv",
                ["trial", "cnn_layers", "heads", "filters", "kernel_size",
                 "rmse", "best_so_far", "wall_seconds"], rows)
-    _write_json(out / "best_config.json", {
-        "cnn_layers": result.best_config["cnn_layers"],
-        "heads": result.best_config["heads"],
-        "filters": result.best_config["filters"],
-        "kernel_size": result.best_config["kernel_size"],
-        "objective_rmse": result.best_objective,
-    })
+    _write_json(out / "best_config.json",
+                {**result.best_config, "objective_rmse": result.best_objective})
     if make_svg:
         (out / "tuning.svg").write_text(svg.tuning_chart(
             [t.objective for t in result.trials], list(result.incumbent)))
@@ -321,14 +292,10 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
     return 0
 
 
-def cmd_forecast(cfg: dict, checkpoint: str, horizon: int | None = None,
-                 make_svg: bool = False) -> int:
+def cmd_forecast(cfg: dict, checkpoint: str, make_svg: bool = False) -> int:
     out = _out_dir(cfg, "forecast")
-    _echo_config(cfg, out)
     params, scaler = nn.load_checkpoint(checkpoint)
-    horizon = horizon if horizon is not None else cfg["horizons"][0]
-    if horizon < 1:
-        raise ConfigError("horizon must be >= 1")
+    horizon = cfg["horizons"][0]
     ts = _load_series(cfg)
     w = params.config.w
     window = ts.values[-w:]
@@ -348,7 +315,6 @@ def cmd_forecast(cfg: dict, checkpoint: str, horizon: int | None = None,
 def cmd_explain(cfg: dict, checkpoint: str, window_index: int,
                 make_svg: bool = False) -> int:
     out = _out_dir(cfg, "explain")
-    _echo_config(cfg, out)
     seed = cfg["seed"]
     params, scaler = nn.load_checkpoint(checkpoint)
     ts = _load_series(cfg)
@@ -360,12 +326,7 @@ def cmd_explain(cfg: dict, checkpoint: str, window_index: int,
             f"window index {window_index} outside test range [0, {len(test_windows)})")
     x = test_windows.inputs[window_index]
 
-    e = cfg["explain"]
-    econfig = ExplainConfig(
-        background_size=e["background_size"], shap_mode=e["shap_mode"],
-        sample_permutations=e["sample_permutations"],
-        smoothing_sigma=e["smoothing_sigma"], edge_drop=e["edge_drop"],
-        seed=seed + 2)
+    econfig = ExplainConfig(**cfg["explain"], seed=seed + 2)
     background = sample_background(
         train_windows.inputs, econfig.background_size, seed=seed + 2)
     result = explain_window(params, x, background, econfig)
@@ -385,7 +346,7 @@ def cmd_explain(cfg: dict, checkpoint: str, window_index: int,
         "prediction": result.prediction,
         "recency_concentration": result.recency_concentration,
         "window_index": window_index,
-        "config": {**e, "seed": seed + 2},
+        "config": {**cfg["explain"], "seed": seed + 2},
     })
     if make_svg:
         mask = [i in result.reported_lags for i in range(w)]
@@ -403,7 +364,6 @@ def cmd_explain(cfg: dict, checkpoint: str, window_index: int,
 
 def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
     out = _out_dir(cfg, "bench")
-    _echo_config(cfg, out)
     seed = cfg["seed"]
     runs = cfg["bench"]["runs"]
     if runs < 4:
@@ -415,8 +375,8 @@ def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
     first_params = None
     fit_seconds = 0.0
     for r in range(runs):
-        mconfig = _model_config(cfg, seed + 100 + r)
-        tconfig = _train_config(cfg, seed + 200 + r)
+        mconfig = nn.ModelConfig(**cfg["model"], seed=seed + 100 + r)
+        tconfig = TrainConfig(**cfg["train"], seed=seed + 200 + r)
         t0 = time.perf_counter()
         params, _ = train_model(mconfig, tconfig, train_windows)
         fit_seconds += time.perf_counter() - t0
@@ -503,23 +463,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flag -> the config path it overrides
+FLAG_PATHS = {"out": "out_dir", "seed": "seed", "epochs": "train.epochs", "budget": "tune.budget",
+              "runs": "bench.runs", "mode": "explain.shap_mode", "horizon": "horizons"}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "epochs", None) is not None:
-        overrides["train.epochs"] = args.epochs
-    if getattr(args, "budget", None) is not None:
-        overrides["tune.budget"] = args.budget
-    if getattr(args, "runs", None) is not None:
-        overrides["bench.runs"] = args.runs
-    if getattr(args, "mode", None) is not None:
-        overrides["explain.shap_mode"] = args.mode
-    if getattr(args, "horizon", None) is not None:
-        overrides["horizons"] = [args.horizon]
+    overrides = {path: getattr(args, flag) for flag, path in FLAG_PATHS.items()
+                 if getattr(args, flag, None) is not None}
+    if "horizons" in overrides:
+        overrides["horizons"] = [overrides["horizons"]]
 
     try:
         cfg = load_config(args.config, overrides)
@@ -530,7 +484,7 @@ def main(argv=None) -> int:
         if args.command == "tune":
             return cmd_tune(cfg, args.svg)
         if args.command == "forecast":
-            return cmd_forecast(cfg, args.checkpoint, args.horizon, args.svg)
+            return cmd_forecast(cfg, args.checkpoint, args.svg)
         if args.command == "explain":
             return cmd_explain(cfg, args.checkpoint, args.window_index, args.svg)
         if args.command == "bench":

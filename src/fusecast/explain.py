@@ -14,7 +14,8 @@ mode the 2^w masks, in ``f`` calls of at most ``FILL_ROWS`` composite
 windows each. :func:`explain` passes the model as such a function
 (:class:`_CoalitionModel`), which runs the conv stack and the Q/K/V
 projection once per receptive-field pattern instead of once per composite,
-through the same conv stack, attention body and head as
+through :func:`fusecast.nn._features`, and each composite's attention and
+head through :func:`fusecast.nn._attend`, the same parts as
 :func:`fusecast.nn._forward_batch`.
 
 Within one :func:`explain` call the coalition model spreads each call's
@@ -150,16 +151,18 @@ class _CoalitionModel:
     1024, the conv stack and the Q/K/V GEMM run on 2^R periodic
     representative masks x the background rows: rep c has lag i present
     iff bit (i mod R) of c is set, so every R-bit pattern appears exactly
-    once at every step. Each composite gathers its (pattern, j, t) rows
-    from their C-contiguous (rep, j, t)-major table, the pattern index being
-    one integer product ``present @ W.T``. Otherwise the masks are their
-    own representatives and nothing is gathered. Only the logits, softmax,
-    pooled head and time mean run per composite.
+    once at every step. Each composite gathers its (pattern, j, t) columns
+    from the channel-major (features, rep*j*t) table of
+    :func:`fusecast.nn._features`, the pattern index being one integer
+    product ``present @ W.T``. Otherwise the masks are their own
+    representatives and nothing is gathered. Only the logits, softmax,
+    pooled head and time mean run per composite, in
+    :func:`fusecast.nn._attend`.
 
     Work runs in blocks over background rows and masks, so memory is set
     by the blocks, not by n: a table holds max(2^R, ``BLOCK_ROWS``) <= 1024
     windows, every other conv or attention call about ``BLOCK_ROWS``, a
-    window being w rows of d + 3*h*d_k features.
+    window being w columns of d + 3*h*d_k features.
 
     Inside a ``with`` block a call splits its background blocks into one
     contiguous group per CPU this process may use. The calling process
@@ -195,28 +198,6 @@ class _CoalitionModel:
             self._pool = None
         self._cpus = 1
 
-    def _features(self, windows: np.ndarray) -> np.ndarray:
-        """(B*w, d + 3*h*d_k) table, row (window, t) holding the conv
-        features at t, then Q, K and V."""
-        for _, h in nn._conv_stack(self.params, windows):
-            pass
-        d, b, w = h.shape
-        qkv = nn._qkv(self.params, h)
-        table = np.empty((b * w, d + len(qkv)))
-        table[:, :d] = h.reshape(d, b * w).T
-        table[:, d:] = qkv.T
-        return table
-
-    def _outputs(self, rows: np.ndarray) -> np.ndarray:
-        """Predictions of the windows whose (..., w, features) table rows
-        are given: the attention body and the head."""
-        cfg = self.params.config
-        rows = rows.reshape(-1, cfg.w, rows.shape[-1])
-        q, k, v = rows[:, :, cfg.d:].reshape(len(rows), cfg.w, 3, cfg.heads, cfg.head_dim
-                                             ).transpose(2, 0, 3, 1, 4)
-        h_att = nn._mha_batch(q, k, v, self.params.wo)[0]
-        return nn._head(self.params, rows[:, :, :cfg.d].swapaxes(1, 2), h_att)[0]
-
     def _evaluate(self, present: np.ndarray, pattern: np.ndarray | None, x: np.ndarray,
                   background: np.ndarray, bg_step: int) -> tuple[np.ndarray, int]:
         """(n, len(background)) outputs over blocks of ``bg_step`` background
@@ -228,6 +209,7 @@ class _CoalitionModel:
             reps = present
         else:
             reps = ((np.arange(1 << field)[:, None] >> (lags % field)) & 1).astype(bool)
+        d = self.params.config.d
         out = np.empty((n, len(background)))
         conv_windows = 0
         for j0 in range(0, len(background), bg_step):
@@ -235,17 +217,20 @@ class _CoalitionModel:
             nb = len(bg)
             step = max(1, BLOCK_ROWS // nb)
             if pattern is not None:
-                table = self._features(np.where(reps[:, None, :], x, bg).reshape(-1, w))
+                table = nn._features(self.params, np.where(reps[:, None, :], x, bg).reshape(-1, w))
+                table = table.reshape(len(table), -1)
                 conv_windows += len(reps) * nb
                 offsets = np.arange(nb)[:, None] * w + lags
             for i0 in range(0, n, step):
                 if pattern is not None:
-                    rows = np.take(table, pattern[i0:i0 + step, None, :] * (nb * w) + offsets, axis=0)
+                    idx = pattern[i0:i0 + step, None, :] * (nb * w) + offsets
+                    cols = np.take(table, idx, axis=1).reshape(len(table), -1, w)
                 else:
                     composites = np.where(present[i0:i0 + step, None, :], x, bg)
-                    rows = self._features(composites.reshape(-1, w))
+                    cols = nn._features(self.params, composites.reshape(-1, w))
                     conv_windows += len(composites) * nb
-                out[i0:i0 + step, j0:j0 + nb] = self._outputs(rows).reshape(-1, nb)
+                yhat = nn._attend(self.params, cols[:d], cols[d:])[0]
+                out[i0:i0 + step, j0:j0 + nb] = yhat.reshape(-1, nb)
         return out, conv_windows
 
     def __call__(self, present: np.ndarray, x: np.ndarray,

@@ -7,10 +7,12 @@ There is one model path, batched over windows: :func:`_forward_batch` maps
 intermediate, and :func:`_backward_batch` is analytic reverse-mode
 differentiation of the same equations (softmax Jacobian, causal-convolution
 transpose paths included) from that cache. A single window is a batch of
-one. The forward is built from four parts, :func:`_conv_stack`,
-:func:`_qkv`, the attention body :func:`_mha_batch` (fed Q/K/V) and
-:func:`_head`, which ``explain``'s coalition model shares: it runs the
-first two on representative windows and the last two on every composite.
+one. The forward is the conv stack :func:`_conv_stack`, the Q/K/V GEMM
+:func:`_qkv`, and :func:`_attend`, the attention body :func:`_mha_batch`
+plus the dense head. ``explain``'s coalition model shares the same parts
+without knowing how Q, K and V are stacked: :func:`_features` gives it the
+channel-major (d + 3*h*d_k, B, w) table of conv features and Q/K/V, whose
+columns it gathers per composite, and it runs :func:`_attend` on them.
 
 All learnable tensors live in one float64 vector, ``ModelParams.flat``,
 laid out by :func:`param_layout` in checkpoint order, with named views
@@ -232,6 +234,15 @@ def _qkv(params: ModelParams, h: np.ndarray) -> np.ndarray:
     return _qkv_matrix(params.wq, params.wk, params.wv) @ h.reshape(d, b * w)
 
 
+def _features(params: ModelParams, xb: np.ndarray) -> np.ndarray:
+    """Channel-major (d + 3*h*d_k, B, w) table of windows (B, w): the last
+    conv map, then Q, K and V as laid out by :func:`_qkv`. Only two layers'
+    maps are held at a time."""
+    for _, h in _conv_stack(params, xb):
+        pass
+    return np.concatenate([h, _qkv(params, h).reshape(-1, *h.shape[1:])])
+
+
 def _mha_batch(q, k, v, wo):
     """Multi-head self-attention fed (B, h, w, d_k) queries, keys and
     values, reduced to what the pooled head reads (see the module
@@ -252,16 +263,24 @@ def _mha_batch(q, k, v, wo):
     return (pooled @ wo)[:, 0], att, abar, pooled[:, 0]
 
 
-def _head(params: ModelParams, h: np.ndarray, h_att: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predictions (B,) from conv features (B, d, w), read through their
-    time mean, and the pooled attention output (B, d'); also the head
-    input z = [time mean, attention] (B, d + d')."""
-    z = np.concatenate([h @ _time_mean(h.shape[2]), h_att], axis=1)
-    return (z * params.w_out).sum(axis=1) + params.b_out, z
+def _attend(params: ModelParams, h: np.ndarray, qkv: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Predictions (B,) from channel-major conv features h (d, B, w) and
+    their Q/K/V (3*h*d_k, B, w): the attention body, then the dense head
+    on z = [time mean of h, pooled attention] (B, d + d'). Also returns the
+    intermediates :func:`_backward_batch` reads: q, k, v (B, h, w, d_k),
+    ``att``, ``abar``, ``pooled`` and z."""
+    cfg = params.config
+    _, b, w = h.shape
+    q, k, v = qkv.reshape(3, cfg.heads, cfg.head_dim, b, w).transpose(0, 3, 1, 4, 2)
+    h_att, att, abar, pooled = _mha_batch(q, k, v, params.wo)
+    z = np.concatenate([h.transpose(1, 0, 2) @ _time_mean(w), h_att], axis=1)
+    yhat = (z * params.w_out).sum(axis=1) + params.b_out
+    return yhat, {"q": q, "k": k, "v": v, "att": att, "abar": abar, "pooled": pooled, "z": z}
 
 
 def _forward_batch(params: ModelParams, xb: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Vectorized forward over a batch of scaled windows (B, w).
+    """Vectorized forward over a batch of scaled windows (B, w): the conv
+    stack with every layer's maps kept, :func:`_qkv` and :func:`_attend`.
 
     Returns predictions (B,) and a cache of every intermediate needed by
     :func:`_backward_batch`; ``conv_pre``/``conv_act`` hold (B, w, f) views
@@ -273,19 +292,11 @@ def _forward_batch(params: ModelParams, xb: np.ndarray) -> tuple[np.ndarray, dic
     if xb.ndim != 2 or xb.shape[1] != cfg.w:
         raise ShapeMismatch(f"expected (B, {cfg.w}) windows, got {xb.shape}")
 
-    b, w = xb.shape
     maps = list(_conv_stack(params, xb))
     h = maps[-1][1]
-    qkv = _qkv(params, h).reshape(3, cfg.heads, cfg.head_dim, b, w)
-    q, k, v = qkv.transpose(0, 3, 1, 4, 2)
-    h_att, att, abar, pooled = _mha_batch(q, k, v, params.wo)
-    yhat, z = _head(params, h.transpose(1, 0, 2), h_att)
-
-    cache = {
-        "x": xb, "conv_pre": [pre.transpose(1, 2, 0) for pre, _ in maps],
-        "conv_act": [act.transpose(1, 2, 0) for _, act in maps], "q": q, "k": k, "v": v,
-        "att": att, "abar": abar, "pooled": pooled, "z": z,
-    }
+    yhat, cache = _attend(params, h, _qkv(params, h))
+    cache.update(x=xb, conv_pre=[pre.transpose(1, 2, 0) for pre, _ in maps],
+                 conv_act=[act.transpose(1, 2, 0) for _, act in maps])
     return yhat, cache
 
 

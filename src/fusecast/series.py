@@ -227,10 +227,6 @@ def apply_scaler(ts: TimeSeries, sp: ScalerParams) -> TimeSeries:
     return TimeSeries(ts.timestamps, scale_values(ts.values, sp))
 
 
-def invert_scaler(ts: TimeSeries, sp: ScalerParams) -> TimeSeries:
-    return TimeSeries(ts.timestamps, unscale_values(ts.values, sp))
-
-
 def make_windows(ts: TimeSeries, w: int) -> WindowedDataset:
     """Slice the series into N = len − w contiguous windows with next-step
     targets."""

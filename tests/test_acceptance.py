@@ -29,6 +29,7 @@ from fusecast.series import (
 from fusecast.svg import box_stats
 from fusecast.train import TrainConfig
 
+from test_bayesopt import ei_minimize_at, gp_posterior, sq_exp_kernel
 from test_explain import rowwise
 
 
@@ -178,7 +179,7 @@ def test_c05_sampled_shap_convergence():
 
 
 def test_c06_gp_posterior_oracle():
-    from fusecast.bayesopt import GPHyper, Observation, gp_fit, gp_posterior, sq_exp_kernel
+    from fusecast.bayesopt import GPHyper, Observation, gp_fit
 
     worst_gap = 0.0
     worst_interp = 0.0
@@ -210,9 +211,8 @@ def test_c06_gp_posterior_oracle():
 
 
 def test_c07_ei_oracle():
-    from fusecast.bayesopt import expected_improvement
-
-    assert expected_improvement(0.7, 0.0, 0.5) == 0.0
+    # _ei_minimize at a one-observation state whose posterior is (mu, sigma)
+    assert ei_minimize_at(0.7, 0.0, 0.5) == 0.0
     rng = np.random.default_rng(7)
     # sigma >= 0.5 keeps the improvement probability high enough that a
     # million-sample MC estimate is informative at every grid point
@@ -226,7 +226,7 @@ def test_c07_ei_oracle():
         samples = rng.normal(mu, sigma, size=1_000_000)
         gains = np.maximum(samples - f_plus - xi, 0.0)
         mc, se = gains.mean(), gains.std(ddof=1) / 1000.0
-        closed = expected_improvement(mu, sigma, f_plus, xi)
+        closed = ei_minimize_at(mu, sigma, f_plus, xi)
         worst_z = max(worst_z, abs(closed - mc) / se)
     report(7, worst_z <= 3.0,
            f"EI(sigma=0) = 0 exactly; worst |closed - MC| = {worst_z:.2f} "

@@ -1,19 +1,59 @@
 import numpy as np
 import pytest
 
+from scipy.stats import norm
+
 from fusecast.bayesopt import (
     GPHyper,
+    GPState,
     Observation,
     SearchSpace,
+    _ei_minimize,
+    _kernel_matrix,
     _posterior_std_units,
-    expected_improvement,
     gp_fit,
-    gp_posterior,
     propose,
-    sq_exp_kernel,
     tune,
 )
 from fusecast.errors import DimensionMismatch, DivergedLoss, InvalidSpec, ObjectiveFailure
+
+
+# -- scalar oracles and one-point views of the batched GP code ------------
+
+def sq_exp_kernel(x: np.ndarray, x2: np.ndarray, hyper: GPHyper) -> float:
+    """Squared-exponential covariance between two points."""
+    z = (np.asarray(x, dtype=np.float64) - np.asarray(x2, dtype=np.float64)) / hyper.length_scales
+    return float(hyper.signal_var * np.exp(-0.5 * np.dot(z, z)))
+
+
+def expected_improvement(mu: float, sigma: float, f_plus: float, xi: float = 0.0) -> float:
+    """Closed-form EI for maximization: sigma * (u Phi(u) + phi(u)) with
+    u = (mu - f_plus - xi) / sigma; zero in the deterministic limit."""
+    if sigma <= 0.0:
+        return 0.0
+    u = (mu - f_plus - xi) / sigma
+    return max(0.0, float(sigma * (u * norm.cdf(u) + norm.pdf(u))))
+
+
+def gp_posterior(state, x) -> tuple[float, float]:
+    """Posterior mean and variance at one point in objective units: the
+    batched standardized posterior, de-standardized."""
+    mu, var = _posterior_std_units(state, np.asarray(x, dtype=np.float64)[None])
+    return state.y_mean + state.y_std * float(mu[0]), state.y_std ** 2 * float(var[0])
+
+
+def ei_minimize_at(mu: float, sigma: float, f_plus: float, xi: float = 0.0) -> float:
+    """``_ei_minimize`` at a query whose posterior, in the maximization form
+    it scores, has mean ``mu`` and standard deviation ``sigma`` against the
+    incumbent ``f_plus``. One observation sits at 0: a query there has
+    variance 0, and one at 1 has mean 0 and variance ``signal_var`` (the
+    kernel underflows to 0); the observed value mu - f_plus sets the
+    incumbent to f_plus - mu, the same u as mean mu against f_plus."""
+    hyper = GPHyper(signal_var=sigma ** 2 if sigma > 0 else 1.0,
+                    length_scales=np.array([0.01]), noise_var=0.0)
+    state = GPState(x=np.zeros((1, 1)), y=np.array([mu - f_plus]), hyper=hyper, y_mean=0.0,
+                    y_std=1.0, chol=np.ones((1, 1)), alpha=np.zeros(1), jitter=0.0)
+    return float(_ei_minimize(state, np.full((1, 1), 1.0 if sigma > 0 else 0.0), xi)[0])
 
 
 def make_obs(x, y):
@@ -27,24 +67,24 @@ def hyper_for(d, noise=1e-4, ell=0.2, signal=1.0):
 class TestKernel:
     def test_zero_distance(self):
         h = hyper_for(3, signal=2.5)
-        x = np.array([0.1, 0.5, 0.9])
-        assert sq_exp_kernel(x, x, h) == 2.5
+        x = np.array([[0.1, 0.5, 0.9]])
+        assert _kernel_matrix(x, x, h)[0, 0] == 2.5
 
     def test_formula_value(self):
         # 1-D, unit signal and length scale, distance sqrt(2) -> e^-1
         h = GPHyper(signal_var=1.0, length_scales=np.array([1.0]), noise_var=0.0)
-        val = sq_exp_kernel(np.array([0.0]), np.array([np.sqrt(2.0)]), h)
+        val = _kernel_matrix(np.array([[0.0]]), np.array([[np.sqrt(2.0)]]), h)[0, 0]
         assert abs(val - np.exp(-1.0)) < 1e-12
 
     def test_symmetry(self, rng):
         h = hyper_for(4)
         for _ in range(20):
-            a, b = rng.uniform(size=4), rng.uniform(size=4)
-            assert abs(sq_exp_kernel(a, b, h) - sq_exp_kernel(b, a, h)) < 1e-15
+            a, b = rng.uniform(size=(1, 4)), rng.uniform(size=(1, 4))
+            assert abs(_kernel_matrix(a, b, h)[0, 0] - _kernel_matrix(b, a, h)[0, 0]) < 1e-15
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            sq_exp_kernel(np.zeros(2), np.zeros(3), hyper_for(2))
+            gp_fit(make_obs([np.zeros(3)], [1.0]), hyper_for(2))
 
 
 class TestGpFit:
@@ -135,12 +175,12 @@ class TestPosterior:
 
 class TestExpectedImprovement:
     def test_zero_sigma(self):
-        assert expected_improvement(1.0, 0.0, 0.0) == 0.0
+        assert ei_minimize_at(1.0, 0.0, 0.0) == 0.0
 
     def test_at_the_mean(self):
         # u = 0 -> EI = sigma * phi(0) = sigma / sqrt(2 pi)
         sigma = 0.7
-        val = expected_improvement(1.5, sigma, 1.5, xi=0.0)
+        val = ei_minimize_at(1.5, sigma, 1.5, xi=0.0)
         assert abs(val - sigma / np.sqrt(2 * np.pi)) < 1e-12
 
     def test_monte_carlo_oracle(self):
@@ -150,11 +190,17 @@ class TestExpectedImprovement:
         gains = np.maximum(samples - f_plus - xi, 0.0)
         mc = gains.mean()
         se = gains.std(ddof=1) / np.sqrt(len(gains))
-        assert abs(expected_improvement(mu, sigma, f_plus, xi) - mc) <= 3 * se
+        assert abs(ei_minimize_at(mu, sigma, f_plus, xi) - mc) <= 3 * se
 
     def test_monotone_in_sigma_below_incumbent(self):
-        vals = [expected_improvement(0.0, s, 1.0) for s in np.linspace(0.01, 2.0, 30)]
+        vals = [ei_minimize_at(0.0, s, 1.0) for s in np.linspace(0.01, 2.0, 30)]
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
+
+    def test_closed_form_oracle(self):
+        grid = [(mu, sigma, f_plus, xi) for mu in (-1.0, 0.0, 1.5) for sigma in (0.0, 0.3, 1.0)
+                for f_plus in (-0.5, 0.8) for xi in (0.0, 0.05)]
+        for args in grid:
+            assert abs(ei_minimize_at(*args) - expected_improvement(*args)) <= 1e-15
 
 
 class TestSearchSpace:

@@ -227,6 +227,16 @@ class TestForecast:
         expect = forecast_recursive(params, scaler, ts.values[-8:], 6)
         np.testing.assert_array_equal([float(r["value"]) for r in rows], expect)
 
+    def test_horizon_below_one_is_config_error(self, tmp_path, capsys):
+        cfg, ckpt, out = write_config(tmp_path), tmp_path / "ckpt.json", tmp_path / "o"
+        save_checkpoint(ckpt, init_params(ModelConfig(**BASE_CONFIG["model"])),
+                        ScalerParams(mean=0.0, std=1.0))
+        capsys.readouterr()
+        assert run("forecast", "--config", str(cfg), "--out", str(out),
+                   "--checkpoint", str(ckpt), "--horizon", "0") == 2
+        assert "config error: horizons" in capsys.readouterr().err
+        assert not (out / "forecast").exists()
+
 
 class TestExplain:
     def test_influence_schema_and_identities(self, tmp_path):
@@ -293,18 +303,18 @@ class TestExplain:
 
     def test_worker_error_exits_3(self, trained, tmp_path, capfd, monkeypatch):
         from fusecast.errors import ShapeMismatch
-        from fusecast.explain import _CoalitionModel
+        from fusecast import nn
         import multiprocessing
 
         cfg, ckpt = trained
-        parent, outputs = os.getpid(), _CoalitionModel._outputs
+        parent, attend = os.getpid(), nn._attend
 
-        def outputs_in_parent_only(self, rows):
+        def attend_in_parent_only(params, h, qkv):
             if os.getpid() != parent:
                 raise ShapeMismatch("table rows do not match the window")
-            return outputs(self, rows)
+            return attend(params, h, qkv)
 
-        monkeypatch.setattr(_CoalitionModel, "_outputs", outputs_in_parent_only)
+        monkeypatch.setattr(nn, "_attend", attend_in_parent_only)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         capfd.readouterr()
         assert run("explain", "--config", str(cfg), "--out", str(tmp_path / "e"),

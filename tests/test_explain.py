@@ -27,6 +27,7 @@ from fusecast.explain import (
     shap_exact,
     shap_sampled,
 )
+from fusecast import nn
 from fusecast.nn import ModelConfig, ModelParams, _forward_batch, init_params
 from fusecast.train import predict_batch
 
@@ -426,9 +427,9 @@ class TestMemoizedCoalitions:
         monkeypatch.setattr(module, "FILL_ROWS", fill_rows)
         monkeypatch.setattr(module, "BLOCK_ROWS", 4)
         sizes = []
-        features = _CoalitionModel._features
-        monkeypatch.setattr(_CoalitionModel, "_features",
-                            lambda self, windows: sizes.append(len(windows)) or features(self, windows))
+        features = nn._features
+        monkeypatch.setattr(nn, "_features", lambda params, windows:
+                            sizes.append(len(windows)) or features(params, windows))
         params = init_params(ModelConfig(w=15, seed=4))   # R = 5
         present = rng.random((100, 15)) < 0.5
         x, background = rng.normal(size=15), rng.normal(size=(3, 15))
@@ -480,10 +481,15 @@ class TestParallelCoalitions:
         assert explain(params, x, background, config).workers == 2
         assert multiprocessing.active_children() == []
 
-        def fail(self, rows):
-            raise ShapeMismatch("bad rows")
+        attend = nn._attend
 
-        monkeypatch.setattr(_CoalitionModel, "_outputs", fail)
+        def fail(params, h, qkv):
+            # the explained window's own forward is a batch of one
+            if h.shape[1] > 1:
+                raise ShapeMismatch("bad rows")
+            return attend(params, h, qkv)
+
+        monkeypatch.setattr(nn, "_attend", fail)
         with pytest.raises(ShapeMismatch):
             explain(params, x, background, config)
         assert multiprocessing.active_children() == []

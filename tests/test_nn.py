@@ -9,7 +9,9 @@ from fusecast.errors import BadCheckpoint, LengthMismatch, ShapeMismatch
 from fusecast.nn import (
     ModelConfig,
     ModelParams,
+    _attend,
     _backward_batch,
+    _features,
     _forward_batch,
     init_params,
     load_checkpoint,
@@ -474,6 +476,27 @@ class TestSampledCells:
         _, c2 = _forward_batch(params, x2)
         for a1, a2 in zip(c1["conv_act"], c2["conv_act"]):
             np.testing.assert_array_equal(a1[:, : t + 1], a2[:, : t + 1])
+
+
+class TestAttendOnFeatures:
+    """The coalition model's path, the channel-major table of
+    :func:`_features` fed to :func:`_attend`, is the forward pass."""
+
+    @pytest.mark.parametrize("cell", [
+        dict(),
+        dict(cnn_layers=3, filters=40, kernel_size=4, heads=3),
+        dict(cnn_layers=4, filters=64, kernel_size=5, heads=4),
+        dict(cnn_layers=12, filters=256, kernel_size=5, heads=5),
+    ], ids=["default", "3x40k4", "4x64k5", "widecell"])
+    @pytest.mark.parametrize("batch", [1, 7, 32, 70])
+    def test_bitwise_equal_to_forward(self, cell, batch):
+        params = init_params(ModelConfig(w=15, **cell, seed=batch))
+        xb = np.random.default_rng(batch).normal(size=(batch, 15))
+        table = _features(params, xb)
+        cfg = params.config
+        assert table.shape == (cfg.d + 3 * cfg.d_attn, batch, 15)
+        yhat, _ = _attend(params, table[:cfg.d], table[cfg.d:])
+        np.testing.assert_array_equal(yhat, _forward_batch(params, xb)[0])
 
 
 class TestFlatLayout:

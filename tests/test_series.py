@@ -19,13 +19,18 @@ from fusecast.series import (
     TimeSeries,
     apply_scaler,
     fit_scaler,
-    invert_scaler,
     load_csv,
     make_windows,
     save_csv,
     split,
     synthesize,
+    unscale_values,
 )
+
+
+def invert_scaler(ts: TimeSeries, sp: ScalerParams) -> TimeSeries:
+    """Undo :func:`apply_scaler`, the oracle of the round-trip tests."""
+    return TimeSeries(ts.timestamps, unscale_values(ts.values, sp))
 
 
 def write_csv(path, rows, header="timestamp,value"):
