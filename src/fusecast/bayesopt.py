@@ -363,15 +363,17 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
             if cells:
                 cfg = local_pick(state, cells, explore=False)
         if cfg is None:
-            # the global EI pick, hill-climbed over its grid neighbours
+            # the global EI pick, hill-climbed over its grid neighbours; the
+            # cell is scored in the same batch as its neighbours, since a
+            # point's EI can differ in the last bit from batch to batch
             cfg = propose(state, space, pool_size, rng=rng, xi=xi)
-            best_ei = _ei_minimize(state, space.to_unit(cfg)[None], xi)[0]
-            while cells := _coordinate_neighbours(space, cfg, set()):
+            while True:
+                cells = [cfg, *_coordinate_neighbours(space, cfg, set())]
                 ei = _ei_minimize(state, np.stack([space.to_unit(c) for c in cells]), xi)
-                top = int(np.argmax(ei))
-                if ei[top] <= best_ei:
+                top = int(np.argmax(ei))    # ties keep the current cell
+                if top == 0:
                     break
-                best_ei, cfg = ei[top], cells[top]
+                cfg = cells[top]
         evaluate(i, cfg)
 
     return TuneResult(best_config=best_cfg, best_objective=best_y,

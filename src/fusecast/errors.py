@@ -3,11 +3,19 @@
 Everything derives from :class:`FusecastError` through one of three bases,
 each carrying the CLI's exit code and stderr prefix: :class:`ConfigError`
 (2), :class:`DataError` (3) and :class:`NumericFailure` (4). Concrete
-errors also derive from the builtin exception that fits them."""
+errors also derive from the builtin exception that fits them. Every error
+survives ``pickle``, so it can cross a process boundary."""
+
+import copyreg
 
 
 class FusecastError(Exception):
     """Base class for all package errors."""
+
+    def __reduce__(self):
+        # rebuilt from its message and attributes without calling __init__
+        # again: the errors that format their message take other arguments
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(FusecastError, ValueError):

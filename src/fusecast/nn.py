@@ -16,8 +16,10 @@ columns it gathers per composite, and it runs :func:`_attend` on them.
 
 All learnable tensors live in one float64 vector, ``ModelParams.flat``,
 laid out by :func:`param_layout` in checkpoint order, with named views
-carved once per :class:`ModelParams`. :func:`_backward_batch` returns one
-gradient vector in the same layout, so the optimizer is elementwise.
+carved once per :class:`ModelParams`. :func:`_backward_batch` writes the
+gradient through the views of a gradient :class:`ModelParams`, one vector
+in the same layout, so the optimizer is elementwise; training allocates
+that vector once per run and the backward pass fills it in place.
 
 The path is written as matrix products that reach BLAS. Feature maps are
 channel-major, (c, B*w): each conv layer is one (f, k*c) @ (k*c, B*w)
@@ -300,26 +302,28 @@ def _forward_batch(params: ModelParams, xb: np.ndarray) -> tuple[np.ndarray, dic
     return yhat, cache
 
 
-def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray) -> np.ndarray:
+def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray,
+                    out: ModelParams | None = None) -> np.ndarray:
     """Analytic gradient of sum_b dl_dy[b] * yhat[b] w.r.t. ``params.flat``,
-    each tensor's part written into its view of one vector. Weight and input
-    gradients are 2-D GEMMs on the same channel-major (., B*w) layouts as
-    the forward pass."""
+    each tensor's part written into its view of ``out`` (a new ModelParams
+    when not given); returns ``out.flat``. Weight and input gradients are
+    2-D GEMMs on the same channel-major (., B*w) layouts as the forward
+    pass."""
     cfg = params.config
     g = np.asarray(dl_dy, dtype=np.float64)
     z = cache["z"]
     b, w = cache["x"].shape
     d, dk, h = cfg.d, cfg.head_dim, cfg.heads
 
-    flat = np.empty_like(params.flat)
-    grads = tensor_views(cfg, flat)
-    grads["head.w_out"][...] = g @ z
-    grads["head.b_out"][...] = g.sum()
+    if out is None:
+        out = ModelParams(cfg, np.empty_like(params.flat))
+    out.w_out[...] = g @ z
+    out.b_out[...] = g.sum()
     dz = g[:, None] * params.w_out
 
     # pooled attention: the upstream gradient is the same for every query
     att, q, k, v, abar = cache["att"], cache["q"], cache["k"], cache["v"], cache["abar"]
-    grads["attn.wo"][...] = cache["pooled"].T @ dz[:, d:]
+    out.wo[...] = cache["pooled"].T @ dz[:, d:]
     dpooled = (dz[:, d:] @ params.wo.T).reshape(b, h, 1, dk)
     dqkv = np.empty((3, h, dk, b, w))
     dq, dk_, dv = dqkv.transpose(0, 3, 1, 4, 2)
@@ -336,8 +340,7 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray) -> np.n
     dqkv = dqkv.reshape(3 * h * dk, b * w)
     h_cnn = cache["conv_act"][-1].transpose(2, 0, 1).reshape(d, b * w)
     dw = (dqkv @ h_cnn.T).reshape(3, h, dk, d).swapaxes(-1, -2)
-    for name, dw_i in zip(("attn.wq", "attn.wk", "attn.wv"), dw):
-        grads[name][...] = dw_i
+    out.wq[...], out.wk[...], out.wv[...] = dw
     dact = (_qkv_matrix(params.wq, params.wk, params.wv).T @ dqkv).reshape(d, b, w)
     # z is the time mean of the conv map, so each step gets dL/dz / w
     dact += dz[:, :d].T[:, :, None] / w
@@ -348,10 +351,10 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray) -> np.n
         f, c_in, ksz = kern.shape
         pre = cache["conv_pre"][layer].transpose(2, 0, 1)
         dpre = (dact * (pre > 0)).reshape(f, b * w)
-        grads[f"conv{layer}.bias"][...] = dpre.sum(axis=1)
+        out.conv_biases[layer][...] = dpre.sum(axis=1)
         layer_in = cache["conv_act"][layer - 1].transpose(2, 0, 1) if layer else cache["x"][None]
         dkm = dpre @ _im2col(layer_in, ksz).T
-        grads[f"conv{layer}.kernel"][...] = dkm.reshape(f, ksz, c_in).transpose(0, 2, 1)
+        out.conv_kernels[layer][...] = dkm.reshape(f, ksz, c_in).transpose(0, 2, 1)
         if layer > 0:
             # col2im, time-major so each tap adds one contiguous block:
             # column block i of row (b, t) came from h[b, t-i]
@@ -360,7 +363,7 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray) -> np.n
             for i in range(1, ksz):
                 dh[:, :w - i, :] += dcols[:, i:, i, :]
             dact = dh.transpose(2, 0, 1)
-    return flat
+    return out.flat
 
 
 # -- checkpoint io -------------------------------------------------------

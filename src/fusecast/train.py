@@ -1,7 +1,11 @@
 """Model fitting, recursive forecasting, error metrics, and multi-run
-statistics. Adam updates flat moment vectors in place (see :mod:`.nn`). The
-package's ``train`` function shadows this module as ``fusecast.train``, so
-import its other names with ``from fusecast.train import ...``."""
+statistics. :func:`train` holds one parameter vector, one gradient vector
+and Adam's two moment vectors for the whole run: the backward pass fills
+the gradient in place, and :func:`adam_step` updates the moments and the
+parameters in place, walking them in L2-sized chunks (see :mod:`.nn` for
+the flat layout). The package's ``train`` function shadows this module as
+``fusecast.train``, so import its other names with
+``from fusecast.train import ...``."""
 
 from __future__ import annotations
 
@@ -26,6 +30,9 @@ from .nn import ModelConfig, ModelParams, _backward_batch, _forward_batch, init_
 from .series import ScalerParams, WindowedDataset, scale_values, unscale_values
 
 PREDICT_BLOCK = 32  # rows per forward call in predict_batch
+# elements per Adam chunk: the six float64 slices one chunk touches (m, v,
+# gradient, parameters, two scratch) take 128 KB each and fit a 2 MB L2
+ADAM_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -49,7 +56,8 @@ class TrainConfig:
 
 @dataclass
 class OptState:
-    """Adam's moments over ``ModelParams.flat``, updated in place, and a scratch vector."""
+    """Adam's moments over ``ModelParams.flat``, updated in place, and two
+    scratch rows of at most ``ADAM_CHUNK`` elements."""
 
     m: np.ndarray
     v: np.ndarray
@@ -97,31 +105,40 @@ def mse_loss(yhat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
 
 def init_opt_state(params: ModelParams) -> OptState:
     n = params.flat.size
-    return OptState(m=np.zeros(n), v=np.zeros(n), scratch=np.empty(n))
+    return OptState(m=np.zeros(n), v=np.zeros(n), scratch=np.empty((2, min(n, ADAM_CHUNK))))
 
 
 def adam_step(params: ModelParams, grads: np.ndarray, state: OptState,
-              config: TrainConfig) -> ModelParams:
+              config: TrainConfig, *, out: ModelParams | None = None) -> ModelParams:
     """One bias-corrected adaptive-moment update of ``params.flat`` by the
-    flat gradient, in the textbook formula's operation order. ``state`` is
-    advanced in place; the result is a new ModelParams over a new vector."""
+    flat gradient, in the textbook formula's operation order, written into
+    ``out`` (which may be ``params``) or, without it, into a new
+    ModelParams. ``state`` is advanced in place. The update is elementwise,
+    so it runs chunk by chunk, ``ADAM_CHUNK`` elements at a time, with the
+    same result bit for bit as over the whole vector."""
+    if out is None:
+        out = ModelParams(params.config, np.empty_like(params.flat))
     b1, b2 = config.beta1, config.beta2
-    m, v, s = state.m, state.v, state.scratch
     state.step += 1
-    m *= b1
-    m += np.multiply(1 - b1, grads, out=s)
-    v *= b2
-    np.multiply(1 - b2, grads, out=s)
-    s *= grads
-    v += s
-    np.divide(v, 1 - b2 ** state.step, out=s)
-    np.sqrt(s, out=s)
-    s += config.eps
-    theta = m / (1 - b1 ** state.step)
-    theta *= config.learning_rate
-    theta /= s
-    np.subtract(params.flat, theta, out=theta)
-    return ModelParams(params.config, theta)
+    c1, c2 = 1 - b1 ** state.step, 1 - b2 ** state.step
+    for start in range(0, params.flat.size, ADAM_CHUNK):
+        part = slice(start, start + ADAM_CHUNK)
+        m, v, g = state.m[part], state.v[part], grads[part]
+        s, theta = state.scratch[:, :len(m)]
+        m *= b1
+        m += np.multiply(1 - b1, g, out=s)
+        v *= b2
+        np.multiply(1 - b2, g, out=s)
+        s *= g
+        v += s
+        np.divide(v, c2, out=s)
+        np.sqrt(s, out=s)
+        s += config.eps
+        np.divide(m, c1, out=theta)
+        theta *= config.learning_rate
+        theta /= s
+        np.subtract(params.flat[part], theta, out=out.flat[part])
+    return out
 
 
 def train(config: ModelConfig, tconfig: TrainConfig,
@@ -136,6 +153,7 @@ def train(config: ModelConfig, tconfig: TrainConfig,
     if data.w != config.w:
         raise ShapeMismatch(f"dataset windows of length {data.w}, model expects {config.w}")
     params = init_params(config)
+    grads = ModelParams(config, np.empty_like(params.flat))
     state = init_opt_state(params)
     rng = np.random.default_rng(tconfig.seed)
     history: list[float] = []
@@ -154,7 +172,8 @@ def train(config: ModelConfig, tconfig: TrainConfig,
             if not np.isfinite(loss):
                 raise DivergedLoss(f"non-finite training loss at step {state.step + 1}")
             sse += loss * len(idx)
-            params = adam_step(params, _backward_batch(params, cache, dl_dy), state, tconfig)
+            _backward_batch(params, cache, dl_dy, out=grads)
+            adam_step(params, grads.flat, state, tconfig, out=params)
         history.append(sse / n)
     return params, history
 

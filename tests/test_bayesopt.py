@@ -15,7 +15,8 @@ from fusecast.bayesopt import (
     propose,
     tune,
 )
-from fusecast.errors import DimensionMismatch, DivergedLoss, InvalidSpec, ObjectiveFailure
+from fusecast.errors import (DimensionMismatch, DivergedLoss, EmptySpace, InvalidSpec,
+                             ObjectiveFailure)
 
 
 # -- scalar oracles and one-point views of the batched GP code ------------
@@ -88,6 +89,10 @@ class TestKernel:
 
 
 class TestGpFit:
+    def test_no_observations_is_empty_space(self):
+        with pytest.raises(EmptySpace, match="at least one observation"):
+            gp_fit([], hyper_for(2))
+
     def test_single_observation_factor(self):
         h = hyper_for(2, noise=1e-4)
         state = gp_fit(make_obs([[0.5, 0.5]], [3.0]), h)
@@ -225,6 +230,11 @@ class TestSearchSpace:
 
 
 class TestPropose:
+    def test_empty_pool_is_empty_space(self):
+        state = gp_fit(make_obs([[0.5] * 4], [1.0]), hyper_for(4))
+        with pytest.raises(EmptySpace, match="pool_size"):
+            propose(state, SearchSpace(), pool_size=0, rng=np.random.default_rng(0))
+
     def test_pool_of_one_returned(self, rng):
         space = SearchSpace()
         state = gp_fit(make_obs([[0.5] * 4, [0.2] * 4], [1.0, 2.0]), hyper_for(4))

@@ -335,6 +335,19 @@ class TestBackward:
         grads = _backward_batch(tiny_params, cache, np.array([-1.75]))
         assert float(tensor_views(tiny_params.config, grads)["head.b_out"]) == -1.75
 
+    @pytest.mark.parametrize("config", [
+        ModelConfig(w=15, seed=0),
+        ModelConfig(w=15, cnn_layers=3, filters=40, kernel_size=4, heads=3, seed=5)])
+    def test_out_filled_bitwise_as_new_vector(self, config, rng):
+        params = init_params(config)
+        _, cache = _forward_batch(params, rng.normal(size=(32, config.w)))
+        dl_dy = rng.normal(size=32)
+        fresh = _backward_batch(params, cache, dl_dy)
+        out = ModelParams(config, np.full_like(params.flat, np.nan))
+        returned = _backward_batch(params, cache, dl_dy, out=out)
+        assert returned is out.flat
+        np.testing.assert_array_equal(out.flat, fresh)
+
 
 def assert_matches_finite_differences(params, xb, y, label=None):
     """Every entry of the analytic gradient of the summed squared loss

@@ -15,10 +15,11 @@ from fusecast.errors import (
     TooFewSamples,
     ZeroVarianceShapeStats,
 )
-from fusecast.nn import ModelConfig, _forward_batch, init_params, tensor_views
+from fusecast.nn import ModelConfig, _backward_batch, _forward_batch, init_params, tensor_views
 from fusecast.series import (ScalerParams, SynthSpec, WindowedDataset, fit_scaler, make_windows,
                              scale_values, split, synthesize)
 from fusecast.train import (
+    ADAM_CHUNK,
     PREDICT_BLOCK,
     TrainConfig,
     adam_step,
@@ -128,6 +129,67 @@ class TestAdam:
             assert state.step == t
             params = new_params
         np.testing.assert_array_equal(first.flat, before)
+
+
+def reference_train(config: ModelConfig, tconfig: TrainConfig,
+                    data: WindowedDataset) -> tuple:
+    """The training loop with a new gradient vector from each backward pass
+    and new parameters from each Adam step."""
+    params = init_params(config)
+    state = init_opt_state(params)
+    rng = np.random.default_rng(tconfig.seed)
+    history = []
+    for _ in range(tconfig.epochs):
+        order = rng.permutation(len(data))
+        sse = 0.0
+        for start in range(0, len(data), tconfig.batch_size):
+            idx = order[start:start + tconfig.batch_size]
+            yhat, cache = _forward_batch(params, data.inputs[idx])
+            loss, dl_dy = mse_loss(yhat, data.targets[idx])
+            sse += loss * len(idx)
+            params = adam_step(params, _backward_batch(params, cache, dl_dy), state, tconfig)
+        history.append(sse / len(data))
+    return params, history
+
+
+# the default cell fits in one partial Adam chunk; 3x40 k=4 in one full
+# chunk and a partial one
+IN_PLACE_CELLS = [
+    ModelConfig(w=15, seed=0),
+    ModelConfig(w=15, cnn_layers=3, filters=40, kernel_size=4, heads=3, seed=5)]
+
+
+class TestTrainInPlace:
+    def test_cells_span_the_chunk_cases(self):
+        sizes = [init_params(c).flat.size for c in IN_PLACE_CELLS]
+        assert sizes == [1905, 19361]
+        assert sizes[0] < ADAM_CHUNK < sizes[1] < 2 * ADAM_CHUNK
+
+    @pytest.mark.parametrize("config", IN_PLACE_CELLS)
+    def test_train_equals_reference_loop_bitwise(self, config, rng):
+        data = WindowedDataset(rng.normal(size=(80, 15)), rng.normal(size=80), 15)
+        tconfig = TrainConfig(epochs=3, learning_rate=3e-3, seed=2)
+        params, history = train(config, tconfig, data)
+        expected, expected_history = reference_train(config, tconfig, data)
+        np.testing.assert_array_equal(params.flat, expected.flat)
+        assert history == expected_history
+
+    @pytest.mark.parametrize("config", IN_PLACE_CELLS)
+    def test_adam_into_its_own_params_equals_new_params(self, config, rng):
+        cfg = TrainConfig(learning_rate=3e-3)
+        params = init_params(config)
+        in_place = init_params(config)
+        state, state_in_place = init_opt_state(params), init_opt_state(in_place)
+        for _ in range(3):
+            grads = rng.normal(size=params.flat.size)
+            before = params.flat.copy()
+            new_params = adam_step(params, grads, state, cfg)
+            np.testing.assert_array_equal(params.flat, before)
+            assert adam_step(in_place, grads, state_in_place, cfg, out=in_place) is in_place
+            np.testing.assert_array_equal(in_place.flat, new_params.flat)
+            np.testing.assert_array_equal(state_in_place.m, state.m)
+            np.testing.assert_array_equal(state_in_place.v, state.v)
+            params = new_params
 
 
 class TestTrain:
