@@ -18,15 +18,11 @@ from fusecast import (
     SynthSpec,
     TimeSeries,
     TrainConfig,
-    WindowedDataset,
-    apply_scaler,
-    fit_scaler,
     forecast_recursive,
     horizon_eval,
-    make_windows,
     metrics,
     persistence_forecast,
-    split,
+    prepare,
     synthesize,
     train,
 )
@@ -45,31 +41,25 @@ print(f"series: {len(series)} days, range [{series.values.min():.1f}, "
       f"{series.values.max():.1f}]")
 
 # Chronological 80/20 split; the scaler is fitted on the training segment
-# only, then applied everywhere.
-train_ts, test_ts = split(series, 0.8)
-scaler = fit_scaler(train_ts)
-scaled = apply_scaler(series, scaler)
-print(f"split: {len(train_ts)} train / {len(test_ts)} test, "
-      f"scaler mean={scaler.mean:.2f} std={scaler.std:.2f}")
-
-# Supervised windows: 15 lags in, next value out. Training windows are the
-# ones whose target still falls inside the training segment.
+# only, then applied everywhere. Supervised windows: 15 lags in, next value
+# out. Training windows are the ones whose target still falls inside the
+# training segment; the rest are held out.
 w = 15
-windows = make_windows(scaled, w)
-first_test = len(train_ts) - w
-train_windows = WindowedDataset(windows.inputs[:first_test],
-                                windows.targets[:first_test], w)
-print(f"windows: {len(train_windows)} training pairs of length {w}")
+data = prepare(series, 0.8, w)
+scaler = data.scaler
+print(f"split: {data.train_len} train / {len(series) - data.train_len} test, "
+      f"scaler mean={scaler.mean:.2f} std={scaler.std:.2f}")
+print(f"windows: {len(data.train)} training pairs of length {w}")
 
 # Train with everything at its defaults: 2 causal conv layers of 16 filters,
 # 2 attention heads, 100 epochs of Adam on mini-batches of 32.
 config = ModelConfig(w=w, seed=0)
-params, history = train(config, TrainConfig(seed=1), train_windows)
+params, history = train(config, TrainConfig(seed=1), data.train)
 print(f"training MSE: {history[0]:.4f} (epoch 1) -> {history[-1]:.6f} (epoch {len(history)})")
 
 # Multi-step skill: recursive 15-step rollouts from 10 anchors across the
 # test segment, pooled, against the repeat-last-value baseline.
-model_m, naive_m = horizon_eval(params, scaler, series.values, len(train_ts),
+model_m, naive_m = horizon_eval(params, scaler, series.values, data.train_len,
                                 horizon=15, n_anchors=10)
 print(f"horizon-15 model: rmse={model_m.rmse:.2f} mae={model_m.mae:.2f} "
       f"mape={model_m.mape:.2%} msle={model_m.msle:.2e}")
@@ -77,7 +67,7 @@ print(f"horizon-15 naive: rmse={naive_m.rmse:.2f} mae={naive_m.mae:.2f} "
       f"mape={naive_m.mape:.2%}")
 
 # One concrete forecast to look at, starting where the test segment begins.
-anchor = len(train_ts)
+anchor = data.train_len
 window = series.values[anchor - w:anchor]
 truth = series.values[anchor:anchor + 15]
 pred = forecast_recursive(params, scaler, window, 15)

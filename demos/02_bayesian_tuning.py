@@ -16,10 +16,7 @@ from fusecast import (
     SearchSpace,
     SynthSpec,
     TrainConfig,
-    WindowedDataset,
-    apply_scaler,
-    fit_scaler,
-    make_windows,
+    prepare,
     split,
     synthesize,
     train,
@@ -59,23 +56,19 @@ series = synthesize(SynthSpec(length=600, period=50, amplitude=10.0,
                               trend_slope=0.05, noise_std=0.5, ar_coeff=0.5,
                               seed=9))
 train_ts, _ = split(series, 0.8)
-fit_ts, val_ts = split(train_ts, 0.8)
-scaler = fit_scaler(fit_ts)
-scaled = apply_scaler(train_ts, scaler)
 w = 10
-windows = make_windows(scaled, w)
-first_val = len(fit_ts) - w
-fit_windows = WindowedDataset(windows.inputs[:first_val], windows.targets[:first_val], w)
-val_windows = WindowedDataset(windows.inputs[first_val:], windows.targets[first_val:], w)
+# the validation split prepares the training segment the same way the
+# train/test split prepares the whole series
+data = prepare(train_ts, 0.8, w)
 tconfig = TrainConfig(epochs=4, seed=1)
 
 
 def objective(cfg):
     mconfig = ModelConfig(w=w, cnn_layers=cfg["cnn_layers"], filters=cfg["filters"],
                           kernel_size=cfg["kernel_size"], heads=cfg["heads"], seed=0)
-    params, _ = train(mconfig, tconfig, fit_windows)
-    yhat = unscale_values(predict_batch(params, val_windows.inputs), scaler)
-    y = unscale_values(val_windows.targets, scaler)
+    params, _ = train(mconfig, tconfig, data.train)
+    yhat = unscale_values(predict_batch(params, data.held.inputs), data.scaler)
+    y = unscale_values(data.held.targets, data.scaler)
     return metrics(y, yhat).rmse
 
 

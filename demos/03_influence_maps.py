@@ -16,13 +16,9 @@ from fusecast import (
     SynthSpec,
     TimeSeries,
     TrainConfig,
-    WindowedDataset,
-    apply_scaler,
     explain,
-    fit_scaler,
-    make_windows,
+    prepare,
     sample_background,
-    split,
     synthesize,
     train,
 )
@@ -34,23 +30,16 @@ OUT.mkdir(parents=True, exist_ok=True)
 base = synthesize(SynthSpec(length=800, period=80, amplitude=30.0,
                             noise_std=1.5, ar_coeff=0.6, seed=3))
 series = TimeSeries(base.timestamps, base.values + 200.0)
-train_ts, _ = split(series, 0.8)
-scaler = fit_scaler(train_ts)
-scaled = apply_scaler(series, scaler)
-
 w = 15  # beyond the exact-enumeration cap, so use permutation sampling
-windows = make_windows(scaled, w)
-first_test = len(train_ts) - w
-train_windows = WindowedDataset(windows.inputs[:first_test],
-                                windows.targets[:first_test], w)
+data = prepare(series, 0.8, w)
 
 params, _ = train(ModelConfig(w=w, cnn_layers=2, filters=12, kernel_size=3,
                               heads=2, seed=0),
-                  TrainConfig(epochs=40, seed=1), train_windows)
+                  TrainConfig(epochs=40, seed=1), data.train)
 print("model trained; explaining the first window of the test segment")
 
-x = windows.inputs[first_test]
-background = sample_background(train_windows.inputs, 16, seed=5)
+x = data.held.inputs[0]
+background = sample_background(data.train.inputs, 16, seed=5)
 config = ExplainConfig(shap_mode="sampled", sample_permutations=150,
                        smoothing_sigma=2.0, seed=5)
 result = explain(params, x, background, config)

@@ -17,13 +17,9 @@ from fusecast import (
     SynthSpec,
     TimeSeries,
     TrainConfig,
-    WindowedDataset,
-    apply_scaler,
-    fit_scaler,
-    make_windows,
     metrics,
+    prepare,
     run_stats,
-    split,
     synthesize,
     train,
 )
@@ -37,16 +33,8 @@ OUT.mkdir(parents=True, exist_ok=True)
 base = synthesize(SynthSpec(length=600, period=60, amplitude=20.0,
                             noise_std=1.0, ar_coeff=0.5, seed=8))
 series = TimeSeries(base.timestamps, base.values + 100.0)
-train_ts, _ = split(series, 0.8)
-scaler = fit_scaler(train_ts)
-scaled = apply_scaler(series, scaler)
 w = 10
-windows = make_windows(scaled, w)
-first_test = len(train_ts) - w
-train_windows = WindowedDataset(windows.inputs[:first_test],
-                                windows.targets[:first_test], w)
-test_windows = WindowedDataset(windows.inputs[first_test:],
-                               windows.targets[first_test:], w)
+data = prepare(series, 0.8, w)
 
 runs = 12
 print(f"{runs} runs with fresh random weights, identical data")
@@ -54,9 +42,9 @@ per_run = []
 for r in range(runs):
     params, _ = train(ModelConfig(w=w, cnn_layers=2, filters=12, kernel_size=3,
                                   heads=2, seed=100 + r),
-                      TrainConfig(epochs=25, seed=200 + r), train_windows)
-    yhat = unscale_values(predict_batch(params, test_windows.inputs), scaler)
-    y = unscale_values(test_windows.targets, scaler)
+                      TrainConfig(epochs=25, seed=200 + r), data.train)
+    yhat = unscale_values(predict_batch(params, data.held.inputs), data.scaler)
+    y = unscale_values(data.held.targets, data.scaler)
     per_run.append(metrics(y, yhat))
     print(f"  run {r:2d}: rmse={per_run[-1].rmse:.3f} mae={per_run[-1].mae:.3f}")
 

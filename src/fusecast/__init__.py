@@ -2,6 +2,7 @@
 search and SHAP-attention influence maps."""
 
 from .series import (
+    Prepared,
     ScalerParams,
     SynthSpec,
     TimeSeries,
@@ -10,6 +11,7 @@ from .series import (
     fit_scaler,
     load_csv,
     make_windows,
+    prepare,
     save_csv,
     split,
     synthesize,

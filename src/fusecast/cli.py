@@ -5,6 +5,9 @@ fields and the effective config is echoed into the output directory. All
 CSV/JSON outputs are byte-reproducible from (config, seed), the documented
 exception being wall-clock timing fields.
 
+Windows come from :func:`fusecast.series.prepare`: ``train``, ``bench`` and
+``explain`` split at ``data.train_frac``, ``tune`` at 0.8 of the training segment.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric failure; an
 error's base class in :mod:`fusecast.errors` carries its code.
 """
@@ -33,7 +36,7 @@ from .train import (
     run_stats,
     train as train_model,
 )
-from .errors import ConfigError, FusecastError, ObjectiveFailure, WindowTooLarge
+from .errors import ConfigError, FusecastError, ObjectiveFailure
 
 OUT_ENV = "FUSECAST_OUT"
 
@@ -158,35 +161,10 @@ def _load_series(cfg: dict) -> series.TimeSeries:
     raise ConfigError(f"unknown data.source {data['source']!r}")
 
 
-def _split_windows(ts: series.TimeSeries, train_len: int, w: int,
-                   scaler: series.ScalerParams):
-    """Scale ``ts`` and cut it into (train windows, held-out windows).
-
-    Train windows have their target among the first ``train_len`` values;
-    the held-out windows are the rest, whose inputs may span the boundary.
-    """
-    windows = series.make_windows(series.apply_scaler(ts, scaler), w)
-    first_held = train_len - w
-    if first_held <= 0:
-        raise WindowTooLarge(f"window {w} does not fit in a training segment of {train_len}")
-    return (series.WindowedDataset(windows.inputs[:first_held], windows.targets[:first_held], w),
-            series.WindowedDataset(windows.inputs[first_held:], windows.targets[first_held:], w))
-
-
-def _prepared_data(cfg: dict):
-    """Series -> split -> train-fitted scaler -> scaled train and test
-    windows (see :func:`_split_windows`)."""
-    ts = _load_series(cfg)
-    train_ts, _ = series.split(ts, cfg["data"]["train_frac"])
-    scaler = series.fit_scaler(train_ts)
-    train_windows, test_windows = _split_windows(ts, len(train_ts), cfg["model"]["w"], scaler)
-    return ts, train_ts, scaler, train_windows, test_windows
-
-
-def _one_step(params, scaler, test_windows) -> tuple[np.ndarray, np.ndarray]:
+def _one_step(params, scaler, windows) -> tuple[np.ndarray, np.ndarray]:
     """Truth and one-step predictions of the windows, in raw units."""
-    yhat = series.unscale_values(predict_batch(params, test_windows.inputs), scaler)
-    return series.unscale_values(test_windows.targets, scaler), yhat
+    yhat = series.unscale_values(predict_batch(params, windows.inputs), scaler)
+    return series.unscale_values(windows.targets, scaler), yhat
 
 
 def cmd_synth(cfg: dict, make_svg: bool = False) -> int:
@@ -205,18 +183,18 @@ def cmd_synth(cfg: dict, make_svg: bool = False) -> int:
 def cmd_train(cfg: dict, make_svg: bool = False) -> int:
     out = _out_dir(cfg, "train")
     seed = cfg["seed"]
-    _, _, scaler, train_windows, test_windows = _prepared_data(cfg)
+    data = series.prepare(_load_series(cfg), cfg["data"]["train_frac"], cfg["model"]["w"])
     mconfig = nn.ModelConfig(**cfg["model"], seed=seed)
     tconfig = TrainConfig(**cfg["train"], seed=seed + 1)
     t0 = time.perf_counter()
-    params, history = train_model(mconfig, tconfig, train_windows)
+    params, history = train_model(mconfig, tconfig, data.train)
     # saved first, so an undefined reporting metric never discards the model
     # or its training history
-    nn.save_checkpoint(out / "checkpoint.json", params, scaler)
+    nn.save_checkpoint(out / "checkpoint.json", params, data.scaler)
     _write_csv(out / "loss_history.csv", ["epoch", "train_mse"],
                [[i + 1, _fmt(loss)] for i, loss in enumerate(history)])
     # an undefined MAPE or MSLE is reported as null with its reason
-    values, undefined = metric_values(*_one_step(params, scaler, test_windows))
+    values, undefined = metric_values(*_one_step(params, data.scaler, data.held))
     elapsed = time.perf_counter() - t0
     _write_json(out / "metrics.json", {
         "horizon": 1, **values, **({"undefined": undefined} if undefined else {}),
@@ -250,16 +228,14 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
     train_ts, _ = series.split(_load_series(cfg), cfg["data"]["train_frac"])
     # tuning objective: validation RMSE on the last 20% of the training
     # segment, so the test segment stays untouched until final training
-    sub_train, _ = series.split(train_ts, 0.8)
-    sub_scaler = series.fit_scaler(sub_train)
-    fit_windows, val_windows = _split_windows(train_ts, len(sub_train), w, sub_scaler)
+    data = series.prepare(train_ts, 0.8, w)
     tconfig = TrainConfig(**{**cfg["train"], "epochs": cfg["tune"]["epochs"]}, seed=seed + 1)
 
     def objective(trial_cfg: dict) -> float:
         params, _ = train_model(nn.ModelConfig(w=w, **trial_cfg, seed=seed), tconfig,
-                                fit_windows)
+                                data.train)
         # RMSE is defined even where MAPE or MSLE is not
-        return metric_values(*_one_step(params, sub_scaler, val_windows))[0]["rmse"]
+        return metric_values(*_one_step(params, data.scaler, data.held))[0]["rmse"]
 
     def report_failed(trials):
         for trial in trials:
@@ -317,18 +293,16 @@ def cmd_explain(cfg: dict, checkpoint: str, window_index: int,
     out = _out_dir(cfg, "explain")
     seed = cfg["seed"]
     params, scaler = nn.load_checkpoint(checkpoint)
-    ts = _load_series(cfg)
-    train_ts, _ = series.split(ts, cfg["data"]["train_frac"])
     w = params.config.w
-    train_windows, test_windows = _split_windows(ts, len(train_ts), w, scaler)
-    if not 0 <= window_index < len(test_windows):
+    data = series.prepare(_load_series(cfg), cfg["data"]["train_frac"], w, scaler)
+    if not 0 <= window_index < len(data.held):
         raise ConfigError(
-            f"window index {window_index} outside test range [0, {len(test_windows)})")
-    x = test_windows.inputs[window_index]
+            f"window index {window_index} outside test range [0, {len(data.held)})")
+    x = data.held.inputs[window_index]
 
     econfig = ExplainConfig(**cfg["explain"], seed=seed + 2)
     background = sample_background(
-        train_windows.inputs, econfig.background_size, seed=seed + 2)
+        data.train.inputs, econfig.background_size, seed=seed + 2)
     result = explain_window(params, x, background, econfig)
 
     # newest lag (t-1) first; lag number L refers to window position w-L
@@ -368,7 +342,10 @@ def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
     runs = cfg["bench"]["runs"]
     if runs < 4:
         raise ConfigError("bench.runs must be >= 4")
-    ts, train_ts, scaler, train_windows, test_windows = _prepared_data(cfg)
+    if cfg["bench"]["anchors"] < 1:
+        raise ConfigError("bench.anchors must be >= 1")
+    ts = _load_series(cfg)
+    data = series.prepare(ts, cfg["data"]["train_frac"], cfg["model"]["w"])
 
     per_run: list[dict] = []
     reasons: dict[str, str] = {}
@@ -378,9 +355,9 @@ def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
         mconfig = nn.ModelConfig(**cfg["model"], seed=seed + 100 + r)
         tconfig = TrainConfig(**cfg["train"], seed=seed + 200 + r)
         t0 = time.perf_counter()
-        params, _ = train_model(mconfig, tconfig, train_windows)
+        params, _ = train_model(mconfig, tconfig, data.train)
         fit_seconds += time.perf_counter() - t0
-        values, undefined = metric_values(*_one_step(params, scaler, test_windows))
+        values, undefined = metric_values(*_one_step(params, data.scaler, data.held))
         per_run.append(values)
         reasons.update(undefined)
         if first_params is None:
@@ -400,7 +377,7 @@ def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
     horizon_doc = {}
     for horizon in cfg["horizons"]:
         model_m, naive_m = horizon_eval(
-            first_params, scaler, ts.values, len(train_ts), horizon,
+            first_params, data.scaler, ts.values, data.train_len, horizon,
             n_anchors=cfg["bench"]["anchors"])
         horizon_doc[str(horizon)] = {"model": vars(model_m), "persistence": vars(naive_m)}
     predict_seconds = time.perf_counter() - t0

@@ -260,40 +260,26 @@ class _CoalitionModel:
         return np.concatenate([out for out, _ in results], axis=1)
 
 
-class _CoalitionValues:
-    """Cached coalition values v(S) keyed by the subset bitmask."""
-
-    def __init__(self, f, x: np.ndarray, background: np.ndarray):
-        self.f = f
-        self.x = np.asarray(x, dtype=np.float64)
-        self.background = np.asarray(background, dtype=np.float64)
-        if self.background.ndim != 2 or self.background.shape[1] != self.x.shape[0]:
-            raise LengthMismatch(
-                f"background {self.background.shape} incompatible with window {self.x.shape}"
-            )
-        if len(self.background) == 0:
-            raise InvalidSpec("background set must be non-empty")
-        self._cache: dict[int, float] = {}
-
-    def fill(self, masks) -> None:
-        """Evaluate every distinct mask not yet cached, with one ``f`` call
-        per chunk of masks covering at most ``FILL_ROWS`` composite windows."""
-        new = [m for m in dict.fromkeys(masks) if m not in self._cache]
-        w, n_bg = self.x.shape[0], len(self.background)
-        step = max(1, FILL_ROWS // n_bg)
-        for lo in range(0, len(new), step):
-            chunk = new[lo:lo + step]
-            present = np.array([[(m >> i) & 1 for i in range(w)] for m in chunk], dtype=bool)
-            values = np.asarray(self.f(present, self.x, self.background), dtype=np.float64)
-            self._cache.update(zip(chunk, values.reshape(len(chunk), n_bg).mean(axis=1).tolist()))
-
-    def __call__(self, mask: int) -> float:
-        if mask not in self._cache:
-            self.fill((mask,))
-        return self._cache[mask]
-
-    def __len__(self) -> int:
-        return len(self._cache)
+def _coalition_values(f, x: np.ndarray, background: np.ndarray, masks) -> dict[int, float]:
+    """Coalition values v(S) of every distinct subset bitmask in ``masks``,
+    with one ``f`` call per chunk of masks covering at most ``FILL_ROWS``
+    composite windows."""
+    x = np.asarray(x, dtype=np.float64)
+    background = np.asarray(background, dtype=np.float64)
+    if background.ndim != 2 or background.shape[1] != x.shape[0]:
+        raise LengthMismatch(f"background {background.shape} incompatible with window {x.shape}")
+    if len(background) == 0:
+        raise InvalidSpec("background set must be non-empty")
+    masks = list(dict.fromkeys(masks))
+    w, n_bg = x.shape[0], len(background)
+    step = max(1, FILL_ROWS // n_bg)
+    values: dict[int, float] = {}
+    for lo in range(0, len(masks), step):
+        chunk = masks[lo:lo + step]
+        present = np.array([[(m >> i) & 1 for i in range(w)] for m in chunk], dtype=bool)
+        out = np.asarray(f(present, x, background), dtype=np.float64)
+        values.update(zip(chunk, out.reshape(len(chunk), n_bg).mean(axis=1).tolist()))
+    return values
 
 
 def shap_exact(f, x: np.ndarray, background: np.ndarray) -> ShapResult:
@@ -307,8 +293,7 @@ def shap_exact(f, x: np.ndarray, background: np.ndarray) -> ShapResult:
     w = x.shape[0]
     if w > EXACT_MAX_WINDOW:
         raise WindowTooLargeForExact(f"w={w} exceeds {EXACT_MAX_WINDOW}")
-    v = _CoalitionValues(f, x, background)
-    v.fill(range(1 << w))
+    v = _coalition_values(f, x, background, range(1 << w))
     fact = [math.factorial(n) for n in range(w + 1)]
     weights = [fact[size] * fact[w - size - 1] / fact[w] for size in range(w)]
     s = np.zeros(w)
@@ -317,8 +302,8 @@ def shap_exact(f, x: np.ndarray, background: np.ndarray) -> ShapResult:
         for i in range(w):
             if mask & (1 << i):
                 continue
-            s[i] += weights[size] * (v(mask | (1 << i)) - v(mask))
-    return ShapResult(s=s, base_value=v(0), coalitions=len(v), se=np.zeros(w))
+            s[i] += weights[size] * (v[mask | (1 << i)] - v[mask])
+    return ShapResult(s=s, base_value=v[0], coalitions=len(v), se=np.zeros(w))
 
 
 def shap_sampled(f, x: np.ndarray, background: np.ndarray, m: int,
@@ -326,7 +311,7 @@ def shap_sampled(f, x: np.ndarray, background: np.ndarray, m: int,
     """Antithetic permutation-sampling estimate of the Shapley values.
 
     Every odd draw is the reverse of the previous order. All m orders are
-    drawn first and their prefix coalitions evaluated in one fill. The
+    drawn first and their prefix coalitions evaluated together. The
     telescoping sum of marginals makes the estimator additive up to
     rounding; the residual f(x) - base - sum(s) is redistributed
     proportionally to |s_i| so the additivity identity is exact for both
@@ -338,21 +323,20 @@ def shap_sampled(f, x: np.ndarray, background: np.ndarray, m: int,
     w = x.shape[0]
     if m < 1:
         raise InvalidSpec("need at least one permutation")
-    v = _CoalitionValues(f, x, background)
     rng = np.random.default_rng(seed)
     orders = []
     for j in range(m):
         orders.append(rng.permutation(w) if j % 2 == 0 else orders[-1][::-1])
     prefixes = [list(itertools.accumulate(1 << int(i) for i in order)) for order in orders]
-    v.fill([0, *itertools.chain.from_iterable(prefixes)])
+    v = _coalition_values(f, x, background, [0, *itertools.chain.from_iterable(prefixes)])
     marginals = np.empty((m, w))
     for row, order, masks in zip(marginals, orders, prefixes):
-        row[order] = np.diff([v(mask) for mask in masks], prepend=v(0))
+        row[order] = np.diff([v[mask] for mask in masks], prepend=v[0])
     s = marginals.sum(axis=0) / m
     pairs = marginals[:m - m % 2].reshape(m // 2, 2, w).mean(axis=1)
     se = pairs.std(axis=0, ddof=1) / math.sqrt(m // 2) if m >= 4 else np.full(w, np.nan)
-    base = v(0)
-    residual = v((1 << w) - 1) - base - s.sum()
+    base = v[0]
+    residual = v[(1 << w) - 1] - base - s.sum()
     weight = np.abs(s)
     if weight.sum() > 0:
         s = s + residual * weight / weight.sum()

@@ -151,11 +151,6 @@ class ModelParams:
         """Name -> view of ``flat``, in checkpoint order."""
         return dict(self._views)
 
-    def with_tensors(self, tensors: dict[str, np.ndarray]) -> "ModelParams":
-        """The same config over the given tensors, keyed as in :meth:`tensors`."""
-        return ModelParams(self.config,
-                           np.concatenate([np.ravel(tensors[name]) for name in self._views]))
-
 
 def init_params(config: ModelConfig) -> ModelParams:
     """Seeded initialization, drawn in layout order: convolution kernels use
@@ -406,6 +401,8 @@ def save_checkpoint(path, params: ModelParams, scaler: ScalerParams) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ScalerParams]:
+    """Read a :func:`save_checkpoint` document; tensors other than exactly the
+    finite ones of :func:`param_layout` raise :class:`BadCheckpoint`."""
     p = Path(path)
     if not p.is_file():
         raise BadCheckpoint(f"no such checkpoint: {p}")
@@ -418,14 +415,19 @@ def load_checkpoint(path) -> tuple[ModelParams, ScalerParams]:
     try:
         cfg = ModelConfig(**doc["model_config"])
         scaler = ScalerParams(**doc["scaler"])
+        if not isinstance(doc["tensors"], dict):
+            raise BadCheckpoint("checkpoint tensors must be an object, "
+                                f"got {type(doc['tensors']).__name__}")
         tensors = {name: _tensor_from_doc(t) for name, t in doc["tensors"].items()}
     except (KeyError, TypeError, InvalidSpec) as exc:
         raise BadCheckpoint(f"bad checkpoint fields: {exc}") from None
-    template = init_params(cfg)
-    expected = template.tensors()
-    if set(tensors) != set(expected):
+    layout = param_layout(cfg)
+    if set(tensors) != set(layout):
         raise BadCheckpoint("checkpoint tensors do not match the declared config")
-    for name, t in tensors.items():
-        if t.shape != expected[name].shape:
-            raise BadCheckpoint(f"tensor {name} has shape {t.shape}, expected {expected[name].shape}")
-    return template.with_tensors(tensors), scaler
+    for name, shape in layout.items():
+        if tensors[name].shape != shape:
+            raise BadCheckpoint(f"tensor {name} has shape {tensors[name].shape}, expected {shape}")
+    flat = np.concatenate([tensors[name].ravel() for name in layout])
+    if not np.all(np.isfinite(flat)):
+        raise BadCheckpoint("checkpoint tensors hold non-finite values")
+    return ModelParams(cfg, flat), scaler

@@ -1,6 +1,9 @@
 """Univariate daily time series: CSV ingestion, synthesis, scaling,
 chronological splitting, and supervised windowing.
 
+:func:`prepare`, the one data-preparation path, runs split, train-only
+scaler fit and windowing for every caller that trains, validates or explains.
+
 All functions are pure; :class:`TimeSeries` arrays are frozen after
 construction and safe to share between threads.
 """
@@ -11,6 +14,7 @@ import csv
 import datetime as dt
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import lfilter
@@ -237,3 +241,31 @@ def make_windows(ts: TimeSeries, w: int) -> WindowedDataset:
     inputs = np.lib.stride_tricks.sliding_window_view(ts.values, w)[:n_windows].copy()
     targets = ts.values[w:].copy()
     return WindowedDataset(inputs, targets, w)
+
+
+class Prepared(NamedTuple):
+    """A series split, scaled and windowed by :func:`prepare`."""
+
+    train_len: int             # values in the training segment
+    scaler: ScalerParams       # fitted on the training segment, or given
+    train: WindowedDataset     # windows whose target lies in the training segment
+    held: WindowedDataset      # the rest; their inputs may span the boundary
+
+
+def prepare(ts: TimeSeries, train_frac: float, w: int,
+            scaler: ScalerParams | None = None) -> Prepared:
+    """Split ``ts`` chronologically at ``train_frac``, fit the scaler on the
+    training segment (unless ``scaler`` is given), scale the whole series
+    and cut it into ``w``-lag windows, divided at the training boundary so
+    no held-out target is ever trained on."""
+    train_ts, _ = split(ts, train_frac)
+    if scaler is None:
+        scaler = fit_scaler(train_ts)
+    windows = make_windows(apply_scaler(ts, scaler), w)
+    first_held = len(train_ts) - w
+    if first_held <= 0:
+        raise WindowTooLarge(f"window {w} does not fit in a training segment of {len(train_ts)}")
+    return Prepared(
+        len(train_ts), scaler,
+        WindowedDataset(windows.inputs[:first_held], windows.targets[:first_held], w),
+        WindowedDataset(windows.inputs[first_held:], windows.targets[first_held:], w))

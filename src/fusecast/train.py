@@ -302,6 +302,8 @@ def horizon_eval(params: ModelParams, scaler: ScalerParams, values: np.ndarray,
     value. Returns (model metrics, persistence metrics) in raw units, from
     :func:`metric_values`, so an undefined MAPE or MSLE is None.
     """
+    if n_anchors < 1:
+        raise InvalidSpec(f"n_anchors must be >= 1, got {n_anchors}")
     values = np.asarray(values, dtype=np.float64)
     w = params.config.w
     n_test = len(values) - train_len

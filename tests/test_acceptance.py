@@ -16,21 +16,13 @@ import numpy as np
 from fusecast.bayesopt import SearchSpace, tune
 from fusecast.explain import shap_exact, shap_sampled
 from fusecast.nn import ModelConfig, init_params, tensor_views, _backward_batch, _forward_batch
-from fusecast.series import (
-    SynthSpec,
-    TimeSeries,
-    WindowedDataset,
-    apply_scaler,
-    fit_scaler,
-    make_windows,
-    split,
-    synthesize,
-)
+from fusecast.series import SynthSpec, TimeSeries, prepare, synthesize
 from fusecast.svg import box_stats
 from fusecast.train import TrainConfig
 
 from test_bayesopt import ei_minimize_at, gp_posterior, sq_exp_kernel
 from test_explain import rowwise
+from test_nn import with_tensors
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -62,7 +54,7 @@ def test_c01_gradient_correctness():
                 arr = np.atleast_1d(bumped[name])
                 arr[idx] += delta
                 bumped[name] = arr.reshape(np.asarray(tensor).shape)
-                yb, _ = _forward_batch(params.with_tensors(bumped), x[None])
+                yb, _ = _forward_batch(with_tensors(params, bumped), x[None])
                 return float((yb[0] - target) ** 2)
 
             fd = (loss_with(eps) - loss_with(-eps)) / (2 * eps)
@@ -276,20 +268,14 @@ def test_c10_end_to_end_forecasting_skill():
                                 seed=42))
     # shift to a strictly positive flow-like level so MAPE is meaningful
     ts = TimeSeries(base.timestamps, base.values + 500.0)
-    train_ts, _ = split(ts, 0.8)
-    scaler = fit_scaler(train_ts)
-    scaled = apply_scaler(ts, scaler)
     w, horizon = 15, 15
-    windows = make_windows(scaled, w)
-    first_test = len(train_ts) - w
-    train_windows = WindowedDataset(windows.inputs[:first_test],
-                                    windows.targets[:first_test], w)
+    data = prepare(ts, 0.8, w)
     wins = 0
     details = []
     for seed in range(5):
         params, _ = train(ModelConfig(w=w, seed=seed), TrainConfig(seed=seed + 50),
-                          train_windows)
-        model_m, naive_m = horizon_eval(params, scaler, ts.values, len(train_ts),
+                          data.train)
+        model_m, naive_m = horizon_eval(params, data.scaler, ts.values, data.train_len,
                                         horizon, n_anchors=10)
         ok = model_m.rmse < naive_m.rmse and model_m.mape < 0.10
         wins += ok

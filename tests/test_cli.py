@@ -445,6 +445,34 @@ class TestExitCodes:
         assert run("forecast", "--config", str(cfg), "--out", str(tmp_path / "o"),
                    "--checkpoint", str(ckpt)) == 3
 
+    @pytest.mark.parametrize("command", ["forecast", "explain"])
+    @pytest.mark.parametrize("edit", ["empty-list", "null", "nan"])
+    def test_bad_checkpoint_tensors(self, tmp_path, capsys, command, edit):
+        cfg = write_config(tmp_path)
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, init_params(ModelConfig(**BASE_CONFIG["model"])),
+                        ScalerParams(mean=0.0, std=1.0))
+        doc = json.loads(ckpt.read_text())
+        if edit == "nan":
+            doc["tensors"]["head.b_out"]["data"] = [float("nan")]
+        else:
+            doc["tensors"] = [] if edit == "empty-list" else None
+        ckpt.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run(command, "--config", str(cfg), "--out", str(out),
+                   "--checkpoint", str(ckpt)) == 3
+        assert capsys.readouterr().err.startswith("data error: checkpoint tensors")
+        assert not list((out / command).glob("*.csv"))
+
+    @pytest.mark.parametrize("anchors", [0, -2])
+    def test_bench_anchors_below_one(self, tmp_path, capsys, anchors):
+        # rejected before any run trains
+        cfg = write_config(tmp_path, **{"bench.anchors": anchors})
+        out = tmp_path / "o"
+        assert run("bench", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("config error: bench.anchors")
+        assert not (out / "bench" / "runs.csv").exists()
+
     def test_numeric_error_diverged(self, tmp_path):
         cfg = write_config(tmp_path, **{"train.learning_rate": 1e40, "train.epochs": 2})
         with np.errstate(all="ignore"):

@@ -19,6 +19,7 @@ from fusecast.errors import (
 from fusecast.explain import (
     ExplainConfig,
     _CoalitionModel,
+    _coalition_values,
     combine,
     explain,
     gaussian_smooth,
@@ -360,6 +361,38 @@ def coalition_cells(draw):
     """A small model config with a mask count and a background size."""
     cfg, _ = draw(grid_cells())
     return cfg, draw(st.integers(1, 40)), draw(st.integers(1, 3))
+
+
+class TestCoalitionValues:
+    def test_background_checked(self, rng):
+        f = composites(lambda windows: windows.sum(axis=1))
+        x = rng.normal(size=4)
+        for background in (rng.normal(size=(3, 5)), rng.normal(size=4)):
+            with pytest.raises(LengthMismatch):
+                _coalition_values(f, x, background, [0])
+        with pytest.raises(InvalidSpec, match="non-empty"):
+            _coalition_values(f, x, np.empty((0, 4)), [0])
+
+    def test_distinct_masks_in_first_seen_order_and_chunked(self, rng, monkeypatch):
+        # FILL_ROWS = 15 composites at 3 background rows: 5 masks per f call
+        monkeypatch.setattr(sys.modules["fusecast.explain"], "FILL_ROWS", 15)
+        x, background = rng.normal(size=4), rng.normal(size=(3, 4))
+        model = composites(lambda windows: windows.sum(axis=1))
+        calls = []
+
+        def f(present, x, background):
+            calls.append(present.copy())
+            return model(present, x, background)
+
+        v = _coalition_values(f, x, background, [5, 0, 5, 15, 3, 0, 9, 1, 2, 7, 6, 15])
+        distinct = [5, 0, 15, 3, 9, 1, 2, 7, 6]
+        assert list(v) == distinct
+        assert [len(c) for c in calls] == [5, 4]
+        bits = (np.array(distinct)[:, None] >> np.arange(4)) & 1 == 1
+        np.testing.assert_array_equal(np.concatenate(calls), bits)
+        for mask, present in zip(distinct, bits):
+            expect = np.where(present, x, background).sum(axis=1).mean()
+            assert abs(v[mask] - expect) <= 1e-12
 
 
 class TestMemoizedCoalitions:

@@ -102,10 +102,16 @@ def predict_one(params, x) -> float:
     return float(_forward_batch(params, np.asarray(x)[None])[0][0])
 
 
+def with_tensors(params, tensors) -> ModelParams:
+    """The same config over the given tensors, keyed as in ``params.tensors()``."""
+    return ModelParams(params.config,
+                       np.concatenate([np.ravel(tensors[name]) for name in params.tensors()]))
+
+
 def zeroed(params, b_out=0.0):
     tensors = {name: np.zeros_like(t) for name, t in params.tensors().items()}
     tensors["head.b_out"] = np.asarray(b_out)
-    return params.with_tensors(tensors)
+    return with_tensors(params, tensors)
 
 
 class TestInitParams:
@@ -362,7 +368,7 @@ def assert_matches_finite_differences(params, xb, y, label=None):
         bumped = dict(tensors)
         bumped[name] = tensors[name].copy()
         bumped[name][idx] += delta
-        return _forward_batch(params.with_tensors(bumped), xb)[0]
+        return _forward_batch(with_tensors(params, bumped), xb)[0]
 
     for name, tensor in tensors.items():
         for idx in np.ndindex(tensor.shape):
@@ -582,3 +588,33 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(BadCheckpoint):
             load_checkpoint(tmp_path / "none.json")
+
+    def test_flat_vector_bitwise_in_layout_order(self, tiny_params, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, tiny_params, ScalerParams(mean=0.0, std=1.0))
+        doc = json.loads(path.read_text())
+        # the file's key order does not matter; the layout's does
+        doc["tensors"] = dict(reversed(list(doc["tensors"].items())))
+        path.write_text(json.dumps(doc))
+        loaded, _ = load_checkpoint(path)
+        assert loaded.flat.tobytes() == tiny_params.flat.tobytes()
+
+    @pytest.mark.parametrize("tensors", [[], None, "x", 3])
+    def test_tensors_not_an_object(self, tiny_params, tmp_path, tensors):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, tiny_params, ScalerParams(mean=0.0, std=1.0))
+        doc = json.loads(path.read_text())
+        doc["tensors"] = tensors
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadCheckpoint, match="tensors must be an object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_tensor_rejected(self, tiny_params, tmp_path, value):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, tiny_params, ScalerParams(mean=0.0, std=1.0))
+        doc = json.loads(path.read_text())
+        doc["tensors"]["attn.wq"]["data"][3] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadCheckpoint, match="non-finite"):
+            load_checkpoint(path)

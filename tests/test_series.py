@@ -13,6 +13,7 @@ from fusecast.errors import (
     WindowTooLarge,
     ZeroVariance,
 )
+from fusecast import series as series_module
 from fusecast.series import (
     ScalerParams,
     SynthSpec,
@@ -21,6 +22,7 @@ from fusecast.series import (
     fit_scaler,
     load_csv,
     make_windows,
+    prepare,
     save_csv,
     split,
     synthesize,
@@ -242,6 +244,76 @@ class TestMakeWindows:
         for i in range(len(ds)):
             assert ds.targets[i] == values[i + w]
             np.testing.assert_array_equal(ds.inputs[i], values[i:i + w])
+
+
+class TestPrepare:
+    """``prepare`` against the split, scaler and windowing chain it runs."""
+
+    @staticmethod
+    def ramp(n=10):
+        return TimeSeries(np.datetime64("2020-01-01") + np.arange(n), 1.0 + np.arange(n))
+
+    def test_matches_the_chain_written_out(self):
+        ts = synthesize(SynthSpec(length=120, period=20, amplitude=3.0, noise_std=0.5,
+                                  ar_coeff=0.4, seed=5))
+        w = 7
+        data = prepare(ts, 0.75, w)
+        train_ts, _ = split(ts, 0.75)
+        scaler = fit_scaler(train_ts)
+        windows = make_windows(apply_scaler(ts, scaler), w)
+        first_held = len(train_ts) - w
+        assert data.train_len == len(train_ts) == 90
+        assert data.scaler == scaler
+        np.testing.assert_array_equal(data.train.inputs, windows.inputs[:first_held])
+        np.testing.assert_array_equal(data.train.targets, windows.targets[:first_held])
+        np.testing.assert_array_equal(data.held.inputs, windows.inputs[first_held:])
+        np.testing.assert_array_equal(data.held.targets, windows.targets[first_held:])
+        assert data.train.w == data.held.w == w
+
+    def test_hand_enumerable_boundary(self):
+        # 6 training values 1..6: training targets end at 6, and the first
+        # held-out window spans the boundary
+        data = prepare(self.ramp(), 0.6, 2, ScalerParams(mean=0.0, std=1.0))
+        assert data.train_len == 6
+        np.testing.assert_array_equal(data.train.inputs, [[1, 2], [2, 3], [3, 4], [4, 5]])
+        np.testing.assert_array_equal(data.train.targets, [3, 4, 5, 6])
+        np.testing.assert_array_equal(data.held.inputs, [[5, 6], [6, 7], [7, 8], [8, 9]])
+        np.testing.assert_array_equal(data.held.targets, [7, 8, 9, 10])
+
+    def test_given_scaler_is_not_refitted(self, monkeypatch):
+        def refit(train):
+            raise AssertionError("fit_scaler called with a scaler given")
+
+        monkeypatch.setattr(series_module, "fit_scaler", refit)
+        scaler = ScalerParams(mean=4.0, std=2.0)
+        data = prepare(self.ramp(), 0.6, 2, scaler)
+        assert data.scaler is scaler
+        np.testing.assert_array_equal(data.train.targets, (np.arange(3, 7) - 4.0) / 2.0)
+
+    def test_window_past_training_segment(self):
+        with pytest.raises(WindowTooLarge, match="window 6 does not fit in a training segment of 6"):
+            prepare(self.ramp(), 0.6, 6)
+        with pytest.raises(WindowTooLarge, match="out of range for series of length 10"):
+            prepare(self.ramp(), 0.6, 10)
+        assert len(prepare(self.ramp(), 0.6, 5).train) == 1
+
+    def test_error_order(self):
+        flat = TimeSeries(np.datetime64("2020-01-01") + np.arange(10), np.ones(10))
+        with pytest.raises(InvalidFraction):
+            prepare(flat, 1.0, 20)
+        with pytest.raises(ZeroVariance):
+            prepare(flat, 0.6, 20)
+
+    def test_calls_the_module_functions(self, monkeypatch):
+        # through the module's names, so a wrapper installed on the module
+        # (as the benchmark's tracer does) sees every step
+        calls = []
+        for name in ("split", "fit_scaler", "apply_scaler", "make_windows"):
+            fn = getattr(series_module, name)
+            monkeypatch.setattr(series_module, name,
+                                lambda *a, _fn=fn, _name=name: calls.append(_name) or _fn(*a))
+        prepare(self.ramp(), 0.6, 2)
+        assert calls == ["split", "fit_scaler", "apply_scaler", "make_windows"]
 
 
 class TestScalerParamsValidation:

@@ -9,6 +9,7 @@ from fusecast.errors import (
     DivergedLoss,
     EmptyDataset,
     EmptyInput,
+    InvalidSpec,
     LengthMismatch,
     MapeUndefined,
     MsleUndefined,
@@ -295,6 +296,13 @@ class TestHorizonEval:
         calls.clear()
         horizon_eval(tiny_params, scaler, values, 80, 5, n_anchors=4)
         assert calls == [4] * 5
+
+    @pytest.mark.parametrize("n_anchors", [0, -2])
+    def test_fewer_than_one_anchor_rejected(self, tiny_params, n_anchors):
+        values = np.linspace(1.0, 3.0, 100)
+        with pytest.raises(InvalidSpec, match="n_anchors"):
+            horizon_eval(tiny_params, ScalerParams(mean=2.0, std=0.5), values, 80, 5,
+                         n_anchors=n_anchors)
 
 
 class TestPredictBatch:
