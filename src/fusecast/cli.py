@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,14 @@ from .errors import ConfigError, FusecastError, ObjectiveFailure
 
 OUT_ENV = "FUSECAST_OUT"
 
+
+def _defaults(cls) -> dict:
+    """A config section holding the field defaults of dataclass ``cls``;
+    ``seed`` is left out, because the CLI derives it from the global seed."""
+    return {f.name: f.default for f in fields(cls)
+            if f.name != "seed" and f.default is not MISSING}
+
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "out_dir": None,
@@ -52,32 +61,22 @@ DEFAULT_CONFIG = {
             "trend_slope": 1.0, "noise_std": 5.0, "ar_coeff": 0.7, "seed": 42,
         },
     },
-    "model": {
-        "w": 15, "cnn_layers": 2, "filters": 16, "kernel_size": 3,
-        "heads": 2, "head_dim": None,
-    },
-    "train": {
-        "epochs": 100, "batch_size": 32, "learning_rate": 1e-3,
-        "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
-    },
+    "model": {"w": 15, **_defaults(nn.ModelConfig)},
+    "train": _defaults(TrainConfig),
     "tune": {
         "budget": 40, "init": 5, "pool_size": 512, "xi": 0.01, "epochs": 15,
-        "space": {
-            "cnn_layers": [1, 12], "heads": [2, 5],
-            "filters": [16, 256], "kernel_size": [2, 5],
-        },
+        "space": {name: list(bound) for name, bound in _defaults(bayesopt.SearchSpace).items()},
     },
-    "explain": {
-        "background_size": 64, "shap_mode": "sampled",
-        "sample_permutations": 200, "smoothing_sigma": 2.0, "edge_drop": None,
-    },
+    "explain": _defaults(ExplainConfig),
     "horizons": [15],
     "bench": {"runs": 10, "anchors": 10},
 }
 
+
 def _check_type(default, value, path: str) -> None:
-    """A value must have its default's type; a float accepts an int, and a
-    null default accepts anything."""
+    """A value must have its default's type; a float accepts an int. A null
+    default accepts anything here: its consumer (``_out_dir``,
+    ``_load_series``, ``ModelConfig``, ``ExplainConfig``) checks the type."""
     if default is None:
         return
     allowed = (int, float) if type(default) is float else type(default)
@@ -126,6 +125,8 @@ def load_config(path: str | None, overrides: dict) -> dict:
 
 def _out_dir(cfg: dict, cmd: str) -> Path:
     """The command's output directory, holding the effective config."""
+    if cfg["out_dir"] is not None and not isinstance(cfg["out_dir"], str):
+        raise ConfigError(f"out_dir must be a string, got {cfg['out_dir']!r}")
     base = cfg["out_dir"] or os.environ.get(OUT_ENV) or "fusecast_out"
     out = Path(base) / cmd
     out.mkdir(parents=True, exist_ok=True)
@@ -250,14 +251,11 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
         report_failed(exc.trials)
         raise
     report_failed(result.trials)
-    rows = []
-    for trial, best in zip(result.trials, result.incumbent):
-        rows.append([trial.index, trial.config["cnn_layers"], trial.config["heads"],
-                     trial.config["filters"], trial.config["kernel_size"],
-                     _fmt(trial.objective), _fmt(best), _fmt(trial.wall_seconds)])
     _write_csv(out / "tune_log.csv",
-               ["trial", "cnn_layers", "heads", "filters", "kernel_size",
-                "rmse", "best_so_far", "wall_seconds"], rows)
+               ["trial", *space.NAMES, "rmse", "best_so_far", "wall_seconds"],
+               [[trial.index, *(trial.config[name] for name in space.NAMES),
+                 _fmt(trial.objective), _fmt(best), _fmt(trial.wall_seconds)]
+                for trial, best in zip(result.trials, result.incumbent)])
     _write_json(out / "best_config.json",
                 {**result.best_config, "objective_rmse": result.best_objective})
     if make_svg:
@@ -320,7 +318,7 @@ def cmd_explain(cfg: dict, checkpoint: str, window_index: int,
         "prediction": result.prediction,
         "recency_concentration": result.recency_concentration,
         "window_index": window_index,
-        "config": {**cfg["explain"], "seed": seed + 2},
+        "config": asdict(econfig),
     })
     if make_svg:
         mask = [i in result.reported_lags for i in range(w)]

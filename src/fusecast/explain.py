@@ -70,8 +70,11 @@ class ExplainConfig:
             raise InvalidSpec("sample_permutations must be >= 1")
         if self.smoothing_sigma <= 0:
             raise InvalidSpec("smoothing_sigma must be > 0")
-        if self.edge_drop is not None and self.edge_drop < 0:
-            raise InvalidSpec("edge_drop must be >= 0")
+        if self.edge_drop is not None:
+            if type(self.edge_drop) is bool or not isinstance(self.edge_drop, (int, np.integer)):
+                raise InvalidSpec(f"edge_drop must be an integer or null, got {self.edge_drop!r}")
+            if self.edge_drop < 0:
+                raise InvalidSpec("edge_drop must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,7 @@ class _CoalitionModel:
             reps = present
         else:
             reps = ((np.arange(1 << field)[:, None] >> (lags % field)) & 1).astype(bool)
-        d = self.params.config.d
+        d = self.params.config.filters
         out = np.empty((n, len(background)))
         conv_windows = 0
         for j0 in range(0, len(background), bg_step):

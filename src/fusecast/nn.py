@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -87,11 +87,6 @@ class ModelConfig:
             raise InvalidSpec("kernel_size must not exceed window size")
 
     @property
-    def d(self) -> int:
-        """Width of the convolutional features (attention input)."""
-        return self.filters
-
-    @property
     def d_attn(self) -> int:
         """Width of the attention output: heads * head_dim."""
         return self.heads * self.head_dim
@@ -101,46 +96,39 @@ def param_layout(config: ModelConfig) -> dict[str, tuple]:
     """Name -> shape of every learnable tensor, in the order they sit in
     ``ModelParams.flat`` and in checkpoints: per conv layer an (f, c_in, k)
     kernel (c_in = 1 for layer 0, else f) and an (f,) bias; per-head
-    projections wq, wk, wv (h, d, d_k); the shared output projection wo
-    (d', d') with d' = h*d_k; the dense head's (d + d',) weights and ()
+    projections wq, wk, wv (h, f, d_k); the shared output projection wo
+    (d', d') with d' = h*d_k; the dense head's (f + d',) weights and ()
     bias."""
-    f, k, d = config.filters, config.kernel_size, config.d
+    f, k = config.filters, config.kernel_size
     layout: dict[str, tuple] = {}
     for i in range(config.cnn_layers):
         layout[f"conv{i}.kernel"] = (f, 1 if i == 0 else f, k)
         layout[f"conv{i}.bias"] = (f,)
     for name in ("wq", "wk", "wv"):
-        layout[f"attn.{name}"] = (config.heads, d, config.head_dim)
+        layout[f"attn.{name}"] = (config.heads, f, config.head_dim)
     layout["attn.wo"] = (config.d_attn, config.d_attn)
-    layout["head.w_out"] = (d + config.d_attn,)
+    layout["head.w_out"] = (f + config.d_attn,)
     layout["head.b_out"] = ()
     return layout
 
 
-def tensor_views(config: ModelConfig, flat: np.ndarray) -> dict[str, np.ndarray]:
-    """Name -> view of ``flat`` (parameters or their gradient) shaped as in
-    :func:`param_layout`."""
-    layout = param_layout(config)
-    size = sum(map(math.prod, layout.values()))
-    if flat.shape != (size,):
-        raise ShapeMismatch(f"expected a flat vector of {size} parameters, got {flat.shape}")
-    views, start = {}, 0
-    for name, shape in layout.items():
-        views[name] = flat[start:start + math.prod(shape)].reshape(shape)
-        start += math.prod(shape)
-    return views
-
-
 class ModelParams:
-    """All learnable tensors as one float64 vector ``flat``, laid out by
-    :func:`param_layout`, and views into it carved once: ``conv_kernels``
-    and ``conv_biases`` (one per layer), ``wq``, ``wk``, ``wv``, ``wo``,
-    ``w_out`` and ``b_out``."""
+    """All learnable tensors as one float64 vector ``flat`` (parameters or
+    their gradient), laid out by :func:`param_layout`, and views into it
+    carved once: ``conv_kernels`` and ``conv_biases`` (one per layer),
+    ``wq``, ``wk``, ``wv``, ``wo``, ``w_out`` and ``b_out``. A vector of
+    the wrong size raises :class:`ShapeMismatch`."""
 
     def __init__(self, config: ModelConfig, flat: np.ndarray):
-        self.config = config
-        self.flat = flat
-        self._views = views = tensor_views(config, flat)
+        layout = param_layout(config)
+        size = sum(map(math.prod, layout.values()))
+        if flat.shape != (size,):
+            raise ShapeMismatch(f"expected a flat vector of {size} parameters, got {flat.shape}")
+        views, start = {}, 0
+        for name, shape in layout.items():
+            views[name] = flat[start:start + math.prod(shape)].reshape(shape)
+            start += math.prod(shape)
+        self.config, self.flat, self._views = config, flat, views
         layers = range(config.cnn_layers)
         self.conv_kernels = tuple(views[f"conv{i}.kernel"] for i in layers)
         self.conv_biases = tuple(views[f"conv{i}.bias"] for i in layers)
@@ -168,7 +156,7 @@ def init_params(config: ModelConfig) -> ModelParams:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         view[...] = rng.uniform(-limit, limit, size=view.shape)
 
-    d, dk, d_attn = config.d, config.head_dim, config.d_attn
+    d, dk, d_attn = config.filters, config.head_dim, config.d_attn
     for view in (params.wq, params.wk, params.wv):
         glorot(view, d, dk)
     glorot(params.wo, d_attn, d_attn)
@@ -308,7 +296,7 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray,
     g = np.asarray(dl_dy, dtype=np.float64)
     z = cache["z"]
     b, w = cache["x"].shape
-    d, dk, h = cfg.d, cfg.head_dim, cfg.heads
+    d, dk, h = cfg.filters, cfg.head_dim, cfg.heads
 
     if out is None:
         out = ModelParams(cfg, np.empty_like(params.flat))
@@ -383,16 +371,11 @@ def _tensor_from_doc(doc: dict) -> np.ndarray:
 def save_checkpoint(path, params: ModelParams, scaler: ScalerParams) -> None:
     """Serialize config, scaler, and all parameter tensors as a
     self-describing JSON document (floats round-trip exactly via repr)."""
-    cfg = params.config
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "model_config": {
-            "w": cfg.w, "cnn_layers": cfg.cnn_layers, "filters": cfg.filters,
-            "kernel_size": cfg.kernel_size, "heads": cfg.heads,
-            "head_dim": cfg.head_dim, "seed": cfg.seed,
-        },
-        "scaler": {"mean": scaler.mean, "std": scaler.std},
+        "model_config": asdict(params.config),
+        "scaler": asdict(scaler),
         "tensors": {name: _tensor_doc(t) for name, t in params.tensors().items()},
     }
     p = Path(path)
@@ -412,6 +395,10 @@ def load_checkpoint(path) -> tuple[ModelParams, ScalerParams]:
         raise BadCheckpoint(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise BadCheckpoint("unrecognized checkpoint document")
+    version = doc.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise BadCheckpoint(f"unsupported checkpoint version {version!r}, "
+                            f"expected {CHECKPOINT_VERSION}")
     try:
         cfg = ModelConfig(**doc["model_config"])
         scaler = ScalerParams(**doc["scaler"])

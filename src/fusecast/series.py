@@ -80,8 +80,10 @@ class ScalerParams:
     std: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mean) and np.isfinite(self.std) and self.std > 0):
-            raise ZeroVariance("scaler std must be finite and > 0")
+        if not np.isfinite(self.mean):
+            raise ZeroVariance(f"scaler mean must be finite, got {self.mean!r}")
+        if not (np.isfinite(self.std) and self.std > 0):
+            raise ZeroVariance(f"scaler std must be finite and > 0, got {self.std!r}")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from fusecast.bayesopt import SearchSpace, tune
 from fusecast.explain import shap_exact, shap_sampled
-from fusecast.nn import ModelConfig, init_params, tensor_views, _backward_batch, _forward_batch
+from fusecast.nn import ModelConfig, ModelParams, init_params, _backward_batch, _forward_batch
 from fusecast.series import SynthSpec, TimeSeries, prepare, synthesize
 from fusecast.svg import box_stats
 from fusecast.train import TrainConfig
@@ -41,7 +41,8 @@ def test_c01_gradient_correctness():
     x = rng.normal(size=8)
     target = 0.3
     yhat, cache = _forward_batch(params, x[None])
-    grads = tensor_views(params.config, _backward_batch(params, cache, 2.0 * (yhat - target)))
+    grads = ModelParams(params.config,
+                        _backward_batch(params, cache, 2.0 * (yhat - target))).tensors()
     eps = 1e-4
     worst = 0.0
     for name, tensor in params.tensors().items():

@@ -68,6 +68,59 @@ def mask_timing(text: str) -> str:
     return "\n".join(rows)
 
 
+# The default config tree as it was written out literally in the CLI before
+# its sections were built from the dataclass defaults.
+DEFAULT_TREE = {
+    "seed": 0,
+    "out_dir": None,
+    "data": {
+        "source": "synth",
+        "csv_path": None,
+        "train_frac": 0.8,
+        "synth": {
+            "length": 2000, "period": 365, "amplitude": 100.0,
+            "trend_slope": 1.0, "noise_std": 5.0, "ar_coeff": 0.7, "seed": 42,
+        },
+    },
+    "model": {
+        "w": 15, "cnn_layers": 2, "filters": 16, "kernel_size": 3,
+        "heads": 2, "head_dim": None,
+    },
+    "train": {
+        "epochs": 100, "batch_size": 32, "learning_rate": 1e-3,
+        "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+    },
+    "tune": {
+        "budget": 40, "init": 5, "pool_size": 512, "xi": 0.01, "epochs": 15,
+        "space": {
+            "cnn_layers": [1, 12], "heads": [2, 5],
+            "filters": [16, 256], "kernel_size": [2, 5],
+        },
+    },
+    "explain": {
+        "background_size": 64, "shap_mode": "sampled",
+        "sample_permutations": 200, "smoothing_sigma": 2.0, "edge_drop": None,
+    },
+    "horizons": [15],
+    "bench": {"runs": 10, "anchors": 10},
+}
+
+
+def typed(tree):
+    """The tree with every leaf paired with its type name, so that 2 and
+    2.0, or a list and a tuple, compare unequal."""
+    if isinstance(tree, dict):
+        return {key: typed(value) for key, value in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return type(tree).__name__, [typed(value) for value in tree]
+    return type(tree).__name__, tree
+
+
+class TestDefaultConfig:
+    def test_defaults_match_the_literal_tree(self):
+        assert typed(cli.load_config(None, {})) == typed(DEFAULT_TREE)
+
+
 class TestSynth:
     def test_writes_series_and_is_deterministic(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -445,24 +498,56 @@ class TestExitCodes:
         assert run("forecast", "--config", str(cfg), "--out", str(tmp_path / "o"),
                    "--checkpoint", str(ckpt)) == 3
 
-    @pytest.mark.parametrize("command", ["forecast", "explain"])
-    @pytest.mark.parametrize("edit", ["empty-list", "null", "nan"])
-    def test_bad_checkpoint_tensors(self, tmp_path, capsys, command, edit):
-        cfg = write_config(tmp_path)
+    @staticmethod
+    def _edited_checkpoint(tmp_path, edit):
         ckpt = tmp_path / "ckpt.json"
         save_checkpoint(ckpt, init_params(ModelConfig(**BASE_CONFIG["model"])),
                         ScalerParams(mean=0.0, std=1.0))
         doc = json.loads(ckpt.read_text())
-        if edit == "nan":
-            doc["tensors"]["head.b_out"]["data"] = [float("nan")]
-        else:
-            doc["tensors"] = [] if edit == "empty-list" else None
+        edit(doc)
         ckpt.write_text(json.dumps(doc))
+        return ckpt
+
+    @pytest.mark.parametrize("command", ["forecast", "explain"])
+    @pytest.mark.parametrize("edit", ["empty-list", "null", "nan"])
+    def test_bad_checkpoint_tensors(self, tmp_path, capsys, command, edit):
+        def spoil(doc):
+            if edit == "nan":
+                doc["tensors"]["head.b_out"]["data"] = [float("nan")]
+            else:
+                doc["tensors"] = [] if edit == "empty-list" else None
+
+        cfg = write_config(tmp_path)
+        ckpt = self._edited_checkpoint(tmp_path, spoil)
         out = tmp_path / "o"
         assert run(command, "--config", str(cfg), "--out", str(out),
                    "--checkpoint", str(ckpt)) == 3
         assert capsys.readouterr().err.startswith("data error: checkpoint tensors")
         assert not list((out / command).glob("*.csv"))
+
+    @pytest.mark.parametrize("version", [99, "1", True, "missing"])
+    def test_checkpoint_version_other_than_current(self, tmp_path, capsys, version):
+        def edit(doc):
+            if version == "missing":
+                del doc["version"]
+            else:
+                doc["version"] = version
+
+        ckpt = self._edited_checkpoint(tmp_path, edit)
+        out = tmp_path / "o"
+        assert run("forecast", "--config", str(write_config(tmp_path)), "--out", str(out),
+                   "--checkpoint", str(ckpt)) == 3
+        assert capsys.readouterr().err.startswith("data error: unsupported checkpoint version")
+        assert not (out / "forecast" / "forecast.csv").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("mean", float("nan")), ("mean", float("inf")), ("std", float("nan"))])
+    def test_bad_checkpoint_scaler_names_its_field(self, tmp_path, capsys, field, value):
+        # json writes and reads NaN and Infinity
+        ckpt = self._edited_checkpoint(tmp_path, lambda doc: doc["scaler"].update({field: value}))
+        assert run("forecast", "--config", str(write_config(tmp_path)),
+                   "--out", str(tmp_path / "o"), "--checkpoint", str(ckpt)) == 3
+        assert capsys.readouterr().err.startswith(f"data error: scaler {field} must be finite")
 
     @pytest.mark.parametrize("anchors", [0, -2])
     def test_bench_anchors_below_one(self, tmp_path, capsys, anchors):
@@ -560,6 +645,9 @@ class TestExitCodes:
         ("forecast", "horizons", [2.5], "horizons"),
         ("tune", "tune.space.cnn_layers", [1], "cnn_layers"),
         ("train", "data.csv_path", 5, "data.csv_path"),
+        ("explain", "explain.edge_drop", "x", "edge_drop"),
+        ("explain", "explain.edge_drop", 2.5, "edge_drop"),
+        ("explain", "explain.edge_drop", True, "edge_drop"),
     ])
     def test_value_of_wrong_shape(self, tmp_path, capsys, command, key, value, field):
         overrides = {key: value}
@@ -567,13 +655,22 @@ class TestExitCodes:
             overrides["data.source"] = "csv"
         cfg = write_config(tmp_path, **overrides)
         extra = []
-        if command == "forecast":
+        if command in ("forecast", "explain"):
             ckpt = tmp_path / "ckpt.json"
             save_checkpoint(ckpt, init_params(ModelConfig(**BASE_CONFIG["model"])),
                             ScalerParams(mean=0.0, std=1.0))
             extra = ["--checkpoint", str(ckpt)]
         assert run(command, "--config", str(cfg), "--out", str(tmp_path / "o"), *extra) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [5, ["o"]])
+    def test_out_dir_not_a_string(self, tmp_path, capsys, monkeypatch, value):
+        # out_dir's default is null, so only its consumer can check its type
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, out_dir=value)
+        assert run("synth", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err.startswith("config error: out_dir must be a string")
+        assert not list(tmp_path.glob("*/synth"))
 
     @staticmethod
     def _dated_csv(tmp_path, days=100):

@@ -17,7 +17,6 @@ from fusecast.nn import (
     load_checkpoint,
     relu,
     save_checkpoint,
-    tensor_views,
 )
 from fusecast.series import ScalerParams
 
@@ -339,7 +338,7 @@ class TestBackward:
     def test_b_out_gradient_is_upstream(self, tiny_params, rng):
         _, cache = _forward_batch(tiny_params, rng.normal(size=(1, 8)))
         grads = _backward_batch(tiny_params, cache, np.array([-1.75]))
-        assert float(tensor_views(tiny_params.config, grads)["head.b_out"]) == -1.75
+        assert float(ModelParams(tiny_params.config, grads).tensors()["head.b_out"]) == -1.75
 
     @pytest.mark.parametrize("config", [
         ModelConfig(w=15, seed=0),
@@ -360,7 +359,7 @@ def assert_matches_finite_differences(params, xb, y, label=None):
     against a central difference with step 1e-4: relative error below 1e-4,
     relative to at least 1e-7."""
     yhat, cache = _forward_batch(params, xb)
-    grads = tensor_views(params.config, _backward_batch(params, cache, 2.0 * (yhat - y)))
+    grads = ModelParams(params.config, _backward_batch(params, cache, 2.0 * (yhat - y))).tensors()
     tensors = params.tensors()
     eps = 1e-4
 
@@ -513,8 +512,8 @@ class TestAttendOnFeatures:
         xb = np.random.default_rng(batch).normal(size=(batch, 15))
         table = _features(params, xb)
         cfg = params.config
-        assert table.shape == (cfg.d + 3 * cfg.d_attn, batch, 15)
-        yhat, _ = _attend(params, table[:cfg.d], table[cfg.d:])
+        assert table.shape == (cfg.filters + 3 * cfg.d_attn, batch, 15)
+        yhat, _ = _attend(params, table[:cfg.filters], table[cfg.filters:])
         np.testing.assert_array_equal(yhat, _forward_batch(params, xb)[0])
 
 

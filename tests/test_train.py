@@ -16,7 +16,7 @@ from fusecast.errors import (
     TooFewSamples,
     ZeroVarianceShapeStats,
 )
-from fusecast.nn import ModelConfig, _backward_batch, _forward_batch, init_params, tensor_views
+from fusecast.nn import ModelConfig, ModelParams, _backward_batch, _forward_batch, init_params
 from fusecast.series import (ScalerParams, SynthSpec, WindowedDataset, fit_scaler, make_windows,
                              scale_values, split, synthesize)
 from fusecast.train import (
@@ -121,8 +121,9 @@ class TestAdam:
         for t in range(1, 4):
             grads = rng.normal(size=params.flat.size) * 10.0 ** rng.integers(-6, 2)
             new_params = adam_step(params, grads, state, cfg)
-            tensors, m, v = textbook_adam(tensors, tensor_views(config, grads), m, v, t, cfg)
-            flat_m, flat_v = tensor_views(config, state.m), tensor_views(config, state.v)
+            named_grads, flat_m, flat_v = (ModelParams(config, a).tensors()
+                                           for a in (grads, state.m, state.v))
+            tensors, m, v = textbook_adam(tensors, named_grads, m, v, t, cfg)
             for name, theta in new_params.tensors().items():
                 np.testing.assert_array_equal(theta, tensors[name], err_msg=name)
                 np.testing.assert_array_equal(flat_m[name], m[name], err_msg=name)
