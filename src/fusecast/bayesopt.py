@@ -208,6 +208,14 @@ def _ei_minimize(state: GPState, uq: np.ndarray, xi: float) -> np.ndarray:
     return ei
 
 
+def _check_acquisition(pool_size: int, xi: float) -> None:
+    """A pool needs a point; EI's offset must be a finite number >= 0."""
+    if pool_size < 1:
+        raise EmptySpace("pool_size must be >= 1")
+    if not 0.0 <= xi < np.inf:
+        raise InvalidSpec(f"xi must be finite and >= 0, got {xi!r}")
+
+
 def propose(state: GPState, space: SearchSpace, pool_size: int,
             rng: np.random.Generator | None = None, xi: float = 0.01) -> dict:
     """Pick the next configuration to evaluate.
@@ -216,8 +224,7 @@ def propose(state: GPState, space: SearchSpace, pool_size: int,
     integer grid, scores EI, and returns the argmax (ties break toward the
     lowest pool index).
     """
-    if pool_size < 1:
-        raise EmptySpace("pool_size must be >= 1")
+    _check_acquisition(pool_size, xi)
     if rng is None:
         rng = np.random.default_rng(0)
     pool_u = rng.uniform(size=(pool_size, space.dim))
@@ -234,11 +241,8 @@ def _box_candidates(space: SearchSpace, center: dict, radii: dict,
         lo, hi = getattr(space, name)
         r = radii[name]
         ranges.append(range(max(lo, center[name] - r), min(hi, center[name] + r) + 1))
-    cells = []
-    for combo in itertools.product(*ranges):
-        if combo not in evaluated:
-            cells.append(dict(zip(space.NAMES, combo)))
-    return cells
+    return [dict(zip(space.NAMES, combo)) for combo in itertools.product(*ranges)
+            if combo not in evaluated]
 
 
 def _coordinate_neighbours(space: SearchSpace, center: dict, evaluated: set) -> list[dict]:
@@ -274,22 +278,28 @@ class TuneResult:
 
 
 def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
-         seed: int = 0, pool_size: int = 512, xi: float = 0.01,
-         hyper: GPHyper | None = None) -> TuneResult:
+         seed: int = 0, pool_size: int = 512, xi: float = 0.01) -> TuneResult:
     """Minimize ``objective(config)`` over the integer grid.
 
-    The first ``init`` trials (default min(5, budget)) are a seeded
-    Latin-hypercube design. After that, global EI proposals, each
+    ``budget`` >= ``init`` >= 1 (``init`` defaults to min(5, budget)) and a
+    finite ``xi`` >= 0 are checked before the first trial (InvalidSpec), and
+    so is ``pool_size`` >= 1 (EmptySpace). The first ``init`` trials are a
+    seeded Latin-hypercube design. After that, global EI proposals, each
     hill-climbed over its grid neighbours while that raises its EI,
-    alternate with exploitation steps that take the best posterior mean
-    over a box of unevaluated cells around the incumbent, so the search
+    alternate with exploitation steps that take the best posterior mean over
+    a box of unevaluated cells around the incumbent, so the search
     concentrates instead of wandering the hypercube; the final trials sweep
     the incumbent's immediate grid neighbours (best predicted mean
     alternating with highest posterior uncertainty) to settle the exact
     cell. An objective raising a package error, FloatingPointError or
-    LinAlgError is penalized with the worst value so far and skipped, and
-    any other exception propagates; ObjectiveFailure is raised when no
-    initial trial gives a finite value. Fully reproducible for fixed seeds.
+    LinAlgError is penalized with the worst finite value so far and skipped,
+    and any other exception propagates; ObjectiveFailure is raised when no
+    initial trial gives a finite value.
+
+    The trial list is the only record: the incumbent (the first trial with
+    the lowest finite objective), the evaluated cells, the GP's observations
+    (the finite trials, in order) and the result are derived from it. Fully
+    reproducible for fixed seeds.
     """
     if budget < 1:
         raise InvalidSpec("budget must be >= 1")
@@ -297,84 +307,70 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
         init = min(5, budget)
     if not 1 <= init <= budget:
         raise InvalidSpec("need budget >= init >= 1")
-    if hyper is None:
-        hyper = GPHyper(length_scales=np.full(space.dim, 0.2))
+    _check_acquisition(pool_size, xi)
 
-    sampler = qmc.LatinHypercube(d=space.dim, seed=seed)
-    init_points = sampler.random(init)
+    init_points = qmc.LatinHypercube(d=space.dim, seed=seed).random(init)
     rng = np.random.default_rng(seed + 1)
     box_radii = {name: max(2, round(0.1 * (getattr(space, name)[1] - getattr(space, name)[0])))
                  for name in space.NAMES}
     polish = min(max(4, round(0.2 * budget)), max(0, (budget - init) // 2))
-
-    observations: list[Observation] = []
-    trials: list[Trial] = []
-    incumbent: list[float] = []
-    evaluated: set[tuple] = set()
-    best_y = np.inf
-    best_cfg: dict | None = None
-    last_error: Exception | None = None
-
-    def evaluate(idx: int, cfg: dict):
-        nonlocal best_y, best_cfg, last_error
-        t0 = time.perf_counter()
-        failed, error = False, ""
-        # a bad cell is penalized and skipped; any other exception is a bug
-        try:
-            y = float(objective(cfg))
-        except (FusecastError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            failed, error = True, f"{type(exc).__name__}: {exc}"
-            last_error = exc
-            finite = [t.objective for t in trials if np.isfinite(t.objective)]
-            y = max(finite) if finite else np.inf
-        elapsed = time.perf_counter() - t0
-        evaluated.add(tuple(cfg[n] for n in space.NAMES))
-        if np.isfinite(y):
-            observations.append(Observation(x=space.to_unit(cfg), y=y))
-            if y < best_y:
-                best_y = y
-                best_cfg = cfg
-        trials.append(Trial(index=idx, config=cfg, objective=y, wall_seconds=elapsed,
-                            failed=failed, error=error))
-        incumbent.append(best_y)
 
     def local_pick(state, cells, explore: bool) -> dict:
         uq = np.stack([space.to_unit(c) for c in cells])
         mu, var = _posterior_std_units(state, uq)
         return cells[int(np.argmax(var)) if explore else int(np.argmin(mu))]
 
-    for i in range(init):
-        evaluate(i, space.round_to_grid(init_points[i]))
-    if best_cfg is None:
-        # nothing for the surrogate to fit: a numeric failure, not a bad space
-        raise ObjectiveFailure(init - 1, last_error or RuntimeError("no finite objective"),
-                               tuple(trials))
+    trials: list[Trial] = []
+    last_error: Exception | None = None
     polish_count = 0
-    for i in range(init, budget):
-        state = gp_fit(observations, hyper)
-        cfg = None
-        if i >= budget - polish:
-            cells = _coordinate_neighbours(space, best_cfg, evaluated)
-            if cells:
-                cfg = local_pick(state, cells, explore=polish_count % 2 == 1)
-                polish_count += 1
-        elif (i - init) % 2 == 1:
-            cells = _box_candidates(space, best_cfg, box_radii, evaluated)
-            if cells:
-                cfg = local_pick(state, cells, explore=False)
-        if cfg is None:
-            # the global EI pick, hill-climbed over its grid neighbours; the
-            # cell is scored in the same batch as its neighbours, since a
-            # point's EI can differ in the last bit from batch to batch
-            cfg = propose(state, space, pool_size, rng=rng, xi=xi)
-            while True:
-                cells = [cfg, *_coordinate_neighbours(space, cfg, set())]
-                ei = _ei_minimize(state, np.stack([space.to_unit(c) for c in cells]), xi)
-                top = int(np.argmax(ei))    # ties keep the current cell
-                if top == 0:
-                    break
-                cfg = cells[top]
-        evaluate(i, cfg)
+    for i in range(budget):
+        finite = [t for t in trials if np.isfinite(t.objective)]
+        if i < init:
+            cfg = space.round_to_grid(init_points[i])
+        else:
+            best_cfg = min(finite, key=lambda t: t.objective).config
+            evaluated = {tuple(t.config[n] for n in space.NAMES) for t in trials}
+            state = gp_fit(Observation(x=space.to_unit(t.config), y=t.objective) for t in finite)
+            cfg = None
+            if i >= budget - polish:
+                cells = _coordinate_neighbours(space, best_cfg, evaluated)
+                if cells:
+                    cfg = local_pick(state, cells, explore=polish_count % 2 == 1)
+                    polish_count += 1
+            elif (i - init) % 2 == 1:
+                cells = _box_candidates(space, best_cfg, box_radii, evaluated)
+                if cells:
+                    cfg = local_pick(state, cells, explore=False)
+            if cfg is None:
+                # the global EI pick, hill-climbed over its grid neighbours; the
+                # cell is scored in the same batch as its neighbours, since a
+                # point's EI can differ in the last bit from batch to batch
+                cfg = propose(state, space, pool_size, rng=rng, xi=xi)
+                while True:
+                    cells = [cfg, *_coordinate_neighbours(space, cfg, set())]
+                    ei = _ei_minimize(state, np.stack([space.to_unit(c) for c in cells]), xi)
+                    top = int(np.argmax(ei))    # ties keep the current cell
+                    if top == 0:
+                        break
+                    cfg = cells[top]
 
-    return TuneResult(best_config=best_cfg, best_objective=best_y,
+        t0 = time.perf_counter()
+        failed, error = False, ""
+        # a bad cell is penalized and skipped; any other exception is a bug
+        try:
+            y = float(objective(cfg))
+        except (FusecastError, FloatingPointError, np.linalg.LinAlgError) as exc:
+            failed, error, last_error = True, f"{type(exc).__name__}: {exc}", exc
+            y = max((t.objective for t in finite), default=np.inf)
+        trials.append(Trial(index=i, config=cfg, objective=y,
+                            wall_seconds=time.perf_counter() - t0, failed=failed, error=error))
+        if i == init - 1 and not any(np.isfinite(t.objective) for t in trials):
+            # nothing for the surrogate to fit: a numeric failure, not a bad space
+            raise ObjectiveFailure(i, last_error or RuntimeError("no finite objective"),
+                                   tuple(trials))
+
+    best = min((t for t in trials if np.isfinite(t.objective)), key=lambda t: t.objective)
+    incumbent = itertools.accumulate(
+        (t.objective if np.isfinite(t.objective) else np.inf for t in trials), min)
+    return TuneResult(best_config=best.config, best_objective=best.objective,
                       trials=tuple(trials), incumbent=tuple(incumbent))

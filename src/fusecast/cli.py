@@ -21,7 +21,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -184,8 +184,9 @@ def cmd_synth(cfg: dict, make_svg: bool = False) -> int:
 def cmd_train(cfg: dict, make_svg: bool = False) -> int:
     out = _out_dir(cfg, "train")
     seed = cfg["seed"]
-    data = series.prepare(_load_series(cfg), cfg["data"]["train_frac"], cfg["model"]["w"])
+    # built before the data is cut, so a bad model.w is a config error
     mconfig = nn.ModelConfig(**cfg["model"], seed=seed)
+    data = series.prepare(_load_series(cfg), cfg["data"]["train_frac"], mconfig.w)
     tconfig = TrainConfig(**cfg["train"], seed=seed + 1)
     t0 = time.perf_counter()
     params, history = train_model(mconfig, tconfig, data.train)
@@ -342,18 +343,18 @@ def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
         raise ConfigError("bench.runs must be >= 4")
     if cfg["bench"]["anchors"] < 1:
         raise ConfigError("bench.anchors must be >= 1")
+    mconfig = nn.ModelConfig(**cfg["model"])    # before the data, as in train
     ts = _load_series(cfg)
-    data = series.prepare(ts, cfg["data"]["train_frac"], cfg["model"]["w"])
+    data = series.prepare(ts, cfg["data"]["train_frac"], mconfig.w)
 
     per_run: list[dict] = []
     reasons: dict[str, str] = {}
     first_params = None
     fit_seconds = 0.0
     for r in range(runs):
-        mconfig = nn.ModelConfig(**cfg["model"], seed=seed + 100 + r)
         tconfig = TrainConfig(**cfg["train"], seed=seed + 200 + r)
         t0 = time.perf_counter()
-        params, _ = train_model(mconfig, tconfig, data.train)
+        params, _ = train_model(replace(mconfig, seed=seed + 100 + r), tconfig, data.train)
         fit_seconds += time.perf_counter() - t0
         values, undefined = metric_values(*_one_step(params, data.scaler, data.held))
         per_run.append(values)

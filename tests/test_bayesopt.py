@@ -235,6 +235,13 @@ class TestPropose:
         with pytest.raises(EmptySpace, match="pool_size"):
             propose(state, SearchSpace(), pool_size=0, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("xi", [np.nan, np.inf, -1.0])
+    def test_bad_xi_is_invalid_spec(self, xi):
+        # a NaN xi would score every point NaN and return the first of the pool
+        state = gp_fit(make_obs([[0.5] * 4, [0.2] * 4], [1.0, 2.0]), hyper_for(4))
+        with pytest.raises(InvalidSpec, match="xi"):
+            propose(state, SearchSpace(), pool_size=16, rng=np.random.default_rng(0), xi=xi)
+
     def test_pool_of_one_returned(self, rng):
         space = SearchSpace()
         state = gp_fit(make_obs([[0.5] * 4, [0.2] * 4], [1.0, 2.0]), hyper_for(4))
@@ -351,3 +358,44 @@ class TestTune:
             tune(lambda c: 0.0, SearchSpace(), budget=0)
         with pytest.raises(InvalidSpec):
             tune(lambda c: 0.0, SearchSpace(), budget=2, init=5)
+
+    @pytest.mark.parametrize("init,kwargs,error", [
+        (3, {"pool_size": 0}, EmptySpace), (5, {"pool_size": 0}, EmptySpace),
+        (3, {"xi": float("nan")}, InvalidSpec), (3, {"xi": -1.0}, InvalidSpec),
+        (3, {"xi": float("inf")}, InvalidSpec)])
+    def test_arguments_checked_before_first_trial(self, init, kwargs, error):
+        # init == budget never proposes, and is checked all the same
+        calls = []
+
+        def objective(cfg):
+            calls.append(cfg)
+            return 0.0
+
+        with pytest.raises(error):
+            tune(objective, SearchSpace(), budget=5, init=init, **kwargs)
+        assert calls == []
+
+    def test_seeded_run_pinned(self):
+        # budget 12, init 3: trials 3, 5 and 7 are global EI picks, 4 and 6
+        # box picks (4 fails), 8-11 polish picks; recorded from a known-good
+        # run, so a refactor that changes any pick fails here
+        space = SearchSpace(cnn_layers=(1, 6), heads=(2, 5), filters=(8, 40), kernel_size=(2, 5))
+
+        def objective(cfg):
+            if (cfg["cnn_layers"], cfg["heads"], cfg["filters"], cfg["kernel_size"]) == (3, 4, 22, 5):
+                raise DivergedLoss("boom")
+            return ((cfg["cnn_layers"] - 3) ** 2 + (cfg["heads"] - 4) ** 2
+                    + (cfg["filters"] - 20) ** 2 / 16 + (cfg["kernel_size"] - 3) ** 2)
+
+        result = tune(objective, space, budget=12, init=3, seed=4)
+        cells = [(1, 2, 30, 3), (3, 4, 21, 5), (5, 4, 9, 4), (4, 4, 22, 5), (3, 4, 22, 5),
+                 (3, 4, 15, 5), (3, 4, 18, 5), (3, 4, 8, 5), (4, 4, 21, 5), (3, 5, 21, 5),
+                 (3, 4, 20, 5), (3, 4, 20, 4)]
+        assert [t.config for t in result.trials] == [dict(zip(space.NAMES, c)) for c in cells]
+        assert [t.objective for t in result.trials] == [
+            14.25, 4.0625, 12.5625, 5.25, 14.25, 5.5625, 4.25, 13.0, 5.0625, 5.0625, 4.0, 1.0]
+        assert [t.failed for t in result.trials] == [i == 4 for i in range(12)]
+        assert result.trials[4].error == "DivergedLoss: boom"
+        assert result.incumbent == (14.25,) + (4.0625,) * 9 + (4.0, 1.0)
+        assert result.best_config == {"cnn_layers": 3, "heads": 4, "filters": 20, "kernel_size": 4}
+        assert result.best_objective == 1.0

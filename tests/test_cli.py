@@ -594,6 +594,33 @@ class TestExitCodes:
         assert err.startswith("config error: " + key) and "trial" not in err
         assert not (out / "tune" / "tune_log.csv").exists()
 
+    @pytest.mark.parametrize("key,value,budget", [
+        ("tune.pool_size", 0, 5), ("tune.pool_size", 0, 3),
+        ("tune.xi", float("nan"), 5), ("tune.xi", -1.0, 5), ("tune.xi", -1.0, 3)])
+    def test_tune_arguments_checked_before_any_trial(self, tmp_path, capsys, monkeypatch,
+                                                     key, value, budget):
+        # init is 3: at budget 3 no trial ever proposes a cell, and the
+        # argument is checked all the same
+        trained = []
+        monkeypatch.setattr(cli, "train_model", lambda *a: trained.append(a))
+        cfg = write_config(tmp_path, **{key: value, "tune.budget": budget})
+        out = tmp_path / "o"
+        assert run("tune", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + key.split(".")[1]) and "trial" not in err
+        assert trained == []
+        assert not (out / "tune" / "tune_log.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train", "bench"])
+    @pytest.mark.parametrize("w", [0, -3])
+    def test_window_below_one_is_config_error(self, tmp_path, capsys, command, w):
+        # the model section is checked before the series is cut into windows
+        out = tmp_path / "o"
+        assert run(command, "--config", str(write_config(tmp_path, **{"model.w": w})),
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == "config error: w must be >= 1\n"
+        assert [p.name for p in (out / command).iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("error,code,prefix", [
         (DimensionMismatch("points of shape (2,) vs (3,)"), 2, "config error"),
         (MalformedAttention("negative attention weights"), 3, "data error"),

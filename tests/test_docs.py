@@ -1,6 +1,6 @@
 """Every name that the demos and README's Python blocks import from
-fusecast resolves. The suite never runs the demos, so a renamed or removed
-export would otherwise only show when someone runs them by hand."""
+fusecast resolves. The suite does not run the demos (CI runs them as a
+step of its own), so a renamed or removed export shows here first."""
 
 import ast
 import importlib
