@@ -117,6 +117,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
         for part in parts:
             node = node[part]
         node[last] = value
+    # as in bayesopt.tune, an unset tune.init is min(5, tune.budget)
+    if "init" not in user.get("tune", {}):
+        cfg["tune"]["init"] = min(cfg["tune"]["init"], cfg["tune"]["budget"])
     horizons = cfg["horizons"]
     if not horizons or any(type(h) is not int or h < 1 for h in horizons):
         raise ConfigError(f"horizons must be a non-empty list of integers >= 1, got {horizons!r}")
@@ -227,6 +230,10 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
             raise ConfigError(f"tune.space.{name} lower bound must be >= 1")
     if space.kernel_size[1] > w:
         raise ConfigError(f"tune.space.kernel_size upper bound exceeds model.w {w}")
+    budget, init = cfg["tune"]["budget"], cfg["tune"]["init"]
+    if budget >= 1 and not 1 <= init <= budget:
+        raise ConfigError(f"tune.init must lie in [1, tune.budget], got tune.init {init} "
+                          f"with tune.budget {budget}")
     train_ts, _ = series.split(_load_series(cfg), cfg["data"]["train_frac"])
     # tuning objective: validation RMSE on the last 20% of the training
     # segment, so the test segment stays untouched until final training
@@ -245,8 +252,7 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
                 print(f"trial {trial.index} failed: {trial.error}", file=sys.stderr)
 
     try:
-        result = bayesopt.tune(objective, space, budget=cfg["tune"]["budget"],
-                               init=cfg["tune"]["init"], seed=seed + 3,
+        result = bayesopt.tune(objective, space, budget=budget, init=init, seed=seed + 3,
                                pool_size=cfg["tune"]["pool_size"], xi=cfg["tune"]["xi"])
     except ObjectiveFailure as exc:
         report_failed(exc.trials)

@@ -25,7 +25,18 @@ The path is written as matrix products that reach BLAS. Feature maps are
 channel-major, (c, B*w): each conv layer is one (f, k*c) @ (k*c, B*w)
 im2col GEMM, its kernel gradient one GEMM, and its input gradient one GEMM
 plus a col2im add over the k taps; Q/K/V come from one
-(3*h*d_k, d) @ (d, B*w) GEMM.
+(3*h*d_k, d) @ (d, B*w) GEMM. :func:`_conv_layer` is the one conv-layer
+routine, for :func:`_conv_stack` and the training forward alike.
+
+The training forward writes its cache into a :class:`Workspace`, the
+buffers of one (config, batch size), and the backward pass writes its
+temporaries there too, so a run that keeps one workspace per batch size
+allocates them once. Per conv layer the cache keeps the activation map
+and a bool ReLU mask, which is all backward reads of the pre-activation.
+Im2col runs in two zero-padded buffers, one for layer 0 and one shared by
+the deeper layers; backward refills the shared one from the kept
+activations for each kernel gradient, with the same GEMM operands and so
+the same bits.
 
 The head reads the attention output only through its time mean, and
 ``mean_t(A V) Wo = (abar V) Wo`` with ``abar`` the attention weights
@@ -168,12 +179,13 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _im2col(h: np.ndarray, k: int) -> np.ndarray:
-    """Causal im2col of channel-major (c, B, w) features: a (k*c, B*w)
-    matrix whose row block i holds h shifted i steps into the past, zero
-    where t-i < 0."""
-    c, b, w = h.shape
-    cols = np.zeros((k, c, b, w))
+def _im2col(h: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Causal im2col of channel-major (c, B, w) features into ``cols``, a
+    zero-padded (k, c, B, w) buffer: row block i holds h shifted i steps
+    into the past. The padding, t < i in block i, is never written, so it
+    stays zero however often the buffer is refilled. Returns the
+    (k*c, B*w) matrix view."""
+    k, c, b, w = cols.shape
     for i in range(k):
         cols[i, :, :, i:] = h[:, :, :w - i]
     return cols.reshape(k * c, b * w)
@@ -198,25 +210,37 @@ def _time_mean(w: int) -> np.ndarray:
     return np.full(w, 1.0 / w)
 
 
+def _conv_layer(kern: np.ndarray, bias: np.ndarray, h: np.ndarray,
+                cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One conv layer's pre-activation map of channel-major (c, B, w)
+    features h, written into ``out`` (f, B, w): the im2col of h into
+    ``cols`` (see :func:`_im2col`), one GEMM and the bias."""
+    f = len(kern)
+    np.matmul(_conv_matrix(kern), _im2col(h, cols), out=out.reshape(f, -1))
+    out += bias[:, None, None]
+    return out
+
+
 def _conv_stack(params: ModelParams, xb: np.ndarray):
     """Yield each conv layer's pre-activation and activation maps over
-    windows (B, w), channel-major (f, B, w); the last activation map is the
-    attention input. A caller that keeps only the last holds two layers'
-    maps at a time."""
+    windows (B, w), channel-major (f, B, w), in new arrays; the last
+    activation map is the attention input. A caller that keeps only the
+    last holds two layers' maps at a time."""
     b, w = xb.shape
     h = xb[None]
     for kern, bias in zip(params.conv_kernels, params.conv_biases):
-        pre = _conv_matrix(kern) @ _im2col(h, kern.shape[2]) + bias[:, None]
-        pre = pre.reshape(len(kern), b, w)
+        f, c, k = kern.shape
+        pre = _conv_layer(kern, bias, h, np.zeros((k, c, b, w)), np.empty((f, b, w)))
         h = relu(pre)
         yield pre, h
 
 
-def _qkv(params: ModelParams, h: np.ndarray) -> np.ndarray:
+def _qkv(params: ModelParams, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Q/K/V of channel-major (d, B, w) features in one GEMM: a
-    (3*h*d_k, B*w) matrix, row blocks ordered Q, K, V, then head."""
+    (3*h*d_k, B*w) matrix, row blocks ordered Q, K, V, then head, written
+    into ``out`` when given."""
     d, b, w = h.shape
-    return _qkv_matrix(params.wq, params.wk, params.wv) @ h.reshape(d, b * w)
+    return np.matmul(_qkv_matrix(params.wq, params.wk, params.wv), h.reshape(d, b * w), out=out)
 
 
 def _features(params: ModelParams, xb: np.ndarray) -> np.ndarray:
@@ -263,25 +287,59 @@ def _attend(params: ModelParams, h: np.ndarray, qkv: np.ndarray) -> tuple[np.nda
     return yhat, {"q": q, "k": k, "v": v, "att": att, "abar": abar, "pooled": pooled, "z": z}
 
 
-def _forward_batch(params: ModelParams, xb: np.ndarray) -> tuple[np.ndarray, dict]:
+class Workspace:
+    """The buffers of one training step at one (config, batch size): the
+    forward cache's conv maps, ReLU masks, im2col columns and Q/K/V, and
+    the backward temporaries (see the module docstring). A cache written
+    into a workspace is valid until the next forward with it."""
+
+    def __init__(self, config: ModelConfig, batch: int):
+        f, k, w, b = config.filters, config.kernel_size, config.w, batch
+        h, dk, layers = config.heads, config.head_dim, config.cnn_layers
+        self.config, self.batch = config, batch
+        self.cols_in = np.zeros((k, 1, b, w))
+        self.cols = np.zeros((k, f, b, w)) if layers > 1 else None
+        self.act = np.empty((layers, f, b, w))
+        self.mask = np.empty((layers, f, b, w), dtype=bool)
+        self.qkv = np.empty((3 * h * dk, b * w))
+        self.dqkv = np.empty((3, h, dk, b, w))
+        self.dlogits = np.empty((2, w, b, h, w))         # the Jacobian and its A*sum term
+        self.dact = np.empty((f, b, w))
+        self.dpre = np.empty((f, b, w))
+        self.dkern = np.empty(f * k * f)                 # (f, k*c_in), c_in = 1 or f
+        self.dcols = np.empty((b * w, k * f))
+        self.dh = np.empty((b, w, f))
+
+
+def _forward_batch(params: ModelParams, xb: np.ndarray,
+                   workspace: Workspace | None = None) -> tuple[np.ndarray, dict]:
     """Vectorized forward over a batch of scaled windows (B, w): the conv
     stack with every layer's maps kept, :func:`_qkv` and :func:`_attend`.
 
     Returns predictions (B,) and a cache of every intermediate needed by
-    :func:`_backward_batch`; ``conv_pre``/``conv_act`` hold (B, w, f) views
-    of the channel-major maps. The im2col columns are not cached: backward
-    rebuilds them from the layer inputs, which keeps the cache small.
+    :func:`_backward_batch`; ``conv_act`` and ``conv_mask`` hold (B, w, f)
+    views of each layer's channel-major activation map and ReLU mask. The
+    maps, Q/K/V and layer 0's im2col columns live in ``workspace`` (a new
+    one when not given; see :class:`Workspace`), which the cache carries
+    for the backward pass.
     """
     cfg = params.config
     xb = np.asarray(xb, dtype=np.float64)
     if xb.ndim != 2 or xb.shape[1] != cfg.w:
         raise ShapeMismatch(f"expected (B, {cfg.w}) windows, got {xb.shape}")
+    ws = Workspace(cfg, len(xb)) if workspace is None else workspace
+    if (ws.config, ws.batch) != (cfg, len(xb)):
+        raise ShapeMismatch(f"workspace for {ws.batch} windows of {ws.config}, "
+                            f"got {len(xb)} of {cfg}")
 
-    maps = list(_conv_stack(params, xb))
-    h = maps[-1][1]
-    yhat, cache = _attend(params, h, _qkv(params, h))
-    cache.update(x=xb, conv_pre=[pre.transpose(1, 2, 0) for pre, _ in maps],
-                 conv_act=[act.transpose(1, 2, 0) for _, act in maps])
+    h = xb[None]
+    for layer, (kern, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
+        act = _conv_layer(kern, bias, h, ws.cols if layer else ws.cols_in, ws.act[layer])
+        np.greater(act, 0, out=ws.mask[layer])
+        h = np.maximum(act, 0.0, out=act)
+    yhat, cache = _attend(params, h, _qkv(params, h, out=ws.qkv))
+    cache.update(workspace=ws, conv_act=list(ws.act.transpose(0, 2, 3, 1)),
+                 conv_mask=list(ws.mask.transpose(0, 2, 3, 1)))
     return yhat, cache
 
 
@@ -291,12 +349,12 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray,
     each tensor's part written into its view of ``out`` (a new ModelParams
     when not given); returns ``out.flat``. Weight and input gradients are
     2-D GEMMs on the same channel-major (., B*w) layouts as the forward
-    pass."""
+    pass, and the temporaries are the cache's workspace buffers."""
     cfg = params.config
+    ws = cache["workspace"]
     g = np.asarray(dl_dy, dtype=np.float64)
     z = cache["z"]
-    b, w = cache["x"].shape
-    d, dk, h = cfg.filters, cfg.head_dim, cfg.heads
+    b, w, d, dk, h = ws.batch, cfg.w, cfg.filters, cfg.head_dim, cfg.heads
 
     if out is None:
         out = ModelParams(cfg, np.empty_like(params.flat))
@@ -308,23 +366,24 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray,
     att, q, k, v, abar = cache["att"], cache["q"], cache["k"], cache["v"], cache["abar"]
     out.wo[...] = cache["pooled"].T @ dz[:, d:]
     dpooled = (dz[:, d:] @ params.wo.T).reshape(b, h, 1, dk)
-    dqkv = np.empty((3, h, dk, b, w))
-    dq, dk_, dv = dqkv.transpose(0, 3, 1, 4, 2)
+    dq, dk_, dv = ws.dqkv.transpose(0, 3, 1, 4, 2)
     np.multiply(abar[..., None], dpooled, out=dv)
     # dL/dA[q, key] = u[key] for every q; the logits' 1/sqrt(d_k) folded in
     u = (v @ dpooled.swapaxes(-1, -2)).transpose(2, 0, 1, 3) / (w * np.sqrt(dk))
     # softmax Jacobian A * (u - A u), key-major as in the forward
     a = att.transpose(3, 0, 1, 2)
-    dlogits = a * u
-    dlogits -= a * dlogits.sum(axis=0)
+    dlogits, a_sum = ws.dlogits
+    np.multiply(a, u, out=dlogits)
+    dlogits -= np.multiply(a, dlogits.sum(axis=0), out=a_sum)
     np.matmul(dlogits.transpose(1, 2, 3, 0), k, out=dq)
     np.matmul(dlogits.transpose(1, 2, 0, 3), q, out=dk_)
 
-    dqkv = dqkv.reshape(3 * h * dk, b * w)
-    h_cnn = cache["conv_act"][-1].transpose(2, 0, 1).reshape(d, b * w)
+    dqkv = ws.dqkv.reshape(3 * h * dk, b * w)
+    h_cnn = ws.act[-1].reshape(d, b * w)
     dw = (dqkv @ h_cnn.T).reshape(3, h, dk, d).swapaxes(-1, -2)
     out.wq[...], out.wk[...], out.wv[...] = dw
-    dact = (_qkv_matrix(params.wq, params.wk, params.wv).T @ dqkv).reshape(d, b, w)
+    dact = np.matmul(_qkv_matrix(params.wq, params.wk, params.wv).T, dqkv,
+                     out=ws.dact.reshape(d, b * w)).reshape(d, b, w)
     # z is the time mean of the conv map, so each step gets dL/dz / w
     dact += dz[:, :d].T[:, :, None] / w
 
@@ -332,17 +391,19 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray,
     for layer in reversed(range(cfg.cnn_layers)):
         kern = params.conv_kernels[layer]
         f, c_in, ksz = kern.shape
-        pre = cache["conv_pre"][layer].transpose(2, 0, 1)
-        dpre = (dact * (pre > 0)).reshape(f, b * w)
+        dpre = np.multiply(dact, ws.mask[layer], out=ws.dpre).reshape(f, b * w)
         out.conv_biases[layer][...] = dpre.sum(axis=1)
-        layer_in = cache["conv_act"][layer - 1].transpose(2, 0, 1) if layer else cache["x"][None]
-        dkm = dpre @ _im2col(layer_in, ksz).T
+        # layer 0's columns are the forward pass's; deeper layers share a buffer
+        cols = (_im2col(ws.act[layer - 1], ws.cols) if layer
+                else ws.cols_in.reshape(ksz, b * w))
+        dkm = np.matmul(dpre, cols.T, out=ws.dkern[:f * ksz * c_in].reshape(f, ksz * c_in))
         out.conv_kernels[layer][...] = dkm.reshape(f, ksz, c_in).transpose(0, 2, 1)
         if layer > 0:
             # col2im, time-major so each tap adds one contiguous block:
             # column block i of row (b, t) came from h[b, t-i]
-            dcols = (dpre.T @ _conv_matrix(kern)).reshape(b, w, ksz, c_in)
-            dh = dcols[:, :, 0, :].copy()
+            dcols = np.matmul(dpre.T, _conv_matrix(kern), out=ws.dcols).reshape(b, w, ksz, c_in)
+            dh = ws.dh
+            dh[...] = dcols[:, :, 0, :]
             for i in range(1, ksz):
                 dh[:, :w - i, :] += dcols[:, i:, i, :]
             dact = dh.transpose(2, 0, 1)

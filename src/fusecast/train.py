@@ -26,7 +26,8 @@ from .errors import (
     TooFewSamples,
     ZeroVarianceShapeStats,
 )
-from .nn import ModelConfig, ModelParams, _backward_batch, _forward_batch, init_params
+from .nn import (ModelConfig, ModelParams, Workspace, _backward_batch, _forward_batch,
+                 init_params)
 from .series import ScalerParams, WindowedDataset, scale_values, unscale_values
 
 PREDICT_BLOCK = 32  # rows per forward call in predict_batch
@@ -157,17 +158,19 @@ def train(config: ModelConfig, tconfig: TrainConfig,
     state = init_opt_state(params)
     rng = np.random.default_rng(tconfig.seed)
     history: list[float] = []
-    n = len(data)
+    n, batch = len(data), tconfig.batch_size
+    # one workspace for full batches and one for a partial last batch
+    workspaces = {size: Workspace(config, size) for size in {min(batch, n), n % batch} if size}
     for _ in range(tconfig.epochs):
         order = rng.permutation(n)
         sse = 0.0
-        for start in range(0, n, tconfig.batch_size):
-            idx = order[start:start + tconfig.batch_size]
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
             xb, yb = data.inputs[idx], data.targets[idx]
             # a diverging step overflows on its way to the non-finite loss
             # reported below, so numpy's overflow warnings carry nothing more
             with np.errstate(over="ignore", invalid="ignore"):
-                yhat, cache = _forward_batch(params, xb)
+                yhat, cache = _forward_batch(params, xb, workspace=workspaces[len(idx)])
                 loss, dl_dy = mse_loss(yhat, yb)
             if not np.isfinite(loss):
                 raise DivergedLoss(f"non-finite training loss at step {state.step + 1}")

@@ -247,6 +247,28 @@ class TestTune:
             assert all(np.isfinite(float(r["rmse"])) for r in csv.DictReader(fh))
 
 
+    @pytest.mark.parametrize("budget", [3, 4])
+    def test_unset_init_follows_budget(self, tmp_path, budget):
+        # like the library, the CLI's tune.init defaults to min(5, budget)
+        doc = json.loads(write_config(tmp_path).read_text())
+        del doc["tune"]["init"]
+        cfg = tmp_path / "no_init.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run("tune", "--config", str(cfg), "--out", str(out), "--budget", str(budget)) == 0
+        with (out / "tune" / "tune_log.csv").open() as fh:
+            assert len(list(csv.DictReader(fh))) == budget
+        assert json.loads((out / "tune" / "config.json").read_text())["tune"]["init"] == budget
+
+    def test_init_above_budget_names_the_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"tune.init": 6})
+        out = tmp_path / "o"
+        assert run("tune", "--config", str(cfg), "--out", str(out), "--budget", "3") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: tune.init") and "6" in err and "3" in err
+        assert not (out / "tune" / "tune_log.csv").exists()
+
+
 class TestForecast:
     @pytest.fixture
     def checkpoint(self, tmp_path):

@@ -9,8 +9,10 @@ from fusecast.errors import BadCheckpoint, LengthMismatch, ShapeMismatch
 from fusecast.nn import (
     ModelConfig,
     ModelParams,
+    Workspace,
     _attend,
     _backward_batch,
+    _conv_stack,
     _features,
     _forward_batch,
     init_params,
@@ -399,14 +401,15 @@ class TestBatchedPath:
         params = init_params(ModelConfig(w=9, cnn_layers=3, filters=5, kernel_size=4,
                                          heads=2, seed=2))
         xb = rng.normal(size=(4, 9))
-        _, cache = _forward_batch(params, xb)
+        maps = [(pre.transpose(1, 2, 0), act.transpose(1, 2, 0))
+                for pre, act in _conv_stack(params, xb)]
         for b, x in enumerate(xb):
             layer_in = x
             for layer, (kern, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
-                np.testing.assert_allclose(cache["conv_pre"][layer][b],
+                np.testing.assert_allclose(maps[layer][0][b],
                                            causal_conv1d(layer_in, kern, bias),
                                            rtol=0, atol=1e-12)
-                layer_in = cache["conv_act"][layer][b]
+                layer_in = maps[layer][1][b]
 
 
 DEFAULT_CELL = dict(w=15, cnn_layers=2, filters=16, kernel_size=3, heads=2)
@@ -474,9 +477,8 @@ class TestSampledCells:
         params = init_params(ModelConfig(**cfg))
         rng = np.random.default_rng(cfg["seed"])
         xb = rng.normal(size=(batch, cfg["w"]))
-        _, cache = _forward_batch(params, xb)
         # a finite difference across a relu kink is no derivative
-        assume(min(np.abs(pre).min() for pre in cache["conv_pre"]) > 1e-3)
+        assume(min(np.abs(pre).min() for pre, _ in _conv_stack(params, xb)) > 1e-3)
         assert_matches_finite_differences(params, xb, rng.normal(size=batch), cfg)
 
     @given(grid_cells(), st.data())
@@ -515,6 +517,48 @@ class TestAttendOnFeatures:
         assert table.shape == (cfg.filters + 3 * cfg.d_attn, batch, 15)
         yhat, _ = _attend(params, table[:cfg.filters], table[cfg.filters:])
         np.testing.assert_array_equal(yhat, _forward_batch(params, xb)[0])
+
+
+class TestWorkspace:
+    """The training forward writes its maps into a reused workspace; the
+    cache it returns matches the conv stack's maps bit for bit."""
+
+    @pytest.mark.parametrize("cell", [
+        dict(),
+        dict(cnn_layers=1, filters=8, kernel_size=3, heads=2),
+        dict(cnn_layers=3, filters=6, kernel_size=15, heads=2),
+    ], ids=["default", "one-layer", "kernel-equals-window"])
+    def test_cache_matches_conv_stack(self, cell, rng):
+        params = init_params(ModelConfig(w=15, **cell, seed=4))
+        xb = rng.normal(size=(7, 15))
+        _, cache = _forward_batch(params, xb, workspace=Workspace(params.config, 7))
+        maps = list(_conv_stack(params, xb))
+        assert len(cache["conv_act"]) == len(cache["conv_mask"]) == len(maps)
+        for (pre, act), cached_act, mask in zip(maps, cache["conv_act"], cache["conv_mask"]):
+            np.testing.assert_array_equal(cached_act, act.transpose(1, 2, 0))
+            np.testing.assert_array_equal(mask, pre.transpose(1, 2, 0) > 0)
+
+    def test_one_workspace_shares_memory_across_calls(self, rng):
+        params = init_params(ModelConfig(w=15, cnn_layers=3, filters=6, kernel_size=4, seed=4))
+        ws = Workspace(params.config, 5)
+        _, c1 = _forward_batch(params, rng.normal(size=(5, 15)), workspace=ws)
+        _, c2 = _forward_batch(params, rng.normal(size=(5, 15)), workspace=ws)
+        assert c1["workspace"] is c2["workspace"] is ws
+        for key in ("conv_act", "conv_mask"):
+            for a1, a2 in zip(c1[key], c2[key]):
+                assert np.shares_memory(a1, a2)
+        assert np.shares_memory(c1["q"], c2["q"]) and np.shares_memory(c1["v"], c2["v"])
+        _, fresh = _forward_batch(params, rng.normal(size=(5, 15)))
+        assert fresh["workspace"] is not ws
+        assert not np.shares_memory(fresh["conv_act"][0], c1["conv_act"][0])
+
+    @pytest.mark.parametrize("batch,cell", [(6, dict()), (5, dict(filters=8))],
+                             ids=["batch-size", "config"])
+    def test_workspace_of_another_shape_rejected(self, batch, cell):
+        params = init_params(ModelConfig(w=15, seed=4))
+        ws = Workspace(ModelConfig(w=15, seed=4, **cell), batch)
+        with pytest.raises(ShapeMismatch):
+            _forward_batch(params, np.zeros((5, 15)), workspace=ws)
 
 
 class TestFlatLayout:

@@ -159,6 +159,11 @@ def reference_train(config: ModelConfig, tconfig: TrainConfig,
 IN_PLACE_CELLS = [
     ModelConfig(w=15, seed=0),
     ModelConfig(w=15, cnn_layers=3, filters=40, kernel_size=4, heads=3, seed=5)]
+# and the workspace's edge cases: one conv layer has no col2im, and a
+# kernel as long as the window pads all but one step of its oldest tap
+WORKSPACE_CELLS = IN_PLACE_CELLS + [
+    ModelConfig(w=15, cnn_layers=1, filters=8, kernel_size=3, heads=2, seed=6),
+    ModelConfig(w=15, cnn_layers=3, filters=6, kernel_size=15, heads=2, seed=7)]
 
 
 class TestTrainInPlace:
@@ -167,10 +172,13 @@ class TestTrainInPlace:
         assert sizes == [1905, 19361]
         assert sizes[0] < ADAM_CHUNK < sizes[1] < 2 * ADAM_CHUNK
 
-    @pytest.mark.parametrize("config", IN_PLACE_CELLS)
+    @pytest.mark.parametrize("config", WORKSPACE_CELLS)
     def test_train_equals_reference_loop_bitwise(self, config, rng):
+        # 80 = 2*32 + 16: both of train's workspaces, full and partial
+        # batch, are reused in every epoch after the first
         data = WindowedDataset(rng.normal(size=(80, 15)), rng.normal(size=80), 15)
         tconfig = TrainConfig(epochs=3, learning_rate=3e-3, seed=2)
+        assert len(data) % tconfig.batch_size and tconfig.epochs >= 2
         params, history = train(config, tconfig, data)
         expected, expected_history = reference_train(config, tconfig, data)
         np.testing.assert_array_equal(params.flat, expected.flat)
