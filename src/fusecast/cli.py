@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import json
 import os
 import sys
@@ -405,7 +406,10 @@ def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="fusecast",
         description="hybrid conv-attention forecasting: synthesize, train, "

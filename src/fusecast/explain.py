@@ -68,8 +68,9 @@ class ExplainConfig:
             raise InvalidSpec(f"unknown shap_mode {self.shap_mode!r}")
         if self.sample_permutations < 1:
             raise InvalidSpec("sample_permutations must be >= 1")
-        if self.smoothing_sigma <= 0:
-            raise InvalidSpec("smoothing_sigma must be > 0")
+        sigma = self.smoothing_sigma
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise InvalidSpec(f"smoothing_sigma must be finite and > 0, got {sigma!r}")
         if self.edge_drop is not None:
             if type(self.edge_drop) is bool or not isinstance(self.edge_drop, (int, np.integer)):
                 raise InvalidSpec(f"edge_drop must be an integer or null, got {self.edge_drop!r}")
@@ -360,8 +361,8 @@ def combine(s: np.ndarray, a: np.ndarray) -> np.ndarray:
 def gaussian_smooth(c: np.ndarray, sigma: float) -> np.ndarray:
     """1-D Gaussian filter: kernel truncated at radius ceil(4*sigma),
     normalized to sum 1, with reflect boundaries (edge not repeated)."""
-    if sigma <= 0:
-        raise InvalidSpec("sigma must be > 0")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise InvalidSpec(f"sigma must be finite and > 0, got {sigma!r}")
     c = np.asarray(c, dtype=np.float64)
     n = c.shape[0]
     if n == 1:

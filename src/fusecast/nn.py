@@ -8,11 +8,12 @@ intermediate, and :func:`_backward_batch` is analytic reverse-mode
 differentiation of the same equations (softmax Jacobian, causal-convolution
 transpose paths included) from that cache. A single window is a batch of
 one. The forward is the conv stack :func:`_conv_stack`, the Q/K/V GEMM
-:func:`_qkv`, and :func:`_attend`, the attention body :func:`_mha_batch`
-plus the dense head. ``explain``'s coalition model shares the same parts
-without knowing how Q, K and V are stacked: :func:`_features` gives it the
-channel-major (d + 3*h*d_k, B, w) table of conv features and Q/K/V, whose
-columns it gathers per composite, and it runs :func:`_attend` on them.
+:func:`_qkv`, and :func:`_attend_in`, the attention body :func:`_mha_batch`
+plus the dense head, run in a set of attention buffers. ``explain``'s
+coalition model shares the same parts without knowing how Q, K and V are
+stacked: :func:`_features` gives it the channel-major (d + 3*h*d_k, B, w)
+table of conv features and Q/K/V, whose columns it gathers per composite,
+and it runs :func:`_attend`, the same body in new buffers, on them.
 
 All learnable tensors live in one float64 vector, ``ModelParams.flat``,
 laid out by :func:`param_layout` in checkpoint order, with named views
@@ -21,22 +22,40 @@ gradient through the views of a gradient :class:`ModelParams`, one vector
 in the same layout, so the optimizer is elementwise; training allocates
 that vector once per run and the backward pass fills it in place.
 
-The path is written as matrix products that reach BLAS. Feature maps are
-channel-major, (c, B*w): each conv layer is one (f, k*c) @ (k*c, B*w)
-im2col GEMM, its kernel gradient one GEMM, and its input gradient one GEMM
-plus a col2im add over the k taps; Q/K/V come from one
-(3*h*d_k, d) @ (d, B*w) GEMM. :func:`_conv_layer` is the one conv-layer
-routine, for :func:`_conv_stack` and the training forward alike.
+The path is written as matrix products that reach BLAS, and its
+elementwise passes run on contiguous runs where the layout allows:
+numpy takes about twice as long per element on strided or broadcast
+operands. Feature maps are channel-major, (c, B*w): each conv layer is one
+(f, k*c) @ (k*c, B*w) im2col GEMM and its kernel gradient one GEMM. Its
+input gradient is one (k*c, f) @ (f, B*w) GEMM into channel-major
+(k, c, B, w) taps and a col2im that adds each tap i to tap 0 as one
+contiguous run shifted by i steps; the tap's first i steps in each
+(channel, window) row belong to the padding and are zeroed first, so the
+shift adds 0.0 across row boundaries (which can turn a -0.0 into +0.0,
+and nothing else). Im2col likewise copies each tap as one shifted run and zeroes its
+padding. Q/K/V come from one (3*h*d_k, d) @ (d, B*w) GEMM, so per window
+and head q, k and v are column-major (w, d_k) views; the dK product reads
+a row-major copy of Q, which BLAS runs 2-3x faster than the view.
+:func:`_conv_layer` is the one conv-layer routine, for :func:`_conv_stack`
+and the training forward alike.
 
 The training forward writes its cache into a :class:`Workspace`, the
 buffers of one (config, batch size), and the backward pass writes its
 temporaries there too, so a run that keeps one workspace per batch size
-allocates them once. Per conv layer the cache keeps the activation map
-and a bool ReLU mask, which is all backward reads of the pre-activation.
-Im2col runs in two zero-padded buffers, one for layer 0 and one shared by
-the deeper layers; backward refills the shared one from the kept
-activations for each kernel gradient, with the same GEMM operands and so
-the same bits.
+allocates them once. The forward writes the step's weight matrices there
+with one copy each, the (3*h*d_k, d) Q/K/V matrix and the (f, k*f) kernel
+matrix that the layers above layer 0 share (layer 0's is a view of its
+kernel), and backward reads them. The workspace also holds the attention
+buffers: the softmax buffer, its transposed view and the time-mean
+weights. Per conv layer the cache keeps the activation map and a bool
+ReLU mask, which is all backward reads of the pre-activation. Im2col runs
+in two buffers, one for layer 0 and one shared by the deeper layers.
+After the forward the shared columns and kernel matrix are the last
+layer's; backward refills them for each layer between from the kept
+activations and the kernels, and runs each deeper layer's col2im in the
+shared columns once its kernel gradient has read them. The workspace
+records which layer the columns and matrix hold, so a second backward
+from one cache refills them too.
 
 The head reads the attention output only through its time mean, and
 ``mean_t(A V) Wo = (abar V) Wo`` with ``abar`` the attention weights
@@ -61,6 +80,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,23 +147,26 @@ class ModelParams:
     """All learnable tensors as one float64 vector ``flat`` (parameters or
     their gradient), laid out by :func:`param_layout`, and views into it
     carved once: ``conv_kernels`` and ``conv_biases`` (one per layer),
-    ``wq``, ``wk``, ``wv``, ``wo``, ``w_out`` and ``b_out``. A vector of
-    the wrong size raises :class:`ShapeMismatch`."""
+    ``wq``, ``wk``, ``wv`` and ``wqkv``, the three stacked, ``wo``,
+    ``w_out`` and ``b_out``. A vector of the wrong size raises
+    :class:`ShapeMismatch`."""
 
     def __init__(self, config: ModelConfig, flat: np.ndarray):
         layout = param_layout(config)
         size = sum(map(math.prod, layout.values()))
         if flat.shape != (size,):
             raise ShapeMismatch(f"expected a flat vector of {size} parameters, got {flat.shape}")
-        views, start = {}, 0
+        views, starts, start = {}, {}, 0
         for name, shape in layout.items():
             views[name] = flat[start:start + math.prod(shape)].reshape(shape)
-            start += math.prod(shape)
+            starts[name], start = start, start + math.prod(shape)
         self.config, self.flat, self._views = config, flat, views
         layers = range(config.cnn_layers)
         self.conv_kernels = tuple(views[f"conv{i}.kernel"] for i in layers)
         self.conv_biases = tuple(views[f"conv{i}.bias"] for i in layers)
         self.wq, self.wk, self.wv, self.wo = (views[f"attn.{n}"] for n in ("wq", "wk", "wv", "wo"))
+        # wq, wk and wv lie side by side in the layout: one (3, h, d, d_k) view
+        self.wqkv = flat[starts["attn.wq"]:starts["attn.wo"]].reshape(3, *self.wq.shape)
         self.w_out, self.b_out = views["head.w_out"], views["head.b_out"]
 
     def tensors(self) -> dict[str, np.ndarray]:
@@ -181,42 +204,67 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 def _im2col(h: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Causal im2col of channel-major (c, B, w) features into ``cols``, a
-    zero-padded (k, c, B, w) buffer: row block i holds h shifted i steps
-    into the past. The padding, t < i in block i, is never written, so it
-    stays zero however often the buffer is refilled. Returns the
-    (k*c, B*w) matrix view."""
+    (k, c, B, w) buffer: row block i holds h shifted i steps into the past,
+    zero for t < i. Each block is one contiguous copy shifted by i
+    elements, whose first i steps of every (c, b) row are then zeroed.
+    Returns the (k*c, B*w) matrix view."""
     k, c, b, w = cols.shape
-    for i in range(k):
-        cols[i, :, :, i:] = h[:, :, :w - i]
+    h = h.reshape(-1)
+    cols[0] = h.reshape(c, b, w)
+    for i in range(1, k):
+        cols[i].reshape(-1)[i:] = h[:-i]
+        cols[i, :, :, :i] = 0.0
     return cols.reshape(k * c, b * w)
 
 
-def _conv_matrix(kern: np.ndarray) -> np.ndarray:
-    """(f, c, k) kernel as the (f, k*c) matrix matching :func:`_im2col`."""
+def _conv_matrix(kern: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(f, c, k) kernel as the (f, k*c) matrix matching :func:`_im2col`:
+    one copy, into ``out`` when given (for c = 1 a view of the kernel
+    itself when not)."""
     f, c, k = kern.shape
-    return kern.transpose(0, 2, 1).reshape(f, k * c)
+    if out is None:
+        return kern.transpose(0, 2, 1).reshape(f, k * c)
+    np.copyto(out.reshape(f, k, c), kern.transpose(0, 2, 1))
+    return out
 
 
-def _qkv_matrix(wq, wk, wv) -> np.ndarray:
-    """Per-head projections (h, d, d_k) stacked into one (3*h*d_k, d)
-    matrix, row blocks ordered Q, K, V, then head."""
-    h, d, dk = wq.shape
-    return np.stack([wq, wk, wv]).transpose(0, 1, 3, 2).reshape(3 * h * dk, d)
+def _qkv_matrix(params: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
+    """The per-head projections ``params.wqkv`` as one (3*h*d_k, d) matrix,
+    row blocks ordered Q, K, V, then head: one copy, into ``out`` when
+    given."""
+    _, h, d, dk = params.wqkv.shape
+    if out is None:
+        out = np.empty((3 * h * dk, d))
+    np.copyto(out.reshape(3, h, dk, d), params.wqkv.transpose(0, 1, 3, 2))
+    return out
 
 
-def _time_mean(w: int) -> np.ndarray:
-    """Weights of a mean over w steps, applied as one vector product per
-    window so that a window's result does not depend on its batch."""
-    return np.full(w, 1.0 / w)
+class _Softmax(NamedTuple):
+    """The attention buffers of one batch shape: the key-major softmax
+    buffer ``e`` (w_k, B, h, w_q), its (B, h, w_k, w_q) view ``e_kq``,
+    per-query statistics (B, h, w_q), and the weights of a mean over the w
+    steps, applied as one vector product per window so that a window's
+    result does not depend on its batch."""
+
+    e: np.ndarray
+    e_kq: np.ndarray
+    stat: np.ndarray
+    tmean: np.ndarray
 
 
-def _conv_layer(kern: np.ndarray, bias: np.ndarray, h: np.ndarray,
+def _softmax_buffers(b: int, h: int, w: int) -> _Softmax:
+    """New attention buffers for B windows of w steps and h heads."""
+    e = np.empty((w, b, h, w))
+    return _Softmax(e, e.transpose(1, 2, 0, 3), np.empty((b, h, w)), np.full(w, 1.0 / w))
+
+
+def _conv_layer(kmat: np.ndarray, bias: np.ndarray, h: np.ndarray,
                 cols: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One conv layer's pre-activation map of channel-major (c, B, w)
     features h, written into ``out`` (f, B, w): the im2col of h into
-    ``cols`` (see :func:`_im2col`), one GEMM and the bias."""
-    f = len(kern)
-    np.matmul(_conv_matrix(kern), _im2col(h, cols), out=out.reshape(f, -1))
+    ``cols`` (see :func:`_im2col`), one GEMM by the (f, k*c) kernel matrix
+    ``kmat`` (see :func:`_conv_matrix`) and the bias."""
+    np.matmul(kmat, _im2col(h, cols), out=out.reshape(len(kmat), -1))
     out += bias[:, None, None]
     return out
 
@@ -230,17 +278,16 @@ def _conv_stack(params: ModelParams, xb: np.ndarray):
     h = xb[None]
     for kern, bias in zip(params.conv_kernels, params.conv_biases):
         f, c, k = kern.shape
-        pre = _conv_layer(kern, bias, h, np.zeros((k, c, b, w)), np.empty((f, b, w)))
+        pre = _conv_layer(_conv_matrix(kern), bias, h, np.empty((k, c, b, w)), np.empty((f, b, w)))
         h = relu(pre)
         yield pre, h
 
 
-def _qkv(params: ModelParams, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _qkv(params: ModelParams, h: np.ndarray) -> np.ndarray:
     """Q/K/V of channel-major (d, B, w) features in one GEMM: a
-    (3*h*d_k, B*w) matrix, row blocks ordered Q, K, V, then head, written
-    into ``out`` when given."""
+    (3*h*d_k, B*w) matrix, row blocks ordered Q, K, V, then head."""
     d, b, w = h.shape
-    return np.matmul(_qkv_matrix(params.wq, params.wk, params.wv), h.reshape(d, b * w), out=out)
+    return _qkv_matrix(params) @ h.reshape(d, b * w)
 
 
 def _features(params: ModelParams, xb: np.ndarray) -> np.ndarray:
@@ -252,76 +299,89 @@ def _features(params: ModelParams, xb: np.ndarray) -> np.ndarray:
     return np.concatenate([h, _qkv(params, h).reshape(-1, *h.shape[1:])])
 
 
-def _mha_batch(q, k, v, wo):
+def _mha_batch(q, k, v, wo, buffers: _Softmax):
     """Multi-head self-attention fed (B, h, w, d_k) queries, keys and
     values, reduced to what the pooled head reads (see the module
     docstring): the time mean of its output, (B, d'). Also returns, for
     backward, ``att`` (B, h, w_q, w_k), abar (B, h, w_k) and the pooled
-    heads (B, h*d_k)."""
+    heads (B, h*d_k). The softmax runs in ``buffers``."""
     b, h, w, dk = q.shape
-    e = np.empty((w, b, h, w))                           # e[key, b, head, query]
-    np.matmul(k, q.swapaxes(-1, -2), out=e.transpose(1, 2, 0, 3))
+    e, e_kq, stat, tmean = buffers
+    np.matmul(k, q.swapaxes(-1, -2), out=e_kq)
     # softmax over keys: max and sum run elementwise over rows of B*h*w_q
-    e -= e.max(axis=0)
-    e *= 1.0 / np.sqrt(dk)
+    e -= np.maximum.reduce(e, axis=0, out=stat)
+    e *= 1.0 / math.sqrt(dk)
     np.exp(e, out=e)
-    e /= e.sum(axis=0)
-    att = e.transpose(1, 2, 3, 0)
-    abar = att.swapaxes(-1, -2) @ _time_mean(w)
+    e /= np.add.reduce(e, axis=0, out=stat)
+    abar = e_kq @ tmean
     pooled = (abar[:, :, None, :] @ v).reshape(b, 1, h * dk)
-    return (pooled @ wo)[:, 0], att, abar, pooled[:, 0]
+    return (pooled @ wo)[:, 0], e.transpose(1, 2, 3, 0), abar, pooled[:, 0]
 
 
 def _attend(params: ModelParams, h: np.ndarray, qkv: np.ndarray) -> tuple[np.ndarray, dict]:
+    """:func:`_attend_in` in new buffers: the coalition model's entry."""
+    _, b, w = h.shape
+    return _attend_in(params, h, qkv, _softmax_buffers(b, params.config.heads, w))
+
+
+def _attend_in(params: ModelParams, h: np.ndarray, qkv: np.ndarray,
+               buffers: _Softmax) -> tuple[np.ndarray, dict]:
     """Predictions (B,) from channel-major conv features h (d, B, w) and
-    their Q/K/V (3*h*d_k, B, w): the attention body, then the dense head
-    on z = [time mean of h, pooled attention] (B, d + d'). Also returns the
-    intermediates :func:`_backward_batch` reads: q, k, v (B, h, w, d_k),
-    ``att``, ``abar``, ``pooled`` and z."""
+    their Q/K/V (3*h*d_k, B, w): the attention body in ``buffers``, then
+    the dense head on z = [time mean of h, pooled attention] (B, d + d').
+    Also returns the intermediates :func:`_backward_batch` reads: q, k, v
+    (B, h, w, d_k), ``att``, ``abar``, ``pooled`` and z."""
     cfg = params.config
     _, b, w = h.shape
     q, k, v = qkv.reshape(3, cfg.heads, cfg.head_dim, b, w).transpose(0, 3, 1, 4, 2)
-    h_att, att, abar, pooled = _mha_batch(q, k, v, params.wo)
-    z = np.concatenate([h.transpose(1, 0, 2) @ _time_mean(w), h_att], axis=1)
-    yhat = (z * params.w_out).sum(axis=1) + params.b_out
+    h_att, att, abar, pooled = _mha_batch(q, k, v, params.wo, buffers)
+    z = np.concatenate([h.transpose(1, 0, 2) @ buffers.tmean, h_att], axis=1)
+    yhat = np.add.reduce(z * params.w_out, axis=1) + params.b_out
     return yhat, {"q": q, "k": k, "v": v, "att": att, "abar": abar, "pooled": pooled, "z": z}
 
 
 class Workspace:
     """The buffers of one training step at one (config, batch size): the
-    forward cache's conv maps, ReLU masks, im2col columns and Q/K/V, and
-    the backward temporaries (see the module docstring). A cache written
-    into a workspace is valid until the next forward with it."""
+    forward cache's conv maps, ReLU masks, im2col columns, Q/K/V and
+    softmax, the time-mean weights, the step's weight matrices, and the
+    backward temporaries (see the module docstring). A cache written into
+    a workspace is valid until the next forward with it."""
 
     def __init__(self, config: ModelConfig, batch: int):
         f, k, w, b = config.filters, config.kernel_size, config.w, batch
         h, dk, layers = config.heads, config.head_dim, config.cnn_layers
         self.config, self.batch = config, batch
-        self.cols_in = np.zeros((k, 1, b, w))
-        self.cols = np.zeros((k, f, b, w)) if layers > 1 else None
+        self.cols_in = np.empty((k, 1, b, w))
+        self.cols = np.empty((k, f, b, w)) if layers > 1 else None
+        self.kmat = np.empty((f, k * f)) if layers > 1 else None
+        self.held = 0                                    # the layer cols and kmat are of
+        self.wqkv = np.empty((3 * h * dk, f))
         self.act = np.empty((layers, f, b, w))
         self.mask = np.empty((layers, f, b, w), dtype=bool)
+        self.conv_act = list(self.act.transpose(0, 2, 3, 1))
+        self.conv_mask = list(self.mask.transpose(0, 2, 3, 1))
         self.qkv = np.empty((3 * h * dk, b * w))
+        self.softmax = _softmax_buffers(b, h, w)
         self.dqkv = np.empty((3, h, dk, b, w))
+        self.dwqkv = np.empty((3 * h * dk, f))
+        self.q_rows = np.empty((b, h, w, dk))
         self.dlogits = np.empty((2, w, b, h, w))         # the Jacobian and its A*sum term
         self.dact = np.empty((f, b, w))
         self.dpre = np.empty((f, b, w))
         self.dkern = np.empty(f * k * f)                 # (f, k*c_in), c_in = 1 or f
-        self.dcols = np.empty((b * w, k * f))
-        self.dh = np.empty((b, w, f))
 
 
 def _forward_batch(params: ModelParams, xb: np.ndarray,
                    workspace: Workspace | None = None) -> tuple[np.ndarray, dict]:
     """Vectorized forward over a batch of scaled windows (B, w): the conv
-    stack with every layer's maps kept, :func:`_qkv` and :func:`_attend`.
+    stack with every layer's maps kept, the Q/K/V GEMM and :func:`_attend`.
 
     Returns predictions (B,) and a cache of every intermediate needed by
     :func:`_backward_batch`; ``conv_act`` and ``conv_mask`` hold (B, w, f)
     views of each layer's channel-major activation map and ReLU mask. The
-    maps, Q/K/V and layer 0's im2col columns live in ``workspace`` (a new
-    one when not given; see :class:`Workspace`), which the cache carries
-    for the backward pass.
+    maps, Q/K/V, the softmax, the weight matrices and the im2col columns
+    live in ``workspace`` (a new one when not given; see
+    :class:`Workspace`), which the cache carries for the backward pass.
     """
     cfg = params.config
     xb = np.asarray(xb, dtype=np.float64)
@@ -334,12 +394,16 @@ def _forward_batch(params: ModelParams, xb: np.ndarray,
 
     h = xb[None]
     for layer, (kern, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
-        act = _conv_layer(kern, bias, h, ws.cols if layer else ws.cols_in, ws.act[layer])
+        # layer 0's kernel matrix is a view; the deeper layers share a buffer
+        kmat = _conv_matrix(kern, ws.kmat if layer else None)
+        act = _conv_layer(kmat, bias, h, ws.cols if layer else ws.cols_in, ws.act[layer])
         np.greater(act, 0, out=ws.mask[layer])
         h = np.maximum(act, 0.0, out=act)
-    yhat, cache = _attend(params, h, _qkv(params, h, out=ws.qkv))
-    cache.update(workspace=ws, conv_act=list(ws.act.transpose(0, 2, 3, 1)),
-                 conv_mask=list(ws.mask.transpose(0, 2, 3, 1)))
+    ws.held = cfg.cnn_layers - 1
+    d, b, w = h.shape
+    qkv = np.matmul(_qkv_matrix(params, ws.wqkv), h.reshape(d, b * w), out=ws.qkv)
+    yhat, cache = _attend_in(params, h, qkv, ws.softmax)
+    cache.update(workspace=ws, conv_act=ws.conv_act, conv_mask=ws.conv_mask)
     return yhat, cache
 
 
@@ -348,8 +412,9 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray,
     """Analytic gradient of sum_b dl_dy[b] * yhat[b] w.r.t. ``params.flat``,
     each tensor's part written into its view of ``out`` (a new ModelParams
     when not given); returns ``out.flat``. Weight and input gradients are
-    2-D GEMMs on the same channel-major (., B*w) layouts as the forward
-    pass, and the temporaries are the cache's workspace buffers."""
+    2-D GEMMs on the same channel-major (., B*w) layouts and weight
+    matrices as the forward pass, and the temporaries are the cache's
+    workspace buffers."""
     cfg = params.config
     ws = cache["workspace"]
     g = np.asarray(dl_dy, dtype=np.float64)
@@ -358,32 +423,34 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray,
 
     if out is None:
         out = ModelParams(cfg, np.empty_like(params.flat))
-    out.w_out[...] = g @ z
-    out.b_out[...] = g.sum()
+    np.matmul(g, z, out=out.w_out)
+    np.add.reduce(g, out=out.b_out)
     dz = g[:, None] * params.w_out
 
     # pooled attention: the upstream gradient is the same for every query
-    att, q, k, v, abar = cache["att"], cache["q"], cache["k"], cache["v"], cache["abar"]
-    out.wo[...] = cache["pooled"].T @ dz[:, d:]
+    q, k, v, abar = cache["q"], cache["k"], cache["v"], cache["abar"]
+    np.matmul(cache["pooled"].T, dz[:, d:], out=out.wo)
     dpooled = (dz[:, d:] @ params.wo.T).reshape(b, h, 1, dk)
-    dq, dk_, dv = ws.dqkv.transpose(0, 3, 1, 4, 2)
-    np.multiply(abar[..., None], dpooled, out=dv)
+    dq, dk_ = ws.dqkv.transpose(0, 3, 1, 4, 2)[:2]
+    # dv in the memory order of dqkv, (h, d_k, B, w)
+    np.multiply(abar.transpose(1, 0, 2)[:, None], dpooled.transpose(1, 3, 0, 2), out=ws.dqkv[2])
     # dL/dA[q, key] = u[key] for every q; the logits' 1/sqrt(d_k) folded in
-    u = (v @ dpooled.swapaxes(-1, -2)).transpose(2, 0, 1, 3) / (w * np.sqrt(dk))
+    u = (v @ dpooled.swapaxes(-1, -2)).transpose(2, 0, 1, 3) / (w * math.sqrt(dk))
     # softmax Jacobian A * (u - A u), key-major as in the forward
-    a = att.transpose(3, 0, 1, 2)
+    a, stat = ws.softmax.e, ws.softmax.stat
     dlogits, a_sum = ws.dlogits
     np.multiply(a, u, out=dlogits)
-    dlogits -= np.multiply(a, dlogits.sum(axis=0), out=a_sum)
+    dlogits -= np.multiply(a, np.add.reduce(dlogits, axis=0, out=stat), out=a_sum)
     np.matmul(dlogits.transpose(1, 2, 3, 0), k, out=dq)
-    np.matmul(dlogits.transpose(1, 2, 0, 3), q, out=dk_)
+    # BLAS takes this product 2-3x faster with Q row-major than as q's view
+    np.copyto(ws.q_rows, q)
+    np.matmul(dlogits.transpose(1, 2, 0, 3), ws.q_rows, out=dk_)
 
     dqkv = ws.dqkv.reshape(3 * h * dk, b * w)
     h_cnn = ws.act[-1].reshape(d, b * w)
-    dw = (dqkv @ h_cnn.T).reshape(3, h, dk, d).swapaxes(-1, -2)
-    out.wq[...], out.wk[...], out.wv[...] = dw
-    dact = np.matmul(_qkv_matrix(params.wq, params.wk, params.wv).T, dqkv,
-                     out=ws.dact.reshape(d, b * w)).reshape(d, b, w)
+    np.matmul(dqkv, h_cnn.T, out=ws.dwqkv)
+    np.copyto(out.wqkv, ws.dwqkv.reshape(3, h, dk, d).swapaxes(-1, -2))
+    dact = np.matmul(ws.wqkv.T, dqkv, out=ws.dact.reshape(d, b * w)).reshape(d, b, w)
     # z is the time mean of the conv map, so each step gets dL/dz / w
     dact += dz[:, :d].T[:, :, None] / w
 
@@ -392,21 +459,29 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray,
         kern = params.conv_kernels[layer]
         f, c_in, ksz = kern.shape
         dpre = np.multiply(dact, ws.mask[layer], out=ws.dpre).reshape(f, b * w)
-        out.conv_biases[layer][...] = dpre.sum(axis=1)
-        # layer 0's columns are the forward pass's; deeper layers share a buffer
-        cols = (_im2col(ws.act[layer - 1], ws.cols) if layer
-                else ws.cols_in.reshape(ksz, b * w))
+        np.add.reduce(dpre, axis=1, out=out.conv_biases[layer])
+        # layer 0's columns are the forward pass's; the deeper layers share
+        # one buffer of columns and one kernel matrix, refilled unless held
+        if layer > 0 and ws.held != layer:
+            _im2col(ws.act[layer - 1], ws.cols)
+            _conv_matrix(kern, ws.kmat)
+            ws.held = layer
+        cols = (ws.cols if layer else ws.cols_in).reshape(ksz * c_in, b * w)
         dkm = np.matmul(dpre, cols.T, out=ws.dkern[:f * ksz * c_in].reshape(f, ksz * c_in))
         out.conv_kernels[layer][...] = dkm.reshape(f, ksz, c_in).transpose(0, 2, 1)
         if layer > 0:
-            # col2im, time-major so each tap adds one contiguous block:
-            # column block i of row (b, t) came from h[b, t-i]
-            dcols = np.matmul(dpre.T, _conv_matrix(kern), out=ws.dcols).reshape(b, w, ksz, c_in)
-            dh = ws.dh
-            dh[...] = dcols[:, :, 0, :]
+            # col2im in the columns buffer, which the kernel gradient has
+            # read: one GEMM into channel-major (k, c, B, w) taps, where tap
+            # i at (c, b, t) came from h[c, b, t-i]. Each tap's steps t < i
+            # belong to the padding and are zeroed, so it adds to tap 0 as
+            # one contiguous run shifted by i
+            dcols = np.matmul(ws.kmat.T, dpre, out=cols).reshape(ksz, c_in, b, w)
+            ws.held = 0
+            dh = dcols[0].reshape(-1)
             for i in range(1, ksz):
-                dh[:, :w - i, :] += dcols[:, i:, i, :]
-            dact = dh.transpose(2, 0, 1)
+                dcols[i, :, :, :i] = 0.0
+                dh[:-i] += dcols[i].reshape(-1)[i:]
+            dact = dcols[0]
     return out.flat
 
 

@@ -9,6 +9,7 @@ the flat layout). The package's ``train`` function shadows this module as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidSpec("epochs and batch_size must be >= 1")
-        if self.learning_rate <= 0 or self.eps <= 0:
-            raise InvalidSpec("learning_rate and eps must be > 0")
+        for name in ("learning_rate", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidSpec(f"{name} must be finite and > 0, got {value!r}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise InvalidSpec("beta1 and beta2 must lie in (0, 1)")
 
@@ -101,7 +104,7 @@ def mse_loss(yhat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     if yhat.size == 0:
         raise EmptyInput("mse_loss needs at least one element")
     diff = yhat - y
-    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
+    return float(np.add.reduce(diff * diff, axis=None)) / diff.size, 2.0 * diff / diff.size
 
 
 def init_opt_state(params: ModelParams) -> OptState:
@@ -172,7 +175,7 @@ def train(config: ModelConfig, tconfig: TrainConfig,
             with np.errstate(over="ignore", invalid="ignore"):
                 yhat, cache = _forward_batch(params, xb, workspace=workspaces[len(idx)])
                 loss, dl_dy = mse_loss(yhat, yb)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise DivergedLoss(f"non-finite training loss at step {state.step + 1}")
             sse += loss * len(idx)
             _backward_batch(params, cache, dl_dy, out=grads)

@@ -580,6 +580,30 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: bench.anchors")
         assert not (out / "bench" / "runs.csv").exists()
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("train", "train.learning_rate", float("nan")),
+        ("train", "train.learning_rate", float("inf")),
+        ("train", "train.eps", float("inf")),
+        ("train", "train.eps", float("nan")),
+        ("tune", "train.learning_rate", float("nan")),
+        ("explain", "explain.smoothing_sigma", float("nan")),
+        ("explain", "explain.smoothing_sigma", float("inf")),
+    ])
+    def test_non_finite_float_is_config_error(self, tmp_path, capfd, command, key, value):
+        # JSON reads NaN and Infinity as floats; the config classes reject them
+        cfg = write_config(tmp_path, **{key: value})
+        args = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if command == "explain":
+            ckpt = tmp_path / "ckpt.json"
+            save_checkpoint(ckpt, init_params(ModelConfig(**BASE_CONFIG["model"])),
+                            ScalerParams(mean=0.0, std=1.0))
+            args += ["--checkpoint", str(ckpt)]
+        capfd.readouterr()
+        assert run(*args) == 2
+        err = capfd.readouterr().err
+        assert err.startswith(f"config error: {key.split('.')[1]} must be finite and > 0")
+        assert "Traceback" not in err
+
     def test_numeric_error_diverged(self, tmp_path):
         cfg = write_config(tmp_path, **{"train.learning_rate": 1e40, "train.epochs": 2})
         with np.errstate(all="ignore"):

@@ -667,6 +667,14 @@ class TestGaussianSmooth:
         with pytest.raises(InvalidSpec):
             gaussian_smooth(np.zeros(5), 0.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma(self, sigma):
+        # math.ceil would raise ValueError or OverflowError on the radius
+        with pytest.raises(InvalidSpec, match="sigma must be finite"):
+            gaussian_smooth(np.zeros(5), sigma)
+        with pytest.raises(InvalidSpec, match="smoothing_sigma must be finite"):
+            ExplainConfig(smoothing_sigma=sigma)
+
 
 class TestSampleBackground:
     def test_returns_all_when_small(self, rng):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -397,6 +398,21 @@ class TestBatchedPath:
         assert_matches_finite_differences(params, rng.normal(size=(batch, cfg["w"])),
                                           rng.normal(size=batch))
 
+    @pytest.mark.parametrize("batch", [17, 32])
+    def test_finite_difference_agreement_at_training_batches(self, batch, rng):
+        # a full and a partial training batch; three layers, so backward
+        # refills the deeper layers' shared columns for the middle one; three
+        # heads of head_dim 2, not round(filters / heads)
+        xb = rng.normal(size=(batch, 6))
+        # a finite difference across a relu kink is no derivative: take the
+        # first model seed whose pre-activations all keep 1e-3 from it
+        for seed in itertools.count():
+            params = init_params(ModelConfig(w=6, cnn_layers=3, filters=4, kernel_size=3,
+                                             heads=3, head_dim=2, seed=seed))
+            if min(np.abs(pre).min() for pre, _ in _conv_stack(params, xb)) > 1e-3:
+                break
+        assert_matches_finite_differences(params, xb, rng.normal(size=batch))
+
     def test_conv_preactivations_match_einsum_reference(self, rng):
         params = init_params(ModelConfig(w=9, cnn_layers=3, filters=5, kernel_size=4,
                                          heads=2, seed=2))
@@ -551,6 +567,25 @@ class TestWorkspace:
         _, fresh = _forward_batch(params, rng.normal(size=(5, 15)))
         assert fresh["workspace"] is not ws
         assert not np.shares_memory(fresh["conv_act"][0], c1["conv_act"][0])
+
+    @pytest.mark.parametrize("cell", [
+        dict(),
+        dict(cnn_layers=3, filters=6, kernel_size=4, heads=3, head_dim=5),
+    ], ids=["default", "three-layers"])
+    def test_backward_repeats_on_a_reused_workspace(self, cell, rng):
+        # backward refills the shared columns and kernel matrix of the
+        # deeper layers; a second backward, or one after another batch's
+        # forward, must still read this batch's
+        params = init_params(ModelConfig(w=15, **cell, seed=4))
+        ws = Workspace(params.config, 17)
+        xb, g = rng.normal(size=(17, 15)), rng.normal(size=17)
+        _, other = _forward_batch(params, rng.normal(size=(17, 15)), workspace=ws)
+        _backward_batch(params, other, g)
+        _, cache = _forward_batch(params, xb, workspace=ws)
+        first = _backward_batch(params, cache, g)
+        np.testing.assert_array_equal(_backward_batch(params, cache, g), first)
+        _, fresh = _forward_batch(params, xb)
+        np.testing.assert_array_equal(_backward_batch(params, fresh, g), first)
 
     @pytest.mark.parametrize("batch,cell", [(6, dict()), (5, dict(filters=8))],
                              ids=["batch-size", "config"])

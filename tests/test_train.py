@@ -41,6 +41,16 @@ from test_nn import zeroed
 TINY = ModelConfig(**TINY_CONFIG, seed=1)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["learning_rate", "eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-3])
+    def test_step_sizes_must_be_finite_and_positive(self, name, value):
+        # an infinite eps would freeze every parameter, a NaN or infinite
+        # learning rate would diverge at the second step
+        with pytest.raises(InvalidSpec, match=f"{name} must be finite and > 0"):
+            TrainConfig(**{name: value})
+
+
 class TestMseLoss:
     def test_perfect_prediction(self):
         loss, grad = mse_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
