@@ -38,7 +38,7 @@ from .train import (
     run_stats,
     train as train_model,
 )
-from .errors import ConfigError, FusecastError, ObjectiveFailure
+from .errors import ConfigError, FusecastError, ObjectiveFailure, check_seed
 
 OUT_ENV = "FUSECAST_OUT"
 
@@ -121,6 +121,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
     # as in bayesopt.tune, an unset tune.init is min(5, tune.budget)
     if "init" not in user.get("tune", {}):
         cfg["tune"]["init"] = min(cfg["tune"]["init"], cfg["tune"]["budget"])
+    # the commands add offsets to this seed, so a negative one is refused
+    # here, before a tune trial could fail on it
+    check_seed(cfg["seed"])
     horizons = cfg["horizons"]
     if not horizons or any(type(h) is not int or h < 1 for h in horizons):
         raise ConfigError(f"horizons must be a non-empty list of integers >= 1, got {horizons!r}")

@@ -7,6 +7,7 @@ errors also derive from the builtin exception that fits them. Every error
 survives ``pickle``, so it can cross a process boundary."""
 
 import copyreg
+import numbers
 
 
 class FusecastError(Exception):
@@ -25,6 +26,13 @@ class ConfigError(FusecastError, ValueError):
 
 class InvalidSpec(ConfigError):
     pass
+
+
+def check_seed(seed) -> None:
+    """Raise :class:`InvalidSpec` for a negative integer seed, which numpy's
+    generators refuse with a bare ValueError."""
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise InvalidSpec(f"seed must be >= 0, got {seed}")
 
 
 class InvalidFraction(ConfigError):

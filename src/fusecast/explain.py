@@ -41,6 +41,7 @@ from .errors import (
     LengthMismatch,
     MalformedAttention,
     WindowTooLargeForExact,
+    check_seed,
 )
 from . import nn
 from .nn import ModelParams, _forward_batch
@@ -76,6 +77,7 @@ class ExplainConfig:
                 raise InvalidSpec(f"edge_drop must be an integer or null, got {self.edge_drop!r}")
             if self.edge_drop < 0:
                 raise InvalidSpec("edge_drop must be >= 0")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,22 @@ in two buffers, one for layer 0 and one shared by the deeper layers.
 After the forward the shared columns and kernel matrix are the last
 layer's; backward refills them for each layer between from the kept
 activations and the kernels, and runs each deeper layer's col2im in the
-shared columns once its kernel gradient has read them. The workspace
-records which layer the columns and matrix hold, so a second backward
-from one cache refills them too.
+taps buffer ``dcols``: the shared columns, once its kernel gradient has
+read them, or, in a workspace with a helper (below), a buffer of its own,
+so that the two GEMMs never share memory. The weight-gradient GEMMs run
+one at a time, in one buffer, ``dweight``. The workspace records which
+layer the columns and matrix hold, so a second backward from one cache
+refills them too.
+
+A workspace may carry a helper, an executor with one worker thread, which
+``train`` opens for wide cells (see :mod:`.train`). Backward then runs
+each conv layer's kernel gradient on the helper beside the layer's col2im
+GEMM and tap sums, and the Q/K/V weight gradient beside the ``dact`` GEMM.
+Without a helper the same calls run in the same order on the calling
+thread. Each GEMM keeps its operands, shapes and output, so the gradient
+is the same bits either way. The helper runs only :func:`_weight_grad`,
+so the functions that the benchmark's tracer wraps, with one span stack
+per process, all stay on the calling thread.
 
 The head reads the attention output only through its time mean, and
 ``mean_t(A V) Wo = (abar V) Wo`` with ``abar`` the attention weights
@@ -78,13 +91,14 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import Executor, Future
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadCheckpoint, InvalidSpec, ShapeMismatch
+from .errors import BadCheckpoint, InvalidSpec, ShapeMismatch, check_seed
 from .series import ScalerParams
 
 
@@ -116,6 +130,7 @@ class ModelConfig:
                 raise InvalidSpec(f"{name} must be >= 1")
         if self.kernel_size > self.w:
             raise InvalidSpec("kernel_size must not exceed window size")
+        check_seed(self.seed)
 
     @property
     def d_attn(self) -> int:
@@ -345,9 +360,11 @@ class Workspace:
     forward cache's conv maps, ReLU masks, im2col columns, Q/K/V and
     softmax, the time-mean weights, the step's weight matrices, and the
     backward temporaries (see the module docstring). A cache written into
-    a workspace is valid until the next forward with it."""
+    a workspace is valid until the next forward with it. ``helper``, an
+    executor with one worker or None, runs backward's weight-gradient
+    GEMMs beside the main thread (see :func:`_beside`)."""
 
-    def __init__(self, config: ModelConfig, batch: int):
+    def __init__(self, config: ModelConfig, batch: int, helper: Executor | None = None):
         f, k, w, b = config.filters, config.kernel_size, config.w, batch
         h, dk, layers = config.heads, config.head_dim, config.cnn_layers
         self.config, self.batch = config, batch
@@ -363,12 +380,41 @@ class Workspace:
         self.qkv = np.empty((3 * h * dk, b * w))
         self.softmax = _softmax_buffers(b, h, w)
         self.dqkv = np.empty((3, h, dk, b, w))
-        self.dwqkv = np.empty((3 * h * dk, f))
         self.q_rows = np.empty((b, h, w, dk))
         self.dlogits = np.empty((2, w, b, h, w))         # the Jacobian and its A*sum term
         self.dact = np.empty((f, b, w))
         self.dpre = np.empty((f, b, w))
-        self.dkern = np.empty(f * k * f)                 # (f, k*c_in), c_in = 1 or f
+        # col2im's taps: the columns, which the kernel gradient has read by
+        # then, unless it reads them on the helper meanwhile
+        self.dcols = self.cols if helper is None or layers == 1 else np.empty((k, f, b, w))
+        # one weight gradient's GEMM at a time: Q/K/V's, then each kernel's
+        self.dweight = np.empty(max(3 * h * dk, k * f) * f)
+        self.helper = helper
+
+
+def _beside(helper: Executor | None, fn, *args) -> Future | None:
+    """Start ``fn(*args)`` on ``helper`` and return its future for
+    :func:`_join`, or without a helper run it now: the same bits either
+    way, as the caller leaves ``fn``'s memory alone until the join."""
+    if helper is None:
+        fn(*args)
+        return None
+    return helper.submit(fn, *args)
+
+
+def _join(task: Future | None) -> None:
+    """Wait for a task of :func:`_beside`, re-raising what it raised."""
+    if task is not None:
+        task.result()
+
+
+def _weight_grad(dy: np.ndarray, x: np.ndarray, buf: np.ndarray, dst: np.ndarray) -> None:
+    """A weight gradient: the GEMM ``dy @ x.T`` into the front of the flat
+    buffer ``buf``, copied into the tensor view ``dst``, whose last two
+    axes are the GEMM's columns split in two and swapped."""
+    tmp = np.matmul(dy, x.T, out=buf[:len(dy) * len(x)].reshape(len(dy), len(x)))
+    *lead, c, k = dst.shape
+    np.copyto(dst, tmp.reshape(*lead, k, c).swapaxes(-1, -2))
 
 
 def _forward_batch(params: ModelParams, xb: np.ndarray,
@@ -448,8 +494,7 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray,
 
     dqkv = ws.dqkv.reshape(3 * h * dk, b * w)
     h_cnn = ws.act[-1].reshape(d, b * w)
-    np.matmul(dqkv, h_cnn.T, out=ws.dwqkv)
-    np.copyto(out.wqkv, ws.dwqkv.reshape(3, h, dk, d).swapaxes(-1, -2))
+    task = _beside(ws.helper, _weight_grad, dqkv, h_cnn, ws.dweight, out.wqkv)
     dact = np.matmul(ws.wqkv.T, dqkv, out=ws.dact.reshape(d, b * w)).reshape(d, b, w)
     # z is the time mean of the conv map, so each step gets dL/dz / w
     dact += dz[:, :d].T[:, :, None] / w
@@ -458,6 +503,9 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray,
     for layer in reversed(range(cfg.cnn_layers)):
         kern = params.conv_kernels[layer]
         f, c_in, ksz = kern.shape
+        # the task beside reads dpre and the columns and writes dweight:
+        # done before they change
+        _join(task)
         dpre = np.multiply(dact, ws.mask[layer], out=ws.dpre).reshape(f, b * w)
         np.add.reduce(dpre, axis=1, out=out.conv_biases[layer])
         # layer 0's columns are the forward pass's; the deeper layers share
@@ -467,21 +515,21 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray,
             _conv_matrix(kern, ws.kmat)
             ws.held = layer
         cols = (ws.cols if layer else ws.cols_in).reshape(ksz * c_in, b * w)
-        dkm = np.matmul(dpre, cols.T, out=ws.dkern[:f * ksz * c_in].reshape(f, ksz * c_in))
-        out.conv_kernels[layer][...] = dkm.reshape(f, ksz, c_in).transpose(0, 2, 1)
+        task = _beside(ws.helper, _weight_grad, dpre, cols, ws.dweight, out.conv_kernels[layer])
         if layer > 0:
-            # col2im in the columns buffer, which the kernel gradient has
-            # read: one GEMM into channel-major (k, c, B, w) taps, where tap
-            # i at (c, b, t) came from h[c, b, t-i]. Each tap's steps t < i
-            # belong to the padding and are zeroed, so it adds to tap 0 as
-            # one contiguous run shifted by i
-            dcols = np.matmul(ws.kmat.T, dpre, out=cols).reshape(ksz, c_in, b, w)
+            # col2im: one GEMM into channel-major (k, c, B, w) taps, where
+            # tap i at (c, b, t) came from h[c, b, t-i]. Each tap's steps
+            # t < i belong to the padding and are zeroed, so it adds to tap
+            # 0 as one contiguous run shifted by i
+            dcols = np.matmul(ws.kmat.T, dpre, out=ws.dcols.reshape(ksz * c_in, b * w))
+            dcols = dcols.reshape(ksz, c_in, b, w)
             ws.held = 0
             dh = dcols[0].reshape(-1)
             for i in range(1, ksz):
                 dcols[i, :, :, :i] = 0.0
                 dh[:-i] += dcols[i].reshape(-1)[i:]
             dact = dcols[0]
+    _join(task)
     return out.flat
 
 

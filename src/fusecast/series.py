@@ -28,6 +28,7 @@ from .errors import (
     ParseError,
     WindowTooLarge,
     ZeroVariance,
+    check_seed,
 )
 
 SYNTH_START_DATE = np.datetime64("2000-01-01")
@@ -132,6 +133,7 @@ class SynthSpec:
             raise InvalidSpec("ar_coeff must be in [0, 1)")
         if not np.isfinite([self.amplitude, self.trend_slope, self.noise_std]).all():
             raise InvalidSpec("amplitude, trend_slope, noise_std must be finite")
+        check_seed(self.seed)
 
 
 def load_csv(path) -> TimeSeries:

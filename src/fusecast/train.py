@@ -5,12 +5,25 @@ the gradient in place, and :func:`adam_step` updates the moments and the
 parameters in place, walking them in L2-sized chunks (see :mod:`.nn` for
 the flat layout). The package's ``train`` function shadows this module as
 ``fusecast.train``, so import its other names with
-``from fusecast.train import ...``."""
+``from fusecast.train import ...``.
+
+At wide cells, with two CPUs free and OpenBLAS at one thread, :func:`train`
+opens a helper thread for the run (see :func:`_use_helper`): its workspaces
+carry it into the backward pass (see :mod:`.nn`), and :func:`adam_step`
+hands it half of its chunks. The helper runs numpy work only, never a
+function called by its module name. The trained parameters are the same
+bits with and without it, and it is shut down when :func:`train` returns
+or raises."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import os
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import stats as sstats
@@ -26,6 +39,7 @@ from .errors import (
     ShapeMismatch,
     TooFewSamples,
     ZeroVarianceShapeStats,
+    check_seed,
 )
 from .nn import (ModelConfig, ModelParams, Workspace, _backward_batch, _forward_batch,
                  init_params)
@@ -35,6 +49,9 @@ PREDICT_BLOCK = 32  # rows per forward call in predict_batch
 # elements per Adam chunk: the six float64 slices one chunk touches (m, v,
 # gradient, parameters, two scratch) take 128 KB each and fit a 2 MB L2
 ADAM_CHUNK = 16384
+# multiply-adds of a run's largest conv GEMM per step above which it gets a
+# helper thread (see train)
+HELPER_MACS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -56,12 +73,14 @@ class TrainConfig:
                 raise InvalidSpec(f"{name} must be finite and > 0, got {value!r}")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise InvalidSpec("beta1 and beta2 must lie in (0, 1)")
+        check_seed(self.seed)
 
 
 @dataclass
 class OptState:
     """Adam's moments over ``ModelParams.flat``, updated in place, and two
-    scratch rows of at most ``ADAM_CHUNK`` elements."""
+    pairs of scratch rows of at most ``ADAM_CHUNK`` elements: the second
+    pair serves a helper thread (see :func:`adam_step`)."""
 
     m: np.ndarray
     v: np.ndarray
@@ -109,40 +128,82 @@ def mse_loss(yhat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
 
 def init_opt_state(params: ModelParams) -> OptState:
     n = params.flat.size
-    return OptState(m=np.zeros(n), v=np.zeros(n), scratch=np.empty((2, min(n, ADAM_CHUNK))))
+    return OptState(m=np.zeros(n), v=np.zeros(n), scratch=np.empty((2, 2, min(n, ADAM_CHUNK))))
 
 
 def adam_step(params: ModelParams, grads: np.ndarray, state: OptState,
-              config: TrainConfig, *, out: ModelParams | None = None) -> ModelParams:
+              config: TrainConfig, *, out: ModelParams | None = None,
+              helper: Executor | None = None) -> ModelParams:
     """One bias-corrected adaptive-moment update of ``params.flat`` by the
     flat gradient, in the textbook formula's operation order, written into
     ``out`` (which may be ``params``) or, without it, into a new
     ModelParams. ``state`` is advanced in place. The update is elementwise,
     so it runs chunk by chunk, ``ADAM_CHUNK`` elements at a time, with the
-    same result bit for bit as over the whole vector."""
+    same result bit for bit as over the whole vector; the first half of
+    the chunks runs on ``helper`` when given, in scratch rows of its own."""
     if out is None:
         out = ModelParams(params.config, np.empty_like(params.flat))
     b1, b2 = config.beta1, config.beta2
     state.step += 1
     c1, c2 = 1 - b1 ** state.step, 1 - b2 ** state.step
-    for start in range(0, params.flat.size, ADAM_CHUNK):
-        part = slice(start, start + ADAM_CHUNK)
-        m, v, g = state.m[part], state.v[part], grads[part]
-        s, theta = state.scratch[:, :len(m)]
-        m *= b1
-        m += np.multiply(1 - b1, g, out=s)
-        v *= b2
-        np.multiply(1 - b2, g, out=s)
-        s *= g
-        v += s
-        np.divide(v, c2, out=s)
-        np.sqrt(s, out=s)
-        s += config.eps
-        np.divide(m, c1, out=theta)
-        theta *= config.learning_rate
-        theta /= s
-        np.subtract(params.flat[part], theta, out=out.flat[part])
+
+    def update(starts, scratch):
+        for start in starts:
+            part = slice(start, start + ADAM_CHUNK)
+            m, v, g = state.m[part], state.v[part], grads[part]
+            s, theta = scratch[:, :len(m)]
+            m *= b1
+            m += np.multiply(1 - b1, g, out=s)
+            v *= b2
+            np.multiply(1 - b2, g, out=s)
+            s *= g
+            v += s
+            np.divide(v, c2, out=s)
+            np.sqrt(s, out=s)
+            s += config.eps
+            np.divide(m, c1, out=theta)
+            theta *= config.learning_rate
+            theta /= s
+            np.subtract(params.flat[part], theta, out=out.flat[part])
+
+    starts = range(0, params.flat.size, ADAM_CHUNK)
+    if helper is None:
+        update(starts, state.scratch[0])
+    else:
+        half = len(starts) // 2
+        task = helper.submit(update, starts[:half], state.scratch[1])
+        update(starts[half:], state.scratch[0])
+        task.result()
     return out
+
+
+def _blas_threads() -> int | None:
+    """The thread count that numpy's bundled OpenBLAS reports, or None when
+    it cannot be read."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+
+
+def _use_helper(config: ModelConfig, batch: int) -> bool:
+    """Whether a run at batch size ``batch`` gets a helper thread: its
+    largest conv GEMM has more than ``HELPER_MACS`` multiply-adds, the
+    process may use two CPUs or more, and OpenBLAS runs one thread. With
+    more BLAS threads the two would compete for the CPUs."""
+    c_in = config.filters if config.cnn_layers > 1 else 1
+    if config.filters * config.kernel_size * c_in * batch * config.w <= HELPER_MACS:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) >= 2 and _blas_threads() == 1
 
 
 def train(config: ModelConfig, tconfig: TrainConfig,
@@ -162,25 +223,29 @@ def train(config: ModelConfig, tconfig: TrainConfig,
     rng = np.random.default_rng(tconfig.seed)
     history: list[float] = []
     n, batch = len(data), tconfig.batch_size
-    # one workspace for full batches and one for a partial last batch
-    workspaces = {size: Workspace(config, size) for size in {min(batch, n), n % batch} if size}
-    for _ in range(tconfig.epochs):
-        order = rng.permutation(n)
-        sse = 0.0
-        for start in range(0, n, batch):
-            idx = order[start:start + batch]
-            xb, yb = data.inputs[idx], data.targets[idx]
-            # a diverging step overflows on its way to the non-finite loss
-            # reported below, so numpy's overflow warnings carry nothing more
-            with np.errstate(over="ignore", invalid="ignore"):
-                yhat, cache = _forward_batch(params, xb, workspace=workspaces[len(idx)])
-                loss, dl_dy = mse_loss(yhat, yb)
-            if not math.isfinite(loss):
-                raise DivergedLoss(f"non-finite training loss at step {state.step + 1}")
-            sse += loss * len(idx)
-            _backward_batch(params, cache, dl_dy, out=grads)
-            adam_step(params, grads.flat, state, tconfig, out=params)
-        history.append(sse / n)
+    with (ThreadPoolExecutor(1) if _use_helper(config, min(batch, n))
+          else contextlib.nullcontext()) as helper:
+        # one workspace for full batches and one for a partial last batch
+        workspaces = {size: Workspace(config, size, helper)
+                      for size in {min(batch, n), n % batch} if size}
+        for _ in range(tconfig.epochs):
+            order = rng.permutation(n)
+            sse = 0.0
+            for start in range(0, n, batch):
+                idx = order[start:start + batch]
+                xb, yb = data.inputs[idx], data.targets[idx]
+                # a diverging step overflows on its way to the non-finite
+                # loss reported below, so numpy's overflow warnings carry
+                # nothing more
+                with np.errstate(over="ignore", invalid="ignore"):
+                    yhat, cache = _forward_batch(params, xb, workspace=workspaces[len(idx)])
+                    loss, dl_dy = mse_loss(yhat, yb)
+                if not math.isfinite(loss):
+                    raise DivergedLoss(f"non-finite training loss at step {state.step + 1}")
+                sse += loss * len(idx)
+                _backward_batch(params, cache, dl_dy, out=grads)
+                adam_step(params, grads.flat, state, tconfig, out=params, helper=helper)
+            history.append(sse / n)
     return params, history
 
 

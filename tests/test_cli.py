@@ -604,6 +604,17 @@ class TestExitCodes:
         assert err.startswith(f"config error: {key.split('.')[1]} must be finite and > 0")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flags,key,value", [
+        (["--seed", "-5"], None, None), ([], "seed", -1), ([], "data.synth.seed", -2)])
+    def test_negative_seed_is_config_error(self, tmp_path, capfd, flags, key, value):
+        # numpy's generators refuse a negative seed with a bare ValueError
+        cfg = write_config(tmp_path, **({key: value} if key else {}))
+        capfd.readouterr()
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("config error: seed must be >= 0, got -")
+        assert "Traceback" not in err
+
     def test_numeric_error_diverged(self, tmp_path):
         cfg = write_config(tmp_path, **{"train.learning_rate": 1e40, "train.epochs": 2})
         with np.errstate(all="ignore"):

@@ -4,6 +4,10 @@ import pytest
 
 from fusecast import errors
 from fusecast.bayesopt import Trial
+from fusecast.explain import ExplainConfig
+from fusecast.nn import ModelConfig
+from fusecast.series import SynthSpec
+from fusecast.train import TrainConfig
 
 ERRORS = sorted((c for c in vars(errors).values()
                  if isinstance(c, type) and issubclass(c, errors.FusecastError)),
@@ -36,3 +40,16 @@ def test_pickle_round_trip(cls):
 def test_every_custom_constructor_is_covered():
     custom = {c for c in ERRORS if "__init__" in vars(c)}
     assert custom == set(CUSTOM)
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: ModelConfig(w=8, seed=seed),
+    lambda seed: TrainConfig(seed=seed),
+    lambda seed: ExplainConfig(seed=seed),
+    lambda seed: SynthSpec(length=20, period=5, seed=seed)],
+    ids=["ModelConfig", "TrainConfig", "ExplainConfig", "SynthSpec"])
+def test_negative_seed_is_invalid_spec(make):
+    # numpy's generators would raise a bare ValueError on first use
+    with pytest.raises(errors.InvalidSpec, match=r"seed must be >= 0, got -1"):
+        make(-1)
+    make(0)
