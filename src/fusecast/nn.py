@@ -61,14 +61,23 @@ layer the columns and matrix hold, so a second backward from one cache
 refills them too.
 
 A workspace may carry a helper, an executor with one worker thread, which
-``train`` opens for wide cells (see :mod:`.train`). Backward then runs
-each conv layer's kernel gradient on the helper beside the layer's col2im
-GEMM and tap sums, and the Q/K/V weight gradient beside the ``dact`` GEMM.
-Without a helper the same calls run in the same order on the calling
-thread. Each GEMM keeps its operands, shapes and output, so the gradient
-is the same bits either way. The helper runs only :func:`_weight_grad`,
-so the functions that the benchmark's tracer wraps, with one span stack
-per process, all stay on the calling thread.
+``train`` opens for wide cells (see :mod:`.train`), and may be split. A
+split workspace cuts each conv layer above layer 0 and the Q/K/V
+projection by output rows at a multiple of ``SPLIT_TILE`` near the
+middle: one task fills the kernel-matrix rows and im2col channels below
+the cut and the other those above it, and after a join one runs the GEMM
+rows, bias, mask and ReLU below the cut and the other those above. The
+first task of each pair runs through :func:`_beside`, the second on the
+calling thread. Backward runs each conv layer's kernel gradient, after
+refilling the columns it reads, beside the refill of the kernel matrix,
+the col2im GEMM and the tap sums, and the Q/K/V weight gradient beside
+the ``dact`` GEMM. Without a helper the same calls run in the same order
+on the calling thread. Each task writes memory that nothing reads before
+its join, and each GEMM keeps its operands and output, so the results
+are the same bits with and without a helper. The helper runs only
+private functions of this module and numpy calls, so the functions that
+the benchmark's tracer wraps, with one span stack per process, all stay
+on the calling thread.
 
 The head reads the attention output only through its time mean, and
 ``mean_t(A V) Wo = (abar V) Wo`` with ``abar`` the attention weights
@@ -100,6 +109,13 @@ import numpy as np
 
 from .errors import BadCheckpoint, InvalidSpec, ShapeMismatch, check_seed
 from .series import ScalerParams
+
+# rows of a C-order GEMM output per tile of OpenBLAS's one-thread dgemm
+# kernel on SkylakeX: cut at a multiple of it, each half is tiled as in the
+# whole product, so its bits are the whole product's rows (measured on wide
+# cells at 35 batch shapes; cuts at multiples of 8 or 16 left a remainder
+# tile that rounded the last columns differently)
+SPLIT_TILE = 24
 
 
 @dataclass(frozen=True)
@@ -217,19 +233,19 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
 
-def _im2col(h: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _im2col(h: np.ndarray, cols: np.ndarray) -> None:
     """Causal im2col of channel-major (c, B, w) features into ``cols``, a
-    (k, c, B, w) buffer: row block i holds h shifted i steps into the past,
-    zero for t < i. Each block is one contiguous copy shifted by i
-    elements, whose first i steps of every (c, b) row are then zeroed.
-    Returns the (k*c, B*w) matrix view."""
+    (k, c, B, w) buffer whose row blocks ``cols[i]`` are contiguous (it
+    may be a channel slice of a larger one): row block i holds h shifted i
+    steps into the past, zero for t < i. Each block is one contiguous copy
+    shifted by i elements, whose first i steps of every (c, b) row are
+    then zeroed."""
     k, c, b, w = cols.shape
     h = h.reshape(-1)
     cols[0] = h.reshape(c, b, w)
     for i in range(1, k):
         cols[i].reshape(-1)[i:] = h[:-i]
         cols[i, :, :, :i] = 0.0
-    return cols.reshape(k * c, b * w)
 
 
 def _conv_matrix(kern: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -273,13 +289,13 @@ def _softmax_buffers(b: int, h: int, w: int) -> _Softmax:
     return _Softmax(e, e.transpose(1, 2, 0, 3), np.empty((b, h, w)), np.full(w, 1.0 / w))
 
 
-def _conv_layer(kmat: np.ndarray, bias: np.ndarray, h: np.ndarray,
-                cols: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One conv layer's pre-activation map of channel-major (c, B, w)
-    features h, written into ``out`` (f, B, w): the im2col of h into
-    ``cols`` (see :func:`_im2col`), one GEMM by the (f, k*c) kernel matrix
-    ``kmat`` (see :func:`_conv_matrix`) and the bias."""
-    np.matmul(kmat, _im2col(h, cols), out=out.reshape(len(kmat), -1))
+def _conv_layer(kmat: np.ndarray, bias: np.ndarray, cols: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Output channels of one conv layer's pre-activation map, written into
+    ``out`` (f, B, w): one GEMM of their rows of the (f, k*c) kernel matrix
+    ``kmat`` (see :func:`_conv_matrix`) by the (k*c, B*w) im2col columns
+    ``cols`` (see :func:`_im2col`), and their bias."""
+    np.matmul(kmat, cols, out=out.reshape(len(kmat), -1))
     out += bias[:, None, None]
     return out
 
@@ -293,7 +309,9 @@ def _conv_stack(params: ModelParams, xb: np.ndarray):
     h = xb[None]
     for kern, bias in zip(params.conv_kernels, params.conv_biases):
         f, c, k = kern.shape
-        pre = _conv_layer(_conv_matrix(kern), bias, h, np.empty((k, c, b, w)), np.empty((f, b, w)))
+        cols = np.empty((k, c, b, w))
+        _im2col(h, cols)
+        pre = _conv_layer(_conv_matrix(kern), bias, cols.reshape(k * c, b * w), np.empty((f, b, w)))
         h = relu(pre)
         yield pre, h
 
@@ -355,19 +373,33 @@ def _attend_in(params: ModelParams, h: np.ndarray, qkv: np.ndarray,
     return yhat, {"q": q, "k": k, "v": v, "att": att, "abar": abar, "pooled": pooled, "z": z}
 
 
+def _split_cut(rows: int) -> int:
+    """Where a split GEMM cuts its output rows: the multiple of
+    ``SPLIT_TILE`` nearest the middle, at least one tile and at most all
+    rows."""
+    return min(rows, SPLIT_TILE * max(1, round(rows / (2 * SPLIT_TILE))))
+
+
 class Workspace:
     """The buffers of one training step at one (config, batch size): the
     forward cache's conv maps, ReLU masks, im2col columns, Q/K/V and
     softmax, the time-mean weights, the step's weight matrices, and the
     backward temporaries (see the module docstring). A cache written into
     a workspace is valid until the next forward with it. ``helper``, an
-    executor with one worker or None, runs backward's weight-gradient
-    GEMMs beside the main thread (see :func:`_beside`)."""
+    executor with one worker or None, runs work beside the main thread
+    (see :func:`_beside`). A ``split`` workspace cuts the conv GEMMs above
+    layer 0 at row ``cut`` and the Q/K/V GEMM at row ``qkv_cut`` (see
+    :func:`_split_cut`; 0 for no cut). A half is the whole GEMM's rows bit
+    for bit only where BLAS tiles them alike, so ``train`` splits only
+    GEMMs of a size where that was measured."""
 
-    def __init__(self, config: ModelConfig, batch: int, helper: Executor | None = None):
+    def __init__(self, config: ModelConfig, batch: int, helper: Executor | None = None,
+                 split: bool = False):
         f, k, w, b = config.filters, config.kernel_size, config.w, batch
         h, dk, layers = config.heads, config.head_dim, config.cnn_layers
         self.config, self.batch = config, batch
+        self.cut = _split_cut(f) if split else 0
+        self.qkv_cut = _split_cut(3 * h * dk) if split else 0
         self.cols_in = np.empty((k, 1, b, w))
         self.cols = np.empty((k, f, b, w)) if layers > 1 else None
         self.kmat = np.empty((f, k * f)) if layers > 1 else None
@@ -408,6 +440,38 @@ def _join(task: Future | None) -> None:
         task.result()
 
 
+def _halves(helper: Executor | None, cut: int, fn, *args) -> None:
+    """``fn(*args, rows)`` over all rows: rows ``[0, cut)`` through
+    :func:`_beside` and rows ``[cut, ...)`` on this thread, then wait for
+    both. With cut 0 one call here covers every row."""
+    task = _beside(helper, fn, *args, slice(0, cut)) if cut else None
+    fn(*args, slice(cut, None))
+    _join(task)
+
+
+def _conv_fill(kern: np.ndarray, h: np.ndarray, kmat: np.ndarray, cols: np.ndarray,
+               rows: slice) -> None:
+    """For a conv layer above layer 0, the kernel-matrix rows ``rows`` of
+    ``kern`` into ``kmat`` and the im2col of input channels ``rows`` of h
+    (f, B, w) into ``cols`` (k, f, B, w)."""
+    _conv_matrix(kern[rows], kmat[rows])
+    _im2col(h[rows], cols[:, rows])
+
+
+def _conv_rows(kmat: np.ndarray, bias: np.ndarray, cols: np.ndarray, act: np.ndarray,
+               mask: np.ndarray, rows: slice) -> None:
+    """Output channels ``rows`` of a conv layer (see :func:`_conv_layer`)
+    into its activation map ``act`` (f, B, w) and its ReLU mask."""
+    pre = _conv_layer(kmat[rows], bias[rows], cols, act[rows])
+    np.greater(pre, 0, out=mask[rows])
+    np.maximum(pre, 0.0, out=pre)
+
+
+def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, rows: slice) -> None:
+    """Rows ``rows`` of ``a @ b`` into ``out``."""
+    np.matmul(a[rows], b, out=out[rows])
+
+
 def _weight_grad(dy: np.ndarray, x: np.ndarray, buf: np.ndarray, dst: np.ndarray) -> None:
     """A weight gradient: the GEMM ``dy @ x.T`` into the front of the flat
     buffer ``buf``, copied into the tensor view ``dst``, whose last two
@@ -415,6 +479,17 @@ def _weight_grad(dy: np.ndarray, x: np.ndarray, buf: np.ndarray, dst: np.ndarray
     tmp = np.matmul(dy, x.T, out=buf[:len(dy) * len(x)].reshape(len(dy), len(x)))
     *lead, c, k = dst.shape
     np.copyto(dst, tmp.reshape(*lead, k, c).swapaxes(-1, -2))
+
+
+def _kernel_grad(h: np.ndarray | None, cols: np.ndarray, dpre: np.ndarray, buf: np.ndarray,
+                 dst: np.ndarray) -> None:
+    """A conv layer's kernel gradient (see :func:`_weight_grad`) from its
+    (k, c, B, w) im2col columns ``cols``, refilled first from its input h
+    unless h is None."""
+    if h is not None:
+        _im2col(h, cols)
+    k, c, b, w = cols.shape
+    _weight_grad(dpre, cols.reshape(k * c, b * w), buf, dst)
 
 
 def _forward_batch(params: ModelParams, xb: np.ndarray,
@@ -438,17 +513,25 @@ def _forward_batch(params: ModelParams, xb: np.ndarray,
         raise ShapeMismatch(f"workspace for {ws.batch} windows of {ws.config}, "
                             f"got {len(xb)} of {cfg}")
 
+    b, w = xb.shape
     h = xb[None]
     for layer, (kern, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
-        # layer 0's kernel matrix is a view; the deeper layers share a buffer
-        kmat = _conv_matrix(kern, ws.kmat if layer else None)
-        act = _conv_layer(kmat, bias, h, ws.cols if layer else ws.cols_in, ws.act[layer])
-        np.greater(act, 0, out=ws.mask[layer])
-        h = np.maximum(act, 0.0, out=act)
+        if layer:
+            # the deeper layers share one kernel matrix and one buffer of
+            # columns, each written in the halves of the layer's cut
+            _halves(ws.helper, ws.cut, _conv_fill, kern, h, ws.kmat, ws.cols)
+            kmat, cols, cut = ws.kmat, ws.cols, ws.cut
+        else:
+            # layer 0's kernel matrix is a view, and its GEMM is not cut
+            _im2col(h, ws.cols_in)
+            kmat, cols, cut = _conv_matrix(kern), ws.cols_in, 0
+        _halves(ws.helper, cut, _conv_rows, kmat, bias, cols.reshape(kern[0].size, b * w),
+                ws.act[layer], ws.mask[layer])
+        h = ws.act[layer]
     ws.held = cfg.cnn_layers - 1
-    d, b, w = h.shape
-    qkv = np.matmul(_qkv_matrix(params, ws.wqkv), h.reshape(d, b * w), out=ws.qkv)
-    yhat, cache = _attend_in(params, h, qkv, ws.softmax)
+    _halves(ws.helper, ws.qkv_cut, _matmul_rows, _qkv_matrix(params, ws.wqkv),
+            h.reshape(cfg.filters, b * w), ws.qkv)
+    yhat, cache = _attend_in(params, h, ws.qkv, ws.softmax)
     cache.update(workspace=ws, conv_act=ws.conv_act, conv_mask=ws.conv_mask)
     return yhat, cache
 
@@ -503,19 +586,20 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray,
     for layer in reversed(range(cfg.cnn_layers)):
         kern = params.conv_kernels[layer]
         f, c_in, ksz = kern.shape
-        # the task beside reads dpre and the columns and writes dweight:
-        # done before they change
+        # the task beside reads dpre, refills or reads the columns and
+        # writes dweight: done before the next layer's task or dpre
         _join(task)
         dpre = np.multiply(dact, ws.mask[layer], out=ws.dpre).reshape(f, b * w)
         np.add.reduce(dpre, axis=1, out=out.conv_biases[layer])
         # layer 0's columns are the forward pass's; the deeper layers share
-        # one buffer of columns and one kernel matrix, refilled unless held
-        if layer > 0 and ws.held != layer:
-            _im2col(ws.act[layer - 1], ws.cols)
+        # one buffer of columns and one kernel matrix, refilled unless held:
+        # the columns by the kernel gradient's task, the matrix here
+        refill = layer > 0 and ws.held != layer
+        task = _beside(ws.helper, _kernel_grad, ws.act[layer - 1] if refill else None,
+                       ws.cols if layer else ws.cols_in, dpre, ws.dweight,
+                       out.conv_kernels[layer])
+        if refill:
             _conv_matrix(kern, ws.kmat)
-            ws.held = layer
-        cols = (ws.cols if layer else ws.cols_in).reshape(ksz * c_in, b * w)
-        task = _beside(ws.helper, _weight_grad, dpre, cols, ws.dweight, out.conv_kernels[layer])
         if layer > 0:
             # col2im: one GEMM into channel-major (k, c, B, w) taps, where
             # tap i at (c, b, t) came from h[c, b, t-i]. Each tap's steps

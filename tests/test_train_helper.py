@@ -1,6 +1,10 @@
-"""The helper thread of wide-cell training: the same bits as the serial
-path, every traced function on the main thread, and no thread left behind."""
+"""The split GEMMs and the helper thread of wide-cell training: the same
+bits on the helper as inline, the same bits on one CPU as on two, every
+traced function on the main thread, and no thread left behind. Splitting
+is decided at one OpenBLAS thread, so the tests that split pin OpenBLAS to
+one thread, in-process or in a subprocess."""
 
+import ctypes
 import json
 import os
 import subprocess
@@ -30,17 +34,36 @@ N_WINDOWS = 81
 
 
 class CountingExecutor(ThreadPoolExecutor):
-    """One worker that records the thread each task ran on."""
+    """One worker that records the thread each task ran on, and its name."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(1)
-        self.threads = []
+        self.threads, self.names = [], set()
 
     def submit(self, fn, *args):
         def task():
             self.threads.append(threading.current_thread())
+            self.names.add(fn.__name__)
             fn(*args)
         return super().submit(task)
+
+
+# what the split forward runs on the helper: im2col and kernel-matrix rows,
+# conv rows, Q/K/V rows
+FORWARD_TASKS = {"_conv_fill", "_conv_rows", "_matmul_rows"}
+
+
+@pytest.fixture
+def one_blas_thread():
+    """OpenBLAS at one thread, where training splits, and its count back
+    afterwards."""
+    set_threads, before = train_module._openblas("set_num_threads"), train_module._blas_threads()
+    if set_threads is None or before is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be set")
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    set_threads(1)
+    yield
+    set_threads(before)
 
 
 @pytest.fixture
@@ -67,12 +90,66 @@ def ran_beside(executor) -> bool:
     return bool(executor.threads) and all(t is not main for t in executor.threads)
 
 
-def test_cell_is_above_the_threshold_and_tune_cells_below():
+def test_cell_is_above_the_threshold_and_tune_cells_below(one_blas_thread, monkeypatch):
     assert CELL.filters * CELL.kernel_size * CELL.filters * 32 * CELL.w > HELPER_MACS
-    # the largest cell of the benchmark's tuning space, and the default cell
+    assert train_module._splits(CELL, 32)
+    # the partial last batch's 21M multiply-adds; the largest cell of the
+    # benchmark's tuning space, and the default cell
+    assert not train_module._splits(CELL, N_WINDOWS % 32)
     for cell in (ModelConfig(w=15, cnn_layers=4, filters=64, kernel_size=5, heads=4),
                  ModelConfig(w=15)):
-        assert not train_module._use_helper(cell, 32)
+        assert not train_module._splits(cell, 32)
+    # at other or unknown BLAS thread counts nothing splits
+    for threads in (2, None):
+        monkeypatch.setattr(train_module, "_blas_threads", lambda threads=threads: threads)
+        assert not train_module._splits(CELL, 32)
+    # the helper: a workspace that splits, and two CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert train_module._use_helper([True, False])
+    assert not train_module._use_helper([False, False])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not train_module._use_helper([True, False])
+
+
+@pytest.mark.parametrize("cell", [CELL, ModelConfig(w=9, cnn_layers=3, filters=52,
+                                                     kernel_size=3, heads=3, seed=1)])
+def test_split_step_matches_the_whole_products(cell, rng):
+    # the halves are the whole product's rows to rounding at any BLAS thread
+    # count and GEMM kernel (bit for bit where the tiles agree)
+    params = init_params(cell)
+    xb, g = rng.normal(size=(5, cell.w)), rng.normal(size=5)
+    steps = []
+    for split in (False, True):
+        ws = Workspace(cell, 5, split=split)
+        yhat, cache = _forward_batch(params, xb, workspace=ws)
+        steps.append((yhat, ws.act.copy(), ws.qkv.copy(), _backward_batch(params, cache, g)))
+    for cut, rows in ((ws.cut, cell.filters), (ws.qkv_cut, len(ws.qkv))):
+        assert 0 < cut < rows and cut % nn.SPLIT_TILE == 0
+    for whole, halves in zip(*steps):
+        np.testing.assert_allclose(halves, whole, rtol=1e-12, atol=1e-14)
+
+
+def test_split_step_beside_equals_inline_bitwise(one_blas_thread, rng):
+    params = init_params(CELL)
+    xb, g = rng.normal(size=(32, 15)), rng.normal(size=32)
+    yhat, cache = _forward_batch(params, xb, workspace=Workspace(CELL, 32, split=True))
+    inline = (yhat, cache["workspace"].act.copy(), _backward_batch(params, cache, g))
+    # frequent thread switches, so that a task joined too late shows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with CountingExecutor() as helper:
+            ws = Workspace(CELL, 32, helper, split=True)
+            yhat, cache = _forward_batch(params, xb, workspace=ws)
+            beside = (yhat, ws.act.copy(), _backward_batch(params, cache, g))
+            # a second backward from one cache refills what the first moved
+            again = _backward_batch(params, cache, g)
+    finally:
+        sys.setswitchinterval(interval)
+    assert ran_beside(helper) and FORWARD_TASKS <= helper.names
+    for a, b in zip(beside, inline):
+        assert a.tobytes() == b.tobytes()
+    assert again.tobytes() == inline[2].tobytes()
 
 
 @pytest.mark.parametrize("batch", [32, 17])
@@ -90,10 +167,12 @@ def test_backward_beside_equals_inline_bitwise(batch, rng):
     assert again.tobytes() == inline.tobytes()
 
 
-def test_train_with_helper_equals_serial_bitwise(data, helpers, monkeypatch):
+def test_train_with_helper_equals_serial_bitwise(one_blas_thread, data, helpers, monkeypatch):
+    # the full batches split and the partial last batch does not
     tconfig = TrainConfig(epochs=2, learning_rate=3e-3, seed=2)
     params, history = train_module.train(CELL, tconfig, data)
     assert len(helpers) == 1 and ran_beside(helpers[0])
+    assert FORWARD_TASKS <= helpers[0].names
     monkeypatch.setattr(train_module, "_use_helper", lambda *args: False)
     serial, serial_history = train_module.train(CELL, tconfig, data)
     assert len(helpers) == 1
@@ -111,9 +190,10 @@ def test_helper_leaves_on_return_and_raise(data, helpers):
     assert threading.active_count() == before
 
 
-def test_traced_functions_run_on_the_main_thread(data, helpers, monkeypatch):
+def test_traced_functions_run_on_the_main_thread(one_blas_thread, data, helpers, monkeypatch):
     # the benchmark's tracer wraps these module names with one span stack
-    # per process, so none may be called from the helper
+    # per process, so none may be called from the helper, which also runs
+    # the split forward
     threads = {}
     for module, name in [(nn, "_forward_batch"), (train_module, "_forward_batch"),
                          (nn, "_mha_batch"), (nn, "_backward_batch"),
@@ -126,59 +206,103 @@ def test_traced_functions_run_on_the_main_thread(data, helpers, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
     train_module.train(CELL, TrainConfig(epochs=1, seed=2), data)
-    assert ran_beside(helpers[0])
+    assert ran_beside(helpers[0]) and FORWARD_TASKS <= helpers[0].names
     for name, seen in threads.items():
         assert seen and all(t is threading.main_thread() for t in seen), name
 
 
-REAL_RULE = textwrap.dedent("""
-    import json, os, sys, threading, warnings
+# Trains in a process of its own at the OpenBLAS thread count of its
+# environment. Always: CONTRACT twice, printing each run's parameter bytes
+# as SHA-256. With "rule" and two CPUs: CELL with the real rule on two CPUs,
+# then pinned to one, then explain's workers.
+SUBPROCESS = textwrap.dedent("""
+    import hashlib, json, os, sys, threading, warnings
     import numpy as np
     from fusecast.explain import ExplainConfig, explain
     from fusecast.nn import ModelConfig, init_params
     from fusecast.series import WindowedDataset
     train = sys.modules["fusecast.train"]
-    cell, n = ModelConfig(**json.loads(sys.argv[1])), int(sys.argv[2])
-    rng = np.random.default_rng(0)
-    data = WindowedDataset(rng.normal(size=(n, 15)), rng.normal(size=n), 15)
-    tconfig = train.TrainConfig(epochs=2, learning_rate=3e-3, seed=2)
-    rule, chosen = train._use_helper, []
-    train._use_helper = lambda *args: chosen.append(rule(*args)) or chosen[-1]
-    real, real_history = train.train(cell, tconfig, data)
-    train._use_helper = lambda *args: False
-    serial, serial_history = train.train(cell, tconfig, data)
-    threads = threading.active_count()
-    # a fork from a process with a live thread warns from Python 3.12
-    warnings.simplefilter("error", DeprecationWarning)
-    os.sched_getaffinity = lambda pid: {0, 1}
-    workers = explain(init_params(ModelConfig(w=15, seed=2)), rng.normal(size=15),
-                      rng.normal(size=(8, 15)),
-                      ExplainConfig(background_size=8, sample_permutations=10)).workers
-    print(json.dumps({"chosen": chosen, "blas_threads": train._blas_threads(),
-                      "same": real.flat.tobytes() == serial.flat.tobytes()
-                              and real_history == serial_history,
-                      "threads": threads, "workers": workers}))
+
+    def fit(cell, n):
+        rng = np.random.default_rng(n)
+        data = WindowedDataset(rng.normal(size=(n, 15)), rng.normal(size=n), 15)
+        tconfig = train.TrainConfig(epochs=2, learning_rate=3e-3, seed=2)
+        params, history = train.train(ModelConfig(**cell), tconfig, data)
+        return hashlib.sha256(params.flat.tobytes() + np.array(history).tobytes()).hexdigest()
+
+    contract, cell, n, mode = json.loads(sys.argv[1]), json.loads(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+    result = {"blas_threads": train._blas_threads(),
+              "contract": [fit(contract, n), fit(contract, n)]}
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    if mode == "rule" and len(cpus) >= 2:
+        rule, chosen = train._use_helper, []
+        train._use_helper = lambda *args: chosen.append(rule(*args)) or chosen[-1]
+        two_cpus = fit(cell, n)
+        os.sched_setaffinity(0, {min(cpus)})
+        one_cpu = fit(cell, n)
+        os.sched_setaffinity(0, cpus)
+        threads = threading.active_count()
+        # a fork from a process with a live thread warns from Python 3.12
+        warnings.simplefilter("error", DeprecationWarning)
+        os.sched_getaffinity = lambda pid: {0, 1}
+        rng = np.random.default_rng(0)
+        workers = explain(init_params(ModelConfig(w=15, seed=2)), rng.normal(size=15),
+                          rng.normal(size=(8, 15)),
+                          ExplainConfig(background_size=8, sample_permutations=10)).workers
+        result.update(chosen=chosen, same=two_cpus == one_cpu, threads=threads, workers=workers)
+    print(json.dumps(result))
 """)
+
+# ROADMAP item 4's cell: 3x40 k=4, whose weight gradients depend on the
+# BLAS thread count at some batch shapes
+CONTRACT = ModelConfig(w=15, cnn_layers=3, filters=40, kernel_size=4, heads=2, seed=3)
+
+
+@pytest.fixture(scope="module")
+def subprocess_runs():
+    """The results of SUBPROCESS at one OpenBLAS thread ("rule") and at two,
+    run side by side."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    as_json = [json.dumps({name: getattr(cell, name) for name in
+                           ("w", "cnn_layers", "filters", "kernel_size", "heads", "seed")})
+               for cell in (CONTRACT, CELL)]
+    procs = {threads: subprocess.Popen(
+        [sys.executable, "-c", SUBPROCESS, *as_json, str(N_WINDOWS), mode],
+        env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+             "PYTHONPATH": path},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for threads, mode in (("1", "rule"), ("2", "contract"))}
+    results = {}
+    try:
+        for threads, proc in procs.items():
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+            results[threads] = json.loads(out)
+    finally:
+        for proc in procs.values():
+            proc.kill()
+    return results
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="the helper needs two CPUs")
-def test_real_rule_under_one_blas_thread():
+def test_real_rule_under_one_blas_thread(subprocess_runs):
     # the tier-1 suite runs at the host's BLAS thread count, which may not
     # be one: the real rule is exercised in a process pinned to one thread
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    cell = {name: getattr(CELL, name) for name in
-            ("w", "cnn_layers", "filters", "kernel_size", "heads", "seed")}
-    proc = subprocess.run([sys.executable, "-c", REAL_RULE, json.dumps(cell), str(N_WINDOWS)],
-                          env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+    result = subprocess_runs["1"]
     if result["blas_threads"] is None:
         pytest.skip("numpy's OpenBLAS thread count cannot be read")
     assert result["blas_threads"] == 1
-    assert result["chosen"] == [True]
+    # a helper on two CPUs, none on one, and the same bytes
+    assert result["chosen"] == [True, False]
     assert result["same"]
     assert result["threads"] == 1
     assert result["workers"] == 2
+
+
+def test_bytes_fixed_for_a_fixed_blas_thread_count(subprocess_runs):
+    # README's contract; between one and two threads the bytes may differ
+    for result in subprocess_runs.values():
+        first, second = result["contract"]
+        assert first == second
