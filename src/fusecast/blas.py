@@ -1,0 +1,73 @@
+"""The thread and CPU policy. At wide cells with OpenBLAS at one thread, a workspace
+splits its conv and Q/K/V GEMMs in two by output rows (see :func:`splits`,
+:class:`.nn.Workspace`). If one of a run's workspaces splits and two CPUs are free,
+``train`` opens a helper thread for the run (:func:`use_helper`): its workspaces
+carry it into the forward and backward passes, and ``adam_step`` hands it half of
+its chunks. Without it the same halves run in turn, so the trained parameters are
+the same bits on one CPU and on two. The helper runs numpy work only, never a
+function called by its module name, and is shut down when ``train`` returns or
+raises. ``explain`` forks a worker per CPU past the first (:func:`cpus`)."""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import os
+from pathlib import Path
+
+import numpy as np
+
+# multiply-adds of a conv GEMM above which it splits: at 2^21 the overlap made
+# tune-small's mix of cells slower, and a half under ~10^6 could round differently
+HELPER_MACS = 1 << 25
+# rows per tile of OpenBLAS's one-thread SkylakeX dgemm kernel: halves cut at a
+# multiple keep the whole product's bits (measured at 35 wide-cell batch shapes;
+# cuts at multiples of 8 or 16 rounded a remainder tile's last columns apart)
+SPLIT_TILE = 24
+
+
+@functools.cache
+def _openblas(name: str):
+    """The function ``name`` (such as ``get_num_threads``) of numpy's bundled
+    OpenBLAS, or None when it cannot be found; looked up once, on first use."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def threads() -> int | None:
+    """The thread count numpy's OpenBLAS reports now, or None if unreadable."""
+    fn = _openblas("get_num_threads")
+    return None if fn is None else fn()
+
+
+def cpus() -> int:
+    """The CPUs the process may use now (its affinity mask), at least 1."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def splits(config, batch: int) -> bool:
+    """Whether a ``batch``-row workspace splits: its conv GEMM has more than ``HELPER_MACS``
+    multiply-adds and OpenBLAS runs one thread (at more, a half and the whole round apart)."""
+    c_in = config.filters if config.cnn_layers > 1 else 1
+    macs = config.filters * config.kernel_size * c_in * batch * config.w
+    return macs > HELPER_MACS and threads() == 1
+
+
+def use_helper(split) -> bool:
+    """Whether a run opens a helper: one of its workspaces split (a bool each), two CPUs free."""
+    return any(split) and cpus() >= 2
+
+
+def split_cut(rows: int) -> int:
+    """Where a split GEMM cuts its output rows: the multiple of ``SPLIT_TILE``
+    nearest the middle, at least one tile and at most all rows."""
+    return min(rows, SPLIT_TILE * max(1, round(rows / (2 * SPLIT_TILE))))

@@ -108,9 +108,10 @@ def load_config(path: str | None, overrides: dict) -> dict:
         if not p.is_file():
             raise ConfigError(f"config file not found: {p}")
         try:
-            user = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
+            user = json.loads(p.read_text(encoding="utf-8"))
+        # ValueError covers bad JSON, undecodable bytes and over-long integers
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from None
     cfg = _merge(DEFAULT_CONFIG, user)
     for dotted, value in overrides.items():
         node = cfg

@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -43,7 +42,7 @@ from .errors import (
     WindowTooLargeForExact,
     check_seed,
 )
-from . import nn
+from . import blas, nn
 from .nn import ModelParams, _forward_batch
 
 EXACT_MAX_WINDOW = 12
@@ -194,8 +193,7 @@ class _CoalitionModel:
 
     def __enter__(self) -> _CoalitionModel:
         if "fork" in multiprocessing.get_all_start_methods():
-            self._cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                          else os.cpu_count() or 1)
+            self._cpus = blas.cpus()
         return self
 
     def __exit__(self, *exc) -> None:

@@ -61,9 +61,9 @@ layer the columns and matrix hold, so a second backward from one cache
 refills them too.
 
 A workspace may carry a helper, an executor with one worker thread, which
-``train`` opens for wide cells (see :mod:`.train`), and may be split. A
+``train`` opens for wide cells (see :mod:`.blas`), and may be split. A
 split workspace cuts each conv layer above layer 0 and the Q/K/V
-projection by output rows at a multiple of ``SPLIT_TILE`` near the
+projection by output rows at a multiple of ``blas.SPLIT_TILE`` near the
 middle: one task fills the kernel-matrix rows and im2col channels below
 the cut and the other those above it, and after a join one runs the GEMM
 rows, bias, mask and ReLU below the cut and the other those above. The
@@ -107,15 +107,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import blas
 from .errors import BadCheckpoint, InvalidSpec, ShapeMismatch, check_seed
 from .series import ScalerParams
-
-# rows of a C-order GEMM output per tile of OpenBLAS's one-thread dgemm
-# kernel on SkylakeX: cut at a multiple of it, each half is tiled as in the
-# whole product, so its bits are the whole product's rows (measured on wide
-# cells at 35 batch shapes; cuts at multiples of 8 or 16 left a remainder
-# tile that rounded the last columns differently)
-SPLIT_TILE = 24
 
 
 @dataclass(frozen=True)
@@ -373,13 +367,6 @@ def _attend_in(params: ModelParams, h: np.ndarray, qkv: np.ndarray,
     return yhat, {"q": q, "k": k, "v": v, "att": att, "abar": abar, "pooled": pooled, "z": z}
 
 
-def _split_cut(rows: int) -> int:
-    """Where a split GEMM cuts its output rows: the multiple of
-    ``SPLIT_TILE`` nearest the middle, at least one tile and at most all
-    rows."""
-    return min(rows, SPLIT_TILE * max(1, round(rows / (2 * SPLIT_TILE))))
-
-
 class Workspace:
     """The buffers of one training step at one (config, batch size): the
     forward cache's conv maps, ReLU masks, im2col columns, Q/K/V and
@@ -389,17 +376,17 @@ class Workspace:
     executor with one worker or None, runs work beside the main thread
     (see :func:`_beside`). A ``split`` workspace cuts the conv GEMMs above
     layer 0 at row ``cut`` and the Q/K/V GEMM at row ``qkv_cut`` (see
-    :func:`_split_cut`; 0 for no cut). A half is the whole GEMM's rows bit
-    for bit only where BLAS tiles them alike, so ``train`` splits only
-    GEMMs of a size where that was measured."""
+    :func:`.blas.split_cut`; 0 for no cut). A half is the whole GEMM's
+    rows bit for bit only where BLAS tiles them alike, so ``train`` splits
+    only GEMMs of a size where that was measured."""
 
     def __init__(self, config: ModelConfig, batch: int, helper: Executor | None = None,
                  split: bool = False):
         f, k, w, b = config.filters, config.kernel_size, config.w, batch
         h, dk, layers = config.heads, config.head_dim, config.cnn_layers
         self.config, self.batch = config, batch
-        self.cut = _split_cut(f) if split else 0
-        self.qkv_cut = _split_cut(3 * h * dk) if split else 0
+        self.cut = blas.split_cut(f) if split else 0
+        self.qkv_cut = blas.split_cut(3 * h * dk) if split else 0
         self.cols_in = np.empty((k, 1, b, w))
         self.cols = np.empty((k, f, b, w)) if layers > 1 else None
         self.kmat = np.empty((f, k * f)) if layers > 1 else None
@@ -631,7 +618,7 @@ def _tensor_doc(a: np.ndarray) -> dict:
 def _tensor_from_doc(doc: dict) -> np.ndarray:
     try:
         arr = np.array(doc["data"], dtype=np.float64).reshape(doc["shape"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadCheckpoint(f"malformed tensor entry: {exc}") from None
     return arr
 
@@ -658,9 +645,10 @@ def load_checkpoint(path) -> tuple[ModelParams, ScalerParams]:
     if not p.is_file():
         raise BadCheckpoint(f"no such checkpoint: {p}")
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise BadCheckpoint(f"not valid JSON: {exc}") from None
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    # ValueError covers bad JSON, undecodable bytes and over-long integers
+    except (ValueError, RecursionError) as exc:
+        raise BadCheckpoint(f"not valid UTF-8 JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise BadCheckpoint("unrecognized checkpoint document")
     version = doc.get("version")

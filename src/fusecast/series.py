@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -143,31 +144,35 @@ def load_csv(path) -> TimeSeries:
         raise MissingFile(str(p))
     dates: list[dt.date] = []
     values: list[float] = []
-    with p.open(newline="") as fh:
-        reader = csv.reader(fh)
+    raw = p.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(raw.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(1, "empty file") from None
+    if [c.strip() for c in header] != list(CSV_HEADER):
+        raise ParseError(1, f"expected header {','.join(CSV_HEADER)}")
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != 2:
+            raise ParseError(lineno, f"expected 2 fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(1, "empty file") from None
-        if [c.strip() for c in header] != list(CSV_HEADER):
-            raise ParseError(1, f"expected header {','.join(CSV_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise ParseError(lineno, f"expected 2 fields, got {len(row)}")
-            try:
-                date = dt.date.fromisoformat(row[0].strip())
-            except ValueError:
-                raise ParseError(lineno, f"bad date {row[0]!r}") from None
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise ParseError(lineno, f"bad value {row[1]!r}") from None
-            if not np.isfinite(value):
-                raise NonFiniteValue(lineno)
-            if dates and date <= dates[-1]:
-                raise NonMonotoneTimestamps(lineno)
-            dates.append(date)
-            values.append(value)
+            date = dt.date.fromisoformat(row[0].strip())
+        except ValueError:
+            raise ParseError(lineno, f"bad date {row[0]!r}") from None
+        try:
+            value = float(row[1])
+        except ValueError:
+            raise ParseError(lineno, f"bad value {row[1]!r}") from None
+        if not np.isfinite(value):
+            raise NonFiniteValue(lineno)
+        if dates and date <= dates[-1]:
+            raise NonMonotoneTimestamps(lineno)
+        dates.append(date)
+        values.append(value)
     if len(values) < 2:
         raise ParseError(len(values) + 1, "need at least 2 data rows")
     ts = np.array([np.datetime64(d, "D") for d in dates])

@@ -5,32 +5,20 @@ the gradient in place, and :func:`adam_step` updates the moments and the
 parameters in place, walking them in L2-sized chunks (see :mod:`.nn` for
 the flat layout). The package's ``train`` function shadows this module as
 ``fusecast.train``, so import its other names with
-``from fusecast.train import ...``.
-
-At wide cells with OpenBLAS at one thread, a workspace splits its conv
-and Q/K/V GEMMs in two by output rows (see :func:`_splits` and
-:class:`.nn.Workspace`). When one of a run's workspaces splits and two
-CPUs are free, :func:`train` opens a helper thread for the run (see
-:func:`_use_helper`): its workspaces carry it into the forward and
-backward passes, and :func:`adam_step` hands it half of its chunks.
-Without it the same halves run one after the other, so the trained
-parameters are the same bits on one CPU and on two. The helper runs numpy
-work only, never a function called by its module name, and it is shut
-down when :func:`train` returns or raises."""
+``from fusecast.train import ...``. Wide cells may train with a helper
+thread (see :mod:`.blas`)."""
 
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import math
-import os
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import stats as sstats
 
+from . import blas
 from .errors import (
     DivergedLoss,
     EmptyDataset,
@@ -52,10 +40,6 @@ PREDICT_BLOCK = 32  # rows per forward call in predict_batch
 # elements per Adam chunk: the six float64 slices one chunk touches (m, v,
 # gradient, parameters, two scratch) take 128 KB each and fit a 2 MB L2
 ADAM_CHUNK = 16384
-# multiply-adds of a workspace's conv GEMM above which it splits its GEMMs
-# in two (see _splits): at 2^21 the overlap made tune-small's mix of cells
-# slower, and a half under about 10^6 could round differently
-HELPER_MACS = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -181,50 +165,6 @@ def adam_step(params: ModelParams, grads: np.ndarray, state: OptState,
     return out
 
 
-def _openblas(name: str):
-    """The function ``name`` (such as ``get_num_threads``) of numpy's bundled
-    OpenBLAS, under the symbol scipy-openblas or OpenBLAS gives it, or None
-    when it cannot be found."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                return fn
-    return None
-
-
-def _blas_threads() -> int | None:
-    """The thread count that numpy's bundled OpenBLAS reports, or None when
-    it cannot be read."""
-    fn = _openblas("get_num_threads")
-    if fn is None:
-        return None
-    fn.argtypes, fn.restype = [], ctypes.c_int
-    return fn()
-
-
-def _splits(config: ModelConfig, batch: int) -> bool:
-    """Whether the workspace of batch size ``batch`` splits its GEMMs in two
-    (see :class:`.nn.Workspace`): its conv GEMM has more than
-    ``HELPER_MACS`` multiply-adds and OpenBLAS runs one thread. At more
-    BLAS threads a half and the whole product round differently."""
-    c_in = config.filters if config.cnn_layers > 1 else 1
-    macs = config.filters * config.kernel_size * c_in * batch * config.w
-    return macs > HELPER_MACS and _blas_threads() == 1
-
-
-def _use_helper(splits) -> bool:
-    """Whether a run gets a helper thread: one of its workspaces splits
-    (``splits`` holds a bool per workspace), and the process may use two
-    CPUs or more."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return any(splits) and (cpus or 1) >= 2
-
-
 def train(config: ModelConfig, tconfig: TrainConfig,
           data: WindowedDataset) -> tuple[ModelParams, list[float]]:
     """Fit the model on scaled windows with seeded shuffled mini-batches.
@@ -243,8 +183,8 @@ def train(config: ModelConfig, tconfig: TrainConfig,
     history: list[float] = []
     n, batch = len(data), tconfig.batch_size
     # one workspace for full batches and one for a partial last batch
-    splits = {size: _splits(config, size) for size in {min(batch, n), n % batch} if size}
-    with (ThreadPoolExecutor(1) if _use_helper(splits.values())
+    splits = {size: blas.splits(config, size) for size in {min(batch, n), n % batch} if size}
+    with (ThreadPoolExecutor(1) if blas.use_helper(splits.values())
           else contextlib.nullcontext()) as helper:
         workspaces = {size: Workspace(config, size, helper, split)
                       for size, split in splits.items()}

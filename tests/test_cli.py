@@ -520,6 +520,42 @@ class TestExitCodes:
         assert run("forecast", "--config", str(cfg), "--out", str(tmp_path / "o"),
                    "--checkpoint", str(ckpt)) == 3
 
+    # bytes that are not UTF-8, and nesting deeper than the recursion limit
+    UNREADABLE = {"not-utf8": b'{"seed": "\xff"}', "too-deep": b"[" * 100000}
+
+    @pytest.mark.parametrize("kind", list(UNREADABLE))
+    def test_unreadable_config(self, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(self.UNREADABLE[kind])
+        assert run("synth", "--config", str(bad), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not valid UTF-8 JSON")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", [*UNREADABLE, "overflow"])
+    def test_unreadable_checkpoint(self, tmp_path, capsys, kind):
+        if kind == "overflow":
+            # an integer beyond float64 where a tensor value belongs
+            ckpt = self._edited_checkpoint(
+                tmp_path, lambda doc: doc["tensors"]["head.b_out"].update(data=[10**400]))
+        else:
+            ckpt = tmp_path / "ckpt.json"
+            ckpt.write_bytes(self.UNREADABLE[kind])
+        assert run("forecast", "--config", str(write_config(tmp_path)),
+                   "--out", str(tmp_path / "o"), "--checkpoint", str(ckpt)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "Traceback" not in err
+
+    def test_csv_not_utf8(self, tmp_path, capsys):
+        csv_path = tmp_path / "series.csv"
+        csv_path.write_bytes(b"timestamp,value\n2020-01-01,1.0\n2020-01-02,\xff\n")
+        cfg = write_config(tmp_path, **{"data.source": "csv", "data.csv_path": str(csv_path)})
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: row 3: not UTF-8 text")
+        assert "Traceback" not in err
+
     @staticmethod
     def _edited_checkpoint(tmp_path, edit):
         ckpt = tmp_path / "ckpt.json"

@@ -17,11 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fusecast import nn
+from fusecast import blas, nn
+from fusecast.blas import HELPER_MACS
 from fusecast.errors import DivergedLoss
 from fusecast.nn import ModelConfig, Workspace, _backward_batch, _forward_batch, init_params
 from fusecast.series import WindowedDataset
-from fusecast.train import HELPER_MACS, TrainConfig
+from fusecast.train import TrainConfig
 
 train_module = sys.modules["fusecast.train"]
 
@@ -57,7 +58,7 @@ FORWARD_TASKS = {"_conv_fill", "_conv_rows", "_matmul_rows"}
 def one_blas_thread():
     """OpenBLAS at one thread, where training splits, and its count back
     afterwards."""
-    set_threads, before = train_module._openblas("set_num_threads"), train_module._blas_threads()
+    set_threads, before = blas._openblas("set_num_threads"), blas.threads()
     if set_threads is None or before is None:
         pytest.skip("numpy's OpenBLAS thread count cannot be set")
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
@@ -80,7 +81,7 @@ def helpers(monkeypatch):
         opened.append(CountingExecutor())
         return opened[-1]
 
-    monkeypatch.setattr(train_module, "_use_helper", lambda *args: True)
+    monkeypatch.setattr(blas, "use_helper", lambda *args: True)
     monkeypatch.setattr(train_module, "ThreadPoolExecutor", counting)
     return opened
 
@@ -92,23 +93,23 @@ def ran_beside(executor) -> bool:
 
 def test_cell_is_above_the_threshold_and_tune_cells_below(one_blas_thread, monkeypatch):
     assert CELL.filters * CELL.kernel_size * CELL.filters * 32 * CELL.w > HELPER_MACS
-    assert train_module._splits(CELL, 32)
+    assert blas.splits(CELL, 32)
     # the partial last batch's 21M multiply-adds; the largest cell of the
     # benchmark's tuning space, and the default cell
-    assert not train_module._splits(CELL, N_WINDOWS % 32)
+    assert not blas.splits(CELL, N_WINDOWS % 32)
     for cell in (ModelConfig(w=15, cnn_layers=4, filters=64, kernel_size=5, heads=4),
                  ModelConfig(w=15)):
-        assert not train_module._splits(cell, 32)
+        assert not blas.splits(cell, 32)
     # at other or unknown BLAS thread counts nothing splits
     for threads in (2, None):
-        monkeypatch.setattr(train_module, "_blas_threads", lambda threads=threads: threads)
-        assert not train_module._splits(CELL, 32)
+        monkeypatch.setattr(blas, "threads", lambda threads=threads: threads)
+        assert not blas.splits(CELL, 32)
     # the helper: a workspace that splits, and two CPUs
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert train_module._use_helper([True, False])
-    assert not train_module._use_helper([False, False])
+    assert blas.use_helper([True, False])
+    assert not blas.use_helper([False, False])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert not train_module._use_helper([True, False])
+    assert not blas.use_helper([True, False])
 
 
 @pytest.mark.parametrize("cell", [CELL, ModelConfig(w=9, cnn_layers=3, filters=52,
@@ -124,7 +125,7 @@ def test_split_step_matches_the_whole_products(cell, rng):
         yhat, cache = _forward_batch(params, xb, workspace=ws)
         steps.append((yhat, ws.act.copy(), ws.qkv.copy(), _backward_batch(params, cache, g)))
     for cut, rows in ((ws.cut, cell.filters), (ws.qkv_cut, len(ws.qkv))):
-        assert 0 < cut < rows and cut % nn.SPLIT_TILE == 0
+        assert 0 < cut < rows and cut % blas.SPLIT_TILE == 0
     for whole, halves in zip(*steps):
         np.testing.assert_allclose(halves, whole, rtol=1e-12, atol=1e-14)
 
@@ -173,7 +174,7 @@ def test_train_with_helper_equals_serial_bitwise(one_blas_thread, data, helpers,
     params, history = train_module.train(CELL, tconfig, data)
     assert len(helpers) == 1 and ran_beside(helpers[0])
     assert FORWARD_TASKS <= helpers[0].names
-    monkeypatch.setattr(train_module, "_use_helper", lambda *args: False)
+    monkeypatch.setattr(blas, "use_helper", lambda *args: False)
     serial, serial_history = train_module.train(CELL, tconfig, data)
     assert len(helpers) == 1
     assert params.flat.tobytes() == serial.flat.tobytes()
@@ -218,6 +219,7 @@ def test_traced_functions_run_on_the_main_thread(one_blas_thread, data, helpers,
 SUBPROCESS = textwrap.dedent("""
     import hashlib, json, os, sys, threading, warnings
     import numpy as np
+    from fusecast import blas
     from fusecast.explain import ExplainConfig, explain
     from fusecast.nn import ModelConfig, init_params
     from fusecast.series import WindowedDataset
@@ -231,12 +233,12 @@ SUBPROCESS = textwrap.dedent("""
         return hashlib.sha256(params.flat.tobytes() + np.array(history).tobytes()).hexdigest()
 
     contract, cell, n, mode = json.loads(sys.argv[1]), json.loads(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
-    result = {"blas_threads": train._blas_threads(),
+    result = {"blas_threads": blas.threads(),
               "contract": [fit(contract, n), fit(contract, n)]}
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
     if mode == "rule" and len(cpus) >= 2:
-        rule, chosen = train._use_helper, []
-        train._use_helper = lambda *args: chosen.append(rule(*args)) or chosen[-1]
+        rule, chosen = blas.use_helper, []
+        blas.use_helper = lambda *args: chosen.append(rule(*args)) or chosen[-1]
         two_cpus = fit(cell, n)
         os.sched_setaffinity(0, {min(cpus)})
         one_cpu = fit(cell, n)
