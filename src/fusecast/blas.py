@@ -1,18 +1,22 @@
-"""The thread and CPU policy. At wide cells with OpenBLAS at one thread, a workspace
-splits its conv and Q/K/V GEMMs in two by output rows (see :func:`splits`,
-:class:`.nn.Workspace`). If one of a run's workspaces splits and two CPUs are free,
-``train`` opens a helper thread for the run (:func:`use_helper`): its workspaces
-carry it into the forward and backward passes, and ``adam_step`` hands it half of
-its chunks. Without it the same halves run in turn, so the trained parameters are
-the same bits on one CPU and on two. The helper runs numpy work only, never a
-function called by its module name, and is shut down when ``train`` returns or
-raises. ``explain`` forks a worker per CPU past the first (:func:`cpus`)."""
+"""The thread and CPU policy. Every fusecast call that reaches BLAS runs inside
+:func:`one_thread`, which holds numpy's OpenBLAS at one thread and restores the
+caller's count afterwards, so the outputs do not depend on that count. At wide
+cells a workspace then splits its conv and Q/K/V GEMMs in two by output rows (see
+:func:`splits`, :class:`.nn.Workspace`). If one of a run's workspaces splits and two
+CPUs are free, ``train`` opens a helper thread for the run (:func:`use_helper`): its
+workspaces carry it into the forward and backward passes, and ``adam_step`` hands it
+half of its chunks. Without it the same halves run in turn, so the trained
+parameters are the same bits on one CPU and on two. The helper runs numpy work only,
+never a function called by its module name, and is shut down when ``train`` returns
+or raises. ``explain`` forks a worker per CPU past the first (:func:`cpus`)."""
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -26,19 +30,31 @@ HELPER_MACS = 1 << 25
 SPLIT_TILE = 24
 
 
+# the C signature, (argtypes, restype), of each OpenBLAS function used here
+_SIGNATURES = {"get_num_threads": ([], ctypes.c_int), "set_num_threads": ([ctypes.c_int], None)}
+
+
 @functools.cache
-def _openblas(name: str):
-    """The function ``name`` (such as ``get_num_threads``) of numpy's bundled
-    OpenBLAS, or None when it cannot be found; looked up once, on first use."""
+def _library():
+    """numpy's bundled OpenBLAS, opened once, on first use; None if not found."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         try:
-            lib = ctypes.CDLL(str(path))
+            return ctypes.CDLL(str(path))
         except OSError:
             continue
-        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                return fn
+    return None
+
+
+@functools.cache
+def _openblas(name: str):
+    """The function ``name`` of :data:`_SIGNATURES` in numpy's OpenBLAS, with its
+    C signature set, or None when it cannot be found; looked up once, on first use."""
+    lib = _library()
+    for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = _SIGNATURES[name]
+            return fn
     return None
 
 
@@ -46,6 +62,42 @@ def threads() -> int | None:
     """The thread count numpy's OpenBLAS reports now, or None if unreadable."""
     fn = _openblas("get_num_threads")
     return None if fn is None else fn()
+
+
+class _OneThread(contextlib.ContextDecorator):
+    """The pin behind :func:`one_thread`. It is process-global and reentrant: a
+    depth count under a lock makes the first entry, on any thread, save the count
+    and set 1, and the last exit restore it."""
+
+    def __init__(self):
+        self._lock, self._depth, self._saved = threading.Lock(), 0, None
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                set_threads = _openblas("set_num_threads")
+                self._saved = threads() if set_threads is not None else None
+                if self._saved is not None:
+                    set_threads(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._saved is not None:
+                _openblas("set_num_threads")(self._saved)
+
+
+_ONE_THREAD = _OneThread()
+
+
+def one_thread() -> _OneThread:
+    """A context manager, usable as a decorator, that holds numpy's OpenBLAS at one
+    thread and restores the caller's count on exit, also on an exception. The count
+    is process-global, so BLAS calls on the caller's other threads see one thread
+    too while it is held. Without OpenBLAS it does nothing."""
+    return _ONE_THREAD
 
 
 def cpus() -> int:

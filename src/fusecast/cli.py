@@ -75,15 +75,22 @@ DEFAULT_CONFIG = {
 
 
 def _check_type(default, value, path: str) -> None:
-    """A value must have its default's type; a float accepts an int. A null
-    default accepts anything here: its consumer (``_out_dir``,
-    ``_load_series``, ``ModelConfig``, ``ExplainConfig``) checks the type."""
+    """A value must have its default's type; a float accepts an int that
+    converts to a finite float. A null default accepts anything here: its
+    consumer (``_out_dir``, ``_load_series``, ``ModelConfig``,
+    ``ExplainConfig``) checks the type."""
     if default is None:
         return
     allowed = (int, float) if type(default) is float else type(default)
     if not isinstance(value, allowed) or (isinstance(value, bool) and type(default) is not bool):
         raise ConfigError(f"{path} must be {type(default).__name__}, "
                           f"got {type(value).__name__} {value!r}")
+    if type(default) is float and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"{path} must be a finite float, got an integer of "
+                              f"{len(str(abs(value)))} digits") from None
 
 
 def _merge(defaults, override, path="config"):

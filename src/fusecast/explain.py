@@ -389,6 +389,7 @@ def sample_background(train_windows: np.ndarray, size: int, seed: int = 0) -> np
     return train_windows[np.sort(idx)]
 
 
+@blas.one_thread()
 def explain(params: ModelParams, x: np.ndarray, background: np.ndarray,
             config: ExplainConfig) -> InfluenceMap:
     """Full pipeline for one scaled window: forward pass for the attention

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -74,6 +75,14 @@ class TimeSeries:
         return len(self.values)
 
 
+def _finite(value) -> bool:
+    """Whether a number is finite as a float: an integer beyond float64 is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ScalerParams:
     """Z-score parameters fitted on the training segment (population std)."""
@@ -82,9 +91,9 @@ class ScalerParams:
     std: float
 
     def __post_init__(self):
-        if not np.isfinite(self.mean):
+        if not _finite(self.mean):
             raise ZeroVariance(f"scaler mean must be finite, got {self.mean!r}")
-        if not (np.isfinite(self.std) and self.std > 0):
+        if not (_finite(self.std) and self.std > 0):
             raise ZeroVariance(f"scaler std must be finite and > 0, got {self.std!r}")
 
 
@@ -132,7 +141,7 @@ class SynthSpec:
             raise InvalidSpec("noise_std must be >= 0")
         if not 0.0 <= self.ar_coeff < 1.0:
             raise InvalidSpec("ar_coeff must be in [0, 1)")
-        if not np.isfinite([self.amplitude, self.trend_slope, self.noise_std]).all():
+        if not all(map(_finite, (self.amplitude, self.trend_slope, self.noise_std))):
             raise InvalidSpec("amplitude, trend_slope, noise_std must be finite")
         check_seed(self.seed)
 

@@ -165,6 +165,7 @@ def adam_step(params: ModelParams, grads: np.ndarray, state: OptState,
     return out
 
 
+@blas.one_thread()
 def train(config: ModelConfig, tconfig: TrainConfig,
           data: WindowedDataset) -> tuple[ModelParams, list[float]]:
     """Fit the model on scaled windows with seeded shuffled mini-batches.
@@ -209,6 +210,7 @@ def train(config: ModelConfig, tconfig: TrainConfig,
     return params, history
 
 
+@blas.one_thread()
 def predict_batch(params: ModelParams, windows: np.ndarray) -> np.ndarray:
     """One-step predictions for scaled windows (N, w), in scaled units.
 
@@ -221,6 +223,7 @@ def predict_batch(params: ModelParams, windows: np.ndarray) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+@blas.one_thread()
 def _rollout(params: ModelParams, windows: np.ndarray, horizon: int) -> np.ndarray:
     """Recursive forecasts (n, horizon) from scaled windows (n, w): each step
     is one forward call over all n windows, whose predictions are appended

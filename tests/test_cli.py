@@ -599,9 +599,10 @@ class TestExitCodes:
         assert not (out / "forecast" / "forecast.csv").exists()
 
     @pytest.mark.parametrize("field,value", [
-        ("mean", float("nan")), ("mean", float("inf")), ("std", float("nan"))])
+        ("mean", float("nan")), ("mean", float("inf")), ("std", float("nan")),
+        pytest.param("mean", 10**400, id="mean-beyond-float64")])
     def test_bad_checkpoint_scaler_names_its_field(self, tmp_path, capsys, field, value):
-        # json writes and reads NaN and Infinity
+        # json writes and reads NaN and Infinity, and integers of any size
         ckpt = self._edited_checkpoint(tmp_path, lambda doc: doc["scaler"].update({field: value}))
         assert run("forecast", "--config", str(write_config(tmp_path)),
                    "--out", str(tmp_path / "o"), "--checkpoint", str(ckpt)) == 3
@@ -638,6 +639,17 @@ class TestExitCodes:
         assert run(*args) == 2
         err = capfd.readouterr().err
         assert err.startswith(f"config error: {key.split('.')[1]} must be finite and > 0")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", [
+        "train.learning_rate", "explain.smoothing_sigma", "data.synth.amplitude"])
+    def test_integer_beyond_float64_is_config_error(self, tmp_path, capfd, key):
+        # a float field takes an integer only if it converts to a finite float
+        cfg = write_config(tmp_path, **{key: 10**400})
+        capfd.readouterr()
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        err = capfd.readouterr().err
+        assert err.startswith(f"config error: config.{key} must be a finite float")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flags,key,value", [

@@ -136,6 +136,9 @@ class TestSynthesize:
             SynthSpec(length=100, period=10, noise_std=-1.0)
         with pytest.raises(InvalidSpec):
             SynthSpec(length=100, period=10, ar_coeff=1.0)
+        for field in ("amplitude", "trend_slope", "noise_std"):
+            with pytest.raises(InvalidSpec, match="must be finite"):
+                SynthSpec(length=100, period=10, **{field: 10**400})
 
 
 class TestSplit:

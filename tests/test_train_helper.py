@@ -1,10 +1,9 @@
 """The split GEMMs and the helper thread of wide-cell training: the same
 bits on the helper as inline, the same bits on one CPU as on two, every
 traced function on the main thread, and no thread left behind. Splitting
-is decided at one OpenBLAS thread, so the tests that split pin OpenBLAS to
-one thread, in-process or in a subprocess."""
+is decided at one OpenBLAS thread, which ``train`` holds itself; the tests
+that call the nn level directly hold it with ``blas.one_thread()``."""
 
-import ctypes
 import json
 import os
 import subprocess
@@ -56,15 +55,12 @@ FORWARD_TASKS = {"_conv_fill", "_conv_rows", "_matmul_rows"}
 
 @pytest.fixture
 def one_blas_thread():
-    """OpenBLAS at one thread, where training splits, and its count back
-    afterwards."""
-    set_threads, before = blas._openblas("set_num_threads"), blas.threads()
-    if set_threads is None or before is None:
-        pytest.skip("numpy's OpenBLAS thread count cannot be set")
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    set_threads(1)
-    yield
-    set_threads(before)
+    """OpenBLAS at one thread, where a workspace splits, and the caller's
+    count back afterwards."""
+    if blas.threads() is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be read")
+    with blas.one_thread():
+        yield
 
 
 @pytest.fixture
@@ -214,8 +210,9 @@ def test_traced_functions_run_on_the_main_thread(one_blas_thread, data, helpers,
 
 # Trains in a process of its own at the OpenBLAS thread count of its
 # environment. Always: CONTRACT twice, printing each run's parameter bytes
-# as SHA-256. With "rule" and two CPUs: CELL with the real rule on two CPUs,
-# then pinned to one, then explain's workers.
+# as SHA-256, and the thread count before and after. With two CPUs and
+# "rule": CELL with the real rule on two CPUs, then pinned to one; with
+# "fork": CELL on two CPUs, then explain's workers.
 SUBPROCESS = textwrap.dedent("""
     import hashlib, json, os, sys, threading, warnings
     import numpy as np
@@ -243,6 +240,9 @@ SUBPROCESS = textwrap.dedent("""
         os.sched_setaffinity(0, {min(cpus)})
         one_cpu = fit(cell, n)
         os.sched_setaffinity(0, cpus)
+        result.update(chosen=chosen, same=two_cpus == one_cpu)
+    if mode == "fork" and len(cpus) >= 2:
+        fit(cell, n)
         threads = threading.active_count()
         # a fork from a process with a live thread warns from Python 3.12
         warnings.simplefilter("error", DeprecationWarning)
@@ -251,19 +251,20 @@ SUBPROCESS = textwrap.dedent("""
         workers = explain(init_params(ModelConfig(w=15, seed=2)), rng.normal(size=15),
                           rng.normal(size=(8, 15)),
                           ExplainConfig(background_size=8, sample_permutations=10)).workers
-        result.update(chosen=chosen, same=two_cpus == one_cpu, threads=threads, workers=workers)
+        result.update(threads=threads, workers=workers)
+    result["blas_threads_after"] = blas.threads()
     print(json.dumps(result))
 """)
 
-# ROADMAP item 4's cell: 3x40 k=4, whose weight gradients depend on the
+# ROADMAP item 3's cell: 3x40 k=4, whose weight gradients depend on the
 # BLAS thread count at some batch shapes
 CONTRACT = ModelConfig(w=15, cnn_layers=3, filters=40, kernel_size=4, heads=2, seed=3)
 
 
 @pytest.fixture(scope="module")
 def subprocess_runs():
-    """The results of SUBPROCESS at one OpenBLAS thread ("rule") and at two,
-    run side by side."""
+    """The results of SUBPROCESS at one OpenBLAS thread ("fork") and at two
+    ("rule"), run side by side."""
     src = Path(__file__).resolve().parent.parent / "src"
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     as_json = [json.dumps({name: getattr(cell, name) for name in
@@ -274,7 +275,7 @@ def subprocess_runs():
         env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
              "PYTHONPATH": path},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        for threads, mode in (("1", "rule"), ("2", "contract"))}
+        for threads, mode in (("1", "fork"), ("2", "rule"))}
     results = {}
     try:
         for threads, proc in procs.items():
@@ -287,24 +288,39 @@ def subprocess_runs():
     return results
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="the helper needs two CPUs")
+TWO_CPUS = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="the helper needs two CPUs")
+
+
+@TWO_CPUS
 def test_real_rule_under_one_blas_thread(subprocess_runs):
-    # the tier-1 suite runs at the host's BLAS thread count, which may not
-    # be one: the real rule is exercised in a process pinned to one thread
-    result = subprocess_runs["1"]
+    # the real rule in a process started at two OpenBLAS threads: train
+    # holds one, so CELL splits, and the caller's two come back afterwards
+    result = subprocess_runs["2"]
     if result["blas_threads"] is None:
         pytest.skip("numpy's OpenBLAS thread count cannot be read")
-    assert result["blas_threads"] == 1
+    assert result["blas_threads"] == result["blas_threads_after"] == 2
     # a helper on two CPUs, none on one, and the same bytes
     assert result["chosen"] == [True, False]
     assert result["same"]
+
+
+@TWO_CPUS
+def test_explain_forks_after_the_helper_is_gone(subprocess_runs):
+    # at one OpenBLAS thread the helper is the only other thread, so a fork
+    # after train sees one thread; at two, OpenBLAS's own threads stay alive
+    # and Python 3.12 warns at any fork
+    result = subprocess_runs["1"]
     assert result["threads"] == 1
     assert result["workers"] == 2
 
 
 def test_bytes_fixed_for_a_fixed_blas_thread_count(subprocess_runs):
-    # README's contract; between one and two threads the bytes may differ
+    # README's contract: the same bytes run to run, and on OpenBLAS the same
+    # at one and at two threads, since every fusecast call holds one
     for result in subprocess_runs.values():
         first, second = result["contract"]
         assert first == second
+    if subprocess_runs["1"]["blas_threads"] is not None:
+        assert subprocess_runs["1"]["contract"] == subprocess_runs["2"]["contract"]
