@@ -21,9 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-# multiply-adds of a conv GEMM above which it splits: at 2^21 the overlap made
-# tune-small's mix of cells slower, and a half under ~10^6 could round differently
-HELPER_MACS = 1 << 25
+# multiply-adds of a conv GEMM above which it splits: 2^24 lets mid cells such as
+# 10x110 k=3 (17M at B=32) split and keeps every cell of the benchmark's tuning
+# space (9.8M at most) whole; at 2^21 the overlap made tune-small's mix of cells
+# slower, and a half under ~10^6 could round differently
+HELPER_MACS = 1 << 24
 # rows per tile of OpenBLAS's one-thread SkylakeX dgemm kernel: halves cut at a
 # multiple keep the whole product's bits (measured at 35 wide-cell batch shapes;
 # cuts at multiples of 8 or 16 rounded a remainder tile's last columns apart)

@@ -12,11 +12,11 @@ bool array, is the (n, n_bg) model outputs of the composite windows
 permutations first and evaluates every distinct prefix mask together, exact
 mode the 2^w masks, in ``f`` calls of at most ``FILL_ROWS`` composite
 windows each. :func:`explain` passes the model as such a function
-(:class:`_CoalitionModel`), which runs the conv stack and the Q/K/V
-projection once per receptive-field pattern instead of once per composite,
-through :func:`fusecast.nn._features`, and each composite's attention and
-head through :func:`fusecast.nn._attend`, the same parts as
-:func:`fusecast.nn._forward_batch`.
+(:class:`_CoalitionModel`). It runs the conv stack and the folded head
+projection of :func:`fusecast.nn._folded_table` once per receptive-field
+pattern instead of once per composite, and scores each composite with
+:func:`fusecast.nn._folded_predict`, which forms only the prediction; both
+agree with :func:`fusecast.nn._forward_batch` to rounding.
 
 Within one :func:`explain` call the coalition model spreads each call's
 background blocks over every CPU the process may use: the calling process
@@ -150,24 +150,24 @@ class _CoalitionModel:
     ``where(present[i], x, background[j])``.
 
     A composite's conv features at step t depend only on its mask bits
-    t-R+1..t, R = L*(k-1)+1 being the receptive field, and on j; its Q/K/V
-    at t depend only on those features. So when 2^R is below the number of
-    masks n and at most max(``FILL_ROWS // BLOCK_ROWS``, ``BLOCK_ROWS``) =
-    1024, the conv stack and the Q/K/V GEMM run on 2^R periodic
-    representative masks x the background rows: rep c has lag i present
-    iff bit (i mod R) of c is set, so every R-bit pattern appears exactly
-    once at every step. Each composite gathers its (pattern, j, t) columns
-    from the channel-major (features, rep*j*t) table of
-    :func:`fusecast.nn._features`, the pattern index being one integer
-    product ``present @ W.T``. Otherwise the masks are their own
-    representatives and nothing is gathered. Only the logits, softmax,
-    pooled head and time mean run per composite, in
-    :func:`fusecast.nn._attend`.
+    t-R+1..t, R = L*(k-1)+1 being the receptive field, and on j; the rows
+    of its table of :func:`fusecast.nn._folded_table` at t depend only on
+    those features. So when 2^R is below the number of masks n and at most
+    max(``FILL_ROWS // BLOCK_ROWS``, ``BLOCK_ROWS``) = 1024, the table is
+    built for 2^R periodic representative masks x the background rows: rep
+    c has lag i present iff bit (i mod R) of c is set, so every R-bit
+    pattern appears exactly once at every step. Each composite gathers its
+    (pattern, j, t) columns from the channel-major (rows, rep*j*t) table,
+    the pattern index being one integer product ``present @ W.T``.
+    Otherwise the masks are their own representatives and nothing is
+    gathered. Only the scorer :func:`fusecast.nn._folded_predict` runs per
+    composite. Only ``nn`` knows what the table's rows hold; they pass
+    through here whole.
 
     Work runs in blocks over background rows and masks, so memory is set
     by the blocks, not by n: a table holds max(2^R, ``BLOCK_ROWS``) <= 1024
-    windows, every other conv or attention call about ``BLOCK_ROWS``, a
-    window being w columns of d + 3*h*d_k features.
+    windows, every other table or scorer call about ``BLOCK_ROWS``, a
+    window being w columns of 1 + 2*h*d_k + h rows.
 
     Inside a ``with`` block a call splits its background blocks into one
     contiguous group per CPU this process may use. The calling process
@@ -213,7 +213,6 @@ class _CoalitionModel:
             reps = present
         else:
             reps = ((np.arange(1 << field)[:, None] >> (lags % field)) & 1).astype(bool)
-        d = self.params.config.filters
         out = np.empty((n, len(background)))
         conv_windows = 0
         for j0 in range(0, len(background), bg_step):
@@ -221,7 +220,8 @@ class _CoalitionModel:
             nb = len(bg)
             step = max(1, BLOCK_ROWS // nb)
             if pattern is not None:
-                table = nn._features(self.params, np.where(reps[:, None, :], x, bg).reshape(-1, w))
+                table = nn._folded_table(self.params,
+                                         np.where(reps[:, None, :], x, bg).reshape(-1, w))
                 table = table.reshape(len(table), -1)
                 conv_windows += len(reps) * nb
                 offsets = np.arange(nb)[:, None] * w + lags
@@ -231,9 +231,9 @@ class _CoalitionModel:
                     cols = np.take(table, idx, axis=1).reshape(len(table), -1, w)
                 else:
                     composites = np.where(present[i0:i0 + step, None, :], x, bg)
-                    cols = nn._features(self.params, composites.reshape(-1, w))
+                    cols = nn._folded_table(self.params, composites.reshape(-1, w))
                     conv_windows += len(composites) * nb
-                yhat = nn._attend(self.params, cols[:d], cols[d:])[0]
+                yhat = nn._folded_predict(self.params, cols)
                 out[i0:i0 + step, j0:j0 + nb] = yhat.reshape(-1, nb)
         return out, conv_windows
 

@@ -7,13 +7,21 @@ There is one model path, batched over windows: :func:`_forward_batch` maps
 intermediate, and :func:`_backward_batch` is analytic reverse-mode
 differentiation of the same equations (softmax Jacobian, causal-convolution
 transpose paths included) from that cache. A single window is a batch of
-one. The forward is the conv stack :func:`_conv_stack`, the Q/K/V GEMM
-:func:`_qkv`, and :func:`_attend_in`, the attention body :func:`_mha_batch`
-plus the dense head, run in a set of attention buffers. ``explain``'s
-coalition model shares the same parts without knowing how Q, K and V are
-stacked: :func:`_features` gives it the channel-major (d + 3*h*d_k, B, w)
-table of conv features and Q/K/V, whose columns it gathers per composite,
-and it runs :func:`_attend`, the same body in new buffers, on them.
+one. The forward is the conv stack, the Q/K/V GEMM, and :func:`_attend_in`,
+the attention body :func:`_mha_batch` plus the dense head, run in a set of
+attention buffers.
+
+``explain``'s coalition model needs only each composite's prediction, in
+which V, the conv map and the logits' scale enter through fixed linear
+maps: with c = wo @ w_out[d:] split per head into c_h, y = b_out +
+sum_t (w_out[:d] / w) h_t + sum_h sum_k abar[h, k] (wv_h c_h) h_k, where
+abar[h, k] = sum_q e[h, q, k] / (w S[h, q]), e being the exp of the
+logits less their max over keys and S its sum over keys. So
+:func:`_folded_table` runs the conv stack and one GEMM by a folded
+(1 + 2*h*d_k + h, d) matrix, and :func:`_folded_predict` scores the
+table's columns, which the coalition model gathers without knowing its
+rows: no V, no pooled output and no z, and the forward's predictions to
+rounding.
 
 All learnable tensors live in one float64 vector, ``ModelParams.flat``,
 laid out by :func:`param_layout` in checkpoint order, with named views
@@ -310,20 +318,39 @@ def _conv_stack(params: ModelParams, xb: np.ndarray):
         yield pre, h
 
 
-def _qkv(params: ModelParams, h: np.ndarray) -> np.ndarray:
-    """Q/K/V of channel-major (d, B, w) features in one GEMM: a
-    (3*h*d_k, B*w) matrix, row blocks ordered Q, K, V, then head."""
-    d, b, w = h.shape
-    return _qkv_matrix(params) @ h.reshape(d, b * w)
-
-
-def _features(params: ModelParams, xb: np.ndarray) -> np.ndarray:
-    """Channel-major (d + 3*h*d_k, B, w) table of windows (B, w): the last
-    conv map, then Q, K and V as laid out by :func:`_qkv`. Only two layers'
-    maps are held at a time."""
-    for _, h in _conv_stack(params, xb):
+def _folded_table(params: ModelParams, xb: np.ndarray) -> np.ndarray:
+    """Channel-major (1 + 2*h*d_k + h, B, w) table of windows (B, w): the
+    last conv map times the folded matrix, whose rows are w_out[:d] / w,
+    the Q rows over sqrt(d_k), the K rows, and one wv_h c_h row per head.
+    Only two layers' maps are held at a time."""
+    cfg = params.config
+    d, h, dk = cfg.filters, cfg.heads, cfg.head_dim
+    for _, hmap in _conv_stack(params, xb):
         pass
-    return np.concatenate([h, _qkv(params, h).reshape(-1, *h.shape[1:])])
+    c = (params.wo @ params.w_out[d:]).reshape(h, dk, 1)
+    fold = np.concatenate([params.w_out[None, :d] / cfg.w, _qkv_matrix(params)[:2 * h * dk],
+                           (params.wv @ c)[..., 0]])
+    fold[1:1 + h * dk] *= 1.0 / math.sqrt(dk)
+    return (fold @ hmap.reshape(d, -1)).reshape(len(fold), *hmap.shape[1:])
+
+
+def _folded_predict(params: ModelParams, table: np.ndarray) -> np.ndarray:
+    """Predictions (B,) from a table of :func:`_folded_table`, or columns
+    gathered from one. The exp runs key-major, so its max and sum over keys
+    are elementwise, and abar is one matrix-vector product by 1 / (w S)."""
+    cfg = params.config
+    h, dk = cfg.heads, cfg.head_dim
+    _, b, w = table.shape
+    q, k = table[1:1 + 2 * h * dk].reshape(2, h, dk, b, w).transpose(0, 1, 3, 4, 2)
+    e = np.empty((w, h, b, w))                           # (w_k, h, B, w_q)
+    e_kq = e.transpose(1, 2, 0, 3)
+    np.matmul(k, q.swapaxes(-1, -2), out=e_kq)
+    e -= np.maximum.reduce(e, axis=0)
+    np.exp(e, out=e)
+    weights = 1.0 / (w * np.add.reduce(e, axis=0))
+    abar = np.matmul(e_kq, weights[..., None])[..., 0]   # (h, B, w_k), as u
+    abar *= table[1 + 2 * h * dk:]
+    return np.add.reduce(table[0], axis=1) + np.add.reduce(abar, axis=(0, 2)) + params.b_out
 
 
 def _mha_batch(q, k, v, wo, buffers: _Softmax):
@@ -343,12 +370,6 @@ def _mha_batch(q, k, v, wo, buffers: _Softmax):
     abar = e_kq @ tmean
     pooled = (abar[:, :, None, :] @ v).reshape(b, 1, h * dk)
     return (pooled @ wo)[:, 0], e.transpose(1, 2, 3, 0), abar, pooled[:, 0]
-
-
-def _attend(params: ModelParams, h: np.ndarray, qkv: np.ndarray) -> tuple[np.ndarray, dict]:
-    """:func:`_attend_in` in new buffers: the coalition model's entry."""
-    _, b, w = h.shape
-    return _attend_in(params, h, qkv, _softmax_buffers(b, params.config.heads, w))
 
 
 def _attend_in(params: ModelParams, h: np.ndarray, qkv: np.ndarray,
@@ -482,7 +503,7 @@ def _kernel_grad(h: np.ndarray | None, cols: np.ndarray, dpre: np.ndarray, buf: 
 def _forward_batch(params: ModelParams, xb: np.ndarray,
                    workspace: Workspace | None = None) -> tuple[np.ndarray, dict]:
     """Vectorized forward over a batch of scaled windows (B, w): the conv
-    stack with every layer's maps kept, the Q/K/V GEMM and :func:`_attend`.
+    stack with every layer's maps kept, the Q/K/V GEMM and :func:`_attend_in`.
 
     Returns predictions (B,) and a cache of every intermediate needed by
     :func:`_backward_batch`; ``conv_act`` and ``conv_mask`` hold (B, w, f)

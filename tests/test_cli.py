@@ -382,14 +382,14 @@ class TestExplain:
         import multiprocessing
 
         cfg, ckpt = trained
-        parent, attend = os.getpid(), nn._attend
+        parent, predict = os.getpid(), nn._folded_predict
 
-        def attend_in_parent_only(params, h, qkv):
+        def predict_in_parent_only(params, table):
             if os.getpid() != parent:
                 raise ShapeMismatch("table rows do not match the window")
-            return attend(params, h, qkv)
+            return predict(params, table)
 
-        monkeypatch.setattr(nn, "_attend", attend_in_parent_only)
+        monkeypatch.setattr(nn, "_folded_predict", predict_in_parent_only)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         capfd.readouterr()
         assert run("explain", "--config", str(cfg), "--out", str(tmp_path / "e"),

@@ -460,9 +460,9 @@ class TestMemoizedCoalitions:
         monkeypatch.setattr(module, "FILL_ROWS", fill_rows)
         monkeypatch.setattr(module, "BLOCK_ROWS", 4)
         sizes = []
-        features = nn._features
-        monkeypatch.setattr(nn, "_features", lambda params, windows:
-                            sizes.append(len(windows)) or features(params, windows))
+        table = nn._folded_table
+        monkeypatch.setattr(nn, "_folded_table", lambda params, windows:
+                            sizes.append(len(windows)) or table(params, windows))
         params = init_params(ModelConfig(w=15, seed=4))   # R = 5
         present = rng.random((100, 15)) < 0.5
         x, background = rng.normal(size=15), rng.normal(size=(3, 15))
@@ -514,15 +514,12 @@ class TestParallelCoalitions:
         assert explain(params, x, background, config).workers == 2
         assert multiprocessing.active_children() == []
 
-        attend = nn._attend
+        def fail(params, table):
+            # only coalition composites are scored here: the explained
+            # window's own forward runs _forward_batch
+            raise ShapeMismatch("bad rows")
 
-        def fail(params, h, qkv):
-            # the explained window's own forward is a batch of one
-            if h.shape[1] > 1:
-                raise ShapeMismatch("bad rows")
-            return attend(params, h, qkv)
-
-        monkeypatch.setattr(nn, "_attend", fail)
+        monkeypatch.setattr(nn, "_folded_predict", fail)
         with pytest.raises(ShapeMismatch):
             explain(params, x, background, config)
         assert multiprocessing.active_children() == []

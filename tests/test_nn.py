@@ -11,11 +11,14 @@ from fusecast.nn import (
     ModelConfig,
     ModelParams,
     Workspace,
-    _attend,
+    _attend_in,
     _backward_batch,
     _conv_stack,
-    _features,
+    _folded_predict,
+    _folded_table,
     _forward_batch,
+    _qkv_matrix,
+    _softmax_buffers,
     init_params,
     load_checkpoint,
     relu,
@@ -514,25 +517,46 @@ class TestSampledCells:
             np.testing.assert_array_equal(a1[:, : t + 1], a2[:, : t + 1])
 
 
-class TestAttendOnFeatures:
-    """The coalition model's path, the channel-major table of
-    :func:`_features` fed to :func:`_attend`, is the forward pass."""
+FORWARD_CELLS = pytest.mark.parametrize("cell", [
+    dict(),
+    dict(cnn_layers=3, filters=40, kernel_size=4, heads=3),
+    dict(cnn_layers=4, filters=64, kernel_size=5, heads=4),
+    dict(cnn_layers=12, filters=256, kernel_size=5, heads=5),
+], ids=["default", "3x40k4", "4x64k5", "widecell"])
 
-    @pytest.mark.parametrize("cell", [
-        dict(),
-        dict(cnn_layers=3, filters=40, kernel_size=4, heads=3),
-        dict(cnn_layers=4, filters=64, kernel_size=5, heads=4),
-        dict(cnn_layers=12, filters=256, kernel_size=5, heads=5),
-    ], ids=["default", "3x40k4", "4x64k5", "widecell"])
+
+class TestAttendOnFeatures:
+    """The forward pass's parts run outside a workspace, the conv stack of
+    :func:`_conv_stack`, one Q/K/V GEMM and :func:`_attend_in` in new
+    attention buffers, are the forward pass bit for bit."""
+
+    @FORWARD_CELLS
     @pytest.mark.parametrize("batch", [1, 7, 32, 70])
     def test_bitwise_equal_to_forward(self, cell, batch):
         params = init_params(ModelConfig(w=15, **cell, seed=batch))
         xb = np.random.default_rng(batch).normal(size=(batch, 15))
-        table = _features(params, xb)
+        for _, h in _conv_stack(params, xb):
+            pass
         cfg = params.config
-        assert table.shape == (cfg.filters + 3 * cfg.d_attn, batch, 15)
-        yhat, _ = _attend(params, table[:cfg.filters], table[cfg.filters:])
+        qkv = _qkv_matrix(params) @ h.reshape(cfg.filters, -1)
+        yhat, _ = _attend_in(params, h, qkv, _softmax_buffers(batch, cfg.heads, 15))
         np.testing.assert_array_equal(yhat, _forward_batch(params, xb)[0])
+
+
+class TestFoldedHead:
+    """The coalition model's path, the folded table of :func:`_folded_table`
+    scored by :func:`_folded_predict`, is the forward pass to rounding."""
+
+    @FORWARD_CELLS
+    @pytest.mark.parametrize("batch", [1, 7, 32, 70])
+    def test_equal_to_forward(self, cell, batch):
+        params = init_params(ModelConfig(w=15, **cell, seed=batch))
+        xb = np.random.default_rng(batch).normal(size=(batch, 15))
+        table = _folded_table(params, xb)
+        cfg = params.config
+        assert table.shape == (1 + 2 * cfg.d_attn + cfg.heads, batch, 15)
+        np.testing.assert_allclose(_folded_predict(params, table), _forward_batch(params, xb)[0],
+                                   rtol=0, atol=1e-13)
 
 
 class TestWorkspace:

@@ -29,8 +29,11 @@ train_module = sys.modules["fusecast.train"]
 # k=5, whose (128, 640) @ (640, 32*15) conv GEMM takes 39M multiply-adds;
 # its 148k parameters make ten Adam chunks
 CELL = ModelConfig(w=15, cnn_layers=2, filters=128, kernel_size=5, heads=2, seed=3)
-# 81 = 2*32 + 17: the last batch of an epoch is partial
-N_WINDOWS = 81
+# 77 = 2*32 + 13: the last batch of an epoch is partial
+N_WINDOWS = 77
+# a mid cell whose (110, 330) @ (330, 32*15) conv GEMM, 17M multiply-adds,
+# splits and whose 13-row partial batch does not
+MID_CELL = ModelConfig(w=15, cnn_layers=10, filters=110, kernel_size=3, heads=2, seed=3)
 
 
 class CountingExecutor(ThreadPoolExecutor):
@@ -90,7 +93,7 @@ def ran_beside(executor) -> bool:
 def test_cell_is_above_the_threshold_and_tune_cells_below(one_blas_thread, monkeypatch):
     assert CELL.filters * CELL.kernel_size * CELL.filters * 32 * CELL.w > HELPER_MACS
     assert blas.splits(CELL, 32)
-    # the partial last batch's 21M multiply-adds; the largest cell of the
+    # the partial last batch's 16.0M multiply-adds; the largest cell of the
     # benchmark's tuning space, and the default cell
     assert not blas.splits(CELL, N_WINDOWS % 32)
     for cell in (ModelConfig(w=15, cnn_layers=4, filters=64, kernel_size=5, heads=4),
@@ -165,16 +168,21 @@ def test_backward_beside_equals_inline_bitwise(batch, rng):
 
 
 def test_train_with_helper_equals_serial_bitwise(one_blas_thread, data, helpers, monkeypatch):
-    # the full batches split and the partial last batch does not
+    # the full batches split and the partial last batch does not; the
+    # halves, on the helper or inline, are the whole GEMMs' bytes
     tconfig = TrainConfig(epochs=2, learning_rate=3e-3, seed=2)
-    params, history = train_module.train(CELL, tconfig, data)
-    assert len(helpers) == 1 and ran_beside(helpers[0])
-    assert FORWARD_TASKS <= helpers[0].names
-    monkeypatch.setattr(blas, "use_helper", lambda *args: False)
-    serial, serial_history = train_module.train(CELL, tconfig, data)
-    assert len(helpers) == 1
-    assert params.flat.tobytes() == serial.flat.tobytes()
-    assert history == serial_history
+    for cell in (CELL, MID_CELL):
+        assert blas.splits(cell, 32) and not blas.splits(cell, N_WINDOWS % 32)
+        with monkeypatch.context() as patch:
+            params, history = train_module.train(cell, tconfig, data)
+            patch.setattr(blas, "use_helper", lambda *args: False)
+            serial, serial_history = train_module.train(cell, tconfig, data)
+            patch.setattr(blas, "splits", lambda config, batch: False)
+            whole, whole_history = train_module.train(cell, tconfig, data)
+        assert ran_beside(helpers[-1]) and FORWARD_TASKS <= helpers[-1].names
+        assert params.flat.tobytes() == serial.flat.tobytes() == whole.flat.tobytes()
+        assert history == serial_history == whole_history
+    assert len(helpers) == 2
 
 
 def test_helper_leaves_on_return_and_raise(data, helpers):
