@@ -21,7 +21,6 @@ from .nn import (
     ModelParams,
     init_params,
     load_checkpoint,
-    relu,
     save_checkpoint,
 )
 from .train import (

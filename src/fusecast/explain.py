@@ -167,7 +167,10 @@ class _CoalitionModel:
     Work runs in blocks over background rows and masks, so memory is set
     by the blocks, not by n: a table holds max(2^R, ``BLOCK_ROWS``) <= 1024
     windows, every other table or scorer call about ``BLOCK_ROWS``, a
-    window being w columns of 1 + 2*h*d_k + h rows.
+    window being w columns of 1 + 2*h*d_k + h rows. Each table runs in the
+    model's inference workspace for its number of windows, made on first
+    use and kept for one :func:`explain`, so blocks reuse their buffers
+    instead of faulting memory in; a forked worker writes its own copy.
 
     Inside a ``with`` block a call splits its background blocks into one
     contiguous group per CPU this process may use. The calling process
@@ -190,6 +193,7 @@ class _CoalitionModel:
         self.workers = 1
         self._cpus = 1
         self._pool = None
+        self._workspaces: dict[int, nn.Workspace] = {}
 
     def __enter__(self) -> _CoalitionModel:
         if "fork" in multiprocessing.get_all_start_methods():
@@ -201,6 +205,14 @@ class _CoalitionModel:
             self._pool.shutdown(cancel_futures=True)
             self._pool = None
         self._cpus = 1
+
+    def _table(self, windows: np.ndarray) -> np.ndarray:
+        """:func:`fusecast.nn._folded_table` of ``windows``, in this process's
+        workspace for their number."""
+        if len(windows) not in self._workspaces:
+            self._workspaces[len(windows)] = nn.Workspace(self.params.config, len(windows),
+                                                          training=False)
+        return nn._folded_table(self.params, windows, self._workspaces[len(windows)])
 
     def _evaluate(self, present: np.ndarray, pattern: np.ndarray | None, x: np.ndarray,
                   background: np.ndarray, bg_step: int) -> tuple[np.ndarray, int]:
@@ -220,8 +232,7 @@ class _CoalitionModel:
             nb = len(bg)
             step = max(1, BLOCK_ROWS // nb)
             if pattern is not None:
-                table = nn._folded_table(self.params,
-                                         np.where(reps[:, None, :], x, bg).reshape(-1, w))
+                table = self._table(np.where(reps[:, None, :], x, bg).reshape(-1, w))
                 table = table.reshape(len(table), -1)
                 conv_windows += len(reps) * nb
                 offsets = np.arange(nb)[:, None] * w + lags
@@ -231,7 +242,7 @@ class _CoalitionModel:
                     cols = np.take(table, idx, axis=1).reshape(len(table), -1, w)
                 else:
                     composites = np.where(present[i0:i0 + step, None, :], x, bg)
-                    cols = nn._folded_table(self.params, composites.reshape(-1, w))
+                    cols = self._table(composites.reshape(-1, w))
                     conv_windows += len(composites) * nb
                 yhat = nn._folded_predict(self.params, cols)
                 out[i0:i0 + step, j0:j0 + nb] = yhat.reshape(-1, nb)

@@ -7,9 +7,9 @@ There is one model path, batched over windows: :func:`_forward_batch` maps
 intermediate, and :func:`_backward_batch` is analytic reverse-mode
 differentiation of the same equations (softmax Jacobian, causal-convolution
 transpose paths included) from that cache. A single window is a batch of
-one. The forward is the conv stack, the Q/K/V GEMM, and :func:`_attend_in`,
-the attention body :func:`_mha_batch` plus the dense head, run in a set of
-attention buffers.
+one. The forward is the conv stack of :func:`_conv_forward`, the Q/K/V
+GEMM, and :func:`_attend_in`, the attention body :func:`_mha_batch` plus
+the dense head, all run in a :class:`Workspace`.
 
 ``explain``'s coalition model needs only each composite's prediction, in
 which V, the conv map and the logits' scale enter through fixed linear
@@ -17,7 +17,7 @@ maps: with c = wo @ w_out[d:] split per head into c_h, y = b_out +
 sum_t (w_out[:d] / w) h_t + sum_h sum_k abar[h, k] (wv_h c_h) h_k, where
 abar[h, k] = sum_q e[h, q, k] / (w S[h, q]), e being the exp of the
 logits less their max over keys and S its sum over keys. So
-:func:`_folded_table` runs the conv stack and one GEMM by a folded
+:func:`_folded_table` runs the same conv stack and one GEMM by a folded
 (1 + 2*h*d_k + h, d) matrix, and :func:`_folded_predict` scores the
 table's columns, which the coalition model gathers without knowing its
 rows: no V, no pooled output and no z, and the forward's predictions to
@@ -44,29 +44,27 @@ and nothing else). Im2col likewise copies each tap as one shifted run and zeroes
 padding. Q/K/V come from one (3*h*d_k, d) @ (d, B*w) GEMM, so per window
 and head q, k and v are column-major (w, d_k) views; the dK product reads
 a row-major copy of Q, which BLAS runs 2-3x faster than the view.
-:func:`_conv_layer` is the one conv-layer routine, for :func:`_conv_stack`
-and the training forward alike.
 
-The training forward writes its cache into a :class:`Workspace`, the
-buffers of one (config, batch size), and the backward pass writes its
-temporaries there too, so a run that keeps one workspace per batch size
-allocates them once. The forward writes the step's weight matrices there
-with one copy each, the (3*h*d_k, d) Q/K/V matrix and the (f, k*f) kernel
-matrix that the layers above layer 0 share (layer 0's is a view of its
-kernel), and backward reads them. The workspace also holds the attention
-buffers: the softmax buffer, its transposed view and the time-mean
-weights. Per conv layer the cache keeps the activation map and a bool
-ReLU mask, which is all backward reads of the pre-activation. Im2col runs
-in two buffers, one for layer 0 and one shared by the deeper layers.
-After the forward the shared columns and kernel matrix are the last
-layer's; backward refills them for each layer between from the kept
-activations and the kernels, and runs each deeper layer's col2im in the
-taps buffer ``dcols``: the shared columns, once its kernel gradient has
-read them, or, in a workspace with a helper (below), a buffer of its own,
-so that the two GEMMs never share memory. The weight-gradient GEMMs run
-one at a time, in one buffer, ``dweight``. The workspace records which
-layer the columns and matrix hold, so a second backward from one cache
-refills them too.
+Every forward runs in a :class:`Workspace`, the buffers of one (config,
+batch size), which its caller keeps per batch shape so that they are
+allocated once. It holds the im2col columns (one buffer for layer 0, one
+shared by the deeper layers), the weight matrices with one copy each (the
+(3*h*d_k, d) Q/K/V matrix and the (f, k*f) kernel matrix of the layers
+above layer 0; layer 0's is a view of its kernel), the softmax buffer,
+its transposed view and the time-mean weights. A training workspace keeps
+every conv layer's activation map and bool ReLU mask, all that backward
+reads of the pre-activation, and backward's temporaries. An inference
+workspace, for prediction, rollouts and ``explain``'s tables, keeps two
+maps as a ring, layer i writing slot i % 2, and no backward buffers;
+backward refuses its cache. After the forward the shared columns and
+kernel matrix are the last layer's; backward refills them for each layer
+between from the kept activations and the kernels, and runs each deeper
+layer's col2im in the taps buffer ``dcols``: the shared columns, once its
+kernel gradient has read them, or, in a workspace with a helper (below),
+a buffer of its own, so that the two GEMMs never share memory. The
+weight-gradient GEMMs run one at a time, in one buffer, ``dweight``. The
+workspace records which layer the columns and matrix hold, so a second
+backward from one cache refills them too.
 
 A workspace may carry a helper, an executor with one worker thread, which
 ``train`` opens for wide cells (see :mod:`.blas`), and may be split. A
@@ -231,10 +229,6 @@ def init_params(config: ModelConfig) -> ModelParams:
     return params
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def _im2col(h: np.ndarray, cols: np.ndarray) -> None:
     """Causal im2col of channel-major (c, B, w) features into ``cols``, a
     (k, c, B, w) buffer whose row blocks ``cols[i]`` are contiguous (it
@@ -291,42 +285,14 @@ def _softmax_buffers(b: int, h: int, w: int) -> _Softmax:
     return _Softmax(e, e.transpose(1, 2, 0, 3), np.empty((b, h, w)), np.full(w, 1.0 / w))
 
 
-def _conv_layer(kmat: np.ndarray, bias: np.ndarray, cols: np.ndarray,
-                out: np.ndarray) -> np.ndarray:
-    """Output channels of one conv layer's pre-activation map, written into
-    ``out`` (f, B, w): one GEMM of their rows of the (f, k*c) kernel matrix
-    ``kmat`` (see :func:`_conv_matrix`) by the (k*c, B*w) im2col columns
-    ``cols`` (see :func:`_im2col`), and their bias."""
-    np.matmul(kmat, cols, out=out.reshape(len(kmat), -1))
-    out += bias[:, None, None]
-    return out
-
-
-def _conv_stack(params: ModelParams, xb: np.ndarray):
-    """Yield each conv layer's pre-activation and activation maps over
-    windows (B, w), channel-major (f, B, w), in new arrays; the last
-    activation map is the attention input. A caller that keeps only the
-    last holds two layers' maps at a time."""
-    b, w = xb.shape
-    h = xb[None]
-    for kern, bias in zip(params.conv_kernels, params.conv_biases):
-        f, c, k = kern.shape
-        cols = np.empty((k, c, b, w))
-        _im2col(h, cols)
-        pre = _conv_layer(_conv_matrix(kern), bias, cols.reshape(k * c, b * w), np.empty((f, b, w)))
-        h = relu(pre)
-        yield pre, h
-
-
-def _folded_table(params: ModelParams, xb: np.ndarray) -> np.ndarray:
+def _folded_table(params: ModelParams, xb: np.ndarray, workspace: Workspace) -> np.ndarray:
     """Channel-major (1 + 2*h*d_k + h, B, w) table of windows (B, w): the
     last conv map times the folded matrix, whose rows are w_out[:d] / w,
     the Q rows over sqrt(d_k), the K rows, and one wv_h c_h row per head.
-    Only two layers' maps are held at a time."""
+    The conv stack runs in ``workspace``, an inference one for B windows."""
     cfg = params.config
     d, h, dk = cfg.filters, cfg.heads, cfg.head_dim
-    for _, hmap in _conv_stack(params, xb):
-        pass
+    hmap = _conv_forward(params, xb, workspace)
     c = (params.wo @ params.w_out[d:]).reshape(h, dk, 1)
     fold = np.concatenate([params.w_out[None, :d] / cfg.w, _qkv_matrix(params)[:2 * h * dk],
                            (params.wv @ c)[..., 0]])
@@ -389,23 +355,23 @@ def _attend_in(params: ModelParams, h: np.ndarray, qkv: np.ndarray,
 
 
 class Workspace:
-    """The buffers of one training step at one (config, batch size): the
-    forward cache's conv maps, ReLU masks, im2col columns, Q/K/V and
-    softmax, the time-mean weights, the step's weight matrices, and the
-    backward temporaries (see the module docstring). A cache written into
-    a workspace is valid until the next forward with it. ``helper``, an
-    executor with one worker or None, runs work beside the main thread
-    (see :func:`_beside`). A ``split`` workspace cuts the conv GEMMs above
-    layer 0 at row ``cut`` and the Q/K/V GEMM at row ``qkv_cut`` (see
-    :func:`.blas.split_cut`; 0 for no cut). A half is the whole GEMM's
-    rows bit for bit only where BLAS tiles them alike, so ``train`` splits
-    only GEMMs of a size where that was measured."""
+    """The buffers of a forward at one (config, batch size), and in a
+    ``training`` workspace every conv layer's maps and the backward
+    temporaries; an inference one keeps two maps as a ring (see the module
+    docstring). A cache written into a workspace is valid until the next
+    forward with it. ``helper``, an executor with one worker or None, runs
+    work beside the main thread (see :func:`_beside`). A ``split``
+    workspace cuts the conv GEMMs above layer 0 at row ``cut`` and the
+    Q/K/V GEMM at row ``qkv_cut`` (see :func:`.blas.split_cut`; 0 for no
+    cut). A half is the whole GEMM's rows bit for bit only where BLAS tiles
+    them alike, so ``train`` splits only GEMMs of a size where that was
+    measured."""
 
     def __init__(self, config: ModelConfig, batch: int, helper: Executor | None = None,
-                 split: bool = False):
+                 split: bool = False, training: bool = True):
         f, k, w, b = config.filters, config.kernel_size, config.w, batch
         h, dk, layers = config.heads, config.head_dim, config.cnn_layers
-        self.config, self.batch = config, batch
+        self.config, self.batch, self.training = config, batch, training
         self.cut = blas.split_cut(f) if split else 0
         self.qkv_cut = blas.split_cut(3 * h * dk) if split else 0
         self.cols_in = np.empty((k, 1, b, w))
@@ -413,12 +379,16 @@ class Workspace:
         self.kmat = np.empty((f, k * f)) if layers > 1 else None
         self.held = 0                                    # the layer cols and kmat are of
         self.wqkv = np.empty((3 * h * dk, f))
-        self.act = np.empty((layers, f, b, w))
-        self.mask = np.empty((layers, f, b, w), dtype=bool)
-        self.conv_act = list(self.act.transpose(0, 2, 3, 1))
-        self.conv_mask = list(self.mask.transpose(0, 2, 3, 1))
+        slots = layers if training else min(layers, 2)  # layer i's map is in slot i % slots
+        self.act = np.empty((slots, f, b, w))
+        self.mask = np.empty((slots, f, b, w), dtype=bool)
+        self.conv_act = list(self.act.transpose(0, 2, 3, 1)) if training else None
+        self.conv_mask = list(self.mask.transpose(0, 2, 3, 1)) if training else None
         self.qkv = np.empty((3 * h * dk, b * w))
         self.softmax = _softmax_buffers(b, h, w)
+        self.helper = helper
+        if not training:
+            return
         self.dqkv = np.empty((3, h, dk, b, w))
         self.q_rows = np.empty((b, h, w, dk))
         self.dlogits = np.empty((2, w, b, h, w))         # the Jacobian and its A*sum term
@@ -429,7 +399,6 @@ class Workspace:
         self.dcols = self.cols if helper is None or layers == 1 else np.empty((k, f, b, w))
         # one weight gradient's GEMM at a time: Q/K/V's, then each kernel's
         self.dweight = np.empty(max(3 * h * dk, k * f) * f)
-        self.helper = helper
 
 
 def _beside(helper: Executor | None, fn, *args) -> Future | None:
@@ -468,9 +437,12 @@ def _conv_fill(kern: np.ndarray, h: np.ndarray, kmat: np.ndarray, cols: np.ndarr
 
 def _conv_rows(kmat: np.ndarray, bias: np.ndarray, cols: np.ndarray, act: np.ndarray,
                mask: np.ndarray, rows: slice) -> None:
-    """Output channels ``rows`` of a conv layer (see :func:`_conv_layer`)
-    into its activation map ``act`` (f, B, w) and its ReLU mask."""
-    pre = _conv_layer(kmat[rows], bias[rows], cols, act[rows])
+    """Output channels ``rows`` of a conv layer into its map ``act`` (f, B, w):
+    those rows of the kernel matrix ``kmat`` (:func:`_conv_matrix`) times the
+    im2col columns ``cols`` (:func:`_im2col`), plus bias, then ReLU and mask."""
+    pre = act[rows]
+    np.matmul(kmat[rows], cols, out=pre.reshape(len(pre), -1))
+    pre += bias[rows, None, None]
     np.greater(pre, 0, out=mask[rows])
     np.maximum(pre, 0.0, out=pre)
 
@@ -500,27 +472,14 @@ def _kernel_grad(h: np.ndarray | None, cols: np.ndarray, dpre: np.ndarray, buf: 
     _weight_grad(dpre, cols.reshape(k * c, b * w), buf, dst)
 
 
-def _forward_batch(params: ModelParams, xb: np.ndarray,
-                   workspace: Workspace | None = None) -> tuple[np.ndarray, dict]:
-    """Vectorized forward over a batch of scaled windows (B, w): the conv
-    stack with every layer's maps kept, the Q/K/V GEMM and :func:`_attend_in`.
-
-    Returns predictions (B,) and a cache of every intermediate needed by
-    :func:`_backward_batch`; ``conv_act`` and ``conv_mask`` hold (B, w, f)
-    views of each layer's channel-major activation map and ReLU mask. The
-    maps, Q/K/V, the softmax, the weight matrices and the im2col columns
-    live in ``workspace`` (a new one when not given; see
-    :class:`Workspace`), which the cache carries for the backward pass.
-    """
+def _conv_forward(params: ModelParams, xb: np.ndarray, ws: Workspace) -> np.ndarray:
+    """The conv stack over windows xb (B, w) in ``ws``, made for (config, B):
+    layer i writes its activation map and ReLU mask into slot i %
+    ``len(ws.act)``. Returns the last map, channel-major (f, B, w)."""
     cfg = params.config
-    xb = np.asarray(xb, dtype=np.float64)
-    if xb.ndim != 2 or xb.shape[1] != cfg.w:
-        raise ShapeMismatch(f"expected (B, {cfg.w}) windows, got {xb.shape}")
-    ws = Workspace(cfg, len(xb)) if workspace is None else workspace
     if (ws.config, ws.batch) != (cfg, len(xb)):
         raise ShapeMismatch(f"workspace for {ws.batch} windows of {ws.config}, "
                             f"got {len(xb)} of {cfg}")
-
     b, w = xb.shape
     h = xb[None]
     for layer, (kern, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
@@ -533,12 +492,33 @@ def _forward_batch(params: ModelParams, xb: np.ndarray,
             # layer 0's kernel matrix is a view, and its GEMM is not cut
             _im2col(h, ws.cols_in)
             kmat, cols, cut = _conv_matrix(kern), ws.cols_in, 0
+        slot = layer % len(ws.act)
         _halves(ws.helper, cut, _conv_rows, kmat, bias, cols.reshape(kern[0].size, b * w),
-                ws.act[layer], ws.mask[layer])
-        h = ws.act[layer]
+                ws.act[slot], ws.mask[slot])
+        h = ws.act[slot]
     ws.held = cfg.cnn_layers - 1
+    return h
+
+
+def _forward_batch(params: ModelParams, xb: np.ndarray,
+                   workspace: Workspace | None = None) -> tuple[np.ndarray, dict]:
+    """Vectorized forward over a batch of scaled windows (B, w): the conv
+    stack of :func:`_conv_forward`, the Q/K/V GEMM and :func:`_attend_in`.
+
+    Returns predictions (B,) and a cache of the intermediates that
+    :func:`_backward_batch` reads, which live in ``workspace`` (a new
+    training one when not given) and the cache carries; from a training
+    workspace ``conv_act`` and ``conv_mask`` hold (B, w, f) views of each
+    layer's activation map and ReLU mask (None from an inference one).
+    """
+    cfg = params.config
+    xb = np.asarray(xb, dtype=np.float64)
+    if xb.ndim != 2 or xb.shape[1] != cfg.w:
+        raise ShapeMismatch(f"expected (B, {cfg.w}) windows, got {xb.shape}")
+    ws = Workspace(cfg, len(xb)) if workspace is None else workspace
+    h = _conv_forward(params, xb, ws)
     _halves(ws.helper, ws.qkv_cut, _matmul_rows, _qkv_matrix(params, ws.wqkv),
-            h.reshape(cfg.filters, b * w), ws.qkv)
+            h.reshape(cfg.filters, len(xb) * cfg.w), ws.qkv)
     yhat, cache = _attend_in(params, h, ws.qkv, ws.softmax)
     cache.update(workspace=ws, conv_act=ws.conv_act, conv_mask=ws.conv_mask)
     return yhat, cache
@@ -551,9 +531,12 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray,
     when not given); returns ``out.flat``. Weight and input gradients are
     2-D GEMMs on the same channel-major (., B*w) layouts and weight
     matrices as the forward pass, and the temporaries are the cache's
-    workspace buffers."""
+    workspace buffers, so the cache must come from a training workspace."""
     cfg = params.config
     ws = cache["workspace"]
+    if not ws.training:
+        raise ValueError("backward needs a training workspace's cache: an inference "
+                         "workspace keeps two conv maps and no backward buffers")
     g = np.asarray(dl_dy, dtype=np.float64)
     z = cache["z"]
     b, w, d, dk, h = ws.batch, cfg.w, cfg.filters, cfg.head_dim, cfg.heads

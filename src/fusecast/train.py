@@ -214,25 +214,31 @@ def train(config: ModelConfig, tconfig: TrainConfig,
 def predict_batch(params: ModelParams, windows: np.ndarray) -> np.ndarray:
     """One-step predictions for scaled windows (N, w), in scaled units.
 
-    Evaluated in blocks of ``PREDICT_BLOCK`` rows, so the forward cache and
-    im2col buffers are bounded by the block, not by N.
+    Evaluated in blocks of ``PREDICT_BLOCK`` rows, in one inference
+    workspace for the full blocks and one for the remainder, made in turn,
+    so memory is bounded by the block, not by N.
     """
     windows = np.asarray(windows, dtype=np.float64)
-    blocks = [_forward_batch(params, windows[i:i + PREDICT_BLOCK])[0]
-              for i in range(0, max(len(windows), 1), PREDICT_BLOCK)]
+    blocks, ws = [], None
+    for i in range(0, max(len(windows), 1), PREDICT_BLOCK):
+        xb = windows[i:i + PREDICT_BLOCK]
+        if ws is None or ws.batch != len(xb):
+            ws = Workspace(params.config, len(xb), training=False)
+        blocks.append(_forward_batch(params, xb, workspace=ws)[0])
     return np.concatenate(blocks)
 
 
 @blas.one_thread()
 def _rollout(params: ModelParams, windows: np.ndarray, horizon: int) -> np.ndarray:
     """Recursive forecasts (n, horizon) from scaled windows (n, w): each step
-    is one forward call over all n windows, whose predictions are appended
-    as the windows slide."""
+    is one forward call over all n windows, in one inference workspace,
+    whose predictions are appended as the windows slide."""
     if horizon < 1:
         raise InvalidSpec("horizon must be >= 1")
     preds = np.empty((len(windows), horizon))
+    workspace = Workspace(params.config, len(windows), training=False)
     for i in range(horizon):
-        yhat, _ = _forward_batch(params, windows)
+        yhat, _ = _forward_batch(params, windows, workspace=workspace)
         preds[:, i] = yhat
         windows = np.concatenate([windows[:, 1:], yhat[:, None]], axis=1)
     return preds

@@ -32,6 +32,7 @@ from fusecast import nn
 from fusecast.nn import ModelConfig, ModelParams, _forward_batch, init_params
 from fusecast.train import predict_batch
 
+from conftest import count_workspaces
 from test_nn import grid_cells, zeroed
 
 
@@ -461,8 +462,8 @@ class TestMemoizedCoalitions:
         monkeypatch.setattr(module, "BLOCK_ROWS", 4)
         sizes = []
         table = nn._folded_table
-        monkeypatch.setattr(nn, "_folded_table", lambda params, windows:
-                            sizes.append(len(windows)) or table(params, windows))
+        monkeypatch.setattr(nn, "_folded_table", lambda params, windows, workspace:
+                            sizes.append(len(windows)) or table(params, windows, workspace))
         params = init_params(ModelConfig(w=15, seed=4))   # R = 5
         present = rng.random((100, 15)) < 0.5
         x, background = rng.normal(size=15), rng.normal(size=(3, 15))
@@ -472,6 +473,25 @@ class TestMemoizedCoalitions:
                                    rtol=0, atol=1e-13)
         assert max(sizes) <= max(fill_rows // 4, 4)
         assert model.conv_windows == conv_windows
+
+
+    def test_one_workspace_per_table_shape(self, rng, monkeypatch):
+        # identity branch at 3x40 k=4 (R = 10): 8 background blocks of one
+        # row, each with a table of 64 masks and one of the other 36
+        built = count_workspaces(monkeypatch, nn)
+        shapes = []
+        table = nn._folded_table
+        monkeypatch.setattr(nn, "_folded_table", lambda params, windows, workspace:
+                            shapes.append(len(windows)) or table(params, windows, workspace))
+        params = init_params(ModelConfig(w=15, cnn_layers=3, filters=40, kernel_size=4,
+                                         heads=3, seed=4))
+        present = rng.random((100, 15)) < 0.5
+        x, background = rng.normal(size=15), rng.normal(size=(8, 15))
+        got = _CoalitionModel(params)(present, x, background)
+        np.testing.assert_allclose(got, plain_outputs(params, present, x, background),
+                                   rtol=0, atol=1e-13)
+        assert len(shapes) == 16 and sorted(set(shapes)) == [36, 64]
+        assert sorted(built) == [(36, False), (64, False)]
 
 
 def with_cpus(monkeypatch, n):

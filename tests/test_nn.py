@@ -13,15 +13,15 @@ from fusecast.nn import (
     Workspace,
     _attend_in,
     _backward_batch,
-    _conv_stack,
+    _conv_matrix,
     _folded_predict,
     _folded_table,
     _forward_batch,
+    _im2col,
     _qkv_matrix,
     _softmax_buffers,
     init_params,
     load_checkpoint,
-    relu,
     save_checkpoint,
 )
 from fusecast.series import ScalerParams
@@ -62,6 +62,23 @@ def causal_conv1d(x: np.ndarray, kernels: np.ndarray, biases: np.ndarray) -> np.
     # tap i looks i steps back: reverse taps so slot j=k-1 aligns with lag 0
     out = np.einsum("btcj,ocj->bto", win, kernels[:, :, ::-1]) + biases
     return out[0]
+
+
+def conv_stack(params: ModelParams, xb: np.ndarray):
+    """Yield each conv layer's pre-activation and activation maps over
+    windows (B, w), channel-major (f, B, w), in new arrays: the forward's
+    im2col GEMM, bias and ReLU, one layer at a time, outside a workspace."""
+    b, w = xb.shape
+    h = xb[None]
+    for kern, bias in zip(params.conv_kernels, params.conv_biases):
+        f, c, k = kern.shape
+        cols = np.empty((k, c, b, w))
+        _im2col(h, cols)
+        pre = np.empty((f, b, w))
+        np.matmul(_conv_matrix(kern), cols.reshape(k * c, b * w), out=pre.reshape(f, b * w))
+        pre += bias[:, None, None]
+        h = np.maximum(pre, 0.0)
+        yield pre, h
 
 
 def row_softmax(logits: np.ndarray) -> np.ndarray:
@@ -208,18 +225,6 @@ class TestCausalConv:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             causal_conv1d(np.zeros((4, 2)), np.ones((1, 3, 2)), np.zeros(1))
-
-
-class TestRelu:
-    def test_elementwise(self):
-        np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
-
-    def test_all_negative(self):
-        assert not relu(-np.arange(1.0, 5.0)).any()
-
-    def test_idempotent(self, rng):
-        h = rng.normal(size=(6, 3))
-        np.testing.assert_array_equal(relu(relu(h)), relu(h))
 
 
 class TestMha:
@@ -412,7 +417,7 @@ class TestBatchedPath:
         for seed in itertools.count():
             params = init_params(ModelConfig(w=6, cnn_layers=3, filters=4, kernel_size=3,
                                              heads=3, head_dim=2, seed=seed))
-            if min(np.abs(pre).min() for pre, _ in _conv_stack(params, xb)) > 1e-3:
+            if min(np.abs(pre).min() for pre, _ in conv_stack(params, xb)) > 1e-3:
                 break
         assert_matches_finite_differences(params, xb, rng.normal(size=batch))
 
@@ -421,7 +426,7 @@ class TestBatchedPath:
                                          heads=2, seed=2))
         xb = rng.normal(size=(4, 9))
         maps = [(pre.transpose(1, 2, 0), act.transpose(1, 2, 0))
-                for pre, act in _conv_stack(params, xb)]
+                for pre, act in conv_stack(params, xb)]
         for b, x in enumerate(xb):
             layer_in = x
             for layer, (kern, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
@@ -436,11 +441,11 @@ ATTN_WIDTH_CELL = dict(w=6, cnn_layers=2, filters=4, kernel_size=3, heads=3, hea
 
 
 def reference_predict(params, x):
-    """causal_conv1d -> relu per layer, then mha, fuse_pool and the dense
+    """causal_conv1d -> ReLU per layer, then mha, fuse_pool and the dense
     head, one window at a time."""
     h = x
     for kern, bias in zip(params.conv_kernels, params.conv_biases):
-        h = relu(causal_conv1d(h, kern, bias))
+        h = np.maximum(causal_conv1d(h, kern, bias), 0.0)
     h_att, att = mha(h, params.wq, params.wk, params.wv, params.wo)
     z = fuse_pool(h, h_att)
     return float(z @ params.w_out + params.b_out), att, z
@@ -497,7 +502,7 @@ class TestSampledCells:
         rng = np.random.default_rng(cfg["seed"])
         xb = rng.normal(size=(batch, cfg["w"]))
         # a finite difference across a relu kink is no derivative
-        assume(min(np.abs(pre).min() for pre, _ in _conv_stack(params, xb)) > 1e-3)
+        assume(min(np.abs(pre).min() for pre, _ in conv_stack(params, xb)) > 1e-3)
         assert_matches_finite_differences(params, xb, rng.normal(size=batch), cfg)
 
     @given(grid_cells(), st.data())
@@ -526,8 +531,8 @@ FORWARD_CELLS = pytest.mark.parametrize("cell", [
 
 
 class TestAttendOnFeatures:
-    """The forward pass's parts run outside a workspace, the conv stack of
-    :func:`_conv_stack`, one Q/K/V GEMM and :func:`_attend_in` in new
+    """The forward pass's parts run outside a workspace, the reference conv
+    stack :func:`conv_stack`, one Q/K/V GEMM and :func:`_attend_in` in new
     attention buffers, are the forward pass bit for bit."""
 
     @FORWARD_CELLS
@@ -535,7 +540,7 @@ class TestAttendOnFeatures:
     def test_bitwise_equal_to_forward(self, cell, batch):
         params = init_params(ModelConfig(w=15, **cell, seed=batch))
         xb = np.random.default_rng(batch).normal(size=(batch, 15))
-        for _, h in _conv_stack(params, xb):
+        for _, h in conv_stack(params, xb):
             pass
         cfg = params.config
         qkv = _qkv_matrix(params) @ h.reshape(cfg.filters, -1)
@@ -552,7 +557,7 @@ class TestFoldedHead:
     def test_equal_to_forward(self, cell, batch):
         params = init_params(ModelConfig(w=15, **cell, seed=batch))
         xb = np.random.default_rng(batch).normal(size=(batch, 15))
-        table = _folded_table(params, xb)
+        table = _folded_table(params, xb, Workspace(params.config, batch, training=False))
         cfg = params.config
         assert table.shape == (1 + 2 * cfg.d_attn + cfg.heads, batch, 15)
         np.testing.assert_allclose(_folded_predict(params, table), _forward_batch(params, xb)[0],
@@ -560,8 +565,9 @@ class TestFoldedHead:
 
 
 class TestWorkspace:
-    """The training forward writes its maps into a reused workspace; the
-    cache it returns matches the conv stack's maps bit for bit."""
+    """The forward writes its maps into a reused workspace; a training
+    cache matches the reference conv stack's maps bit for bit, and an
+    inference workspace gives the same predictions from two maps."""
 
     @pytest.mark.parametrize("cell", [
         dict(),
@@ -572,7 +578,7 @@ class TestWorkspace:
         params = init_params(ModelConfig(w=15, **cell, seed=4))
         xb = rng.normal(size=(7, 15))
         _, cache = _forward_batch(params, xb, workspace=Workspace(params.config, 7))
-        maps = list(_conv_stack(params, xb))
+        maps = list(conv_stack(params, xb))
         assert len(cache["conv_act"]) == len(cache["conv_mask"]) == len(maps)
         for (pre, act), cached_act, mask in zip(maps, cache["conv_act"], cache["conv_mask"]):
             np.testing.assert_array_equal(cached_act, act.transpose(1, 2, 0))
@@ -610,6 +616,27 @@ class TestWorkspace:
         np.testing.assert_array_equal(_backward_batch(params, cache, g), first)
         _, fresh = _forward_batch(params, xb)
         np.testing.assert_array_equal(_backward_batch(params, fresh, g), first)
+
+    @FORWARD_CELLS
+    @pytest.mark.parametrize("batch", [1, 7, 32, 70])
+    def test_inference_forward_equals_training(self, cell, batch):
+        params = init_params(ModelConfig(w=15, **cell, seed=batch))
+        xb = np.random.default_rng(batch).normal(size=(batch, 15))
+        ws = Workspace(params.config, batch, training=False)
+        assert len(ws.act) == min(params.config.cnn_layers, 2)
+        yhat, cache = _forward_batch(params, xb, workspace=ws)
+        expect, train_cache = _forward_batch(params, xb)
+        np.testing.assert_array_equal(yhat, expect)
+        np.testing.assert_array_equal(cache["att"], train_cache["att"])
+        assert cache["conv_act"] is None and cache["workspace"] is ws
+
+    def test_backward_refuses_an_inference_cache(self, rng):
+        params = init_params(ModelConfig(w=15, cnn_layers=3, filters=6, kernel_size=4, seed=4))
+        ws = Workspace(params.config, 5, training=False)
+        assert not hasattr(ws, "dpre")
+        _, cache = _forward_batch(params, rng.normal(size=(5, 15)), workspace=ws)
+        with pytest.raises(ValueError, match="training workspace"):
+            _backward_batch(params, cache, np.ones(5))
 
     @pytest.mark.parametrize("batch,cell", [(6, dict()), (5, dict(filters=8))],
                              ids=["batch-size", "config"])

@@ -35,7 +35,7 @@ from fusecast.train import (
     train,
 )
 
-from conftest import TINY_CONFIG
+from conftest import TINY_CONFIG, count_workspaces
 from test_nn import zeroed
 
 TINY = ModelConfig(**TINY_CONFIG, seed=1)
@@ -303,9 +303,9 @@ class TestHorizonEval:
         import fusecast.nn
         calls = []
 
-        def counted(params, xb):
+        def counted(params, xb, **kwargs):
             calls.append(len(xb))
-            return fusecast.nn._forward_batch(params, xb)
+            return fusecast.nn._forward_batch(params, xb, **kwargs)
 
         monkeypatch.setattr(sys.modules["fusecast.train"], "_forward_batch", counted)
         values = np.linspace(1.0, 3.0, 100)
@@ -333,6 +333,15 @@ class TestPredictBatch:
 
     def test_empty(self, tiny_params):
         assert predict_batch(tiny_params, np.zeros((0, 8))).shape == (0,)
+
+    def test_one_inference_workspace_per_block_size(self, tiny_params, rng, monkeypatch):
+        module = sys.modules["fusecast.train"]
+        built = count_workspaces(monkeypatch, module)
+        predict_batch(tiny_params, rng.normal(size=(100, 8)))
+        assert sorted(built) == [(4, False), (PREDICT_BLOCK, False)]
+        built.clear()
+        module._rollout(tiny_params, rng.normal(size=(3, 8)), 6)
+        assert built == [(3, False)]
 
 
 class TestPersistence:
