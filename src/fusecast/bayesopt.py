@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.stats import norm, qmc
+from scipy.special import ndtr
 
 from .errors import (
     DimensionMismatch,
@@ -204,8 +204,20 @@ def _ei_minimize(state: GPState, uq: np.ndarray, xi: float) -> np.ndarray:
     ei = np.zeros(len(uq))
     pos = sigma > 0
     u = (-mu[pos] - best - xi) / sigma[pos]
-    ei[pos] = np.maximum(0.0, sigma[pos] * (u * norm.cdf(u) + norm.pdf(u)))
+    pdf = np.exp(-u**2 / 2.0) / np.sqrt(2 * np.pi)    # scipy.stats.norm.pdf's bits
+    ei[pos] = np.maximum(0.0, sigma[pos] * (u * ndtr(u) + pdf))
     return ei
+
+
+def _latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:
+    """``n`` points in [0, 1)^d, one in each of the ``n`` slices of every
+    axis: ``scipy.stats.qmc.LatinHypercube(d, seed=seed).random(n)``'s bits."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.uniform(size=(n, d))
+    perms = np.tile(np.arange(1, n + 1), (d, 1))
+    for row in perms:
+        rng.shuffle(row)
+    return (perms.T - offsets) / n
 
 
 def _check_acquisition(pool_size: int, xi: float) -> None:
@@ -309,7 +321,7 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
         raise InvalidSpec("need budget >= init >= 1")
     _check_acquisition(pool_size, xi)
 
-    init_points = qmc.LatinHypercube(d=space.dim, seed=seed).random(init)
+    init_points = _latin_hypercube(space.dim, init, seed)
     rng = np.random.default_rng(seed + 1)
     box_radii = {name: max(2, round(0.1 * (getattr(space, name)[1] - getattr(space, name)[0])))
                  for name in space.NAMES}

@@ -16,7 +16,6 @@ from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
 
 from . import blas
 from .errors import (
@@ -316,8 +315,18 @@ def run_stats(values: np.ndarray) -> RunStats:
         raise ZeroVarianceShapeStats("shape statistics undefined for constant samples")
     q1, med, q3 = np.percentile(values, [25, 50, 75])
     vmin, vmax = float(values.min()), float(values.max())
+    # scipy.stats.skew and kurtosis (bias=False), operation for operation so
+    # the bits match; NaN where the second moment is lost to rounding
+    n, mean = values.size, values.mean()
+    dev = values - mean
+    m2, m3, m4 = np.mean(dev**2), np.mean(dev**2 * dev), np.mean((dev**2)**2)
+    if m2 <= (np.finfo(np.float64).eps * mean)**2:
+        skew = kurt = math.nan
+    else:
+        skew = ((n - 1.0) * n)**0.5 / (n - 2.0) * m3 / m2**1.5
+        kurt = 1.0 / (n - 2) / (n - 3) * ((n**2 - 1.0) * m4 / m2**2.0 - 3 * (n - 1)**2.0) + 3.0 - 3
     return RunStats(
-        mean=float(values.mean()),
+        mean=float(mean),
         std=float(values.std(ddof=1)),
         min=vmin,
         max=vmax,
@@ -326,8 +335,8 @@ def run_stats(values: np.ndarray) -> RunStats:
         q3=float(q3),
         range=vmax - vmin,
         iqr=float(q3 - q1),
-        skewness=float(sstats.skew(values, bias=False)),
-        excess_kurtosis=float(sstats.kurtosis(values, fisher=True, bias=False)),
+        skewness=float(skew),
+        excess_kurtosis=float(kurt),
     )
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from scipy.stats import norm
+from scipy.special import ndtr
+from scipy.stats import norm, qmc
 
 from fusecast.bayesopt import (
     GPHyper,
@@ -10,6 +11,7 @@ from fusecast.bayesopt import (
     SearchSpace,
     _ei_minimize,
     _kernel_matrix,
+    _latin_hypercube,
     _posterior_std_units,
     gp_fit,
     propose,
@@ -206,6 +208,41 @@ class TestExpectedImprovement:
                 for f_plus in (-0.5, 0.8) for xi in (0.0, 0.05)]
         for args in grid:
             assert abs(ei_minimize_at(*args) - expected_improvement(*args)) <= 1e-15
+
+
+class TestScipyOracles:
+    """The tuner's numpy and ``scipy.special`` code against the
+    ``scipy.stats`` calls it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 6])
+    @pytest.mark.parametrize("n", [0, 1, 3, 30])
+    def test_latin_hypercube_matches_qmc(self, d, n):
+        for seed in range(25):
+            expected = qmc.LatinHypercube(d=d, seed=seed).random(n)
+            got = _latin_hypercube(d, n, seed)
+            assert got.shape == expected.shape == (n, d)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_ndtr_and_pdf_match_norm(self):
+        u = np.concatenate([np.random.default_rng(0).normal(0.0, 4.0, size=100_000),
+                            [0.0, -0.0, 1e-300, -40.0, 40.0, 1e200, -np.inf, np.inf]])
+        with np.errstate(over="ignore"):    # 1e200**2, in scipy's pdf too
+            pdf, expected = np.exp(-u**2 / 2.0) / np.sqrt(2 * np.pi), norm.pdf(u)
+        assert ndtr(u).tobytes() == norm.cdf(u).tobytes()
+        assert pdf.tobytes() == expected.tobytes()
+
+    def test_ei_matches_the_norm_formula(self, rng):
+        x = rng.uniform(size=(12, 3))
+        state = gp_fit(make_obs(x, rng.normal(size=12)), hyper_for(3))
+        uq = np.concatenate([rng.uniform(size=(4000, 3)), x])   # at x the variance is near or at 0
+        for xi in (0.0, 0.01, 0.5):
+            mu, var = _posterior_std_units(state, uq)
+            sigma = np.sqrt(var)
+            best = -(state.y.min() - state.y_mean) / state.y_std
+            u = (-mu - best - xi) / np.where(sigma > 0, sigma, 1.0)
+            expected = np.where(sigma > 0, np.maximum(
+                0.0, sigma * (u * norm.cdf(u) + norm.pdf(u))), 0.0)
+            assert _ei_minimize(state, uq, xi).tobytes() == expected.tobytes()
 
 
 class TestSearchSpace:

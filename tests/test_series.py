@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from fusecast.errors import (
     InvalidFraction,
@@ -129,6 +130,20 @@ class TestSynthesize:
         r1 = np.sum(e[1:] * e[:-1]) / np.sum(e * e)
         assert abs(r1 - 0.7) <= 0.1
 
+    @pytest.mark.parametrize("ar_coeff", [0.0, 0.3, 0.7, 0.95, 0.999])
+    @pytest.mark.parametrize("length, period", [(2, 1), (20, 10), (730, 365), (2000, 365)])
+    def test_ar1_noise_matches_lfilter(self, ar_coeff, length, period):
+        # scipy.signal.lfilter as the oracle, bit for bit, from the minimum
+        # length 2*period up to the CLI's default series
+        for seed in range(12):
+            spec = SynthSpec(length=length, period=period, amplitude=2.0, trend_slope=0.01,
+                             noise_std=[0.0, 0.5, 5.0][seed % 3], ar_coeff=ar_coeff, seed=seed)
+            t = np.arange(length, dtype=np.float64)
+            eta = np.random.default_rng(seed).normal(0.0, spec.noise_std, size=length)
+            expected = (spec.amplitude * np.sin(2.0 * np.pi * t / period) + spec.trend_slope * t
+                        + lfilter([1.0], [1.0, -ar_coeff], eta))
+            assert synthesize(spec).values.tobytes() == expected.tobytes()
+
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):
             SynthSpec(length=100, period=80)  # length < 2*period
@@ -236,6 +251,15 @@ class TestMakeWindows:
         ts = TimeSeries(np.datetime64("1998-01-02") + np.arange(9321),
                         np.linspace(0.0, 1.0, 9321))
         assert len(make_windows(ts, 15)) == 9321 - 15
+
+    @pytest.mark.parametrize("n, w", [(2, 1), (16, 15), (40, 1), (40, 7), (2000, 15)])
+    def test_bytes_match_sliding_window_view(self, n, w):
+        values = np.random.default_rng(n + w).normal(size=n)
+        ts = TimeSeries(np.datetime64("2020-01-01") + np.arange(n), values)
+        ds = make_windows(ts, w)
+        expected = np.lib.stride_tricks.sliding_window_view(values, w)[:n - w]
+        assert ds.inputs.shape == expected.shape and ds.inputs.tobytes() == expected.tobytes()
+        assert ds.inputs.flags.c_contiguous and not np.shares_memory(ds.inputs, ts.values)
 
     @given(st.integers(2, 40), st.integers(0, 1000))
     @settings(max_examples=50, deadline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as sstats
 
 from fusecast.errors import (
     DivergedLoss,
@@ -447,6 +448,26 @@ class TestRunStats:
         assert abs(s.q3 - q3) < 1e-9
         assert abs(s.skewness - skew) < 1e-9
         assert abs(s.excess_kurtosis - kurt) < 1e-9
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 30, 200])
+    def test_shape_stats_equal_scipy(self, n, rng):
+        samples = [rng.normal(size=n), rng.gamma(2.0, 3.0, size=n) * 1e3,
+                   50.0 + rng.standard_t(3, size=n), rng.integers(0, 3, size=n) + 0.5,
+                   rng.lognormal(size=n) - 3.0]
+        for vals in samples:
+            if np.all(vals == vals[0]):
+                continue
+            s = run_stats(vals)
+            assert s.skewness == sstats.skew(vals, bias=False)
+            assert s.excess_kurtosis == sstats.kurtosis(vals, fisher=True, bias=False)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")    # scipy's precision-loss note
+    def test_near_constant_sample_is_nan_like_scipy(self):
+        # spread by single ulps of 1e6: scipy's m2 <= (eps*mean)**2 guard
+        vals = 1e6 + np.array([0.0, 1.0, 2.0, 0.0, 1.0]) * np.spacing(1e6)
+        assert np.isnan([sstats.skew(vals, bias=False), sstats.kurtosis(vals, bias=False)]).all()
+        s = run_stats(vals)
+        assert np.isnan(s.skewness) and np.isnan(s.excess_kurtosis)
 
     def test_ordering_chain(self, rng):
         for _ in range(10):
