@@ -50,13 +50,15 @@ batch size), which its caller keeps per batch shape so that they are
 allocated once. It holds the im2col columns (one buffer for layer 0, one
 shared by the deeper layers), the weight matrices with one copy each (the
 (3*h*d_k, d) Q/K/V matrix and the (f, k*f) kernel matrix of the layers
-above layer 0; layer 0's is a view of its kernel), the softmax buffer,
-its transposed view and the time-mean weights. A training workspace keeps
-every conv layer's activation map and bool ReLU mask, all that backward
-reads of the pre-activation, and backward's temporaries. An inference
-workspace, for prediction, rollouts and ``explain``'s tables, keeps two
-maps as a ring, layer i writing slot i % 2, and no backward buffers;
-backward refuses its cache. After the forward the shared columns and
+above layer 0; layer 0's is a view of its kernel) and the attention's
+buffers: the key-major softmax buffer ``softmax``, its (B, h, w_k, w_q)
+view ``softmax_kq``, the per-query statistics ``stat`` and the time-mean
+weights ``tmean``. A training workspace keeps every conv layer's
+activation map and bool ReLU mask, all that backward reads of the
+pre-activation, and backward's temporaries. An inference workspace, for
+rollouts and ``explain``'s forward and tables, keeps two maps as a ring,
+layer i writing slot i % 2, and no backward buffers; backward refuses its
+cache. After the forward the shared columns and
 kernel matrix are the last layer's; backward refills them for each layer
 between from the kept activations and the kernels, and runs each deeper
 layer's col2im in the taps buffer ``dcols``: the shared columns, once its
@@ -91,9 +93,9 @@ averaged over queries, so the pooled output is formed without the full
 (B, w, d') attention output. Backward uses the same identity: the
 upstream gradient of A is the same for every query, so dV = abar x
 dpooled and the softmax Jacobian reduces to ``A * (u - A u)``. The softmax
-and its Jacobian run key-major, on a (w_k, B, h, w_q) buffer, so their
-max and sum over keys are elementwise over rows of B*h*w_q; ``att`` is
-its (B, h, w_q, w_k) view.
+and its Jacobian run key-major, in the (w_k, B, h, w_q) ``softmax``, so
+their max and sum over keys are elementwise over rows of B*h*w_q; ``att``
+is its (B, h, w_q, w_k) view.
 
 The time means and head products are per-window vector products, and a
 GEMM's output columns are the windows' time steps, but BLAS picks its GEMM
@@ -109,7 +111,6 @@ import math
 from concurrent.futures import Executor, Future
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -266,25 +267,6 @@ def _qkv_matrix(params: ModelParams, out: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-class _Softmax(NamedTuple):
-    """The attention buffers of one batch shape: the key-major softmax
-    buffer ``e`` (w_k, B, h, w_q), its (B, h, w_k, w_q) view ``e_kq``,
-    per-query statistics (B, h, w_q), and the weights of a mean over the w
-    steps, applied as one vector product per window so that a window's
-    result does not depend on its batch."""
-
-    e: np.ndarray
-    e_kq: np.ndarray
-    stat: np.ndarray
-    tmean: np.ndarray
-
-
-def _softmax_buffers(b: int, h: int, w: int) -> _Softmax:
-    """New attention buffers for B windows of w steps and h heads."""
-    e = np.empty((w, b, h, w))
-    return _Softmax(e, e.transpose(1, 2, 0, 3), np.empty((b, h, w)), np.full(w, 1.0 / w))
-
-
 def _folded_table(params: ModelParams, xb: np.ndarray, workspace: Workspace) -> np.ndarray:
     """Channel-major (1 + 2*h*d_k + h, B, w) table of windows (B, w): the
     last conv map times the folded matrix, whose rows are w_out[:d] / w,
@@ -319,37 +301,38 @@ def _folded_predict(params: ModelParams, table: np.ndarray) -> np.ndarray:
     return np.add.reduce(table[0], axis=1) + np.add.reduce(abar, axis=(0, 2)) + params.b_out
 
 
-def _mha_batch(q, k, v, wo, buffers: _Softmax):
+def _mha_batch(q, k, v, wo, ws: Workspace):
     """Multi-head self-attention fed (B, h, w, d_k) queries, keys and
     values, reduced to what the pooled head reads (see the module
     docstring): the time mean of its output, (B, d'). Also returns, for
     backward, ``att`` (B, h, w_q, w_k), abar (B, h, w_k) and the pooled
-    heads (B, h*d_k). The softmax runs in ``buffers``."""
+    heads (B, h*d_k). The softmax runs in the workspace's buffers."""
     b, h, w, dk = q.shape
-    e, e_kq, stat, tmean = buffers
-    np.matmul(k, q.swapaxes(-1, -2), out=e_kq)
+    e, stat = ws.softmax, ws.stat
+    np.matmul(k, q.swapaxes(-1, -2), out=ws.softmax_kq)
     # softmax over keys: max and sum run elementwise over rows of B*h*w_q
     e -= np.maximum.reduce(e, axis=0, out=stat)
     e *= 1.0 / math.sqrt(dk)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=0, out=stat)
-    abar = e_kq @ tmean
+    abar = ws.softmax_kq @ ws.tmean
     pooled = (abar[:, :, None, :] @ v).reshape(b, 1, h * dk)
     return (pooled @ wo)[:, 0], e.transpose(1, 2, 3, 0), abar, pooled[:, 0]
 
 
 def _attend_in(params: ModelParams, h: np.ndarray, qkv: np.ndarray,
-               buffers: _Softmax) -> tuple[np.ndarray, dict]:
+               ws: Workspace) -> tuple[np.ndarray, dict]:
     """Predictions (B,) from channel-major conv features h (d, B, w) and
-    their Q/K/V (3*h*d_k, B, w): the attention body in ``buffers``, then
-    the dense head on z = [time mean of h, pooled attention] (B, d + d').
+    their Q/K/V (3*h*d_k, B, w): the attention body in the softmax buffers
+    of ``ws``, a workspace for B windows, then the dense head on z = [time
+    mean of h, pooled attention] (B, d + d').
     Also returns the intermediates :func:`_backward_batch` reads: q, k, v
     (B, h, w, d_k), ``att``, ``abar``, ``pooled`` and z."""
     cfg = params.config
     _, b, w = h.shape
     q, k, v = qkv.reshape(3, cfg.heads, cfg.head_dim, b, w).transpose(0, 3, 1, 4, 2)
-    h_att, att, abar, pooled = _mha_batch(q, k, v, params.wo, buffers)
-    z = np.concatenate([h.transpose(1, 0, 2) @ buffers.tmean, h_att], axis=1)
+    h_att, att, abar, pooled = _mha_batch(q, k, v, params.wo, ws)
+    z = np.concatenate([h.transpose(1, 0, 2) @ ws.tmean, h_att], axis=1)
     yhat = np.add.reduce(z * params.w_out, axis=1) + params.b_out
     return yhat, {"q": q, "k": k, "v": v, "att": att, "abar": abar, "pooled": pooled, "z": z}
 
@@ -358,14 +341,15 @@ class Workspace:
     """The buffers of a forward at one (config, batch size), and in a
     ``training`` workspace every conv layer's maps and the backward
     temporaries; an inference one keeps two maps as a ring (see the module
-    docstring). A cache written into a workspace is valid until the next
-    forward with it. ``helper``, an executor with one worker or None, runs
-    work beside the main thread (see :func:`_beside`). A ``split``
-    workspace cuts the conv GEMMs above layer 0 at row ``cut`` and the
-    Q/K/V GEMM at row ``qkv_cut`` (see :func:`.blas.split_cut`; 0 for no
-    cut). A half is the whole GEMM's rows bit for bit only where BLAS tiles
-    them alike, so ``train`` splits only GEMMs of a size where that was
-    measured."""
+    docstring). The attention's softmax buffers are its attributes
+    ``softmax``, ``softmax_kq``, ``stat`` and ``tmean``. A cache written
+    into a workspace is valid until the next forward with it. ``helper``,
+    an executor with one worker or None, runs work beside the main thread
+    (see :func:`_beside`). A ``split`` workspace cuts the conv GEMMs above
+    layer 0 at row ``cut`` and the Q/K/V GEMM at row ``qkv_cut`` (see
+    :func:`.blas.split_cut`; 0 for no cut). A half is the whole GEMM's rows
+    bit for bit only where BLAS tiles them alike, so ``train`` splits only
+    GEMMs of a size where that was measured."""
 
     def __init__(self, config: ModelConfig, batch: int, helper: Executor | None = None,
                  split: bool = False, training: bool = True):
@@ -385,7 +369,12 @@ class Workspace:
         self.conv_act = list(self.act.transpose(0, 2, 3, 1)) if training else None
         self.conv_mask = list(self.mask.transpose(0, 2, 3, 1)) if training else None
         self.qkv = np.empty((3 * h * dk, b * w))
-        self.softmax = _softmax_buffers(b, h, w)
+        self.softmax = np.empty((w, b, h, w))            # (w_k, B, h, w_q)
+        self.softmax_kq = self.softmax.transpose(1, 2, 0, 3)
+        self.stat = np.empty((b, h, w))                  # per query: max, then sum
+        # a mean over the w steps as one vector product per window, so that
+        # a window's result does not depend on its batch
+        self.tmean = np.full(w, 1.0 / w)
         self.helper = helper
         if not training:
             return
@@ -519,7 +508,7 @@ def _forward_batch(params: ModelParams, xb: np.ndarray,
     h = _conv_forward(params, xb, ws)
     _halves(ws.helper, ws.qkv_cut, _matmul_rows, _qkv_matrix(params, ws.wqkv),
             h.reshape(cfg.filters, len(xb) * cfg.w), ws.qkv)
-    yhat, cache = _attend_in(params, h, ws.qkv, ws.softmax)
+    yhat, cache = _attend_in(params, h, ws.qkv, ws)
     cache.update(workspace=ws, conv_act=ws.conv_act, conv_mask=ws.conv_mask)
     return yhat, cache
 
@@ -557,7 +546,7 @@ def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray,
     # dL/dA[q, key] = u[key] for every q; the logits' 1/sqrt(d_k) folded in
     u = (v @ dpooled.swapaxes(-1, -2)).transpose(2, 0, 1, 3) / (w * math.sqrt(dk))
     # softmax Jacobian A * (u - A u), key-major as in the forward
-    a, stat = ws.softmax.e, ws.softmax.stat
+    a, stat = ws.softmax, ws.stat
     dlogits, a_sum = ws.dlogits
     np.multiply(a, u, out=dlogits)
     dlogits -= np.multiply(a, np.add.reduce(dlogits, axis=0, out=stat), out=a_sum)

@@ -35,7 +35,7 @@ from .nn import (ModelConfig, ModelParams, Workspace, _backward_batch, _forward_
                  init_params)
 from .series import ScalerParams, WindowedDataset, scale_values, unscale_values
 
-PREDICT_BLOCK = 32  # rows per forward call in predict_batch
+PREDICT_BLOCK = 32  # windows per forward call in _rollout
 # elements per Adam chunk: the six float64 slices one chunk touches (m, v,
 # gradient, parameters, two scratch) take 128 KB each and fit a 2 MB L2
 ADAM_CHUNK = 16384
@@ -209,37 +209,35 @@ def train(config: ModelConfig, tconfig: TrainConfig,
     return params, history
 
 
-@blas.one_thread()
 def predict_batch(params: ModelParams, windows: np.ndarray) -> np.ndarray:
-    """One-step predictions for scaled windows (N, w), in scaled units.
-
-    Evaluated in blocks of ``PREDICT_BLOCK`` rows, in one inference
-    workspace for the full blocks and one for the remainder, made in turn,
-    so memory is bounded by the block, not by N.
-    """
-    windows = np.asarray(windows, dtype=np.float64)
-    blocks, ws = [], None
-    for i in range(0, max(len(windows), 1), PREDICT_BLOCK):
-        xb = windows[i:i + PREDICT_BLOCK]
-        if ws is None or ws.batch != len(xb):
-            ws = Workspace(params.config, len(xb), training=False)
-        blocks.append(_forward_batch(params, xb, workspace=ws)[0])
-    return np.concatenate(blocks)
+    """One-step predictions for scaled windows (N, w), in scaled units: a
+    rollout of one step."""
+    return _rollout(params, windows, 1)[:, 0]
 
 
 @blas.one_thread()
 def _rollout(params: ModelParams, windows: np.ndarray, horizon: int) -> np.ndarray:
-    """Recursive forecasts (n, horizon) from scaled windows (n, w): each step
-    is one forward call over all n windows, in one inference workspace,
-    whose predictions are appended as the windows slide."""
+    """Recursive forecasts (N, horizon) from scaled windows (N, w). The
+    windows run in blocks of ``PREDICT_BLOCK``, in one inference workspace
+    for the full blocks and then one for the remainder, so memory is
+    bounded by the block, not by N. Each step of a block is one forward
+    call, whose predictions are appended as the block's windows slide."""
     if horizon < 1:
         raise InvalidSpec("horizon must be >= 1")
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.ndim != 2 or windows.shape[1] != params.config.w:
+        raise ShapeMismatch(f"expected (N, {params.config.w}) windows, got {windows.shape}")
     preds = np.empty((len(windows), horizon))
-    workspace = Workspace(params.config, len(windows), training=False)
-    for i in range(horizon):
-        yhat, _ = _forward_batch(params, windows, workspace=workspace)
-        preds[:, i] = yhat
-        windows = np.concatenate([windows[:, 1:], yhat[:, None]], axis=1)
+    ws = None
+    for start in range(0, len(windows), PREDICT_BLOCK):
+        block = windows[start:start + PREDICT_BLOCK]
+        if ws is None or ws.batch != len(block):
+            ws = None           # freed before the remainder's is made
+            ws = Workspace(params.config, len(block), training=False)
+        for i in range(horizon):
+            yhat = _forward_batch(params, block, workspace=ws)[0]
+            preds[start:start + len(block), i] = yhat
+            block = np.concatenate([block[:, 1:], yhat[:, None]], axis=1)
     return preds
 
 

@@ -19,7 +19,6 @@ from fusecast.nn import (
     _forward_batch,
     _im2col,
     _qkv_matrix,
-    _softmax_buffers,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -532,8 +531,9 @@ FORWARD_CELLS = pytest.mark.parametrize("cell", [
 
 class TestAttendOnFeatures:
     """The forward pass's parts run outside a workspace, the reference conv
-    stack :func:`conv_stack`, one Q/K/V GEMM and :func:`_attend_in` in new
-    attention buffers, are the forward pass bit for bit."""
+    stack :func:`conv_stack`, one Q/K/V GEMM and :func:`_attend_in` in a new
+    inference workspace's softmax buffers, are the forward pass bit for
+    bit."""
 
     @FORWARD_CELLS
     @pytest.mark.parametrize("batch", [1, 7, 32, 70])
@@ -544,7 +544,7 @@ class TestAttendOnFeatures:
             pass
         cfg = params.config
         qkv = _qkv_matrix(params) @ h.reshape(cfg.filters, -1)
-        yhat, _ = _attend_in(params, h, qkv, _softmax_buffers(batch, cfg.heads, 15))
+        yhat, _ = _attend_in(params, h, qkv, Workspace(cfg, batch, training=False))
         np.testing.assert_array_equal(yhat, _forward_batch(params, xb)[0])
 
 

@@ -35,8 +35,8 @@ import scipy
 from fusecast import blas, cli
 from fusecast.explain import ExplainConfig, explain, sample_background
 from fusecast.nn import ModelConfig, init_params
-from fusecast.series import SynthSpec, prepare, synthesize
-from fusecast.train import predict_batch
+from fusecast.series import SynthSpec, WindowedDataset, prepare, synthesize
+from fusecast.train import TrainConfig, predict_batch, train
 
 ORACLE = Path(__file__).resolve().parent / "oracle"
 # Measured by running every run under OpenBLAS's Haswell, SandyBridge and
@@ -47,6 +47,7 @@ ORACLE = Path(__file__).resolve().parent / "oracle"
 RTOL, ATOL = 1e-10, 1e-12
 
 CONFIG = {
+    "train": {"epochs": 2},      # bench reads it; train's --epochs overrides it
     "explain": {"background_size": 16, "sample_permutations": 20},
     "tune": {"init": 3, "epochs": 1, "pool_size": 32,
              "space": {"cnn_layers": [1, 2], "heads": [1, 2], "filters": [4, 8],
@@ -82,7 +83,7 @@ def _array_sha(a) -> str:
 def _masked(path: Path) -> bytes:
     """A CLI output's bytes with its wall-clock fields blanked."""
     text = path.read_text()
-    text = re.sub(r'"wall_seconds": [^,}\n]+', '"wall_seconds": null', text)
+    text = re.sub(r'"wall_seconds": (\{[^}]*\}|[^,}\n]+)', '"wall_seconds": null', text)
     if path.name == "tune_log.csv":
         text = "\n".join(line.rsplit(",", 1)[0] for line in text.splitlines())
     return text.encode()
@@ -175,8 +176,36 @@ def run_explain_3x40k4(out: Path) -> tuple[dict, dict]:
     return shas, values
 
 
+def run_bench(out: Path) -> tuple[dict, dict]:
+    """``fusecast bench --runs 4`` at the default cell and two epochs a run:
+    the runs' metrics, their statistics and the h=15 rollout from 10
+    anchors."""
+    _cli(out, "bench", "--runs", "4")
+    shas = _files(out, "bench/runs.csv", "bench/bench_report.json")
+    report = json.loads((out / "bench" / "bench_report.json").read_text())
+    values = {"runs": [[float(v) for v in row.split(",")[1:]] for row in
+                       (out / "bench" / "runs.csv").read_text().splitlines()[1:]],
+              "run_stats": report["run_stats"], "horizons": report["horizons"]}
+    return shas, values
+
+
+def run_train_10x110k3(out: Path) -> tuple[dict, dict]:
+    """``train`` of a 10x110 k=3 model for one epoch on 64 windows, two full
+    B=32 batches, whose conv GEMMs split (and run beside a helper thread on
+    two CPUs); then ``predict_batch`` on 8 held-out windows."""
+    data = _windows()
+    subset = WindowedDataset(data.train.inputs[:64], data.train.targets[:64], 15)
+    params, history = train(ModelConfig(w=15, cnn_layers=10, filters=110, kernel_size=3,
+                                        heads=2, seed=3), TrainConfig(epochs=1, seed=5), subset)
+    yhat = predict_batch(params, data.held.inputs[:8])
+    return ({"params": _array_sha(params.flat), "history": _array_sha(history),
+             "yhat": _array_sha(yhat)},
+            {"history": history, "yhat": yhat.tolist()})
+
+
 RUNS = {"fit": run_fit, "explain-default": run_explain_default, "tune": run_tune,
-        "predict": run_predict, "explain-3x40k4": run_explain_3x40k4}
+        "predict": run_predict, "explain-3x40k4": run_explain_3x40k4, "bench": run_bench,
+        "train-10x110k3": run_train_10x110k3}
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import os
 import sys
 
 import numpy as np
@@ -14,9 +15,11 @@ from fusecast.errors import (
     LengthMismatch,
     MapeUndefined,
     MsleUndefined,
+    ShapeMismatch,
     TooFewSamples,
     ZeroVarianceShapeStats,
 )
+from fusecast.explain import ExplainConfig, explain
 from fusecast.nn import ModelConfig, ModelParams, _backward_batch, _forward_batch, init_params
 from fusecast.series import (ScalerParams, SynthSpec, WindowedDataset, fit_scaler, make_windows,
                              scale_values, split, synthesize)
@@ -343,6 +346,51 @@ class TestPredictBatch:
         built.clear()
         module._rollout(tiny_params, rng.normal(size=(3, 8)), 6)
         assert built == [(3, False)]
+
+    @pytest.mark.parametrize("shape", [(0, 9), (0,)], ids=["wide-rows", "one-axis"])
+    def test_empty_input_of_another_shape_rejected(self, tiny_params, shape):
+        module = sys.modules["fusecast.train"]
+        with pytest.raises(ShapeMismatch):
+            predict_batch(tiny_params, np.zeros(shape))
+        with pytest.raises(ShapeMismatch):
+            module._rollout(tiny_params, np.zeros(shape), 3)
+
+    def test_rollout_runs_in_blocks(self, tiny_params, rng, monkeypatch):
+        # each block slides through all its steps before the next: memory is
+        # bounded by the block, not by the number of windows
+        import fusecast.nn
+        module = sys.modules["fusecast.train"]
+        built, calls = count_workspaces(monkeypatch, module), []
+
+        def counted(params, xb, **kwargs):
+            calls.append(len(xb))
+            return fusecast.nn._forward_batch(params, xb, **kwargs)
+
+        monkeypatch.setattr(module, "_forward_batch", counted)
+        windows = rng.normal(size=(2 * PREDICT_BLOCK + 6, 8))
+        preds = module._rollout(tiny_params, windows, 3)
+        assert built == [(PREDICT_BLOCK, False), (6, False)]
+        assert calls == [PREDICT_BLOCK] * 6 + [6] * 3
+        # a block's rollout is that of its windows alone
+        tail = module._rollout(tiny_params, windows[2 * PREDICT_BLOCK:], 3)
+        np.testing.assert_array_equal(preds[2 * PREDICT_BLOCK:], tail)
+
+    @pytest.mark.parametrize("n", [0, 5, 2 * PREDICT_BLOCK + 6])
+    def test_predict_is_a_one_step_rollout(self, tiny_params, rng, n):
+        windows = rng.normal(size=(n, 8))
+        expect = sys.modules["fusecast.train"]._rollout(tiny_params, windows, 1)[:, 0]
+        got = predict_batch(tiny_params, windows)
+        assert got.shape == (n,)
+        np.testing.assert_array_equal(got, expect)
+
+    def test_explain_builds_no_training_workspace(self, tiny_params, rng, monkeypatch):
+        built = count_workspaces(monkeypatch, sys.modules["fusecast.nn"])
+        # the coalitions in-process, so that their workspaces are seen too
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        windows = rng.normal(size=(6, 8))
+        explain(tiny_params, windows[0], windows[1:],
+                ExplainConfig(background_size=5, sample_permutations=4))
+        assert built and not any(training for _, training in built)
 
 
 class TestPersistence:
