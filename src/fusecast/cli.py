@@ -490,6 +490,10 @@ def main(argv=None) -> int:
     except FusecastError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        # a config that asks for more memory than the host grants
+        print(f"{ConfigError.label}: out of memory: {exc}", file=sys.stderr)
+        return ConfigError.exit_code
 
 
 def entry() -> None:

@@ -416,10 +416,10 @@ def explain(params: ModelParams, x: np.ndarray, background: np.ndarray,
     edge_drop = config.edge_drop if config.edge_drop is not None else math.ceil(0.1 * w)
     if edge_drop >= w:
         raise InvalidSpec(f"edge_drop {edge_drop} must be < window size {w}")
-    yhat, cache = _forward_batch(params, x[None],
-                                 workspace=nn.Workspace(params.config, 1, training=False))
+    yhat, ws = _forward_batch(params, x[None],
+                              workspace=nn.Workspace(params.config, 1, training=False))
     prediction = float(yhat[0])
-    a = mean_attention(cache["att"][0])
+    a = mean_attention(ws.att[0])
 
     with _CoalitionModel(params) as model:
         if config.shap_mode == "exact":

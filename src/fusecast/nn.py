@@ -3,13 +3,13 @@ self-attention, time-wise feature fusion, global average pooling, and a
 scalar dense head.
 
 There is one model path, batched over windows: :func:`_forward_batch` maps
-(B, w) scaled windows to (B,) predictions and a cache of every
-intermediate, and :func:`_backward_batch` is analytic reverse-mode
-differentiation of the same equations (softmax Jacobian, causal-convolution
-transpose paths included) from that cache. A single window is a batch of
-one. The forward is the conv stack of :func:`_conv_forward`, the Q/K/V
-GEMM, and :func:`_attend_in`, the attention body :func:`_mha_batch` plus
-the dense head, all run in a :class:`Workspace`.
+(B, w) scaled windows to (B,) predictions, leaving every intermediate in
+the :class:`Workspace` it runs in, and :func:`_backward_batch` is analytic
+reverse-mode differentiation of the same equations (softmax Jacobian,
+causal-convolution transpose paths included) from the workspace's
+intermediates. A single window is a batch of one. The forward is the conv
+stack of :func:`_conv_forward`, the Q/K/V GEMM, the attention body
+:func:`_mha_batch` and the dense head.
 
 ``explain``'s coalition model needs only each composite's prediction, in
 which V, the conv map and the logits' scale enter through fixed linear
@@ -53,20 +53,19 @@ shared by the deeper layers), the weight matrices with one copy each (the
 above layer 0; layer 0's is a view of its kernel) and the attention's
 buffers: the key-major softmax buffer ``softmax``, its (B, h, w_k, w_q)
 view ``softmax_kq``, the per-query statistics ``stat`` and the time-mean
-weights ``tmean``. A training workspace keeps every conv layer's
-activation map and bool ReLU mask, all that backward reads of the
-pre-activation, and backward's temporaries. An inference workspace, for
-rollouts and ``explain``'s forward and tables, keeps two maps as a ring,
-layer i writing slot i % 2, and no backward buffers; backward refuses its
-cache. After the forward the shared columns and
-kernel matrix are the last layer's; backward refills them for each layer
-between from the kept activations and the kernels, and runs each deeper
-layer's col2im in the taps buffer ``dcols``: the shared columns, once its
-kernel gradient has read them, or, in a workspace with a helper (below),
-a buffer of its own, so that the two GEMMs never share memory. The
-weight-gradient GEMMs run one at a time, in one buffer, ``dweight``. The
-workspace records which layer the columns and matrix hold, so a second
-backward from one cache refills them too.
+weights ``tmean``. A training workspace keeps every conv layer's activation
+map and bool ReLU mask, all that backward reads of the pre-activation, and
+backward's temporaries. An inference workspace, for rollouts and
+``explain``'s forward and tables, keeps two maps as a ring, layer i writing
+slot i % 2, and no backward buffers; backward refuses it. After the forward
+the shared columns and kernel matrix are the last layer's; backward refills
+them for each layer between from the kept activations and the kernels, and
+runs each deeper layer's col2im in the taps buffer ``dcols``: the shared
+columns, once its kernel gradient has read them, or, in a workspace with a
+helper (below), a buffer of its own, so that the two GEMMs never share
+memory. The weight-gradient GEMMs run one at a time, in one buffer,
+``dweight``. The workspace records which layer the columns and matrix hold,
+so a second backward from the workspace's intermediates refills them too.
 
 A workspace may carry a helper, an executor with one worker thread, which
 ``train`` opens for wide cells (see :mod:`.blas`), and may be split. A
@@ -301,40 +300,25 @@ def _folded_predict(params: ModelParams, table: np.ndarray) -> np.ndarray:
     return np.add.reduce(table[0], axis=1) + np.add.reduce(abar, axis=(0, 2)) + params.b_out
 
 
-def _mha_batch(q, k, v, wo, ws: Workspace):
-    """Multi-head self-attention fed (B, h, w, d_k) queries, keys and
-    values, reduced to what the pooled head reads (see the module
-    docstring): the time mean of its output, (B, d'). Also returns, for
-    backward, ``att`` (B, h, w_q, w_k), abar (B, h, w_k) and the pooled
-    heads (B, h*d_k). The softmax runs in the workspace's buffers."""
-    b, h, w, dk = q.shape
+def _mha_batch(wo: np.ndarray, ws: Workspace) -> np.ndarray:
+    """Multi-head self-attention fed the (B, h, w, d_k) queries, keys and
+    values ``ws.q``, ``ws.k`` and ``ws.v``, reduced to what the pooled head
+    reads (see the module docstring): the time mean of its output, (B, d').
+    The softmax runs in the workspace's buffers, ``ws.att`` being its view,
+    and abar (B, h, w_k) and the pooled heads (B, h*d_k) are left on the
+    workspace as ``abar`` and ``pooled`` for backward."""
+    b, h, w, dk = ws.q.shape
     e, stat = ws.softmax, ws.stat
-    np.matmul(k, q.swapaxes(-1, -2), out=ws.softmax_kq)
+    np.matmul(ws.k, ws.q.swapaxes(-1, -2), out=ws.softmax_kq)
     # softmax over keys: max and sum run elementwise over rows of B*h*w_q
     e -= np.maximum.reduce(e, axis=0, out=stat)
     e *= 1.0 / math.sqrt(dk)
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=0, out=stat)
-    abar = ws.softmax_kq @ ws.tmean
-    pooled = (abar[:, :, None, :] @ v).reshape(b, 1, h * dk)
-    return (pooled @ wo)[:, 0], e.transpose(1, 2, 3, 0), abar, pooled[:, 0]
-
-
-def _attend_in(params: ModelParams, h: np.ndarray, qkv: np.ndarray,
-               ws: Workspace) -> tuple[np.ndarray, dict]:
-    """Predictions (B,) from channel-major conv features h (d, B, w) and
-    their Q/K/V (3*h*d_k, B, w): the attention body in the softmax buffers
-    of ``ws``, a workspace for B windows, then the dense head on z = [time
-    mean of h, pooled attention] (B, d + d').
-    Also returns the intermediates :func:`_backward_batch` reads: q, k, v
-    (B, h, w, d_k), ``att``, ``abar``, ``pooled`` and z."""
-    cfg = params.config
-    _, b, w = h.shape
-    q, k, v = qkv.reshape(3, cfg.heads, cfg.head_dim, b, w).transpose(0, 3, 1, 4, 2)
-    h_att, att, abar, pooled = _mha_batch(q, k, v, params.wo, ws)
-    z = np.concatenate([h.transpose(1, 0, 2) @ ws.tmean, h_att], axis=1)
-    yhat = np.add.reduce(z * params.w_out, axis=1) + params.b_out
-    return yhat, {"q": q, "k": k, "v": v, "att": att, "abar": abar, "pooled": pooled, "z": z}
+    ws.abar = ws.softmax_kq @ ws.tmean
+    pooled = (ws.abar[:, :, None, :] @ ws.v).reshape(b, 1, h * dk)
+    ws.pooled = pooled[:, 0]
+    return (pooled @ wo)[:, 0]
 
 
 class Workspace:
@@ -342,14 +326,16 @@ class Workspace:
     ``training`` workspace every conv layer's maps and the backward
     temporaries; an inference one keeps two maps as a ring (see the module
     docstring). The attention's softmax buffers are its attributes
-    ``softmax``, ``softmax_kq``, ``stat`` and ``tmean``. A cache written
-    into a workspace is valid until the next forward with it. ``helper``,
-    an executor with one worker or None, runs work beside the main thread
-    (see :func:`_beside`). A ``split`` workspace cuts the conv GEMMs above
-    layer 0 at row ``cut`` and the Q/K/V GEMM at row ``qkv_cut`` (see
-    :func:`.blas.split_cut`; 0 for no cut). A half is the whole GEMM's rows
-    bit for bit only where BLAS tiles them alike, so ``train`` splits only
-    GEMMs of a size where that was measured."""
+    ``softmax``, ``softmax_kq``, ``stat`` and ``tmean``. The forward's
+    intermediates that backward reads, ``q``, ``k``, ``v``, ``att``,
+    ``abar``, ``pooled``, ``z``, ``act`` and ``mask``, are valid until the
+    next forward with it. ``helper``, an executor with one worker or None,
+    runs work beside the main thread (see :func:`_beside`). A ``split``
+    workspace cuts the conv GEMMs above layer 0 at row ``cut`` and the
+    Q/K/V GEMM at row ``qkv_cut`` (see :func:`.blas.split_cut`; 0 for no
+    cut). A half is the whole GEMM's rows bit for bit only where BLAS tiles
+    them alike, so ``train`` splits only GEMMs of a size where that was
+    measured."""
 
     def __init__(self, config: ModelConfig, batch: int, helper: Executor | None = None,
                  split: bool = False, training: bool = True):
@@ -366,11 +352,13 @@ class Workspace:
         slots = layers if training else min(layers, 2)  # layer i's map is in slot i % slots
         self.act = np.empty((slots, f, b, w))
         self.mask = np.empty((slots, f, b, w), dtype=bool)
-        self.conv_act = list(self.act.transpose(0, 2, 3, 1)) if training else None
-        self.conv_mask = list(self.mask.transpose(0, 2, 3, 1)) if training else None
         self.qkv = np.empty((3 * h * dk, b * w))
+        # (B, h, w, d_k) views: per window and head, column-major (w, d_k)
+        self.q, self.k, self.v = self.qkv.reshape(3, h, dk, b, w).transpose(0, 3, 1, 4, 2)
         self.softmax = np.empty((w, b, h, w))            # (w_k, B, h, w_q)
         self.softmax_kq = self.softmax.transpose(1, 2, 0, 3)
+        self.att = self.softmax.transpose(1, 2, 3, 0)    # (B, h, w_q, w_k)
+        self.abar = self.pooled = self.z = None          # each forward's, for backward
         self.stat = np.empty((b, h, w))                  # per query: max, then sum
         # a mean over the w steps as one vector product per window, so that
         # a window's result does not depend on its batch
@@ -490,15 +478,17 @@ def _conv_forward(params: ModelParams, xb: np.ndarray, ws: Workspace) -> np.ndar
 
 
 def _forward_batch(params: ModelParams, xb: np.ndarray,
-                   workspace: Workspace | None = None) -> tuple[np.ndarray, dict]:
+                   workspace: Workspace | None = None) -> tuple[np.ndarray, Workspace]:
     """Vectorized forward over a batch of scaled windows (B, w): the conv
-    stack of :func:`_conv_forward`, the Q/K/V GEMM and :func:`_attend_in`.
+    stack of :func:`_conv_forward`, the Q/K/V GEMM, the attention body
+    :func:`_mha_batch`, and the dense head on z = [time mean of the last
+    conv map, pooled attention] (B, d + d').
 
-    Returns predictions (B,) and a cache of the intermediates that
-    :func:`_backward_batch` reads, which live in ``workspace`` (a new
-    training one when not given) and the cache carries; from a training
-    workspace ``conv_act`` and ``conv_mask`` hold (B, w, f) views of each
-    layer's activation map and ReLU mask (None from an inference one).
+    Returns predictions (B,) and the workspace it ran in, ``workspace`` or
+    a new training one when not given. The workspace's intermediates are
+    what :func:`_backward_batch` reads: q, k, v (B, h, w, d_k), ``att``
+    (B, h, w_q, w_k), ``abar``, ``pooled``, ``z``, and the channel-major
+    conv maps ``act`` and ReLU masks ``mask``.
     """
     cfg = params.config
     xb = np.asarray(xb, dtype=np.float64)
@@ -508,51 +498,49 @@ def _forward_batch(params: ModelParams, xb: np.ndarray,
     h = _conv_forward(params, xb, ws)
     _halves(ws.helper, ws.qkv_cut, _matmul_rows, _qkv_matrix(params, ws.wqkv),
             h.reshape(cfg.filters, len(xb) * cfg.w), ws.qkv)
-    yhat, cache = _attend_in(params, h, ws.qkv, ws)
-    cache.update(workspace=ws, conv_act=ws.conv_act, conv_mask=ws.conv_mask)
-    return yhat, cache
+    h_att = _mha_batch(params.wo, ws)
+    ws.z = np.concatenate([h.transpose(1, 0, 2) @ ws.tmean, h_att], axis=1)
+    return np.add.reduce(ws.z * params.w_out, axis=1) + params.b_out, ws
 
 
-def _backward_batch(params: ModelParams, cache: dict, dl_dy: np.ndarray,
+def _backward_batch(params: ModelParams, ws: Workspace, dl_dy: np.ndarray,
                     out: ModelParams | None = None) -> np.ndarray:
     """Analytic gradient of sum_b dl_dy[b] * yhat[b] w.r.t. ``params.flat``,
     each tensor's part written into its view of ``out`` (a new ModelParams
-    when not given); returns ``out.flat``. Weight and input gradients are
-    2-D GEMMs on the same channel-major (., B*w) layouts and weight
-    matrices as the forward pass, and the temporaries are the cache's
-    workspace buffers, so the cache must come from a training workspace."""
+    when not given); returns ``out.flat``. It reads the intermediates that
+    the last forward left in ``ws``, which must be a training workspace.
+    Weight and input gradients are 2-D GEMMs on the same channel-major
+    (., B*w) layouts and weight matrices as the forward pass, and the
+    temporaries are the workspace's buffers."""
     cfg = params.config
-    ws = cache["workspace"]
     if not ws.training:
-        raise ValueError("backward needs a training workspace's cache: an inference "
+        raise ValueError("backward needs a training workspace: an inference "
                          "workspace keeps two conv maps and no backward buffers")
     g = np.asarray(dl_dy, dtype=np.float64)
-    z = cache["z"]
     b, w, d, dk, h = ws.batch, cfg.w, cfg.filters, cfg.head_dim, cfg.heads
 
     if out is None:
         out = ModelParams(cfg, np.empty_like(params.flat))
-    np.matmul(g, z, out=out.w_out)
+    np.matmul(g, ws.z, out=out.w_out)
     np.add.reduce(g, out=out.b_out)
     dz = g[:, None] * params.w_out
 
     # pooled attention: the upstream gradient is the same for every query
-    q, k, v, abar = cache["q"], cache["k"], cache["v"], cache["abar"]
-    np.matmul(cache["pooled"].T, dz[:, d:], out=out.wo)
+    np.matmul(ws.pooled.T, dz[:, d:], out=out.wo)
     dpooled = (dz[:, d:] @ params.wo.T).reshape(b, h, 1, dk)
     dq, dk_ = ws.dqkv.transpose(0, 3, 1, 4, 2)[:2]
     # dv in the memory order of dqkv, (h, d_k, B, w)
-    np.multiply(abar.transpose(1, 0, 2)[:, None], dpooled.transpose(1, 3, 0, 2), out=ws.dqkv[2])
+    np.multiply(ws.abar.transpose(1, 0, 2)[:, None], dpooled.transpose(1, 3, 0, 2), out=ws.dqkv[2])
     # dL/dA[q, key] = u[key] for every q; the logits' 1/sqrt(d_k) folded in
-    u = (v @ dpooled.swapaxes(-1, -2)).transpose(2, 0, 1, 3) / (w * math.sqrt(dk))
+    u = (ws.v @ dpooled.swapaxes(-1, -2)).transpose(2, 0, 1, 3) / (w * math.sqrt(dk))
     # softmax Jacobian A * (u - A u), key-major as in the forward
     a, stat = ws.softmax, ws.stat
     dlogits, a_sum = ws.dlogits
     np.multiply(a, u, out=dlogits)
     dlogits -= np.multiply(a, np.add.reduce(dlogits, axis=0, out=stat), out=a_sum)
-    np.matmul(dlogits.transpose(1, 2, 3, 0), k, out=dq)
+    np.matmul(dlogits.transpose(1, 2, 3, 0), ws.k, out=dq)
     # BLAS takes this product 2-3x faster with Q row-major than as q's view
-    np.copyto(ws.q_rows, q)
+    np.copyto(ws.q_rows, ws.q)
     np.matmul(dlogits.transpose(1, 2, 0, 3), ws.q_rows, out=dk_)
 
     dqkv = ws.dqkv.reshape(3 * h * dk, b * w)

@@ -193,17 +193,17 @@ def train(config: ModelConfig, tconfig: TrainConfig,
             sse = 0.0
             for start in range(0, n, batch):
                 idx = order[start:start + batch]
-                xb, yb = data.inputs[idx], data.targets[idx]
+                xb, yb, ws = data.inputs[idx], data.targets[idx], workspaces[len(idx)]
                 # a diverging step overflows on its way to the non-finite
                 # loss reported below, so numpy's overflow warnings carry
                 # nothing more
                 with np.errstate(over="ignore", invalid="ignore"):
-                    yhat, cache = _forward_batch(params, xb, workspace=workspaces[len(idx)])
+                    yhat = _forward_batch(params, xb, workspace=ws)[0]
                     loss, dl_dy = mse_loss(yhat, yb)
                 if not math.isfinite(loss):
                     raise DivergedLoss(f"non-finite training loss at step {state.step + 1}")
                 sse += loss * len(idx)
-                _backward_batch(params, cache, dl_dy, out=grads)
+                _backward_batch(params, ws, dl_dy, out=grads)
                 adam_step(params, grads.flat, state, tconfig, out=params, helper=helper)
             history.append(sse / n)
     return params, history

@@ -40,9 +40,9 @@ def test_c01_gradient_correctness():
     rng = np.random.default_rng(1)
     x = rng.normal(size=8)
     target = 0.3
-    yhat, cache = _forward_batch(params, x[None])
+    yhat, ws = _forward_batch(params, x[None])
     grads = ModelParams(params.config,
-                        _backward_batch(params, cache, 2.0 * (yhat - target))).tensors()
+                        _backward_batch(params, ws, 2.0 * (yhat - target))).tensors()
     eps = 1e-4
     worst = 0.0
     for name, tensor in params.tensors().items():
@@ -77,10 +77,11 @@ def test_c02_conv_causality():
         t = int(rng.integers(0, 7))
         x2 = x.copy()
         x2[t + 1:] += rng.normal(size=7 - t) * rng.uniform(1, 100)
-        _, c1 = _forward_batch(params, x[None])
-        _, c2 = _forward_batch(params, x2[None])
-        for a1, a2 in zip(c1["conv_act"], c2["conv_act"]):
-            if not np.array_equal(a1[0, : t + 1], a2[0, : t + 1]):
+        _, ws1 = _forward_batch(params, x[None])
+        _, ws2 = _forward_batch(params, x2[None])
+        # every layer's channel-major (f, B, w) map
+        for a1, a2 in zip(ws1.act, ws2.act):
+            if not np.array_equal(a1[..., : t + 1], a2[..., : t + 1]):
                 violations += 1
     elapsed = time.perf_counter() - t0
     report(2, violations == 0 and elapsed < 10.0,
@@ -95,8 +96,8 @@ def test_c03_attention_stochasticity():
     for trial in range(100):
         params = init_params(ModelConfig(w=8, cnn_layers=2, filters=4, kernel_size=2,
                                          heads=2, head_dim=2, seed=trial))
-        _, cache = _forward_batch(params, rng.normal(size=(1, 8)))
-        attention = cache["att"][0]
+        _, ws = _forward_batch(params, rng.normal(size=(1, 8)))
+        attention = ws.att[0]
         sums = attention.sum(axis=2)
         worst_sum = max(worst_sum, float(np.abs(sums - 1.0).max()))
         min_entry = min(min_entry, float(attention.min()))

@@ -520,6 +520,27 @@ class TestExitCodes:
         assert run("forecast", "--config", str(cfg), "--out", str(tmp_path / "o"),
                    "--checkpoint", str(ckpt)) == 3
 
+    # sizes of tens of TiB, which the kernel refuses at once rather than
+    # granting lazily
+    def test_out_of_memory_series(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **{"data.synth.length": 10**13})
+        assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: ")
+        assert "Traceback" not in err
+
+    def test_out_of_memory_acquisition_pool(self, tmp_path, capsys):
+        # the first trial trains; the second proposes from the pool
+        cfg = write_config(tmp_path, **{
+            "data.synth.length": 800, "tune.budget": 2, "tune.init": 1, "tune.epochs": 1,
+            "tune.pool_size": 10**12,
+            "tune.space": {"cnn_layers": [1, 1], "heads": [2, 2], "filters": [6, 6],
+                           "kernel_size": [3, 3]}})
+        assert run("tune", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: ")
+        assert "Traceback" not in err
+
     # bytes that are not UTF-8, and nesting deeper than the recursion limit
     UNREADABLE = {"not-utf8": b'{"seed": "\xff"}', "too-deep": b"[" * 100000}
 

@@ -745,6 +745,6 @@ class TestExplainPipeline:
         background = rng.normal(size=(3, 7))
         result = explain(params, x, background,
                          ExplainConfig(shap_mode="exact", smoothing_sigma=1.0))
-        _, cache = _forward_batch(params, x[None])
-        np.testing.assert_allclose(result.a, ma(cache["att"][0]), atol=1e-12)
+        _, ws = _forward_batch(params, x[None])
+        np.testing.assert_allclose(result.a, ma(ws.att[0]), atol=1e-12)
         assert abs(result.a.sum() - 1.0) < 1e-6

@@ -11,14 +11,12 @@ from fusecast.nn import (
     ModelConfig,
     ModelParams,
     Workspace,
-    _attend_in,
     _backward_batch,
     _conv_matrix,
     _folded_predict,
     _folded_table,
     _forward_batch,
     _im2col,
-    _qkv_matrix,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -301,13 +299,13 @@ class TestForward:
         assert predict_one(init_params(cfg), x) == predict_one(init_params(cfg), x)
 
     def test_trace_recomputes_prediction(self, tiny_params, rng):
-        yhat, cache = _forward_batch(tiny_params, rng.normal(size=(1, 8)))
-        recomputed = float(cache["z"][0] @ tiny_params.w_out + tiny_params.b_out)
+        yhat, ws = _forward_batch(tiny_params, rng.normal(size=(1, 8)))
+        recomputed = float(ws.z[0] @ tiny_params.w_out + tiny_params.b_out)
         assert abs(float(yhat[0]) - recomputed) < 1e-12
 
     def test_trace_attention_rows(self, tiny_params, rng):
-        _, cache = _forward_batch(tiny_params, rng.normal(size=(1, 8)))
-        np.testing.assert_allclose(cache["att"][0].sum(axis=2), 1.0, atol=1e-6)
+        _, ws = _forward_batch(tiny_params, rng.normal(size=(1, 8)))
+        np.testing.assert_allclose(ws.att[0].sum(axis=2), 1.0, atol=1e-6)
 
     def test_conv_causality(self, tiny_params, rng):
         # perturbing the future never changes past conv activations, bitwise
@@ -316,10 +314,9 @@ class TestForward:
             t = int(rng.integers(0, 7))
             x2 = x.copy()
             x2[t + 1:] += rng.normal(size=7 - t) * 10
-            _, c1 = _forward_batch(tiny_params, x[None])
-            _, c2 = _forward_batch(tiny_params, x2[None])
-            for a1, a2 in zip(c1["conv_act"], c2["conv_act"]):
-                np.testing.assert_array_equal(a1[0, : t + 1], a2[0, : t + 1])
+            _, ws1 = _forward_batch(tiny_params, x[None])
+            _, ws2 = _forward_batch(tiny_params, x2[None])
+            np.testing.assert_array_equal(ws1.act[..., : t + 1], ws2.act[..., : t + 1])
 
     def test_receptive_field(self, rng):
         # with L layers of kernel k, conv output at t sees L*(k-1)+1 steps
@@ -330,9 +327,9 @@ class TestForward:
         x = rng.normal(size=16)
         x2 = x.copy()
         x2[: t - span + 1] = 0.0
-        _, c1 = _forward_batch(params, x[None])
-        _, c2 = _forward_batch(params, x2[None])
-        np.testing.assert_array_equal(c1["conv_act"][-1][0, t], c2["conv_act"][-1][0, t])
+        _, ws1 = _forward_batch(params, x[None])
+        _, ws2 = _forward_batch(params, x2[None])
+        np.testing.assert_array_equal(ws1.act[-1][:, 0, t], ws2.act[-1][:, 0, t])
 
     def test_wrong_window_length(self, tiny_params):
         with pytest.raises(ShapeMismatch):
@@ -341,13 +338,13 @@ class TestForward:
 
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self, tiny_params, rng):
-        _, cache = _forward_batch(tiny_params, rng.normal(size=(1, 8)))
-        grads = _backward_batch(tiny_params, cache, np.zeros(1))
+        _, ws = _forward_batch(tiny_params, rng.normal(size=(1, 8)))
+        grads = _backward_batch(tiny_params, ws, np.zeros(1))
         assert grads.shape == tiny_params.flat.shape and not grads.any()
 
     def test_b_out_gradient_is_upstream(self, tiny_params, rng):
-        _, cache = _forward_batch(tiny_params, rng.normal(size=(1, 8)))
-        grads = _backward_batch(tiny_params, cache, np.array([-1.75]))
+        _, ws = _forward_batch(tiny_params, rng.normal(size=(1, 8)))
+        grads = _backward_batch(tiny_params, ws, np.array([-1.75]))
         assert float(ModelParams(tiny_params.config, grads).tensors()["head.b_out"]) == -1.75
 
     @pytest.mark.parametrize("config", [
@@ -355,11 +352,11 @@ class TestBackward:
         ModelConfig(w=15, cnn_layers=3, filters=40, kernel_size=4, heads=3, seed=5)])
     def test_out_filled_bitwise_as_new_vector(self, config, rng):
         params = init_params(config)
-        _, cache = _forward_batch(params, rng.normal(size=(32, config.w)))
+        _, ws = _forward_batch(params, rng.normal(size=(32, config.w)))
         dl_dy = rng.normal(size=32)
-        fresh = _backward_batch(params, cache, dl_dy)
+        fresh = _backward_batch(params, ws, dl_dy)
         out = ModelParams(config, np.full_like(params.flat, np.nan))
-        returned = _backward_batch(params, cache, dl_dy, out=out)
+        returned = _backward_batch(params, ws, dl_dy, out=out)
         assert returned is out.flat
         np.testing.assert_array_equal(out.flat, fresh)
 
@@ -368,8 +365,8 @@ def assert_matches_finite_differences(params, xb, y, label=None):
     """Every entry of the analytic gradient of the summed squared loss
     against a central difference with step 1e-4: relative error below 1e-4,
     relative to at least 1e-7."""
-    yhat, cache = _forward_batch(params, xb)
-    grads = ModelParams(params.config, _backward_batch(params, cache, 2.0 * (yhat - y))).tensors()
+    yhat, ws = _forward_batch(params, xb)
+    grads = ModelParams(params.config, _backward_batch(params, ws, 2.0 * (yhat - y))).tensors()
     tensors = params.tensors()
     eps = 1e-4
 
@@ -459,12 +456,12 @@ class TestPooledPath:
     def test_matches_per_position_reference(self, cfg, rng):
         params = init_params(ModelConfig(**cfg, seed=11))
         xb = rng.normal(size=(5, cfg["w"]))
-        yhat, cache = _forward_batch(params, xb)
+        yhat, ws = _forward_batch(params, xb)
         for b, x in enumerate(xb):
             y, att, z = reference_predict(params, x)
             assert abs(yhat[b] - y) < 1e-12
-            np.testing.assert_allclose(cache["att"][b], att, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(cache["z"][b], z, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ws.att[b], att, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(ws.z[b], z, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("cfg", [DEFAULT_CELL, ATTN_WIDTH_CELL],
                              ids=["default", "attn-width-differs"])
@@ -515,10 +512,9 @@ class TestSampledCells:
         xb = rng.normal(size=(batch, cfg["w"]))
         x2 = xb.copy()
         x2[:, t + 1:] += rng.normal(size=(batch, cfg["w"] - t - 1)) * 10
-        _, c1 = _forward_batch(params, xb)
-        _, c2 = _forward_batch(params, x2)
-        for a1, a2 in zip(c1["conv_act"], c2["conv_act"]):
-            np.testing.assert_array_equal(a1[:, : t + 1], a2[:, : t + 1])
+        _, ws1 = _forward_batch(params, xb)
+        _, ws2 = _forward_batch(params, x2)
+        np.testing.assert_array_equal(ws1.act[..., : t + 1], ws2.act[..., : t + 1])
 
 
 FORWARD_CELLS = pytest.mark.parametrize("cell", [
@@ -527,25 +523,6 @@ FORWARD_CELLS = pytest.mark.parametrize("cell", [
     dict(cnn_layers=4, filters=64, kernel_size=5, heads=4),
     dict(cnn_layers=12, filters=256, kernel_size=5, heads=5),
 ], ids=["default", "3x40k4", "4x64k5", "widecell"])
-
-
-class TestAttendOnFeatures:
-    """The forward pass's parts run outside a workspace, the reference conv
-    stack :func:`conv_stack`, one Q/K/V GEMM and :func:`_attend_in` in a new
-    inference workspace's softmax buffers, are the forward pass bit for
-    bit."""
-
-    @FORWARD_CELLS
-    @pytest.mark.parametrize("batch", [1, 7, 32, 70])
-    def test_bitwise_equal_to_forward(self, cell, batch):
-        params = init_params(ModelConfig(w=15, **cell, seed=batch))
-        xb = np.random.default_rng(batch).normal(size=(batch, 15))
-        for _, h in conv_stack(params, xb):
-            pass
-        cfg = params.config
-        qkv = _qkv_matrix(params) @ h.reshape(cfg.filters, -1)
-        yhat, _ = _attend_in(params, h, qkv, Workspace(cfg, batch, training=False))
-        np.testing.assert_array_equal(yhat, _forward_batch(params, xb)[0])
 
 
 class TestFoldedHead:
@@ -565,9 +542,24 @@ class TestFoldedHead:
 
 
 class TestWorkspace:
-    """The forward writes its maps into a reused workspace; a training
-    cache matches the reference conv stack's maps bit for bit, and an
-    inference workspace gives the same predictions from two maps."""
+    """The forward writes its maps and intermediates into a reused
+    workspace; a training workspace's maps match the reference conv stack's
+    bit for bit, and an inference workspace gives the same predictions from
+    two maps."""
+
+    def test_forward_leaves_its_intermediates_on_the_workspace(self, rng):
+        params = init_params(ModelConfig(w=15, cnn_layers=3, filters=6, kernel_size=4,
+                                         heads=3, head_dim=5, seed=4))
+        cfg = params.config
+        ws = Workspace(cfg, 5)
+        yhat, returned = _forward_batch(params, rng.normal(size=(5, 15)), workspace=ws)
+        assert returned is ws
+        assert ws.q.shape == ws.k.shape == ws.v.shape == (5, cfg.heads, 15, cfg.head_dim)
+        assert ws.att.shape == (5, cfg.heads, 15, 15)
+        np.testing.assert_allclose(ws.att.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        assert ws.abar.shape == (5, cfg.heads, 15) and ws.pooled.shape == (5, cfg.d_attn)
+        assert ws.z.shape == (5, cfg.filters + cfg.d_attn)
+        np.testing.assert_allclose(ws.z @ params.w_out + params.b_out, yhat, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("cell", [
         dict(),
@@ -577,26 +569,23 @@ class TestWorkspace:
     def test_cache_matches_conv_stack(self, cell, rng):
         params = init_params(ModelConfig(w=15, **cell, seed=4))
         xb = rng.normal(size=(7, 15))
-        _, cache = _forward_batch(params, xb, workspace=Workspace(params.config, 7))
+        _, ws = _forward_batch(params, xb, workspace=Workspace(params.config, 7))
         maps = list(conv_stack(params, xb))
-        assert len(cache["conv_act"]) == len(cache["conv_mask"]) == len(maps)
-        for (pre, act), cached_act, mask in zip(maps, cache["conv_act"], cache["conv_mask"]):
-            np.testing.assert_array_equal(cached_act, act.transpose(1, 2, 0))
-            np.testing.assert_array_equal(mask, pre.transpose(1, 2, 0) > 0)
+        assert len(ws.act) == len(ws.mask) == len(maps)
+        for (pre, act), kept_act, mask in zip(maps, ws.act, ws.mask):
+            np.testing.assert_array_equal(kept_act, act)
+            np.testing.assert_array_equal(mask, pre > 0)
 
     def test_one_workspace_shares_memory_across_calls(self, rng):
         params = init_params(ModelConfig(w=15, cnn_layers=3, filters=6, kernel_size=4, seed=4))
         ws = Workspace(params.config, 5)
-        _, c1 = _forward_batch(params, rng.normal(size=(5, 15)), workspace=ws)
-        _, c2 = _forward_batch(params, rng.normal(size=(5, 15)), workspace=ws)
-        assert c1["workspace"] is c2["workspace"] is ws
-        for key in ("conv_act", "conv_mask"):
-            for a1, a2 in zip(c1[key], c2[key]):
-                assert np.shares_memory(a1, a2)
-        assert np.shares_memory(c1["q"], c2["q"]) and np.shares_memory(c1["v"], c2["v"])
+        buffers = (ws.act, ws.mask, ws.q, ws.v, ws.att)
+        for _ in range(2):
+            assert _forward_batch(params, rng.normal(size=(5, 15)), workspace=ws)[1] is ws
+        assert all(a is b for a, b in zip((ws.act, ws.mask, ws.q, ws.v, ws.att), buffers))
         _, fresh = _forward_batch(params, rng.normal(size=(5, 15)))
-        assert fresh["workspace"] is not ws
-        assert not np.shares_memory(fresh["conv_act"][0], c1["conv_act"][0])
+        assert fresh is not ws
+        assert not np.shares_memory(fresh.act, ws.act)
 
     @pytest.mark.parametrize("cell", [
         dict(),
@@ -609,11 +598,11 @@ class TestWorkspace:
         params = init_params(ModelConfig(w=15, **cell, seed=4))
         ws = Workspace(params.config, 17)
         xb, g = rng.normal(size=(17, 15)), rng.normal(size=17)
-        _, other = _forward_batch(params, rng.normal(size=(17, 15)), workspace=ws)
-        _backward_batch(params, other, g)
-        _, cache = _forward_batch(params, xb, workspace=ws)
-        first = _backward_batch(params, cache, g)
-        np.testing.assert_array_equal(_backward_batch(params, cache, g), first)
+        _forward_batch(params, rng.normal(size=(17, 15)), workspace=ws)
+        _backward_batch(params, ws, g)
+        _forward_batch(params, xb, workspace=ws)
+        first = _backward_batch(params, ws, g)
+        np.testing.assert_array_equal(_backward_batch(params, ws, g), first)
         _, fresh = _forward_batch(params, xb)
         np.testing.assert_array_equal(_backward_batch(params, fresh, g), first)
 
@@ -624,19 +613,19 @@ class TestWorkspace:
         xb = np.random.default_rng(batch).normal(size=(batch, 15))
         ws = Workspace(params.config, batch, training=False)
         assert len(ws.act) == min(params.config.cnn_layers, 2)
-        yhat, cache = _forward_batch(params, xb, workspace=ws)
-        expect, train_cache = _forward_batch(params, xb)
+        yhat, returned = _forward_batch(params, xb, workspace=ws)
+        expect, train_ws = _forward_batch(params, xb)
+        assert returned is ws
         np.testing.assert_array_equal(yhat, expect)
-        np.testing.assert_array_equal(cache["att"], train_cache["att"])
-        assert cache["conv_act"] is None and cache["workspace"] is ws
+        np.testing.assert_array_equal(ws.att, train_ws.att)
 
     def test_backward_refuses_an_inference_cache(self, rng):
         params = init_params(ModelConfig(w=15, cnn_layers=3, filters=6, kernel_size=4, seed=4))
         ws = Workspace(params.config, 5, training=False)
         assert not hasattr(ws, "dpre")
-        _, cache = _forward_batch(params, rng.normal(size=(5, 15)), workspace=ws)
+        _forward_batch(params, rng.normal(size=(5, 15)), workspace=ws)
         with pytest.raises(ValueError, match="training workspace"):
-            _backward_batch(params, cache, np.ones(5))
+            _backward_batch(params, ws, np.ones(5))
 
     @pytest.mark.parametrize("batch,cell", [(6, dict()), (5, dict(filters=8))],
                              ids=["batch-size", "config"])

@@ -160,10 +160,10 @@ def reference_train(config: ModelConfig, tconfig: TrainConfig,
         sse = 0.0
         for start in range(0, len(data), tconfig.batch_size):
             idx = order[start:start + tconfig.batch_size]
-            yhat, cache = _forward_batch(params, data.inputs[idx])
+            yhat, ws = _forward_batch(params, data.inputs[idx])
             loss, dl_dy = mse_loss(yhat, data.targets[idx])
             sse += loss * len(idx)
-            params = adam_step(params, _backward_batch(params, cache, dl_dy), state, tconfig)
+            params = adam_step(params, _backward_batch(params, ws, dl_dy), state, tconfig)
         history.append(sse / len(data))
     return params, history
 

@@ -121,8 +121,8 @@ def test_split_step_matches_the_whole_products(cell, rng):
     steps = []
     for split in (False, True):
         ws = Workspace(cell, 5, split=split)
-        yhat, cache = _forward_batch(params, xb, workspace=ws)
-        steps.append((yhat, ws.act.copy(), ws.qkv.copy(), _backward_batch(params, cache, g)))
+        yhat, _ = _forward_batch(params, xb, workspace=ws)
+        steps.append((yhat, ws.act.copy(), ws.qkv.copy(), _backward_batch(params, ws, g)))
     for cut, rows in ((ws.cut, cell.filters), (ws.qkv_cut, len(ws.qkv))):
         assert 0 < cut < rows and cut % blas.SPLIT_TILE == 0
     for whole, halves in zip(*steps):
@@ -132,18 +132,18 @@ def test_split_step_matches_the_whole_products(cell, rng):
 def test_split_step_beside_equals_inline_bitwise(one_blas_thread, rng):
     params = init_params(CELL)
     xb, g = rng.normal(size=(32, 15)), rng.normal(size=32)
-    yhat, cache = _forward_batch(params, xb, workspace=Workspace(CELL, 32, split=True))
-    inline = (yhat, cache["workspace"].act.copy(), _backward_batch(params, cache, g))
+    yhat, ws = _forward_batch(params, xb, workspace=Workspace(CELL, 32, split=True))
+    inline = (yhat, ws.act.copy(), _backward_batch(params, ws, g))
     # frequent thread switches, so that a task joined too late shows
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with CountingExecutor() as helper:
             ws = Workspace(CELL, 32, helper, split=True)
-            yhat, cache = _forward_batch(params, xb, workspace=ws)
-            beside = (yhat, ws.act.copy(), _backward_batch(params, cache, g))
-            # a second backward from one cache refills what the first moved
-            again = _backward_batch(params, cache, g)
+            yhat, _ = _forward_batch(params, xb, workspace=ws)
+            beside = (yhat, ws.act.copy(), _backward_batch(params, ws, g))
+            # a second backward from one forward refills what the first moved
+            again = _backward_batch(params, ws, g)
     finally:
         sys.setswitchinterval(interval)
     assert ran_beside(helper) and FORWARD_TASKS <= helper.names
@@ -158,10 +158,10 @@ def test_backward_beside_equals_inline_bitwise(batch, rng):
     xb, g = rng.normal(size=(batch, 15)), rng.normal(size=batch)
     inline = _backward_batch(params, _forward_batch(params, xb)[1], g)
     with CountingExecutor() as helper:
-        _, cache = _forward_batch(params, xb, workspace=Workspace(CELL, batch, helper))
-        beside = _backward_batch(params, cache, g)
-        # a second backward from the same cache refills what the first moved
-        again = _backward_batch(params, cache, g)
+        _, ws = _forward_batch(params, xb, workspace=Workspace(CELL, batch, helper))
+        beside = _backward_batch(params, ws, g)
+        # a second backward from the same forward refills what the first moved
+        again = _backward_batch(params, ws, g)
     assert ran_beside(helper)
     assert beside.tobytes() == inline.tobytes()
     assert again.tobytes() == inline.tobytes()
