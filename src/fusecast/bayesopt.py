@@ -295,11 +295,12 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
 
     ``budget`` >= ``init`` >= 1 (``init`` defaults to min(5, budget)) and a
     finite ``xi`` >= 0 are checked before the first trial (InvalidSpec), and
-    so is ``pool_size`` >= 1 (EmptySpace). The first ``init`` trials are a
-    seeded Latin-hypercube design. After that, global EI proposals, each
-    hill-climbed over its grid neighbours while that raises its EI,
-    alternate with exploitation steps that take the best posterior mean over
-    a box of unevaluated cells around the incumbent, so the search
+    so is ``pool_size`` >= 1 (EmptySpace); a pool too large for memory, when
+    ``budget`` > ``init``, raises MemoryError there too. The first ``init``
+    trials are a seeded Latin-hypercube design. After that, global EI
+    proposals, each hill-climbed over its grid neighbours while that raises
+    its EI, alternate with exploitation steps that take the best posterior
+    mean over a box of unevaluated cells around the incumbent, so the search
     concentrates instead of wandering the hypercube; the final trials sweep
     the incumbent's immediate grid neighbours (best predicted mean
     alternating with highest posterior uncertainty) to settle the exact
@@ -320,6 +321,9 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
     if not 1 <= init <= budget:
         raise InvalidSpec("need budget >= init >= 1")
     _check_acquisition(pool_size, xi)
+    if budget > init:
+        # the shape of propose's pool: one too large for memory fails here
+        np.empty((pool_size, space.dim))
 
     init_points = _latin_hypercube(space.dim, init, seed)
     rng = np.random.default_rng(seed + 1)

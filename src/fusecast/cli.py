@@ -144,8 +144,11 @@ def _out_dir(cfg: dict, cmd: str) -> Path:
         raise ConfigError(f"out_dir must be a string, got {cfg['out_dir']!r}")
     base = cfg["out_dir"] or os.environ.get(OUT_ENV) or "fusecast_out"
     out = Path(base) / cmd
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config.json", cfg)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_json(out / "config.json", cfg)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {out}: {exc}") from None
     return out
 
 

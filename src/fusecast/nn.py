@@ -24,11 +24,14 @@ rows: no V, no pooled output and no z, and the forward's predictions to
 rounding.
 
 All learnable tensors live in one float64 vector, ``ModelParams.flat``,
-laid out by :func:`param_layout` in checkpoint order, with named views
-carved once per :class:`ModelParams`. :func:`_backward_batch` writes the
-gradient through the views of a gradient :class:`ModelParams`, one vector
-in the same layout, so the optimizer is elementwise; training allocates
-that vector once per run and the backward pass fills it in place.
+in the order the GEMMs read them: the tensors of :func:`param_layout` in
+checkpoint order, each 3-D one with its last two axes swapped. So each
+conv layer's kernel matrix and the Q/K/V matrix are views of it, and the
+checkpoint-shaped tensors are transposed views. :func:`_backward_batch`
+writes the gradient through the views of a gradient :class:`ModelParams`,
+one vector in the same layout, so the optimizer is elementwise; training
+allocates that vector once per run and the backward pass fills it in
+place, each weight gradient's GEMM writing straight into its view.
 
 The path is written as matrix products that reach BLAS, and its
 elementwise passes run on contiguous runs where the layout allows:
@@ -48,43 +51,40 @@ a row-major copy of Q, which BLAS runs 2-3x faster than the view.
 Every forward runs in a :class:`Workspace`, the buffers of one (config,
 batch size), which its caller keeps per batch shape so that they are
 allocated once. It holds the im2col columns (one buffer for layer 0, one
-shared by the deeper layers), the weight matrices with one copy each (the
-(3*h*d_k, d) Q/K/V matrix and the (f, k*f) kernel matrix of the layers
-above layer 0; layer 0's is a view of its kernel) and the attention's
-buffers: the key-major softmax buffer ``softmax``, its (B, h, w_k, w_q)
-view ``softmax_kq``, the per-query statistics ``stat`` and the time-mean
-weights ``tmean``. A training workspace keeps every conv layer's activation
-map and bool ReLU mask, all that backward reads of the pre-activation, and
-backward's temporaries. An inference workspace, for rollouts and
-``explain``'s forward and tables, keeps two maps as a ring, layer i writing
-slot i % 2, and no backward buffers; backward refuses it. After the forward
-the shared columns and kernel matrix are the last layer's; backward refills
-them for each layer between from the kept activations and the kernels, and
-runs each deeper layer's col2im in the taps buffer ``dcols``: the shared
-columns, once its kernel gradient has read them, or, in a workspace with a
-helper (below), a buffer of its own, so that the two GEMMs never share
-memory. The weight-gradient GEMMs run one at a time, in one buffer,
-``dweight``. The workspace records which layer the columns and matrix hold,
-so a second backward from the workspace's intermediates refills them too.
+shared by the deeper layers) and the attention's buffers: the key-major
+softmax buffer ``softmax``, its (B, h, w_k, w_q) view ``softmax_kq``, the
+per-query statistics ``stat`` and the time-mean weights ``tmean``. A
+training workspace keeps every conv layer's activation map, and
+backward's temporaries. The activation is all that backward reads of the
+pre-activation: max(pre, 0) is positive exactly where pre is, so it is
+also the ReLU mask. An inference workspace, for rollouts and
+``explain``'s forward and tables, keeps two maps as a ring, layer i
+writing slot i % 2, and no backward buffers; backward refuses it. After
+the forward the shared columns are the last layer's; backward refills
+them for each layer between from the kept activations, and runs each
+deeper layer's col2im in the taps buffer ``dcols``: the shared columns,
+once its kernel gradient has read them, or, in a workspace with a helper
+(below), a buffer of its own, so that the two GEMMs never share memory.
+The workspace records which layer the columns hold, so a second backward
+from the workspace's intermediates refills them too.
 
 A workspace may carry a helper, an executor with one worker thread, which
 ``train`` opens for wide cells (see :mod:`.blas`), and may be split. A
 split workspace cuts each conv layer above layer 0 and the Q/K/V
 projection by output rows at a multiple of ``blas.SPLIT_TILE`` near the
-middle: one task fills the kernel-matrix rows and im2col channels below
-the cut and the other those above it, and after a join one runs the GEMM
-rows, bias, mask and ReLU below the cut and the other those above. The
-first task of each pair runs through :func:`_beside`, the second on the
-calling thread. Backward runs each conv layer's kernel gradient, after
-refilling the columns it reads, beside the refill of the kernel matrix,
-the col2im GEMM and the tap sums, and the Q/K/V weight gradient beside
-the ``dact`` GEMM. Without a helper the same calls run in the same order
-on the calling thread. Each task writes memory that nothing reads before
-its join, and each GEMM keeps its operands and output, so the results
-are the same bits with and without a helper. The helper runs only
+middle: one task fills the im2col channels below the cut and the other
+those above it, and after a join one runs the GEMM rows, bias and ReLU
+below the cut and the other those above. The first task of each pair runs
+through :func:`_beside`, the second on the calling thread. Backward runs
+each conv layer's kernel gradient, after refilling the columns it reads,
+beside the col2im GEMM and the tap sums, and the Q/K/V weight gradient
+beside the ``dact`` GEMM. Without a helper the same calls run in the same
+order on the calling thread. Each task writes memory that nothing reads
+before its join, and each GEMM keeps its operands and output, so the
+results are the same bits with and without a helper. The helper runs only
 private functions of this module and numpy calls, so the functions that
-the benchmark's tracer wraps, with one span stack per process, all stay
-on the calling thread.
+the benchmark's tracer wraps, with one span stack per process, all stay on
+the calling thread.
 
 The head reads the attention output only through its time mean, and
 ``mean_t(A V) Wo = (abar V) Wo`` with ``abar`` the attention weights
@@ -155,12 +155,13 @@ class ModelConfig:
 
 
 def param_layout(config: ModelConfig) -> dict[str, tuple]:
-    """Name -> shape of every learnable tensor, in the order they sit in
-    ``ModelParams.flat`` and in checkpoints: per conv layer an (f, c_in, k)
-    kernel (c_in = 1 for layer 0, else f) and an (f,) bias; per-head
-    projections wq, wk, wv (h, f, d_k); the shared output projection wo
-    (d', d') with d' = h*d_k; the dense head's (f + d',) weights and ()
-    bias."""
+    """Name -> checkpoint shape of every learnable tensor, in the order
+    they sit in ``ModelParams.flat`` and in checkpoints: per conv layer an
+    (f, c_in, k) kernel (c_in = 1 for layer 0, else f) and an (f,) bias;
+    per-head projections wq, wk, wv (h, f, d_k); the shared output
+    projection wo (d', d') with d' = h*d_k; the dense head's (f + d',)
+    weights and () bias. ``flat`` stores each 3-D tensor with its last two
+    axes swapped (see :class:`ModelParams`)."""
     f, k = config.filters, config.kernel_size
     layout: dict[str, tuple] = {}
     for i in range(config.cnn_layers):
@@ -176,11 +177,16 @@ def param_layout(config: ModelConfig) -> dict[str, tuple]:
 
 class ModelParams:
     """All learnable tensors as one float64 vector ``flat`` (parameters or
-    their gradient), laid out by :func:`param_layout`, and views into it
-    carved once: ``conv_kernels`` and ``conv_biases`` (one per layer),
-    ``wq``, ``wk``, ``wv`` and ``wqkv``, the three stacked, ``wo``,
-    ``w_out`` and ``b_out``. A vector of the wrong size raises
-    :class:`ShapeMismatch`."""
+    their gradient) in GEMM order, and views into it carved once. ``flat``
+    holds the tensors of :func:`param_layout` in its order, each 3-D one
+    with its last two axes swapped: kernels as (f, k, c_in), wq, wk and wv
+    as (h, d_k, d). So each layer's (f, k*c_in) kernel matrix,
+    ``conv_mats``, and the (3*h*d_k, d) Q/K/V matrix ``wqkv``, row blocks
+    ordered Q, K, V, then head, are plain views, which the GEMMs read and
+    backward writes. ``conv_kernels`` (f, c_in, k), ``wq``, ``wk``, ``wv``
+    (h, d, d_k) and :meth:`tensors` are the checkpoint-shaped views;
+    ``conv_biases``, ``wo``, ``w_out`` and ``b_out`` are the rest. A vector
+    of the wrong size raises :class:`ShapeMismatch`."""
 
     def __init__(self, config: ModelConfig, flat: np.ndarray):
         layout = param_layout(config)
@@ -189,19 +195,23 @@ class ModelParams:
             raise ShapeMismatch(f"expected a flat vector of {size} parameters, got {flat.shape}")
         views, starts, start = {}, {}, 0
         for name, shape in layout.items():
-            views[name] = flat[start:start + math.prod(shape)].reshape(shape)
-            starts[name], start = start, start + math.prod(shape)
+            block = flat[start:start + math.prod(shape)]
+            views[name] = (block.reshape(shape[0], shape[2], shape[1]).swapaxes(1, 2)
+                           if len(shape) == 3 else block.reshape(shape))
+            starts[name], start = start, start + block.size
         self.config, self.flat, self._views = config, flat, views
         layers = range(config.cnn_layers)
         self.conv_kernels = tuple(views[f"conv{i}.kernel"] for i in layers)
+        self.conv_mats = tuple(kern.swapaxes(1, 2).reshape(len(kern), -1)
+                               for kern in self.conv_kernels)
         self.conv_biases = tuple(views[f"conv{i}.bias"] for i in layers)
         self.wq, self.wk, self.wv, self.wo = (views[f"attn.{n}"] for n in ("wq", "wk", "wv", "wo"))
-        # wq, wk and wv lie side by side in the layout: one (3, h, d, d_k) view
-        self.wqkv = flat[starts["attn.wq"]:starts["attn.wo"]].reshape(3, *self.wq.shape)
+        # wq, wk and wv lie side by side in the layout
+        self.wqkv = flat[starts["attn.wq"]:starts["attn.wo"]].reshape(-1, config.filters)
         self.w_out, self.b_out = views["head.w_out"], views["head.b_out"]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        """Name -> view of ``flat``, in checkpoint order."""
+        """Name -> checkpoint-shaped view of ``flat``, in checkpoint order."""
         return dict(self._views)
 
 
@@ -244,28 +254,6 @@ def _im2col(h: np.ndarray, cols: np.ndarray) -> None:
         cols[i, :, :, :i] = 0.0
 
 
-def _conv_matrix(kern: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(f, c, k) kernel as the (f, k*c) matrix matching :func:`_im2col`:
-    one copy, into ``out`` when given (for c = 1 a view of the kernel
-    itself when not)."""
-    f, c, k = kern.shape
-    if out is None:
-        return kern.transpose(0, 2, 1).reshape(f, k * c)
-    np.copyto(out.reshape(f, k, c), kern.transpose(0, 2, 1))
-    return out
-
-
-def _qkv_matrix(params: ModelParams, out: np.ndarray | None = None) -> np.ndarray:
-    """The per-head projections ``params.wqkv`` as one (3*h*d_k, d) matrix,
-    row blocks ordered Q, K, V, then head: one copy, into ``out`` when
-    given."""
-    _, h, d, dk = params.wqkv.shape
-    if out is None:
-        out = np.empty((3 * h * dk, d))
-    np.copyto(out.reshape(3, h, dk, d), params.wqkv.transpose(0, 1, 3, 2))
-    return out
-
-
 def _folded_table(params: ModelParams, xb: np.ndarray, workspace: Workspace) -> np.ndarray:
     """Channel-major (1 + 2*h*d_k + h, B, w) table of windows (B, w): the
     last conv map times the folded matrix, whose rows are w_out[:d] / w,
@@ -275,8 +263,11 @@ def _folded_table(params: ModelParams, xb: np.ndarray, workspace: Workspace) -> 
     d, h, dk = cfg.filters, cfg.heads, cfg.head_dim
     hmap = _conv_forward(params, xb, workspace)
     c = (params.wo @ params.w_out[d:]).reshape(h, dk, 1)
-    fold = np.concatenate([params.w_out[None, :d] / cfg.w, _qkv_matrix(params)[:2 * h * dk],
-                           (params.wv @ c)[..., 0]])
+    # wv_h c_h as a GEMV on a row-major (h, d, d_k) copy of wv: one on the
+    # stored (h, d_k, d) order sums in another order, and the committed
+    # oracle pins the table's last bits
+    fold = np.concatenate([params.w_out[None, :d] / cfg.w, params.wqkv[:2 * h * dk],
+                           (np.ascontiguousarray(params.wv) @ c)[..., 0]])
     fold[1:1 + h * dk] *= 1.0 / math.sqrt(dk)
     return (fold @ hmap.reshape(d, -1)).reshape(len(fold), *hmap.shape[1:])
 
@@ -328,8 +319,8 @@ class Workspace:
     docstring). The attention's softmax buffers are its attributes
     ``softmax``, ``softmax_kq``, ``stat`` and ``tmean``. The forward's
     intermediates that backward reads, ``q``, ``k``, ``v``, ``att``,
-    ``abar``, ``pooled``, ``z``, ``act`` and ``mask``, are valid until the
-    next forward with it. ``helper``, an executor with one worker or None,
+    ``abar``, ``pooled``, ``z`` and ``act``, are valid until the next
+    forward with it. ``helper``, an executor with one worker or None,
     runs work beside the main thread (see :func:`_beside`). A ``split``
     workspace cuts the conv GEMMs above layer 0 at row ``cut`` and the
     Q/K/V GEMM at row ``qkv_cut`` (see :func:`.blas.split_cut`; 0 for no
@@ -346,12 +337,9 @@ class Workspace:
         self.qkv_cut = blas.split_cut(3 * h * dk) if split else 0
         self.cols_in = np.empty((k, 1, b, w))
         self.cols = np.empty((k, f, b, w)) if layers > 1 else None
-        self.kmat = np.empty((f, k * f)) if layers > 1 else None
-        self.held = 0                                    # the layer cols and kmat are of
-        self.wqkv = np.empty((3 * h * dk, f))
+        self.held = 0                                    # the layer whose columns cols holds
         slots = layers if training else min(layers, 2)  # layer i's map is in slot i % slots
         self.act = np.empty((slots, f, b, w))
-        self.mask = np.empty((slots, f, b, w), dtype=bool)
         self.qkv = np.empty((3 * h * dk, b * w))
         # (B, h, w, d_k) views: per window and head, column-major (w, d_k)
         self.q, self.k, self.v = self.qkv.reshape(3, h, dk, b, w).transpose(0, 3, 1, 4, 2)
@@ -374,8 +362,6 @@ class Workspace:
         # col2im's taps: the columns, which the kernel gradient has read by
         # then, unless it reads them on the helper meanwhile
         self.dcols = self.cols if helper is None or layers == 1 else np.empty((k, f, b, w))
-        # one weight gradient's GEMM at a time: Q/K/V's, then each kernel's
-        self.dweight = np.empty(max(3 * h * dk, k * f) * f)
 
 
 def _beside(helper: Executor | None, fn, *args) -> Future | None:
@@ -403,24 +389,21 @@ def _halves(helper: Executor | None, cut: int, fn, *args) -> None:
     _join(task)
 
 
-def _conv_fill(kern: np.ndarray, h: np.ndarray, kmat: np.ndarray, cols: np.ndarray,
-               rows: slice) -> None:
-    """For a conv layer above layer 0, the kernel-matrix rows ``rows`` of
-    ``kern`` into ``kmat`` and the im2col of input channels ``rows`` of h
-    (f, B, w) into ``cols`` (k, f, B, w)."""
-    _conv_matrix(kern[rows], kmat[rows])
+def _conv_fill(h: np.ndarray, cols: np.ndarray, rows: slice) -> None:
+    """For a conv layer above layer 0, the im2col of input channels ``rows``
+    of h (f, B, w) into ``cols`` (k, f, B, w)."""
     _im2col(h[rows], cols[:, rows])
 
 
 def _conv_rows(kmat: np.ndarray, bias: np.ndarray, cols: np.ndarray, act: np.ndarray,
-               mask: np.ndarray, rows: slice) -> None:
+               rows: slice) -> None:
     """Output channels ``rows`` of a conv layer into its map ``act`` (f, B, w):
-    those rows of the kernel matrix ``kmat`` (:func:`_conv_matrix`) times the
-    im2col columns ``cols`` (:func:`_im2col`), plus bias, then ReLU and mask."""
+    those rows of its kernel matrix ``kmat`` (``ModelParams.conv_mats``)
+    times the im2col columns ``cols`` (:func:`_im2col`), plus bias, then
+    ReLU."""
     pre = act[rows]
     np.matmul(kmat[rows], cols, out=pre.reshape(len(pre), -1))
     pre += bias[rows, None, None]
-    np.greater(pre, 0, out=mask[rows])
     np.maximum(pre, 0.0, out=pre)
 
 
@@ -429,49 +412,39 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray, rows: slice) -> 
     np.matmul(a[rows], b, out=out[rows])
 
 
-def _weight_grad(dy: np.ndarray, x: np.ndarray, buf: np.ndarray, dst: np.ndarray) -> None:
-    """A weight gradient: the GEMM ``dy @ x.T`` into the front of the flat
-    buffer ``buf``, copied into the tensor view ``dst``, whose last two
-    axes are the GEMM's columns split in two and swapped."""
-    tmp = np.matmul(dy, x.T, out=buf[:len(dy) * len(x)].reshape(len(dy), len(x)))
-    *lead, c, k = dst.shape
-    np.copyto(dst, tmp.reshape(*lead, k, c).swapaxes(-1, -2))
-
-
-def _kernel_grad(h: np.ndarray | None, cols: np.ndarray, dpre: np.ndarray, buf: np.ndarray,
+def _kernel_grad(h: np.ndarray | None, cols: np.ndarray, dpre: np.ndarray,
                  dst: np.ndarray) -> None:
-    """A conv layer's kernel gradient (see :func:`_weight_grad`) from its
-    (k, c, B, w) im2col columns ``cols``, refilled first from its input h
-    unless h is None."""
+    """A conv layer's kernel gradient, the GEMM ``dpre @ cols.T`` into its
+    matrix view ``dst``, from its (k, c, B, w) im2col columns ``cols``,
+    refilled first from its input h unless h is None."""
     if h is not None:
         _im2col(h, cols)
-    k, c, b, w = cols.shape
-    _weight_grad(dpre, cols.reshape(k * c, b * w), buf, dst)
+    np.matmul(dpre, cols.reshape(dst.shape[1], -1).T, out=dst)
 
 
 def _conv_forward(params: ModelParams, xb: np.ndarray, ws: Workspace) -> np.ndarray:
     """The conv stack over windows xb (B, w) in ``ws``, made for (config, B):
-    layer i writes its activation map and ReLU mask into slot i %
-    ``len(ws.act)``. Returns the last map, channel-major (f, B, w)."""
+    layer i writes its activation map into slot i % ``len(ws.act)``.
+    Returns the last map, channel-major (f, B, w)."""
     cfg = params.config
     if (ws.config, ws.batch) != (cfg, len(xb)):
         raise ShapeMismatch(f"workspace for {ws.batch} windows of {ws.config}, "
                             f"got {len(xb)} of {cfg}")
     b, w = xb.shape
     h = xb[None]
-    for layer, (kern, bias) in enumerate(zip(params.conv_kernels, params.conv_biases)):
+    for layer, (kmat, bias) in enumerate(zip(params.conv_mats, params.conv_biases)):
         if layer:
-            # the deeper layers share one kernel matrix and one buffer of
-            # columns, each written in the halves of the layer's cut
-            _halves(ws.helper, ws.cut, _conv_fill, kern, h, ws.kmat, ws.cols)
-            kmat, cols, cut = ws.kmat, ws.cols, ws.cut
+            # the deeper layers share one buffer of columns, written in the
+            # halves of the layer's cut
+            _halves(ws.helper, ws.cut, _conv_fill, h, ws.cols)
+            cols, cut = ws.cols, ws.cut
         else:
-            # layer 0's kernel matrix is a view, and its GEMM is not cut
+            # layer 0's GEMM is not cut
             _im2col(h, ws.cols_in)
-            kmat, cols, cut = _conv_matrix(kern), ws.cols_in, 0
+            cols, cut = ws.cols_in, 0
         slot = layer % len(ws.act)
-        _halves(ws.helper, cut, _conv_rows, kmat, bias, cols.reshape(kern[0].size, b * w),
-                ws.act[slot], ws.mask[slot])
+        _halves(ws.helper, cut, _conv_rows, kmat, bias, cols.reshape(kmat.shape[1], b * w),
+                ws.act[slot])
         h = ws.act[slot]
     ws.held = cfg.cnn_layers - 1
     return h
@@ -488,7 +461,7 @@ def _forward_batch(params: ModelParams, xb: np.ndarray,
     a new training one when not given. The workspace's intermediates are
     what :func:`_backward_batch` reads: q, k, v (B, h, w, d_k), ``att``
     (B, h, w_q, w_k), ``abar``, ``pooled``, ``z``, and the channel-major
-    conv maps ``act`` and ReLU masks ``mask``.
+    conv maps ``act``.
     """
     cfg = params.config
     xb = np.asarray(xb, dtype=np.float64)
@@ -496,7 +469,7 @@ def _forward_batch(params: ModelParams, xb: np.ndarray,
         raise ShapeMismatch(f"expected (B, {cfg.w}) windows, got {xb.shape}")
     ws = Workspace(cfg, len(xb)) if workspace is None else workspace
     h = _conv_forward(params, xb, ws)
-    _halves(ws.helper, ws.qkv_cut, _matmul_rows, _qkv_matrix(params, ws.wqkv),
+    _halves(ws.helper, ws.qkv_cut, _matmul_rows, params.wqkv,
             h.reshape(cfg.filters, len(xb) * cfg.w), ws.qkv)
     h_att = _mha_batch(params.wo, ws)
     ws.z = np.concatenate([h.transpose(1, 0, 2) @ ws.tmean, h_att], axis=1)
@@ -510,7 +483,8 @@ def _backward_batch(params: ModelParams, ws: Workspace, dl_dy: np.ndarray,
     when not given); returns ``out.flat``. It reads the intermediates that
     the last forward left in ``ws``, which must be a training workspace.
     Weight and input gradients are 2-D GEMMs on the same channel-major
-    (., B*w) layouts and weight matrices as the forward pass, and the
+    (., B*w) layouts and weight matrices as the forward pass, each weight
+    gradient's GEMM writing into its matrix view of ``out``, and the
     temporaries are the workspace's buffers."""
     cfg = params.config
     if not ws.training:
@@ -545,39 +519,36 @@ def _backward_batch(params: ModelParams, ws: Workspace, dl_dy: np.ndarray,
 
     dqkv = ws.dqkv.reshape(3 * h * dk, b * w)
     h_cnn = ws.act[-1].reshape(d, b * w)
-    task = _beside(ws.helper, _weight_grad, dqkv, h_cnn, ws.dweight, out.wqkv)
-    dact = np.matmul(ws.wqkv.T, dqkv, out=ws.dact.reshape(d, b * w)).reshape(d, b, w)
+    task = _beside(ws.helper, np.matmul, dqkv, h_cnn.T, out.wqkv)
+    dact = np.matmul(params.wqkv.T, dqkv, out=ws.dact.reshape(d, b * w)).reshape(d, b, w)
     # z is the time mean of the conv map, so each step gets dL/dz / w
     dact += dz[:, :d].T[:, :, None] / w
 
     # convolution stack, last layer first
     for layer in reversed(range(cfg.cnn_layers)):
-        kern = params.conv_kernels[layer]
-        f, c_in, ksz = kern.shape
-        # the task beside reads dpre, refills or reads the columns and
-        # writes dweight: done before the next layer's task or dpre
+        kmat = params.conv_mats[layer]
+        # the task beside reads dpre and refills or reads the columns: done
+        # before the next layer's task or dpre
         _join(task)
-        dpre = np.multiply(dact, ws.mask[layer], out=ws.dpre).reshape(f, b * w)
+        # the ReLU mask: act = max(pre, 0) is positive exactly where pre is
+        dpre = np.multiply(dact, ws.act[layer] > 0, out=ws.dpre).reshape(d, b * w)
         np.add.reduce(dpre, axis=1, out=out.conv_biases[layer])
         # layer 0's columns are the forward pass's; the deeper layers share
-        # one buffer of columns and one kernel matrix, refilled unless held:
-        # the columns by the kernel gradient's task, the matrix here
+        # one buffer of columns, which the kernel gradient's task refills
+        # unless it holds the layer's
         refill = layer > 0 and ws.held != layer
         task = _beside(ws.helper, _kernel_grad, ws.act[layer - 1] if refill else None,
-                       ws.cols if layer else ws.cols_in, dpre, ws.dweight,
-                       out.conv_kernels[layer])
-        if refill:
-            _conv_matrix(kern, ws.kmat)
+                       ws.cols if layer else ws.cols_in, dpre, out.conv_mats[layer])
         if layer > 0:
             # col2im: one GEMM into channel-major (k, c, B, w) taps, where
             # tap i at (c, b, t) came from h[c, b, t-i]. Each tap's steps
             # t < i belong to the padding and are zeroed, so it adds to tap
             # 0 as one contiguous run shifted by i
-            dcols = np.matmul(ws.kmat.T, dpre, out=ws.dcols.reshape(ksz * c_in, b * w))
-            dcols = dcols.reshape(ksz, c_in, b, w)
+            dcols = np.matmul(kmat.T, dpre, out=ws.dcols.reshape(kmat.shape[1], b * w))
+            dcols = dcols.reshape(ws.dcols.shape)
             ws.held = 0
             dh = dcols[0].reshape(-1)
-            for i in range(1, ksz):
+            for i in range(1, cfg.kernel_size):
                 dcols[i, :, :, :i] = 0.0
                 dh[:-i] += dcols[i].reshape(-1)[i:]
             dact = dcols[0]
@@ -648,10 +619,12 @@ def load_checkpoint(path) -> tuple[ModelParams, ScalerParams]:
     layout = param_layout(cfg)
     if set(tensors) != set(layout):
         raise BadCheckpoint("checkpoint tensors do not match the declared config")
-    for name, shape in layout.items():
-        if tensors[name].shape != shape:
-            raise BadCheckpoint(f"tensor {name} has shape {tensors[name].shape}, expected {shape}")
-    flat = np.concatenate([tensors[name].ravel() for name in layout])
-    if not np.all(np.isfinite(flat)):
+    params = ModelParams(cfg, np.empty(sum(map(math.prod, layout.values()))))
+    for name, view in params.tensors().items():
+        if tensors[name].shape != view.shape:
+            raise BadCheckpoint(f"tensor {name} has shape {tensors[name].shape}, "
+                                f"expected {view.shape}")
+        view[...] = tensors[name]
+    if not np.all(np.isfinite(params.flat)):
         raise BadCheckpoint("checkpoint tensors hold non-finite values")
-    return ModelParams(cfg, flat), scaler
+    return params, scaler

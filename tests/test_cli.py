@@ -529,8 +529,16 @@ class TestExitCodes:
         assert err.startswith("config error: out of memory: ")
         assert "Traceback" not in err
 
-    def test_out_of_memory_acquisition_pool(self, tmp_path, capsys):
-        # the first trial trains; the second proposes from the pool
+    def test_out_of_memory_acquisition_pool(self, tmp_path, capsys, monkeypatch):
+        # the second trial would propose from the pool; it is refused
+        # before the first trial trains
+        trained, train_model = [], cli.train_model
+
+        def counting(*args, **kwargs):
+            trained.append(args)
+            return train_model(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train_model", counting)
         cfg = write_config(tmp_path, **{
             "data.synth.length": 800, "tune.budget": 2, "tune.init": 1, "tune.epochs": 1,
             "tune.pool_size": 10**12,
@@ -540,6 +548,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: out of memory: ")
         assert "Traceback" not in err
+        assert trained == []
+
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_output_directory_not_creatable(self, tmp_path, capsys, monkeypatch, how):
+        # the output root is a regular file, so its subdirectory cannot exist
+        occupied = tmp_path / "F"
+        occupied.write_text("a file\n")
+        cfg = write_config(tmp_path)
+        if how == "flag":
+            argv = ["synth", "--config", str(cfg), "--out", str(occupied)]
+        else:
+            monkeypatch.setenv(cli.OUT_ENV, str(occupied))
+            argv = ["synth", "--config", str(cfg)]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output directory {occupied / 'synth'}")
+        assert "Traceback" not in err
+        assert occupied.read_text() == "a file\n"
 
     # bytes that are not UTF-8, and nesting deeper than the recursion limit
     UNREADABLE = {"not-utf8": b'{"seed": "\xff"}', "too-deep": b"[" * 100000}

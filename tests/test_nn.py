@@ -12,13 +12,13 @@ from fusecast.nn import (
     ModelParams,
     Workspace,
     _backward_batch,
-    _conv_matrix,
     _folded_predict,
     _folded_table,
     _forward_batch,
     _im2col,
     init_params,
     load_checkpoint,
+    param_layout,
     save_checkpoint,
 )
 from fusecast.series import ScalerParams
@@ -72,7 +72,8 @@ def conv_stack(params: ModelParams, xb: np.ndarray):
         cols = np.empty((k, c, b, w))
         _im2col(h, cols)
         pre = np.empty((f, b, w))
-        np.matmul(_conv_matrix(kern), cols.reshape(k * c, b * w), out=pre.reshape(f, b * w))
+        kmat = kern.transpose(0, 2, 1).reshape(f, k * c)
+        np.matmul(kmat, cols.reshape(k * c, b * w), out=pre.reshape(f, b * w))
         pre += bias[:, None, None]
         h = np.maximum(pre, 0.0)
         yield pre, h
@@ -123,8 +124,10 @@ def predict_one(params, x) -> float:
 
 def with_tensors(params, tensors) -> ModelParams:
     """The same config over the given tensors, keyed as in ``params.tensors()``."""
-    return ModelParams(params.config,
-                       np.concatenate([np.ravel(tensors[name]) for name in params.tensors()]))
+    out = ModelParams(params.config, np.empty_like(params.flat))
+    for name, view in out.tensors().items():
+        view[...] = tensors[name]
+    return out
 
 
 def zeroed(params, b_out=0.0):
@@ -571,18 +574,19 @@ class TestWorkspace:
         xb = rng.normal(size=(7, 15))
         _, ws = _forward_batch(params, xb, workspace=Workspace(params.config, 7))
         maps = list(conv_stack(params, xb))
-        assert len(ws.act) == len(ws.mask) == len(maps)
-        for (pre, act), kept_act, mask in zip(maps, ws.act, ws.mask):
+        assert len(ws.act) == len(maps)
+        for (pre, act), kept_act in zip(maps, ws.act):
             np.testing.assert_array_equal(kept_act, act)
-            np.testing.assert_array_equal(mask, pre > 0)
+            # backward's ReLU mask, read from the kept activation
+            np.testing.assert_array_equal(kept_act > 0, pre > 0)
 
     def test_one_workspace_shares_memory_across_calls(self, rng):
         params = init_params(ModelConfig(w=15, cnn_layers=3, filters=6, kernel_size=4, seed=4))
         ws = Workspace(params.config, 5)
-        buffers = (ws.act, ws.mask, ws.q, ws.v, ws.att)
+        buffers = (ws.act, ws.q, ws.v, ws.att)
         for _ in range(2):
             assert _forward_batch(params, rng.normal(size=(5, 15)), workspace=ws)[1] is ws
-        assert all(a is b for a, b in zip((ws.act, ws.mask, ws.q, ws.v, ws.att), buffers))
+        assert all(a is b for a, b in zip((ws.act, ws.q, ws.v, ws.att), buffers))
         _, fresh = _forward_batch(params, rng.normal(size=(5, 15)))
         assert fresh is not ws
         assert not np.shares_memory(fresh.act, ws.act)
@@ -592,9 +596,9 @@ class TestWorkspace:
         dict(cnn_layers=3, filters=6, kernel_size=4, heads=3, head_dim=5),
     ], ids=["default", "three-layers"])
     def test_backward_repeats_on_a_reused_workspace(self, cell, rng):
-        # backward refills the shared columns and kernel matrix of the
-        # deeper layers; a second backward, or one after another batch's
-        # forward, must still read this batch's
+        # backward refills the shared columns of the deeper layers; a
+        # second backward, or one after another batch's forward, must still
+        # read this batch's
         params = init_params(ModelConfig(w=15, **cell, seed=4))
         ws = Workspace(params.config, 17)
         xb, g = rng.normal(size=(17, 15)), rng.normal(size=17)
@@ -641,18 +645,32 @@ class TestFlatLayout:
         ModelConfig(**TINY_CONFIG, seed=7),
         ModelConfig(w=15, cnn_layers=3, filters=40, kernel_size=4, heads=3, seed=5)])
     def test_views_tile_flat_in_checkpoint_order(self, cfg, tmp_path):
+        # flat stores each 3-D tensor with its last two axes swapped, so the
+        # GEMMs' kernel and Q/K/V matrices are views of it; tensors() and
+        # checkpoints keep the checkpoint names, order and shapes
         params = init_params(cfg)
         tensors = params.tensors()
         names = [f"conv{i}.{part}" for i in range(cfg.cnn_layers) for part in ("kernel", "bias")]
         names += ["attn.wq", "attn.wk", "attn.wv", "attn.wo", "head.w_out", "head.b_out"]
         assert list(tensors) == names
+        assert {name: t.shape for name, t in tensors.items()} == param_layout(cfg)
         save_checkpoint(tmp_path / "c.json", params, ScalerParams(mean=0.0, std=1.0))
         assert list(json.loads((tmp_path / "c.json").read_text())["tensors"]) == names
         assert sum(t.size for t in tensors.values()) == params.flat.size
         for t in tensors.values():
             assert np.shares_memory(t, params.flat)
-        np.testing.assert_array_equal(np.concatenate([t.ravel() for t in tensors.values()]),
-                                      params.flat)
+        stored = [t.swapaxes(1, 2) if t.ndim == 3 else t for t in tensors.values()]
+        np.testing.assert_array_equal(np.concatenate([t.ravel() for t in stored]), params.flat)
+        f, k = cfg.filters, cfg.kernel_size
+        assert len(params.conv_mats) == cfg.cnn_layers
+        for i, (kern, kmat) in enumerate(zip(params.conv_kernels, params.conv_mats)):
+            assert kmat.shape == (f, k * (1 if i == 0 else f)) and kmat.flags.c_contiguous
+            assert np.shares_memory(kmat, params.flat)
+            np.testing.assert_array_equal(kmat, kern.transpose(0, 2, 1).reshape(f, -1))
+        qkv = np.stack([params.wq, params.wk, params.wv]).transpose(0, 1, 3, 2)
+        assert params.wqkv.shape == (3 * cfg.heads * cfg.head_dim, f)
+        assert params.wqkv.flags.c_contiguous and np.shares_memory(params.wqkv, params.flat)
+        np.testing.assert_array_equal(params.wqkv, qkv.reshape(-1, f))
         for i in range(cfg.cnn_layers):
             assert params.conv_kernels[i] is tensors[f"conv{i}.kernel"]
             assert params.conv_biases[i] is tensors[f"conv{i}.bias"]
@@ -675,6 +693,10 @@ class TestCheckpoint:
         assert loaded_scaler == scaler
         for name, t in tiny_params.tensors().items():
             np.testing.assert_array_equal(t, loaded.tensors()[name])
+        assert loaded.flat.tobytes() == tiny_params.flat.tobytes()
+        # the loaded parameters save to the same bytes
+        save_checkpoint(tmp_path / "again.json", loaded, loaded_scaler)
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
         x = rng.normal(size=8)
         assert predict_one(tiny_params, x) == predict_one(loaded, x)
 

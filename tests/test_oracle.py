@@ -198,7 +198,9 @@ def run_train_10x110k3(out: Path) -> tuple[dict, dict]:
     params, history = train(ModelConfig(w=15, cnn_layers=10, filters=110, kernel_size=3,
                                         heads=2, seed=3), TrainConfig(epochs=1, seed=5), subset)
     yhat = predict_batch(params, data.held.inputs[:8])
-    return ({"params": _array_sha(params.flat), "history": _array_sha(history),
+    # the tensors in checkpoint order, independent of how flat stores them
+    tensors = np.concatenate([t.ravel() for t in params.tensors().values()])
+    return ({"params": _array_sha(tensors), "history": _array_sha(history),
              "yhat": _array_sha(yhat)},
             {"history": history, "yhat": yhat.tolist()})
 

@@ -51,8 +51,8 @@ class CountingExecutor(ThreadPoolExecutor):
         return super().submit(task)
 
 
-# what the split forward runs on the helper: im2col and kernel-matrix rows,
-# conv rows, Q/K/V rows
+# what the split forward runs on the helper: im2col rows, conv rows, Q/K/V
+# rows
 FORWARD_TASKS = {"_conv_fill", "_conv_rows", "_matmul_rows"}
 
 
