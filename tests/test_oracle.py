@@ -139,15 +139,23 @@ def run_explain_default(out: Path) -> tuple[dict, dict]:
     return shas, values
 
 
-def run_tune(out: Path) -> tuple[dict, dict]:
+def run_tune(out: Path, budget: str = "3") -> tuple[dict, dict]:
     """``fusecast tune --budget 3`` at one epoch a trial over a narrowed space."""
-    _cli(out, "tune", "--budget", "3")
+    out.mkdir(exist_ok=True)
+    _cli(out, "tune", "--budget", budget)
     shas = _files(out, "tune/tune_log.csv", "tune/best_config.json")
     rows = [row.split(",") for row in
             (out / "tune" / "tune_log.csv").read_text().splitlines()[1:]]
     values = {"configs": [[int(v) for v in r[1:5]] for r in rows],
               "rmse": [float(r[5]) for r in rows]}
     return shas, values
+
+
+def run_tune_gp(out: Path) -> tuple[dict, dict]:
+    """``fusecast tune --budget 6`` with init 3 at one epoch a trial over a
+    narrowed space: three GP trials, an EI proposal, a box pick and a
+    neighbour sweep."""
+    return run_tune(out / "gp", "6")
 
 
 def run_predict(out: Path) -> tuple[dict, dict]:
@@ -206,8 +214,8 @@ def run_train_10x110k3(out: Path) -> tuple[dict, dict]:
 
 
 RUNS = {"fit": run_fit, "explain-default": run_explain_default, "tune": run_tune,
-        "predict": run_predict, "explain-3x40k4": run_explain_3x40k4, "bench": run_bench,
-        "train-10x110k3": run_train_10x110k3}
+        "tune-gp": run_tune_gp, "predict": run_predict, "explain-3x40k4": run_explain_3x40k4,
+        "bench": run_bench, "train-10x110k3": run_train_10x110k3}
 
 
 @pytest.fixture(scope="module")
