@@ -11,13 +11,13 @@ exploration offset ``xi`` is in standardized units.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.special import ndtr
 
+from . import blas
 from .errors import (
     DimensionMismatch,
     EmptySpace,
@@ -172,7 +172,7 @@ def gp_fit(observations, hyper: GPHyper | None = None) -> GPState:
     jitter = JITTER_START
     while True:
         try:
-            chol = cholesky(gram + (hyper.noise_var + jitter) * np.eye(len(obs)), lower=True)
+            chol = np.linalg.cholesky(gram + (hyper.noise_var + jitter) * np.eye(len(obs)))
             break
         except np.linalg.LinAlgError:
             jitter *= 10.0
@@ -180,9 +180,20 @@ def gp_fit(observations, hyper: GPHyper | None = None) -> GPState:
                 raise SingularKernel(
                     f"kernel matrix not positive definite even with jitter {JITTER_MAX}"
                 ) from None
-    alpha = cho_solve((chol, True), y_st)
+    alpha = _substitute(chol.T, _substitute(chol, y_st), lower=False)
     return GPState(x=x, y=y, hyper=hyper, y_mean=y_mean, y_std=y_std,
                    chol=chol, alpha=alpha, jitter=jitter)
+
+
+def _substitute(tri: np.ndarray, b: np.ndarray, lower: bool = True) -> np.ndarray:
+    """``x`` with ``tri @ x = b`` for a triangular ``tri`` (n, n) and ``b`` (n,) or
+    (n, m): forward substitution when ``lower``, back substitution otherwise, a row
+    at a time (n is at most the trial count)."""
+    x = np.empty(b.shape)
+    for i in range(len(b)) if lower else reversed(range(len(b))):
+        done = slice(0, i) if lower else slice(i + 1, None)
+        x[i] = (b[i] - tri[i, done] @ x[done]) / tri[i, i]
+    return x
 
 
 def _posterior_std_units(state: GPState, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +201,7 @@ def _posterior_std_units(state: GPState, xq: np.ndarray) -> tuple[np.ndarray, np
     units. ``xq`` is (m, d); variances are clamped at zero."""
     ks = _kernel_matrix(state.x, xq, state.hyper)        # (n, m)
     mu = ks.T @ state.alpha
-    v = solve_triangular(state.chol, ks, lower=True)     # (n, m)
+    v = _substitute(state.chol, ks)                      # (n, m)
     var = state.hyper.signal_var - (v * v).sum(axis=0)
     return mu, np.maximum(var, 0.0)
 
@@ -205,8 +216,68 @@ def _ei_minimize(state: GPState, uq: np.ndarray, xi: float) -> np.ndarray:
     pos = sigma > 0
     u = (-mu[pos] - best - xi) / sigma[pos]
     pdf = np.exp(-u**2 / 2.0) / np.sqrt(2 * np.pi)    # scipy.stats.norm.pdf's bits
-    ei[pos] = np.maximum(0.0, sigma[pos] * (u * ndtr(u) + pdf))
+    ei[pos] = np.maximum(0.0, sigma[pos] * (u * _ndtr(u) + pdf))
     return ei
+
+
+# cephes' rational approximations (ndtr.c), in the order polevl/p1evl read them
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_SQRTH = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _polevl(x: float, coef: tuple, monic: bool = False) -> float:
+    """Horner's rule over ``coef``, highest power first; ``monic`` puts an unstored
+    leading 1 before them (cephes' p1evl)."""
+    y = 1.0 if monic else 0.0
+    for c in coef:
+        y = y * x + c
+    return y
+
+
+def _erf(x: float) -> float:
+    """cephes' erf for ``|x|`` <= 1."""
+    xx = x * x
+    return x * _polevl(xx, _ERF_T) / _polevl(xx, _ERF_U, monic=True)
+
+
+def _erfc(x: float) -> float:
+    """cephes' erfc for ``x`` >= 0."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    if -x * x < -_MAXLOG:
+        return 0.0
+    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
+    return math.exp(-x * x) * _polevl(x, p) / _polevl(x, q, monic=True)
+
+
+def _ndtr(u: np.ndarray) -> np.ndarray:
+    """The standard normal CDF of each point, by cephes' ndtr in Python floats
+    (``math.exp`` is the C library's ``exp``): the bits of ``scipy.special.ndtr``."""
+    out = []
+    for a in u.tolist():
+        x = a * _SQRTH
+        if a != a:
+            out.append(math.nan)    # cephes' own NaN, whatever the input's sign
+        elif abs(x) < _SQRTH:
+            out.append(0.5 + 0.5 * _erf(x))
+        else:
+            y = 0.5 * _erfc(abs(x))
+            out.append(1.0 - y if x > 0 else y)
+    return np.array(out)
 
 
 def _latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:
@@ -289,6 +360,7 @@ class TuneResult:
     incumbent: tuple   # best objective seen up to and including each trial
 
 
+@blas.one_thread()
 def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
          seed: int = 0, pool_size: int = 512, xi: float = 0.01) -> TuneResult:
     """Minimize ``objective(config)`` over the integer grid.
@@ -312,7 +384,8 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
     The trial list is the only record: the incumbent (the first trial with
     the lowest finite objective), the evaluated cells, the GP's observations
     (the finite trials, in order) and the result are derived from it. Fully
-    reproducible for fixed seeds.
+    reproducible for fixed seeds; numpy's OpenBLAS, which runs the GP's
+    Cholesky factor and solves, is held at one thread throughout.
     """
     if budget < 1:
         raise InvalidSpec("budget must be >= 1")

@@ -8,7 +8,8 @@ workspaces carry it into the forward and backward passes, and ``adam_step`` hand
 half of its chunks. Without it the same halves run in turn, so the trained
 parameters are the same bits on one CPU and on two. The helper runs numpy work only,
 never a function called by its module name, and is shut down when ``train`` returns
-or raises. ``explain`` forks a worker per CPU past the first (:func:`cpus`)."""
+or raises. ``explain`` forks a worker per CPU past the first (:func:`cpus`). The
+same lookup into numpy's OpenBLAS gives :mod:`.series` LAPACK's ``dgttrs``."""
 
 from __future__ import annotations
 
@@ -32,8 +33,11 @@ HELPER_MACS = 1 << 24
 SPLIT_TILE = 24
 
 
-# the C signature, (argtypes, restype), of each OpenBLAS function used here
-_SIGNATURES = {"get_num_threads": ([], ctypes.c_int), "set_num_threads": ([ctypes.c_int], None)}
+# the C signature, (argtypes, restype), of each OpenBLAS function used here. LAPACK's
+# dgttrs takes its 64-bit ints and arrays by address (raw, for the least call
+# overhead) and, last, the length of its one string argument
+_SIGNATURES = {"get_num_threads": ([], ctypes.c_int), "set_num_threads": ([ctypes.c_int], None),
+               "dgttrs": ([ctypes.c_char_p, *[ctypes.c_void_p] * 10, ctypes.c_size_t], None)}
 
 
 @functools.cache
@@ -50,9 +54,11 @@ def _library():
 @functools.cache
 def _openblas(name: str):
     """The function ``name`` of :data:`_SIGNATURES` in numpy's OpenBLAS, with its
-    C signature set, or None when it cannot be found; looked up once, on first use."""
+    C signature set, or None when it cannot be found; looked up once, on first use.
+    A LAPACK routine is taken only in its 64-bit-int build."""
     lib = _library()
-    for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+    for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}",
+                   f"scipy_{name}_64_", f"{name}_64_"):
         fn = getattr(lib, symbol, None)
         if fn is not None:
             fn.argtypes, fn.restype = _SIGNATURES[name]

@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgttrs
 
+from . import blas
 from .errors import (
     InvalidFraction,
     InvalidSpec,
@@ -209,21 +209,37 @@ def synthesize(spec: SynthSpec) -> TimeSeries:
     t = np.arange(spec.length, dtype=np.float64)
     rng = np.random.default_rng(spec.seed)
     innovations = rng.normal(0.0, spec.noise_std, size=spec.length)
-    # The recursion as a bidiagonal system handed to LAPACK already factored,
-    # L = I and U = I with -ar_coeff above the diagonal, no row swaps, and
-    # solved transposed (a few us faster than the same recursion in L): U^T's
-    # forward pass gives e[t] = (eta[t] - (-ar_coeff)*e[t-1] - 0*e[t-2]) / 1,
-    # the bits of scipy.signal.lfilter. A zero row is appended, and dropped,
-    # because the wrapper refuses a 2x2 system.
-    n = spec.length + 1
-    zeros = np.zeros(n)
-    noise, _ = dgttrs(zeros[1:], np.ones(n), np.full(n - 1, -spec.ar_coeff), zeros[2:],
-                      np.arange(1, n + 1, dtype=np.intc), np.append(innovations, 0.0),
-                      trans="T", overwrite_b=True)
     values = (spec.amplitude * np.sin(2.0 * np.pi * t / spec.period) + spec.trend_slope * t
-              + noise[:-1])
+              + _ar1(innovations, spec.ar_coeff))
     timestamps = SYNTH_START_DATE + np.arange(spec.length)
     return TimeSeries(timestamps, values)
+
+
+def _ar1(eta: np.ndarray, a: float) -> np.ndarray:
+    """The AR(1) recursion e[t] = a*e[t-1] + eta[t] from e[-1] = 0: the bits of
+    scipy.signal.lfilter.
+
+    It is a bidiagonal system handed to LAPACK's dgttrs already factored, L = I and
+    U = I with -a above the diagonal, no row swaps, and solved transposed: U^T's
+    forward pass gives e[t] = (eta[t] - (-a)*e[t-1] - 0*e[t-2]) / 1. Without the
+    routine in numpy's OpenBLAS, a Python loop computes the same bits, about 4x
+    slower."""
+    dgttrs = blas._openblas("dgttrs")
+    e = np.array(eta, dtype=np.float64)    # contiguous, and solved in place
+    if dgttrs is None:
+        out, prev = [], 0.0
+        for v in e.tolist():
+            prev = v + a * prev
+            out.append(prev)
+        return np.array(out)
+    # one float buffer holds the bands: zeros (dl and du2), ones (d) and -a (du); one
+    # int buffer n, nrhs, ldb, info and the pivots 1..n. Raw addresses keep the call lean
+    n = len(e)
+    bands, ints = np.repeat([0.0, 1.0, -a], n), np.arange(-3, n + 1, dtype=np.int64)
+    ints[:4] = n, 1, n, 0
+    f, i, b = (x.__array_interface__["data"][0] for x in (bands, ints, e))
+    dgttrs(b"T", i, i + 8, f, f + 8 * n, f + 16 * n, f, i + 32, b, i + 16, i + 24, 1)
+    return e
 
 
 def split(ts: TimeSeries, train_frac: float) -> tuple[TimeSeries, TimeSeries]:

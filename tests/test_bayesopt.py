@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 from scipy.stats import norm, qmc
 
@@ -12,13 +13,15 @@ from fusecast.bayesopt import (
     _ei_minimize,
     _kernel_matrix,
     _latin_hypercube,
+    _ndtr,
     _posterior_std_units,
+    _substitute,
     gp_fit,
     propose,
     tune,
 )
 from fusecast.errors import (DimensionMismatch, DivergedLoss, EmptySpace, InvalidSpec,
-                             ObjectiveFailure)
+                             ObjectiveFailure, SingularKernel)
 
 
 # -- scalar oracles and one-point views of the batched GP code ------------
@@ -106,6 +109,21 @@ class TestGpFit:
         obs = make_obs([[0.3, 0.3], [0.3, 0.3]], [1.0, 2.0])
         state = gp_fit(obs, h)  # must not raise
         assert state.jitter >= 1e-8
+
+    def test_singular_kernel_after_the_jitter_loop(self, monkeypatch):
+        # duplicates at signal_var 1e20: every jitter up to 1e-4 rounds away
+        # on the diagonal, so each factorization meets an exactly singular matrix
+        tried, cholesky = [], np.linalg.cholesky
+
+        def recording(a):
+            tried.append(a[0, 0] - 1e20)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording)
+        with pytest.raises(SingularKernel, match="even with jitter"):
+            gp_fit(make_obs([[0.3, 0.3], [0.3, 0.3]], [1.0, 2.0]),
+                   hyper_for(2, noise=0.0, signal=1e20))
+        assert tried == [0.0] * 5    # jitters 1e-8 .. 1e-4, each rounded away
 
     def test_factor_reconstructs_kernel_matrix(self, rng):
         h = hyper_for(3)
@@ -211,8 +229,8 @@ class TestExpectedImprovement:
 
 
 class TestScipyOracles:
-    """The tuner's numpy and ``scipy.special`` code against the
-    ``scipy.stats`` calls it replaced, bit for bit."""
+    """The tuner's numpy code against the scipy calls it replaced: bit for
+    bit, except the triangular solves, whose sums run in another order."""
 
     @pytest.mark.parametrize("d", [1, 2, 4, 6])
     @pytest.mark.parametrize("n", [0, 1, 3, 30])
@@ -230,6 +248,24 @@ class TestScipyOracles:
             pdf, expected = np.exp(-u**2 / 2.0) / np.sqrt(2 * np.pi), norm.pdf(u)
         assert ndtr(u).tobytes() == norm.cdf(u).tobytes()
         assert pdf.tobytes() == expected.tobytes()
+
+    def test_ndtr_port_matches_scipy(self):
+        u = np.concatenate([np.random.default_rng(1).normal(0.0, 4.0, size=100_000),
+                            np.random.default_rng(2).uniform(-1.5, 1.5, size=20_000),
+                            [0.0, -0.0, 1e-300, -1e-300, 38.5, -38.5, 40.0, -40.0,
+                             np.inf, -np.inf, np.nan, -np.nan]])
+        assert _ndtr(u).tobytes() == ndtr(u).tobytes()
+        assert _ndtr(np.empty(0)).shape == (0,)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_substitution_matches_solve_triangular(self, n, rng):
+        x = rng.uniform(size=(n, 3))
+        chol = gp_fit(make_obs(x, rng.normal(size=n)), hyper_for(3)).chol
+        for b in (rng.normal(size=n), rng.normal(size=(n, 40))):
+            for tri, lower in ((chol, True), (chol.T, False)):
+                np.testing.assert_allclose(_substitute(tri, b, lower=lower),
+                                           solve_triangular(tri, b, lower=lower),
+                                           rtol=1e-10, atol=1e-12)
 
     def test_ei_matches_the_norm_formula(self, rng):
         x = rng.uniform(size=(12, 3))

@@ -14,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from fusecast import blas
+from fusecast import bayesopt, blas
 from fusecast.errors import DivergedLoss
 from fusecast.explain import ExplainConfig, explain
 from fusecast.nn import ModelConfig, init_params
@@ -108,6 +108,28 @@ def test_entry_points_hold_one_thread_and_restore_the_count(entry, count, set_th
     set_threads(count)
     _entry_point_calls()[entry]()
     assert seen and set(seen) == {1}
+    assert blas.threads() == count
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_tune_holds_one_thread_through_its_gp(count, set_threads, monkeypatch):
+    # the GP's Cholesky and solves run on numpy's OpenBLAS: tune pins it too
+    seen = []
+
+    def recording(*args, fit=bayesopt.gp_fit, **kwargs):
+        seen.append(blas.threads())
+        return fit(*args, **kwargs)
+
+    def objective(cfg):
+        seen.append(blas.threads())
+        return float(cfg["filters"] + cfg["heads"])
+
+    monkeypatch.setattr(bayesopt, "gp_fit", recording)
+    space = bayesopt.SearchSpace(cnn_layers=(1, 3), heads=(1, 2), filters=(4, 8),
+                                 kernel_size=(2, 3))
+    set_threads(count)
+    bayesopt.tune(objective, space, budget=6, init=3, pool_size=16)
+    assert len(seen) == 6 + 3 and set(seen) == {1}
     assert blas.threads() == count
 
 

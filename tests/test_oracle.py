@@ -6,9 +6,9 @@
   files as written, arrays as little-endian float64 bytes);
 - ``values``: the numbers behind those outputs;
 - ``host``: the fingerprint of the host that wrote the file, numpy's
-  and scipy's versions, OpenBLAS's core name and build config, and the
-  Python minor version. scipy's is there because its LAPACK runs the
-  series' AR(1) filter and the tuner's GP, and ``scipy.special`` its EI.
+  version, its OpenBLAS's core name and build config, and the Python
+  minor version. That OpenBLAS also runs the LAPACK behind the series'
+  AR(1) filter and the tuner's GP.
 
 On a host with the same fingerprint the hashes must match. Elsewhere BLAS
 kernels sum in another order, so the values must agree within ``RTOL`` and
@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from fusecast import blas, cli
 from fusecast.explain import ExplainConfig, explain, sample_background
@@ -56,8 +55,8 @@ CONFIG = {
 
 
 def host() -> dict:
-    """numpy's and scipy's versions, numpy's OpenBLAS's core name and config,
-    Python's minor version."""
+    """numpy's version, its OpenBLAS's core name and config, Python's minor
+    version."""
     lib, found = blas._library(), {}
     for name in ("corename", "config"):
         for symbol in (f"scipy_openblas_get_{name}64_", f"openblas_get_{name}64_",
@@ -67,8 +66,7 @@ def host() -> dict:
                 fn.argtypes, fn.restype = [], ctypes.c_char_p
                 found[name] = fn().decode()
                 break
-    return {"numpy": np.__version__, "scipy": scipy.__version__,
-            "openblas_core": found.get("corename"),
+    return {"numpy": np.__version__, "openblas_core": found.get("corename"),
             "openblas_config": found.get("config"), "python": "%d.%d" % sys.version_info[:2]}
 
 

@@ -156,6 +156,45 @@ class TestSynthesize:
                 SynthSpec(length=100, period=10, **{field: 10**400})
 
 
+class TestAR1:
+    """``series._ar1``, the AR(1) recursion behind :func:`synthesize`: LAPACK's
+    dgttrs from numpy's OpenBLAS, or a Python loop where the library lacks it."""
+
+    @staticmethod
+    def cases():
+        for length in (1, 2, 3, 2000):
+            for a in (0.0, 0.7, -0.9):
+                for seed in range(4):
+                    eta = np.random.default_rng(seed).normal(0.0, [0.5, 5.0][seed % 2], size=length)
+                    yield eta, a
+
+    @staticmethod
+    def fallback(monkeypatch):
+        looked_up = []
+        monkeypatch.setattr(series_module.blas, "_openblas",
+                            lambda name: looked_up.append(name))
+        return looked_up
+
+    def test_lapack_equals_the_loop_and_lfilter(self, monkeypatch):
+        if series_module.blas._openblas("dgttrs") is None:
+            pytest.skip("numpy's OpenBLAS does not export a 64-bit-int dgttrs")
+        cases = list(self.cases())
+        lapack = [series_module._ar1(eta, a) for eta, a in cases]
+        self.fallback(monkeypatch)
+        for (eta, a), got in zip(cases, lapack):
+            expected = lfilter([1.0], [1.0, -a], eta)
+            assert got.tobytes() == expected.tobytes()
+            assert series_module._ar1(eta, a).tobytes() == expected.tobytes()
+
+    def test_synthesize_falls_back_without_the_routine(self, monkeypatch):
+        spec = SynthSpec(length=730, period=365, amplitude=2.0, trend_slope=0.01,
+                         noise_std=0.5, ar_coeff=0.95, seed=3)
+        expected = synthesize(spec).values
+        looked_up = self.fallback(monkeypatch)
+        assert synthesize(spec).values.tobytes() == expected.tobytes()
+        assert looked_up == ["dgttrs"]
+
+
 class TestSplit:
     def test_exact_arithmetic(self):
         ts = synthesize(SynthSpec(length=10, period=5, amplitude=1.0, seed=0))
