@@ -2,9 +2,9 @@
 :func:`one_thread`, which holds numpy's OpenBLAS at one thread and restores the
 caller's count afterwards, so the outputs do not depend on that count. At wide
 cells a workspace then splits its conv and Q/K/V GEMMs in two by output rows (see
-:func:`splits`, :class:`.nn.Workspace`). If one of a run's workspaces splits and two
-CPUs are free, ``train`` opens a helper thread for the run (:func:`use_helper`): its
-workspaces carry it into the forward and backward passes, and ``adam_step`` hands it
+:func:`splits`, :class:`.nn.Workspace`). If a run's workspace splits and two CPUs
+are free, ``train`` opens a helper thread for the run (:func:`use_helper`): its
+workspace carries it into the forward and backward passes, and ``adam_step`` hands it
 half of its chunks. Without it the same halves run in turn, so the trained
 parameters are the same bits on one CPU and on two. The helper runs numpy work only,
 never a function called by its module name, and is shut down when ``train`` returns
@@ -122,12 +122,13 @@ def splits(config, batch: int) -> bool:
     return macs > HELPER_MACS and threads() == 1
 
 
-def use_helper(split) -> bool:
-    """Whether a run opens a helper: one of its workspaces split (a bool each), two CPUs free."""
-    return any(split) and cpus() >= 2
+def use_helper(split: bool) -> bool:
+    """Whether a run opens a helper: its workspace splits, and two CPUs are free."""
+    return split and cpus() >= 2
 
 
 def split_cut(rows: int) -> int:
     """Where a split GEMM cuts its output rows: the multiple of ``SPLIT_TILE``
-    nearest the middle, at least one tile and at most all rows."""
-    return min(rows, SPLIT_TILE * max(1, round(rows / (2 * SPLIT_TILE))))
+    nearest the middle, at least one tile and short of all rows; 0, no cut, when
+    the rows fit in one tile."""
+    return SPLIT_TILE * max(1, round(rows / (2 * SPLIT_TILE))) if rows > SPLIT_TILE else 0

@@ -497,6 +497,10 @@ def main(argv=None) -> int:
         # a config that asks for more memory than the host grants
         print(f"{ConfigError.label}: out of memory: {exc}", file=sys.stderr)
         return ConfigError.exit_code
+    except KeyboardInterrupt:
+        # Ctrl-C: the shell's code for SIGINT, without a traceback
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def entry() -> None:

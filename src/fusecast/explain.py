@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
+import signal
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -138,6 +139,8 @@ _inherited = None  # a forked worker's copy of the parent's coalition model
 def _adopt(model: _CoalitionModel) -> None:
     global _inherited
     _inherited = model
+    # Ctrl-C reaches the whole process group: the parent alone reports it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _evaluate_inherited(*task):
@@ -167,10 +170,11 @@ class _CoalitionModel:
     Work runs in blocks over background rows and masks, so memory is set
     by the blocks, not by n: a table holds max(2^R, ``BLOCK_ROWS``) <= 1024
     windows, every other table or scorer call about ``BLOCK_ROWS``, a
-    window being w columns of 1 + 2*h*d_k + h rows. Each table runs in the
-    model's inference workspace for its number of windows, made on first
-    use and kept for one :func:`explain`, so blocks reuse their buffers
-    instead of faulting memory in; a forked worker writes its own copy.
+    window being w columns of 1 + 2*h*d_k + h rows. Each table runs in a
+    view of the model's one inference workspace, made on first use, kept
+    for one :func:`explain` and replaced only by a larger one when a table
+    outgrows it, so blocks reuse their buffers instead of faulting memory
+    in; a forked worker writes its own copy.
 
     Inside a ``with`` block a call splits its background blocks into one
     contiguous group per CPU this process may use. The calling process
@@ -193,7 +197,7 @@ class _CoalitionModel:
         self.workers = 1
         self._cpus = 1
         self._pool = None
-        self._workspaces: dict[int, nn.Workspace] = {}
+        self._workspace: nn.Workspace | None = None
 
     def __enter__(self) -> _CoalitionModel:
         if "fork" in multiprocessing.get_all_start_methods():
@@ -207,12 +211,12 @@ class _CoalitionModel:
         self._cpus = 1
 
     def _table(self, windows: np.ndarray) -> np.ndarray:
-        """:func:`fusecast.nn._folded_table` of ``windows``, in this process's
-        workspace for their number."""
-        if len(windows) not in self._workspaces:
-            self._workspaces[len(windows)] = nn.Workspace(self.params.config, len(windows),
-                                                          training=False)
-        return nn._folded_table(self.params, windows, self._workspaces[len(windows)])
+        """:func:`fusecast.nn._folded_table` of ``windows``, in a view of this
+        process's workspace, first replaced if it holds fewer windows."""
+        if self._workspace is None or self._workspace.batch < len(windows):
+            self._workspace = None      # freed before the larger one is made
+            self._workspace = nn.Workspace(self.params.config, len(windows), training=False)
+        return nn._folded_table(self.params, windows, self._workspace.view(len(windows)))
 
     def _evaluate(self, present: np.ndarray, pattern: np.ndarray | None, x: np.ndarray,
                   background: np.ndarray, bg_step: int) -> tuple[np.ndarray, int]:

@@ -49,11 +49,13 @@ and head q, k and v are column-major (w, d_k) views; the dK product reads
 a row-major copy of Q, which BLAS runs 2-3x faster than the view.
 
 Every forward runs in a :class:`Workspace`, the buffers of one (config,
-batch size), which its caller keeps per batch shape so that they are
-allocated once. It holds the im2col columns (one buffer for layer 0, one
-shared by the deeper layers) and the attention's buffers: the key-major
-softmax buffer ``softmax``, its (B, h, w_k, w_q) view ``softmax_kq``, the
-per-query statistics ``stat`` and the time-mean weights ``tmean``. A
+batch size), which its caller keeps for a run so that they are allocated
+once; a smaller batch runs in a view of it, the leading part of each
+buffer (:meth:`Workspace.view`). It holds the im2col columns (one buffer
+for layer 0, one shared by the deeper layers) and the attention's
+buffers: the key-major softmax buffer ``softmax``, its (B, h, w_k, w_q)
+view ``softmax_kq``, the per-query statistics ``stat`` and the time-mean
+weights ``tmean``. A
 training workspace keeps every conv layer's activation map, and
 backward's temporaries. The activation is all that backward reads of the
 pre-activation: max(pre, 0) is positive exactly where pre is, so it is
@@ -320,48 +322,80 @@ class Workspace:
     ``softmax``, ``softmax_kq``, ``stat`` and ``tmean``. The forward's
     intermediates that backward reads, ``q``, ``k``, ``v``, ``att``,
     ``abar``, ``pooled``, ``z`` and ``act``, are valid until the next
-    forward with it. ``helper``, an executor with one worker or None,
-    runs work beside the main thread (see :func:`_beside`). A ``split``
-    workspace cuts the conv GEMMs above layer 0 at row ``cut`` and the
-    Q/K/V GEMM at row ``qkv_cut`` (see :func:`.blas.split_cut`; 0 for no
-    cut). A half is the whole GEMM's rows bit for bit only where BLAS tiles
-    them alike, so ``train`` splits only GEMMs of a size where that was
-    measured."""
+    forward with it or with any of its views. ``helper``, an executor with
+    one worker or None, runs work beside the main thread (see
+    :func:`_beside`). A ``split`` workspace cuts the conv GEMMs above
+    layer 0 at row ``cut`` and the Q/K/V GEMM at row ``qkv_cut`` (see
+    :func:`.blas.split_cut`; 0 for no cut). A half is the whole GEMM's
+    rows bit for bit only where BLAS tiles them alike, so ``train`` splits
+    only GEMMs of a size where that was measured.
+
+    Each buffer is the leading part of one block sized for ``batch``
+    windows, and :meth:`view` gives a workspace of fewer windows over the
+    same blocks."""
 
     def __init__(self, config: ModelConfig, batch: int, helper: Executor | None = None,
                  split: bool = False, training: bool = True):
+        self._carve(config, batch, helper, split, training, {})
+
+    def view(self, batch: int) -> Workspace:
+        """A workspace of ``batch`` windows, at most this one's, in the
+        leading part of each of its blocks: its buffers are C-contiguous
+        and shaped as a new workspace's, so every GEMM keeps its shape and
+        its bits. It splits where this one does and ``blas.splits`` allows
+        at its size. Views are kept per size, and at this one's size the
+        view is this workspace. A forward through one view overwrites the
+        intermediates of every other."""
+        if not 0 < batch <= self.batch:
+            raise ShapeMismatch(f"a view of {batch} windows of a workspace for {self.batch}")
+        if batch == self.batch:
+            return self
+        if batch not in self._views:
+            view = self._views[batch] = Workspace.__new__(Workspace)
+            view._carve(self.config, batch, self.helper,
+                        self.split and blas.splits(self.config, batch), self.training, self._blocks)
+        return self._views[batch]
+
+    def _carve(self, config: ModelConfig, batch: int, helper: Executor | None,
+               split: bool, training: bool, blocks: dict[str, np.ndarray]) -> None:
+        def empty(name, *shape):
+            # the leading part of the block ``name``, made by its first use
+            if name not in blocks:
+                blocks[name] = np.empty(math.prod(shape))
+            return blocks[name][:math.prod(shape)].reshape(shape)
+
         f, k, w, b = config.filters, config.kernel_size, config.w, batch
         h, dk, layers = config.heads, config.head_dim, config.cnn_layers
         self.config, self.batch, self.training = config, batch, training
+        self.helper, self.split, self._blocks, self._views = helper, split, blocks, {}
         self.cut = blas.split_cut(f) if split else 0
         self.qkv_cut = blas.split_cut(3 * h * dk) if split else 0
-        self.cols_in = np.empty((k, 1, b, w))
-        self.cols = np.empty((k, f, b, w)) if layers > 1 else None
+        self.cols_in = empty("cols_in", k, 1, b, w)
+        self.cols = empty("cols", k, f, b, w) if layers > 1 else None
         self.held = 0                                    # the layer whose columns cols holds
         slots = layers if training else min(layers, 2)  # layer i's map is in slot i % slots
-        self.act = np.empty((slots, f, b, w))
-        self.qkv = np.empty((3 * h * dk, b * w))
+        self.act = empty("act", slots, f, b, w)
+        self.qkv = empty("qkv", 3 * h * dk, b * w)
         # (B, h, w, d_k) views: per window and head, column-major (w, d_k)
         self.q, self.k, self.v = self.qkv.reshape(3, h, dk, b, w).transpose(0, 3, 1, 4, 2)
-        self.softmax = np.empty((w, b, h, w))            # (w_k, B, h, w_q)
+        self.softmax = empty("softmax", w, b, h, w)      # (w_k, B, h, w_q)
         self.softmax_kq = self.softmax.transpose(1, 2, 0, 3)
         self.att = self.softmax.transpose(1, 2, 3, 0)    # (B, h, w_q, w_k)
         self.abar = self.pooled = self.z = None          # each forward's, for backward
-        self.stat = np.empty((b, h, w))                  # per query: max, then sum
+        self.stat = empty("stat", b, h, w)               # per query: max, then sum
         # a mean over the w steps as one vector product per window, so that
         # a window's result does not depend on its batch
         self.tmean = np.full(w, 1.0 / w)
-        self.helper = helper
         if not training:
             return
-        self.dqkv = np.empty((3, h, dk, b, w))
-        self.q_rows = np.empty((b, h, w, dk))
-        self.dlogits = np.empty((2, w, b, h, w))         # the Jacobian and its A*sum term
-        self.dact = np.empty((f, b, w))
-        self.dpre = np.empty((f, b, w))
+        self.dqkv = empty("dqkv", 3, h, dk, b, w)
+        self.q_rows = empty("q_rows", b, h, w, dk)
+        self.dlogits = empty("dlogits", 2, w, b, h, w)   # the Jacobian and its A*sum term
+        self.dact = empty("dact", f, b, w)
+        self.dpre = empty("dpre", f, b, w)
         # col2im's taps: the columns, which the kernel gradient has read by
         # then, unless it reads them on the helper meanwhile
-        self.dcols = self.cols if helper is None or layers == 1 else np.empty((k, f, b, w))
+        self.dcols = self.cols if helper is None or layers == 1 else empty("dcols", k, f, b, w)
 
 
 def _beside(helper: Executor | None, fn, *args) -> Future | None:

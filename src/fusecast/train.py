@@ -182,18 +182,17 @@ def train(config: ModelConfig, tconfig: TrainConfig,
     rng = np.random.default_rng(tconfig.seed)
     history: list[float] = []
     n, batch = len(data), tconfig.batch_size
-    # one workspace for full batches and one for a partial last batch
-    splits = {size: blas.splits(config, size) for size in {min(batch, n), n % batch} if size}
-    with (ThreadPoolExecutor(1) if blas.use_helper(splits.values())
+    # one workspace for the run; a partial last batch runs in a view of it
+    split = blas.splits(config, min(batch, n))
+    with (ThreadPoolExecutor(1) if blas.use_helper(split)
           else contextlib.nullcontext()) as helper:
-        workspaces = {size: Workspace(config, size, helper, split)
-                      for size, split in splits.items()}
+        workspace = Workspace(config, min(batch, n), helper, split)
         for _ in range(tconfig.epochs):
             order = rng.permutation(n)
             sse = 0.0
             for start in range(0, n, batch):
                 idx = order[start:start + batch]
-                xb, yb, ws = data.inputs[idx], data.targets[idx], workspaces[len(idx)]
+                xb, yb, ws = data.inputs[idx], data.targets[idx], workspace.view(len(idx))
                 # a diverging step overflows on its way to the non-finite
                 # loss reported below, so numpy's overflow warnings carry
                 # nothing more
@@ -218,22 +217,21 @@ def predict_batch(params: ModelParams, windows: np.ndarray) -> np.ndarray:
 @blas.one_thread()
 def _rollout(params: ModelParams, windows: np.ndarray, horizon: int) -> np.ndarray:
     """Recursive forecasts (N, horizon) from scaled windows (N, w). The
-    windows run in blocks of ``PREDICT_BLOCK``, in one inference workspace
-    for the full blocks and then one for the remainder, so memory is
-    bounded by the block, not by N. Each step of a block is one forward
-    call, whose predictions are appended as the block's windows slide."""
+    windows run in blocks of ``PREDICT_BLOCK`` in one inference workspace,
+    a remainder block in a view of it, so memory is bounded by the block,
+    not by N. Each step of a block is one forward call, whose predictions
+    are appended as the block's windows slide."""
     if horizon < 1:
         raise InvalidSpec("horizon must be >= 1")
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2 or windows.shape[1] != params.config.w:
         raise ShapeMismatch(f"expected (N, {params.config.w}) windows, got {windows.shape}")
     preds = np.empty((len(windows), horizon))
-    ws = None
+    if len(windows):
+        workspace = Workspace(params.config, min(len(windows), PREDICT_BLOCK), training=False)
     for start in range(0, len(windows), PREDICT_BLOCK):
         block = windows[start:start + PREDICT_BLOCK]
-        if ws is None or ws.batch != len(block):
-            ws = None           # freed before the remainder's is made
-            ws = Workspace(params.config, len(block), training=False)
+        ws = workspace.view(len(block))
         for i in range(horizon):
             yhat = _forward_batch(params, block, workspace=ws)[0]
             preds[start:start + len(block), i] = yhat

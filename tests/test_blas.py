@@ -194,6 +194,16 @@ def test_one_cpu_count_decides_helper_and_workers(cpus, monkeypatch):
     assert result.workers == (cpus if forks else 1)
 
 
+def test_split_cut_leaves_rows_on_both_sides():
+    # rows that fit in one tile are not cut: a cut at all of them left the
+    # second half empty
+    assert [blas.split_cut(rows) for rows in (1, 23, 24)] == [0, 0, 0]
+    assert [blas.split_cut(rows) for rows in (25, 72, 110, 256)] == [24, 48, 48, 120]
+    for rows in range(blas.SPLIT_TILE + 1, 1000):
+        cut = blas.split_cut(rows)
+        assert 0 < cut < rows and cut % blas.SPLIT_TILE == 0
+
+
 def test_pin_under_contention(set_threads):
     # more threads than CPUs entering and leaving at once, with frequent
     # switches: a lost depth update would let a thread inside see two

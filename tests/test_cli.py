@@ -520,6 +520,16 @@ class TestExitCodes:
         assert run("forecast", "--config", str(cfg), "--out", str(tmp_path / "o"),
                    "--checkpoint", str(ckpt)) == 3
 
+    def test_interrupt_exits_130_without_a_traceback(self, tmp_path, capsys, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "train_model", interrupted)
+        cfg = write_config(tmp_path)
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 130
+        err = capsys.readouterr().err
+        assert err == "interrupted\n"
+
     # sizes of tens of TiB, which the kernel refuses at once rather than
     # granting lazily
     def test_out_of_memory_series(self, tmp_path, capsys):

@@ -2,6 +2,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import signal
 import sys
 
 import numpy as np
@@ -32,7 +33,7 @@ from fusecast import nn
 from fusecast.nn import ModelConfig, ModelParams, _forward_batch, init_params
 from fusecast.train import predict_batch
 
-from conftest import count_workspaces
+from conftest import count_workspaces, workspace_sizes
 from test_nn import grid_cells, zeroed
 
 
@@ -475,9 +476,10 @@ class TestMemoizedCoalitions:
         assert model.conv_windows == conv_windows
 
 
-    def test_one_workspace_per_table_shape(self, rng, monkeypatch):
+    def test_one_workspace_for_every_table(self, rng, monkeypatch):
         # identity branch at 3x40 k=4 (R = 10): 8 background blocks of one
-        # row, each with a table of 64 masks and one of the other 36
+        # row, each with a table of 64 masks and one of the other 36, which
+        # runs in a view of the first table's workspace
         built = count_workspaces(monkeypatch, nn)
         shapes = []
         table = nn._folded_table
@@ -491,7 +493,7 @@ class TestMemoizedCoalitions:
         np.testing.assert_allclose(got, plain_outputs(params, present, x, background),
                                    rtol=0, atol=1e-13)
         assert len(shapes) == 16 and sorted(set(shapes)) == [36, 64]
-        assert sorted(built) == [(36, False), (64, False)]
+        assert workspace_sizes(built) == [(64, False, [36])]
 
 
 def with_cpus(monkeypatch, n):
@@ -543,6 +545,19 @@ class TestParallelCoalitions:
         with pytest.raises(ShapeMismatch):
             explain(params, x, background, config)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="workers are forked")
+    def test_workers_ignore_ctrl_c(self, rng, monkeypatch):
+        # Ctrl-C signals the whole process group; only the parent reports it
+        with_cpus(monkeypatch, 2)
+        present = rng.random((100, 15)) < 0.5
+        x, background = rng.normal(size=15), rng.normal(size=(8, 15))
+        with _CoalitionModel(init_params(ModelConfig(w=15, seed=2))) as model:
+            model(present, x, background)
+            handler = model._pool.submit(signal.getsignal, signal.SIGINT).result()
+        assert model.workers == 2 and handler == signal.SIG_IGN
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
     def test_parameters_never_pickled(self, rng, monkeypatch):
         def refuse(self, protocol):

@@ -23,7 +23,7 @@ from fusecast.nn import (
 )
 from fusecast.series import ScalerParams
 
-from conftest import TINY_CONFIG
+from conftest import TINY_CONFIG, assert_view_step_is_a_fresh_step
 
 
 # -- single-window references for the batched path -----------------------
@@ -630,6 +630,52 @@ class TestWorkspace:
         _forward_batch(params, rng.normal(size=(5, 15)), workspace=ws)
         with pytest.raises(ValueError, match="training workspace"):
             _backward_batch(params, ws, np.ones(5))
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_a_view_is_the_leading_part_of_each_buffer(self, training):
+        cfg = ModelConfig(w=15, cnn_layers=3, filters=6, kernel_size=4, seed=4)
+        ws = Workspace(cfg, 32, training=training)
+        view = ws.view(17)
+        assert view.batch == 17 and view.training == training
+        assert ws.view(17) is view and ws.view(32) is ws
+        fresh = Workspace(cfg, 17, training=training)
+        names = ["cols_in", "cols", "act", "qkv", "softmax", "stat"]
+        names += ["dqkv", "q_rows", "dlogits", "dact", "dpre", "dcols"] if training else []
+        for name in names:
+            part, whole = getattr(view, name), getattr(ws, name)
+            assert part.shape == getattr(fresh, name).shape and part.flags.c_contiguous
+            assert np.shares_memory(part, whole)
+            assert part.__array_interface__["data"][0] == whole.__array_interface__["data"][0]
+
+    @pytest.mark.parametrize("cell", [
+        dict(),
+        dict(cnn_layers=4, filters=64, kernel_size=5, heads=4),
+    ], ids=["default", "4x64-k5"])
+    def test_view_step_equals_a_fresh_workspace_bitwise(self, cell, rng):
+        params = init_params(ModelConfig(w=15, **cell, seed=4))
+        ws, view = assert_view_step_is_a_fresh_step(params, rng)
+        # and the full batch again, in the workspace whose leading part the
+        # view overwrote
+        xb, g = rng.normal(size=(32, 15)), rng.normal(size=32)
+        steps = []
+        for space in (ws, Workspace(params.config, 32)):
+            yhat, _ = _forward_batch(params, xb, workspace=space)
+            steps.append((yhat, _backward_batch(params, space, g)))
+        for again, fresh in zip(*steps):
+            assert again.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("batch", [33, 0, -1])
+    def test_view_beyond_the_workspace_rejected(self, batch):
+        ws = Workspace(ModelConfig(w=15, seed=4), 32)
+        with pytest.raises(ShapeMismatch):
+            ws.view(batch)
+
+    def test_backward_refuses_an_inference_view(self, rng):
+        params = init_params(ModelConfig(w=15, cnn_layers=3, filters=6, kernel_size=4, seed=4))
+        view = Workspace(params.config, 8, training=False).view(5)
+        _forward_batch(params, rng.normal(size=(5, 15)), workspace=view)
+        with pytest.raises(ValueError, match="training workspace"):
+            _backward_batch(params, view, np.ones(5))
 
     @pytest.mark.parametrize("batch,cell", [(6, dict()), (5, dict(filters=8))],
                              ids=["batch-size", "config"])

@@ -39,7 +39,7 @@ from fusecast.train import (
     train,
 )
 
-from conftest import TINY_CONFIG, count_workspaces
+from conftest import TINY_CONFIG, count_workspaces, workspace_sizes
 from test_nn import zeroed
 
 TINY = ModelConfig(**TINY_CONFIG, seed=1)
@@ -188,8 +188,8 @@ class TestTrainInPlace:
 
     @pytest.mark.parametrize("config", WORKSPACE_CELLS)
     def test_train_equals_reference_loop_bitwise(self, config, rng):
-        # 80 = 2*32 + 16: both of train's workspaces, full and partial
-        # batch, are reused in every epoch after the first
+        # 80 = 2*32 + 16: train's workspace and its view for the partial
+        # batch are reused in every epoch after the first
         data = WindowedDataset(rng.normal(size=(80, 15)), rng.normal(size=80), 15)
         tconfig = TrainConfig(epochs=3, learning_rate=3e-3, seed=2)
         assert len(data) % tconfig.batch_size and tconfig.epochs >= 2
@@ -338,14 +338,18 @@ class TestPredictBatch:
     def test_empty(self, tiny_params):
         assert predict_batch(tiny_params, np.zeros((0, 8))).shape == (0,)
 
-    def test_one_inference_workspace_per_block_size(self, tiny_params, rng, monkeypatch):
+    def test_one_inference_workspace_per_rollout(self, tiny_params, rng, monkeypatch):
+        # the remainder block runs in a view of the full blocks' workspace
         module = sys.modules["fusecast.train"]
         built = count_workspaces(monkeypatch, module)
         predict_batch(tiny_params, rng.normal(size=(100, 8)))
-        assert sorted(built) == [(4, False), (PREDICT_BLOCK, False)]
+        assert workspace_sizes(built) == [(PREDICT_BLOCK, False, [4])]
         built.clear()
         module._rollout(tiny_params, rng.normal(size=(3, 8)), 6)
-        assert built == [(3, False)]
+        assert workspace_sizes(built) == [(3, False, [])]
+        built.clear()
+        predict_batch(tiny_params, np.zeros((0, 8)))
+        assert built == []
 
     @pytest.mark.parametrize("shape", [(0, 9), (0,)], ids=["wide-rows", "one-axis"])
     def test_empty_input_of_another_shape_rejected(self, tiny_params, shape):
@@ -369,7 +373,7 @@ class TestPredictBatch:
         monkeypatch.setattr(module, "_forward_batch", counted)
         windows = rng.normal(size=(2 * PREDICT_BLOCK + 6, 8))
         preds = module._rollout(tiny_params, windows, 3)
-        assert built == [(PREDICT_BLOCK, False), (6, False)]
+        assert workspace_sizes(built) == [(PREDICT_BLOCK, False, [6])]
         assert calls == [PREDICT_BLOCK] * 6 + [6] * 3
         # a block's rollout is that of its windows alone
         tail = module._rollout(tiny_params, windows[2 * PREDICT_BLOCK:], 3)
@@ -390,7 +394,7 @@ class TestPredictBatch:
         windows = rng.normal(size=(6, 8))
         explain(tiny_params, windows[0], windows[1:],
                 ExplainConfig(background_size=5, sample_permutations=4))
-        assert built and not any(training for _, training in built)
+        assert built and not any(ws.training for ws in built)
 
 
 class TestPersistence:

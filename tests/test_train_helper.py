@@ -16,12 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fusecast import blas, nn
+from fusecast import blas, cli, nn
 from fusecast.blas import HELPER_MACS
 from fusecast.errors import DivergedLoss
 from fusecast.nn import ModelConfig, Workspace, _backward_batch, _forward_batch, init_params
 from fusecast.series import WindowedDataset
 from fusecast.train import TrainConfig
+
+from conftest import assert_view_step_is_a_fresh_step
 
 train_module = sys.modules["fusecast.train"]
 
@@ -105,10 +107,10 @@ def test_cell_is_above_the_threshold_and_tune_cells_below(one_blas_thread, monke
         assert not blas.splits(CELL, 32)
     # the helper: a workspace that splits, and two CPUs
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    assert blas.use_helper([True, False])
-    assert not blas.use_helper([False, False])
+    assert blas.use_helper(True)
+    assert not blas.use_helper(False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert not blas.use_helper([True, False])
+    assert not blas.use_helper(True)
 
 
 @pytest.mark.parametrize("cell", [CELL, ModelConfig(w=9, cnn_layers=3, filters=52,
@@ -165,6 +167,33 @@ def test_backward_beside_equals_inline_bitwise(batch, rng):
     assert ran_beside(helper)
     assert beside.tobytes() == inline.tobytes()
     assert again.tobytes() == inline.tobytes()
+
+
+def test_unsplit_view_of_a_split_workspace_equals_a_fresh_one_bitwise(one_blas_thread, rng):
+    # MID_CELL's 32-window workspace splits and its 17-window view does not
+    ws, view = assert_view_step_is_a_fresh_step(init_params(MID_CELL), rng)
+    assert ws.split and ws.cut and not view.split and view.cut == view.qkv_cut == 0
+
+
+def test_conv_of_one_tile_stays_whole_in_a_split_run(tmp_path, monkeypatch):
+    # 24 filters at w=60, k=8 and 64 windows: the conv GEMM has 17.7M
+    # multiply-adds, so the workspace splits, but its 24 rows fit in one tile
+    # and only the Q/K/V GEMM is cut
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"w": 60, "cnn_layers": 2, "filters": 24, "kernel_size": 8},
+        "train": {"epochs": 1, "batch_size": 64}}))
+    rule, chosen = blas.splits, []
+    monkeypatch.setattr(blas, "splits", lambda *args: chosen.append(rule(*args)) or chosen[-1])
+    outputs = []
+    for out in ("split", "whole"):
+        assert cli.main(["train", "--config", str(config), "--out", str(tmp_path / out)]) == 0
+        outputs.append([(tmp_path / out / "train" / name).read_bytes()
+                        for name in ("checkpoint.json", "loss_history.csv")])
+        monkeypatch.setattr(blas, "splits", lambda *args: False)
+    if blas.threads() is not None:
+        assert chosen[0]          # the run splits: the full batches do
+    assert outputs[0] == outputs[1]
 
 
 def test_train_with_helper_equals_serial_bitwise(one_blas_thread, data, helpers, monkeypatch):
