@@ -239,45 +239,46 @@ _SQRTH = 7.07106781186547524401e-1
 _MAXLOG = 7.09782712893383996843e2
 
 
-def _polevl(x: float, coef: tuple, monic: bool = False) -> float:
-    """Horner's rule over ``coef``, highest power first; ``monic`` puts an unstored
-    leading 1 before them (cephes' p1evl)."""
-    y = 1.0 if monic else 0.0
-    for c in coef:
-        y = y * x + c
+def _horner(x: np.ndarray, coef: tuple, monic: bool = False) -> np.ndarray:
+    """Horner's rule over ``coef``, highest power first, at each point of
+    ``x``: cephes' polevl, whose first step 0 * x + c is c, and with
+    ``monic`` p1evl, which puts an unstored leading 1 before them."""
+    y = x + coef[0] if monic else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        y *= x
+        y += c
     return y
 
 
-def _erf(x: float) -> float:
-    """cephes' erf for ``|x|`` <= 1."""
+def _erf(x: np.ndarray) -> np.ndarray:
+    """cephes' erf at each point, for ``|x|`` <= 1."""
     xx = x * x
-    return x * _polevl(xx, _ERF_T) / _polevl(xx, _ERF_U, monic=True)
-
-
-def _erfc(x: float) -> float:
-    """cephes' erfc for ``x`` >= 0."""
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    if -x * x < -_MAXLOG:
-        return 0.0
-    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
-    return math.exp(-x * x) * _polevl(x, p) / _polevl(x, q, monic=True)
+    return x * _horner(xx, _ERF_T) / _horner(xx, _ERF_U, monic=True)
 
 
 def _ndtr(u: np.ndarray) -> np.ndarray:
-    """The standard normal CDF of each point, by cephes' ndtr in Python floats
-    (``math.exp`` is the C library's ``exp``): the bits of ``scipy.special.ndtr``."""
-    out = []
-    for a in u.tolist():
-        x = a * _SQRTH
-        if a != a:
-            out.append(math.nan)    # cephes' own NaN, whatever the input's sign
-        elif abs(x) < _SQRTH:
-            out.append(0.5 + 0.5 * _erf(x))
-        else:
-            y = 0.5 * _erfc(abs(x))
-            out.append(1.0 - y if x > 0 else y)
-    return np.array(out)
+    """The standard normal CDF of each point by cephes' ndtr, its erf and
+    erfc branches each over its own points, with each multiply and add a
+    numpy pass, and ``math.exp`` (the C library's ``exp``) per point: the
+    bits of ``scipy.special.ndtr``."""
+    x = u * _SQRTH
+    z = np.abs(x)
+    out = np.empty_like(x)
+    near = z < _SQRTH
+    out[near] = 0.5 + 0.5 * _erf(x[near])
+    z = z[~near]
+    erfc = np.zeros_like(z)         # 0 where exp(-z*z) underflows
+    mid = z < 1.0
+    erfc[mid] = 1.0 - _erf(z[mid])
+    for tail, p, q in ((~mid & (z < 8.0), _ERFC_P, _ERFC_Q), (z >= 8.0, _ERFC_R, _ERFC_S)):
+        tail &= -z * z >= -_MAXLOG
+        t = z[tail]
+        erfc[tail] = (np.fromiter(map(math.exp, (-t * t).tolist()), float, len(t))
+                      * _horner(t, p) / _horner(t, q, monic=True))
+    half = 0.5 * erfc
+    out[~near] = np.where(x[~near] > 0, 1.0 - half, half)
+    out[np.isnan(u)] = np.nan        # cephes' own NaN, whatever the input's sign
+    return out
 
 
 def _latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:

@@ -29,9 +29,14 @@ checkpoint order, each 3-D one with its last two axes swapped. So each
 conv layer's kernel matrix and the Q/K/V matrix are views of it, and the
 checkpoint-shaped tensors are transposed views. :func:`_backward_batch`
 writes the gradient through the views of a gradient :class:`ModelParams`,
-one vector in the same layout, so the optimizer is elementwise; training
-allocates that vector once per run and the backward pass fills it in
-place, each weight gradient's GEMM writing straight into its view.
+each weight gradient's GEMM writing straight into its view: a vector in
+the same layout for the API and the tests. It finishes the gradient a
+group at a time from the layout's end, the attention and head first and
+then each conv layer, last first, and calls back as each is done. The
+optimizer is elementwise, so training updates those parameters there and
+keeps no full gradient: its views lie in a window of min(n, ``ADAM_CHUNK``
++ 2 x the largest group) elements, which holds only the gradients that
+Adam has not yet taken (see :mod:`.train`).
 
 The path is written as matrix products that reach BLAS, and its
 elementwise passes run on contiguous runs where the layout allows:
@@ -107,8 +112,10 @@ differs in the last bit between a batch of 70 and a batch of one.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections.abc import Callable
 from concurrent.futures import Executor, Future
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -187,21 +194,27 @@ class ModelParams:
     ordered Q, K, V, then head, are plain views, which the GEMMs read and
     backward writes. ``conv_kernels`` (f, c_in, k), ``wq``, ``wk``, ``wv``
     (h, d, d_k) and :meth:`tensors` are the checkpoint-shaped views;
-    ``conv_biases``, ``wo``, ``w_out`` and ``b_out`` are the rest. A vector
-    of the wrong size raises :class:`ShapeMismatch`."""
+    ``conv_biases``, ``wo``, ``w_out`` and ``b_out`` are the rest.
+    ``starts`` maps each name to where its tensor starts in ``flat``: the
+    layout's offsets, where a vector of the wrong size raises
+    :class:`ShapeMismatch`, unless the caller places the tensors itself, as
+    training's gradient window does (see :mod:`.train`)."""
 
-    def __init__(self, config: ModelConfig, flat: np.ndarray):
+    def __init__(self, config: ModelConfig, flat: np.ndarray,
+                 starts: dict[str, int] | None = None):
         layout = param_layout(config)
-        size = sum(map(math.prod, layout.values()))
-        if flat.shape != (size,):
-            raise ShapeMismatch(f"expected a flat vector of {size} parameters, got {flat.shape}")
-        views, starts, start = {}, {}, 0
-        for name, shape in layout.items():
-            block = flat[start:start + math.prod(shape)]
+        sizes = [math.prod(shape) for shape in layout.values()]
+        if starts is None:
+            if flat.shape != (sum(sizes),):
+                raise ShapeMismatch(f"expected a flat vector of {sum(sizes)} parameters, "
+                                    f"got {flat.shape}")
+            starts = dict(zip(layout, itertools.accumulate(sizes, initial=0)))
+        views = {}
+        for (name, shape), size in zip(layout.items(), sizes):
+            block = flat[starts[name]:starts[name] + size]
             views[name] = (block.reshape(shape[0], shape[2], shape[1]).swapaxes(1, 2)
                            if len(shape) == 3 else block.reshape(shape))
-            starts[name], start = start, start + block.size
-        self.config, self.flat, self._views = config, flat, views
+        self.config, self.flat, self.starts, self._views = config, flat, starts, views
         layers = range(config.cnn_layers)
         self.conv_kernels = tuple(views[f"conv{i}.kernel"] for i in layers)
         self.conv_mats = tuple(kern.swapaxes(1, 2).reshape(len(kern), -1)
@@ -511,7 +524,8 @@ def _forward_batch(params: ModelParams, xb: np.ndarray,
 
 
 def _backward_batch(params: ModelParams, ws: Workspace, dl_dy: np.ndarray,
-                    out: ModelParams | None = None) -> np.ndarray:
+                    out: ModelParams | None = None,
+                    done: Callable[[int], None] | None = None) -> np.ndarray:
     """Analytic gradient of sum_b dl_dy[b] * yhat[b] w.r.t. ``params.flat``,
     each tensor's part written into its view of ``out`` (a new ModelParams
     when not given); returns ``out.flat``. It reads the intermediates that
@@ -519,7 +533,16 @@ def _backward_batch(params: ModelParams, ws: Workspace, dl_dy: np.ndarray,
     Weight and input gradients are 2-D GEMMs on the same channel-major
     (., B*w) layouts and weight matrices as the forward pass, each weight
     gradient's GEMM writing into its matrix view of ``out``, and the
-    temporaries are the workspace's buffers."""
+    temporaries are the workspace's buffers.
+
+    The gradients are finished a group at a time, from the end of the
+    layout: group L = ``cnn_layers`` is the attention and head tensors,
+    group i < L conv layer i's kernel and bias. ``done(i)``, when given, is
+    called on this thread once every gradient from group i on is final and
+    backward reads none of those parameters again, with no task beside:
+    with L, L-1, ..., 1, and 0 as the pass ends. So ``done`` may update those
+    parameters, and ``out`` may place a group over memory that ``done``
+    has freed, as training does (see :mod:`.train`)."""
     cfg = params.config
     if not ws.training:
         raise ValueError("backward needs a training workspace: an inference "
@@ -562,8 +585,11 @@ def _backward_batch(params: ModelParams, ws: Workspace, dl_dy: np.ndarray,
     for layer in reversed(range(cfg.cnn_layers)):
         kmat = params.conv_mats[layer]
         # the task beside reads dpre and refills or reads the columns: done
-        # before the next layer's task or dpre
+        # before the next layer's task or dpre. It was the last to write a
+        # gradient of group layer + 1, whose col2im has read its kernel
         _join(task)
+        if done is not None:
+            done(layer + 1)
         # the ReLU mask: act = max(pre, 0) is positive exactly where pre is
         dpre = np.multiply(dact, ws.act[layer] > 0, out=ws.dpre).reshape(d, b * w)
         np.add.reduce(dpre, axis=1, out=out.conv_biases[layer])
@@ -587,6 +613,8 @@ def _backward_batch(params: ModelParams, ws: Workspace, dl_dy: np.ndarray,
                 dh[:-i] += dcols[i].reshape(-1)[i:]
             dact = dcols[0]
     _join(task)
+    if done is not None:
+        done(0)
     return out.flat
 
 

@@ -1,8 +1,10 @@
 """Model fitting, recursive forecasting, error metrics, and multi-run
-statistics. :func:`train` holds one parameter vector, one gradient vector
-and Adam's two moment vectors for the whole run: the backward pass fills
-the gradient in place, and :func:`adam_step` updates the moments and the
-parameters in place, walking them in L2-sized chunks (see :mod:`.nn` for
+statistics. :func:`train` holds one parameter vector and Adam's two moment
+vectors for the whole run, and no full gradient: the backward pass writes
+each group of the gradient into a window of min(n, ``ADAM_CHUNK`` + 2 x the
+largest group) elements as it finishes it, and :func:`adam_step` takes the
+finished gradients from there, updating the moments and the parameters in
+place, in L2-sized chunks (see :func:`_gradient_window`, and :mod:`.nn` for
 the flat layout). The package's ``train`` function shadows this module as
 ``fusecast.train``, so import its other names with
 ``from fusecast.train import ...``. Wide cells may train with a helper
@@ -10,8 +12,10 @@ thread (see :mod:`.blas`)."""
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import math
+from collections.abc import Callable
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -120,24 +124,32 @@ def init_opt_state(params: ModelParams) -> OptState:
 
 def adam_step(params: ModelParams, grads: np.ndarray, state: OptState,
               config: TrainConfig, *, out: ModelParams | None = None,
-              helper: Executor | None = None) -> ModelParams:
+              helper: Executor | None = None, start: int = 0) -> ModelParams:
     """One bias-corrected adaptive-moment update of ``params.flat`` by the
     flat gradient, in the textbook formula's operation order, written into
-    ``out`` (which may be ``params``) or, without it, into a new
-    ModelParams. ``state`` is advanced in place. The update is elementwise,
+    ``out`` (which may be ``params``) or, without it, into a copy of
+    ``params``. ``state`` is advanced in place. The update is elementwise,
     so it runs chunk by chunk, ``ADAM_CHUNK`` elements at a time, with the
     same result bit for bit as over the whole vector; the first half of
-    the chunks runs on ``helper`` when given, in scratch rows of its own."""
+    the chunks runs on ``helper`` when given, in scratch rows of its own.
+
+    ``grads`` may be the gradient of a part of the vector only,
+    ``flat[start:start + len(grads)]``, which alone is updated. The part
+    that reaches the vector's end counts the step, so a step whose parts
+    run from the end of the vector downward, as in :func:`train`, counts
+    once."""
     if out is None:
-        out = ModelParams(params.config, np.empty_like(params.flat))
+        out = ModelParams(params.config, params.flat.copy())
     b1, b2 = config.beta1, config.beta2
-    state.step += 1
+    stop = start + len(grads)
+    if stop == params.flat.size:
+        state.step += 1
     c1, c2 = 1 - b1 ** state.step, 1 - b2 ** state.step
 
-    def update(starts, scratch):
-        for start in starts:
-            part = slice(start, start + ADAM_CHUNK)
-            m, v, g = state.m[part], state.v[part], grads[part]
+    def update(chunks, scratch):
+        for lo in chunks:
+            part = slice(lo, min(lo + ADAM_CHUNK, stop))
+            m, v, g = state.m[part], state.v[part], grads[lo - start:part.stop - start]
             s, theta = scratch[:, :len(m)]
             m *= b1
             m += np.multiply(1 - b1, g, out=s)
@@ -153,15 +165,62 @@ def adam_step(params: ModelParams, grads: np.ndarray, state: OptState,
             theta /= s
             np.subtract(params.flat[part], theta, out=out.flat[part])
 
-    starts = range(0, params.flat.size, ADAM_CHUNK)
+    chunks = range(start, stop, ADAM_CHUNK)
     if helper is None:
-        update(starts, state.scratch[0])
+        update(chunks, state.scratch[0])
     else:
-        half = len(starts) // 2
-        task = helper.submit(update, starts[:half], state.scratch[1])
-        update(starts[half:], state.scratch[0])
+        half = len(chunks) // 2
+        task = helper.submit(update, chunks[:half], state.scratch[1])
+        update(chunks[half:], state.scratch[0])
         task.result()
     return out
+
+
+def _gradient_window(params: ModelParams, state: OptState, config: TrainConfig,
+                     helper: Executor | None) -> tuple[ModelParams, Callable[[int], None]]:
+    """The gradient of a training step in a window of min(n, ADAM_CHUNK +
+    2 x the largest group) elements, and the ``done`` callback of
+    ``_backward_batch`` that runs Adam on it. Backward finishes the groups
+    from the end of the layout (see ``_backward_batch``), and the window
+    takes them from its end downward. A group that would not fit below the
+    pending gradients first flushes their whole ``ADAM_CHUNK`` chunks
+    through :func:`adam_step` into ``params`` (chunks of the whole vector's
+    grid, so a step runs as many as one call over the vector); the rest,
+    less than a chunk, moves to the window's end. The last ``done``
+    flushes what is left. Where the window holds all n, the step is one
+    Adam call over the window, as over a full gradient vector. The
+    placements and flushes depend only on the layout, so they are worked
+    out here once a run."""
+    n, layers = params.flat.size, params.config.cnn_layers
+    bounds = [params.starts[f"conv{i}.kernel"] for i in range(layers)]
+    bounds += [params.starts["attn.wq"], n]
+    size = min(n, ADAM_CHUNK + 2 * max(b - a for a, b in zip(bounds, bounds[1:])))
+    # the gradients that wait for Adam are flat[bounds[group + 1]:hi], each
+    # flat[i] at window[i - base]
+    base, hi, bases, flushes = n - size, n, [0] * (layers + 1), {}
+    for group in reversed(range(layers + 1)):
+        lo = bounds[group + 1]
+        if bounds[group] < base:
+            cut = min(hi, -(-lo // ADAM_CHUNK) * ADAM_CHUNK)
+            flushes[group + 1] = lo, cut, hi, base, cut - size
+            base, hi = cut - size, cut
+        bases[group] = base
+    flushes[0] = 0, 0, hi, base, base
+    window = np.empty(size)
+
+    def done(group):
+        if group in flushes:
+            # Adam on flat[cut:hi], then flat[lo:cut] to its new place
+            lo, cut, hi, old, new = flushes[group]
+            if cut < hi:
+                adam_step(params, window[cut - old:hi - old], state, config, out=params,
+                          helper=helper, start=cut)
+            if lo < cut:
+                window[lo - new:cut - new] = window[lo - old:cut - old]
+
+    starts = {name: start - bases[bisect.bisect(bounds, start) - 1]
+              for name, start in params.starts.items()}
+    return ModelParams(params.config, window, starts), done
 
 
 @blas.one_thread()
@@ -177,7 +236,6 @@ def train(config: ModelConfig, tconfig: TrainConfig,
     if data.w != config.w:
         raise ShapeMismatch(f"dataset windows of length {data.w}, model expects {config.w}")
     params = init_params(config)
-    grads = ModelParams(config, np.empty_like(params.flat))
     state = init_opt_state(params)
     rng = np.random.default_rng(tconfig.seed)
     history: list[float] = []
@@ -187,6 +245,7 @@ def train(config: ModelConfig, tconfig: TrainConfig,
     with (ThreadPoolExecutor(1) if blas.use_helper(split)
           else contextlib.nullcontext()) as helper:
         workspace = Workspace(config, min(batch, n), helper, split)
+        grads, done = _gradient_window(params, state, tconfig, helper)
         for _ in range(tconfig.epochs):
             order = rng.permutation(n)
             sse = 0.0
@@ -202,8 +261,8 @@ def train(config: ModelConfig, tconfig: TrainConfig,
                 if not math.isfinite(loss):
                     raise DivergedLoss(f"non-finite training loss at step {state.step + 1}")
                 sse += loss * len(idx)
-                _backward_batch(params, ws, dl_dy, out=grads)
-                adam_step(params, grads.flat, state, tconfig, out=params, helper=helper)
+                # backward runs Adam on each group of the gradient it finishes
+                _backward_batch(params, ws, dl_dy, out=grads, done=done)
             history.append(sse / n)
     return params, history
 

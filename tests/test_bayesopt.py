@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 from scipy.stats import norm, qmc
 
+from fusecast import bayesopt
 from fusecast.bayesopt import (
     GPHyper,
     GPState,
@@ -39,6 +42,44 @@ def expected_improvement(mu: float, sigma: float, f_plus: float, xi: float = 0.0
         return 0.0
     u = (mu - f_plus - xi) / sigma
     return max(0.0, float(sigma * (u * norm.cdf(u) + norm.pdf(u))))
+
+
+def scalar_ndtr(u: np.ndarray) -> np.ndarray:
+    """cephes' ndtr point by point in Python floats (``math.exp`` is the C
+    library's ``exp``), with its erf and erfc: the oracle of the numpy
+    ``_ndtr``."""
+    def polevl(x, coef, monic=False):
+        # Horner's rule, highest power first; monic puts an unstored
+        # leading 1 before the coefficients (p1evl)
+        y = 1.0 if monic else 0.0
+        for c in coef:
+            y = y * x + c
+        return y
+
+    def erf(x):                     # |x| <= 1
+        xx = x * x
+        return x * polevl(xx, bayesopt._ERF_T) / polevl(xx, bayesopt._ERF_U, monic=True)
+
+    def erfc(x):                    # x >= 0
+        if x < 1.0:
+            return 1.0 - erf(x)
+        if -x * x < -bayesopt._MAXLOG:
+            return 0.0
+        p, q = ((bayesopt._ERFC_P, bayesopt._ERFC_Q) if x < 8.0
+                else (bayesopt._ERFC_R, bayesopt._ERFC_S))
+        return math.exp(-x * x) * polevl(x, p) / polevl(x, q, monic=True)
+
+    out = []
+    for a in u.tolist():
+        x = a * bayesopt._SQRTH
+        if a != a:
+            out.append(math.nan)    # cephes' own NaN, whatever the input's sign
+        elif abs(x) < bayesopt._SQRTH:
+            out.append(0.5 + 0.5 * erf(x))
+        else:
+            y = 0.5 * erfc(abs(x))
+            out.append(1.0 - y if x > 0 else y)
+    return np.array(out)
 
 
 def gp_posterior(state, x) -> tuple[float, float]:
@@ -250,11 +291,17 @@ class TestScipyOracles:
         assert pdf.tobytes() == expected.tobytes()
 
     def test_ndtr_port_matches_scipy(self):
-        u = np.concatenate([np.random.default_rng(1).normal(0.0, 4.0, size=100_000),
-                            np.random.default_rng(2).uniform(-1.5, 1.5, size=20_000),
+        # the branches' edges |u| = 1, sqrt(2), 8 sqrt(2) and exp's underflow
+        # at sqrt(2 MAXLOG), each with its neighbours
+        edges = np.array([1.0, math.sqrt(2), 8 * math.sqrt(2), math.sqrt(2 * bayesopt._MAXLOG)])
+        edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+        u = np.concatenate([np.random.default_rng(1).normal(0.0, 4.0, size=780_000),
+                            np.random.default_rng(2).uniform(-1.5, 1.5, size=120_000),
+                            edges, -edges,
                             [0.0, -0.0, 1e-300, -1e-300, 38.5, -38.5, 40.0, -40.0,
                              np.inf, -np.inf, np.nan, -np.nan]])
-        assert _ndtr(u).tobytes() == ndtr(u).tobytes()
+        assert len(u) == 900_036
+        assert _ndtr(u).tobytes() == ndtr(u).tobytes() == scalar_ndtr(u).tobytes()
         assert _ndtr(np.empty(0)).shape == (0,)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 30])

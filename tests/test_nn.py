@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -362,6 +364,29 @@ class TestBackward:
         returned = _backward_batch(params, ws, dl_dy, out=out)
         assert returned is out.flat
         np.testing.assert_array_equal(out.flat, fresh)
+
+
+    @pytest.mark.parametrize("beside", [False, True], ids=["inline", "helper"])
+    def test_done_follows_the_finished_groups(self, beside, rng):
+        # done(i) comes once the gradient from group i on is final, the
+        # helper's weight gradients included, and none below it is written
+        # yet: the groups are conv layers 0-2 and then the attention and head
+        config = ModelConfig(w=15, cnn_layers=3, filters=40, kernel_size=4, heads=3, seed=5)
+        params = init_params(config)
+        xb, dl_dy = rng.normal(size=(32, config.w)), rng.normal(size=32)
+        expected = _backward_batch(params, _forward_batch(params, xb)[1], dl_dy)
+        starts = [params.starts[f"conv{i}.kernel"] for i in range(3)] + [params.starts["attn.wq"]]
+        out, calls = ModelParams(config, np.full_like(params.flat, np.nan)), []
+
+        def done(group):
+            calls.append(group)
+            assert out.flat[starts[group]:].tobytes() == expected[starts[group]:].tobytes()
+            assert np.isnan(out.flat[:starts[group]]).all()
+
+        with ThreadPoolExecutor(1) if beside else contextlib.nullcontext() as helper:
+            _, ws = _forward_batch(params, xb, workspace=Workspace(config, 32, helper))
+            _backward_batch(params, ws, dl_dy, out=out, done=done)
+        assert calls == [3, 2, 1, 0]
 
 
 def assert_matches_finite_differences(params, xb, y, label=None):

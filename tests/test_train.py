@@ -147,6 +147,31 @@ class TestAdam:
         np.testing.assert_array_equal(first.flat, before)
 
 
+    def test_parts_from_the_end_equal_one_step_bitwise(self, rng):
+        # 19361 parameters: a whole chunk and a partial one; parts that cut
+        # chunks, counting the step once, on the part that reaches the end
+        config = ModelConfig(w=15, cnn_layers=3, filters=40, kernel_size=4, heads=3, seed=5)
+        cfg = TrainConfig(learning_rate=3e-3)
+        whole, parts = init_params(config), init_params(config)
+        n = whole.flat.size
+        state, part_state = init_opt_state(whole), init_opt_state(parts)
+        for t in range(1, 4):
+            grads = rng.normal(size=n)
+            adam_step(whole, grads, state, cfg, out=whole)
+            for lo, hi in ((12345, n), (100, 12345), (0, 100)):
+                adam_step(parts, grads[lo:hi], part_state, cfg, out=parts, start=lo)
+                assert part_state.step == t
+            for a, b in ((parts.flat, whole.flat), (part_state.m, state.m),
+                         (part_state.v, state.v)):
+                assert a.tobytes() == b.tobytes()
+        # without out, a part update leaves the rest of a copy as it was
+        before = parts.flat.copy()
+        new = adam_step(parts, grads[:100], part_state, cfg)
+        assert new.flat[100:].tobytes() == before[100:].tobytes()
+        assert new.flat[:100].tobytes() != before[:100].tobytes()
+        assert parts.flat.tobytes() == before.tobytes()
+
+
 def reference_train(config: ModelConfig, tconfig: TrainConfig,
                     data: WindowedDataset) -> tuple:
     """The training loop with a new gradient vector from each backward pass

@@ -1,8 +1,10 @@
-"""The split GEMMs and the helper thread of wide-cell training: the same
-bits on the helper as inline, the same bits on one CPU as on two, every
-traced function on the main thread, and no thread left behind. Splitting
-is decided at one OpenBLAS thread, which ``train`` holds itself; the tests
-that call the nn level directly hold it with ``blas.one_thread()``."""
+"""The split GEMMs, the helper thread and the gradient window of wide-cell
+training: the same bits on the helper as inline, the same bits on one CPU
+as on two, the same bits from the window's Adam flushes as from a full
+gradient, which a step no longer allocates, every traced function on the
+main thread, and no thread left behind. Splitting is decided at one
+OpenBLAS thread, which ``train`` holds itself; the tests that call the nn
+level directly hold it with ``blas.one_thread()``."""
 
 import json
 import os
@@ -10,6 +12,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -19,7 +22,8 @@ import pytest
 from fusecast import blas, cli, nn
 from fusecast.blas import HELPER_MACS
 from fusecast.errors import DivergedLoss
-from fusecast.nn import ModelConfig, Workspace, _backward_batch, _forward_batch, init_params
+from fusecast.nn import (ModelConfig, ModelParams, Workspace, _backward_batch, _forward_batch,
+                         init_params)
 from fusecast.series import WindowedDataset
 from fusecast.train import TrainConfig
 
@@ -227,7 +231,7 @@ def test_helper_leaves_on_return_and_raise(data, helpers):
 def test_traced_functions_run_on_the_main_thread(one_blas_thread, data, helpers, monkeypatch):
     # the benchmark's tracer wraps these module names with one span stack
     # per process, so none may be called from the helper, which also runs
-    # the split forward
+    # the split forward and half of each Adam flush
     threads = {}
     for module, name in [(nn, "_forward_batch"), (train_module, "_forward_batch"),
                          (nn, "_mha_batch"), (nn, "_backward_batch"),
@@ -239,10 +243,88 @@ def test_traced_functions_run_on_the_main_thread(one_blas_thread, data, helpers,
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
-    train_module.train(CELL, TrainConfig(epochs=1, seed=2), data)
-    assert ran_beside(helpers[0]) and FORWARD_TASKS <= helpers[0].names
-    for name, seen in threads.items():
-        assert seen and all(t is threading.main_thread() for t in seen), name
+    # CELL's gradient window holds all n, so Adam runs once a step, as
+    # backward ends; MID_CELL's is smaller, so backward calls it 5 times
+    for cell, flushes in ((CELL, 1), (MID_CELL, 5)):
+        for seen in threads.values():
+            seen.clear()
+        train_module.train(cell, TrainConfig(epochs=1, seed=2), data)
+        assert ran_beside(helpers[-1]) and FORWARD_TASKS <= helpers[-1].names
+        # three steps: two full batches and a partial one
+        assert len(threads["_backward_batch"]) == 3
+        assert len(threads["adam_step"]) == flushes * 3
+        for name, seen in threads.items():
+            assert seen and all(t is threading.main_thread() for t in seen), name
+
+
+# cells whose gradient window holds all n (the default cell), and less, so
+# that Adam runs twice a step at 4x64 k=5, the largest cell of the
+# benchmark's tuning space, and five times at MID_CELL, with the split and
+# the helper
+WINDOW_CELLS = [ModelConfig(w=15, seed=4), ModelConfig(w=15, cnn_layers=4, filters=64,
+                                                       kernel_size=5, heads=4, seed=1), MID_CELL]
+
+
+@blas.one_thread()
+def full_gradient_train(config, tconfig, data, helper):
+    """``train``'s loop with a full gradient vector, which each backward
+    fills and one ``adam_step`` over the whole vector then reads."""
+    params = init_params(config)
+    grads = ModelParams(config, np.empty_like(params.flat))
+    state = train_module.init_opt_state(params)
+    rng = np.random.default_rng(tconfig.seed)
+    n, batch = len(data), tconfig.batch_size
+    workspace = Workspace(config, min(batch, n), helper, blas.splits(config, min(batch, n)))
+    history = []
+    for _ in range(tconfig.epochs):
+        order = rng.permutation(n)
+        sse = 0.0
+        for start in range(0, n, batch):
+            idx = order[start:start + batch]
+            ws = workspace.view(len(idx))
+            yhat = _forward_batch(params, data.inputs[idx], workspace=ws)[0]
+            loss, dl_dy = train_module.mse_loss(yhat, data.targets[idx])
+            sse += loss * len(idx)
+            _backward_batch(params, ws, dl_dy, out=grads)
+            train_module.adam_step(params, grads.flat, state, tconfig, out=params, helper=helper)
+        history.append(sse / n)
+    return params, history
+
+
+@pytest.mark.parametrize("cell", WINDOW_CELLS, ids=["default", "4x64k5", "10x110k3"])
+def test_gradient_window_equals_a_full_gradient_bitwise(cell, one_blas_thread, data, helpers):
+    # two epochs, each ending in a partial batch in a view of the workspace
+    tconfig = TrainConfig(epochs=2, learning_rate=3e-3, seed=2)
+    assert N_WINDOWS % tconfig.batch_size
+    params, history = train_module.train(cell, tconfig, data)
+    with CountingExecutor() as helper:
+        expected, expected_history = full_gradient_train(cell, tconfig, data, helper)
+    assert params.flat.tobytes() == expected.flat.tobytes()
+    assert history == expected_history
+    assert ran_beside(helpers[0]) and ran_beside(helper)
+    assert blas.splits(cell, 32) == (cell is MID_CELL)
+    window = train_module._gradient_window(params, None, tconfig, None)[0].flat.size
+    assert (window == params.flat.size) == (cell is WINDOW_CELLS[0])
+
+
+def test_one_step_allocates_no_full_gradient(rng):
+    # 8 layers of 96 filters: the window is 0.3 n, and Adam's scratch and
+    # a 4-window workspace are small, so the step's peak stays under the
+    # parameters', the two moments' and a full gradient's 4 n floats
+    cell = ModelConfig(w=8, cnn_layers=8, filters=96, kernel_size=5, heads=2, seed=1)
+    data = WindowedDataset(rng.normal(size=(4, 8)), rng.normal(size=4), 8)
+    params = init_params(cell)
+    n = params.flat.size
+    assert train_module._gradient_window(params, None, TrainConfig(), None)[0].flat.size < 0.31 * n
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        train_module.train(cell, TrainConfig(epochs=1, batch_size=4), data)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert 3 * n * 8 < peak < 4 * n * 8
 
 
 # Trains in a process of its own at the OpenBLAS thread count of its
