@@ -22,12 +22,12 @@ import pytest
 from fusecast import blas, cli, nn
 from fusecast.blas import HELPER_MACS
 from fusecast.errors import DivergedLoss
-from fusecast.nn import (ModelConfig, ModelParams, Workspace, _backward_batch, _forward_batch,
-                         init_params)
+from fusecast.nn import ModelConfig, Workspace, _backward_batch, _forward_batch, init_params
 from fusecast.series import WindowedDataset
 from fusecast.train import TrainConfig
 
 from conftest import assert_view_step_is_a_fresh_step
+from test_train import reference_train
 
 train_module = sys.modules["fusecast.train"]
 
@@ -265,43 +265,18 @@ WINDOW_CELLS = [ModelConfig(w=15, seed=4), ModelConfig(w=15, cnn_layers=4, filte
                                                        kernel_size=5, heads=4, seed=1), MID_CELL]
 
 
-@blas.one_thread()
-def full_gradient_train(config, tconfig, data, helper):
-    """``train``'s loop with a full gradient vector, which each backward
-    fills and one ``adam_step`` over the whole vector then reads."""
-    params = init_params(config)
-    grads = ModelParams(config, np.empty_like(params.flat))
-    state = train_module.init_opt_state(params)
-    rng = np.random.default_rng(tconfig.seed)
-    n, batch = len(data), tconfig.batch_size
-    workspace = Workspace(config, min(batch, n), helper, blas.splits(config, min(batch, n)))
-    history = []
-    for _ in range(tconfig.epochs):
-        order = rng.permutation(n)
-        sse = 0.0
-        for start in range(0, n, batch):
-            idx = order[start:start + batch]
-            ws = workspace.view(len(idx))
-            yhat = _forward_batch(params, data.inputs[idx], workspace=ws)[0]
-            loss, dl_dy = train_module.mse_loss(yhat, data.targets[idx])
-            sse += loss * len(idx)
-            _backward_batch(params, ws, dl_dy, out=grads)
-            train_module.adam_step(params, grads.flat, state, tconfig, out=params, helper=helper)
-        history.append(sse / n)
-    return params, history
-
-
 @pytest.mark.parametrize("cell", WINDOW_CELLS, ids=["default", "4x64k5", "10x110k3"])
 def test_gradient_window_equals_a_full_gradient_bitwise(cell, one_blas_thread, data, helpers):
-    # two epochs, each ending in a partial batch in a view of the workspace
+    # two epochs, each ending in a partial batch in a view of the workspace;
+    # the reference takes a full gradient vector and one Adam call over it
+    # each step, unsplit and without a helper
     tconfig = TrainConfig(epochs=2, learning_rate=3e-3, seed=2)
     assert N_WINDOWS % tconfig.batch_size
     params, history = train_module.train(cell, tconfig, data)
-    with CountingExecutor() as helper:
-        expected, expected_history = full_gradient_train(cell, tconfig, data, helper)
+    expected, expected_history = reference_train(cell, tconfig, data)
     assert params.flat.tobytes() == expected.flat.tobytes()
     assert history == expected_history
-    assert ran_beside(helpers[0]) and ran_beside(helper)
+    assert ran_beside(helpers[0])
     assert blas.splits(cell, 32) == (cell is MID_CELL)
     window = train_module._gradient_window(params, None, tconfig, None)[0].flat.size
     assert (window == params.flat.size) == (cell is WINDOW_CELLS[0])
