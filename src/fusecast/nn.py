@@ -195,10 +195,10 @@ class ModelParams:
     backward writes. ``conv_kernels`` (f, c_in, k), ``wq``, ``wk``, ``wv``
     (h, d, d_k) and :meth:`tensors` are the checkpoint-shaped views;
     ``conv_biases``, ``wo``, ``w_out`` and ``b_out`` are the rest.
-    ``starts`` maps each name to where its tensor starts in ``flat``: the
-    layout's offsets, where a vector of the wrong size raises
-    :class:`ShapeMismatch`, unless the caller places the tensors itself, as
-    training's gradient window does (see :mod:`.train`)."""
+    ``starts`` maps each name to where its tensor starts in ``flat``. By
+    default these are the layout's offsets, and a vector of the wrong size
+    raises :class:`ShapeMismatch`; a caller may place the tensors itself,
+    as training's gradient window does (see :mod:`.train`)."""
 
     def __init__(self, config: ModelConfig, flat: np.ndarray,
                  starts: dict[str, int] | None = None):
