@@ -35,8 +35,8 @@ group at a time from the layout's end, the attention and head first and
 then each conv layer, last first, and calls back as each is done. The
 optimizer is elementwise, so training updates those parameters there and
 keeps no full gradient: its views lie in a window of min(n, ``ADAM_CHUNK``
-+ 2 x the largest group) elements, which holds only the gradients that
-Adam has not yet taken (see :mod:`.train`).
++ the largest group) elements, which holds only the gradients that Adam
+has not yet taken (see :mod:`.train`).
 
 The path is written as matrix products that reach BLAS, and its
 elementwise passes run on contiguous runs where the layout allows:

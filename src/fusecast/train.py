@@ -1,7 +1,7 @@
 """Model fitting, recursive forecasting, error metrics, and multi-run
 statistics. :func:`train` holds one parameter vector and Adam's two moment
 vectors for the whole run, and no full gradient: the backward pass writes
-each group of the gradient into a window of min(n, ``ADAM_CHUNK`` + 2 x the
+each group of the gradient into a window of min(n, ``ADAM_CHUNK`` + the
 largest group) elements as it finishes it, and :func:`adam_step` takes the
 finished gradients from there, updating the moments and the parameters in
 place, in L2-sized chunks (see :func:`_gradient_window`, and :mod:`.nn` for
@@ -179,14 +179,12 @@ def adam_step(params: ModelParams, grads: np.ndarray, state: OptState,
 def _gradient_window(params: ModelParams, state: OptState, config: TrainConfig,
                      helper: Executor | None) -> tuple[ModelParams, Callable[[int], None]]:
     """The gradient of a training step in a window of min(n, ADAM_CHUNK +
-    2 x the largest group) elements, and the ``done`` callback of
+    the largest group) elements, and the ``done`` callback of
     ``_backward_batch`` that runs Adam on it. Backward finishes the groups
     from the end of the layout (see ``_backward_batch``), and the window
     takes them from its end downward. A group that would not fit below the
-    pending gradients first flushes their whole ``ADAM_CHUNK`` chunks
-    through :func:`adam_step` into ``params`` (chunks of the whole vector's
-    grid, so a step runs as many as one call over the vector); the rest,
-    less than a chunk, moves to the window's end. The last ``done``
+    pending gradients first flushes them through :func:`adam_step` into
+    ``params``, and the window starts again from its end; the last ``done``
     flushes what is left. Where the window holds all n, the step is one
     Adam call over the window, as over a full gradient vector. The
     placements and flushes depend only on the layout, so they are worked
@@ -194,29 +192,24 @@ def _gradient_window(params: ModelParams, state: OptState, config: TrainConfig,
     n, layers = params.flat.size, params.config.cnn_layers
     bounds = [params.starts[f"conv{i}.kernel"] for i in range(layers)]
     bounds += [params.starts["attn.wq"], n]
-    size = min(n, ADAM_CHUNK + 2 * max(b - a for a, b in zip(bounds, bounds[1:])))
+    size = min(n, ADAM_CHUNK + max(b - a for a, b in zip(bounds, bounds[1:])))
     # the gradients that wait for Adam are flat[bounds[group + 1]:hi], each
     # flat[i] at window[i - base]
     base, hi, bases, flushes = n - size, n, [0] * (layers + 1), {}
     for group in reversed(range(layers + 1)):
         lo = bounds[group + 1]
         if bounds[group] < base:
-            cut = min(hi, -(-lo // ADAM_CHUNK) * ADAM_CHUNK)
-            flushes[group + 1] = lo, cut, hi, base, cut - size
-            base, hi = cut - size, cut
+            flushes[group + 1] = lo, hi, base
+            base, hi = lo - size, lo
         bases[group] = base
-    flushes[0] = 0, 0, hi, base, base
+    flushes[0] = 0, hi, base
     window = np.empty(size)
 
     def done(group):
         if group in flushes:
-            # Adam on flat[cut:hi], then flat[lo:cut] to its new place
-            lo, cut, hi, old, new = flushes[group]
-            if cut < hi:
-                adam_step(params, window[cut - old:hi - old], state, config, out=params,
-                          helper=helper, start=cut)
-            if lo < cut:
-                window[lo - new:cut - new] = window[lo - old:cut - old]
+            lo, hi, base = flushes[group]
+            adam_step(params, window[lo - base:hi - base], state, config, out=params,
+                      helper=helper, start=lo)
 
     starts = {name: start - bases[bisect.bisect(bounds, start) - 1]
               for name, start in params.starts.items()}

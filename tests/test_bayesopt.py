@@ -295,12 +295,11 @@ class TestScipyOracles:
         # at sqrt(2 MAXLOG), each with its neighbours
         edges = np.array([1.0, math.sqrt(2), 8 * math.sqrt(2), math.sqrt(2 * bayesopt._MAXLOG)])
         edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
-        u = np.concatenate([np.random.default_rng(1).normal(0.0, 4.0, size=780_000),
-                            np.random.default_rng(2).uniform(-1.5, 1.5, size=120_000),
+        u = np.concatenate([np.random.default_rng(1).normal(0.0, 4.0, size=100_000),
+                            np.random.default_rng(2).uniform(-1.5, 1.5, size=20_000),
                             edges, -edges,
                             [0.0, -0.0, 1e-300, -1e-300, 38.5, -38.5, 40.0, -40.0,
                              np.inf, -np.inf, np.nan, -np.nan]])
-        assert len(u) == 900_036
         assert _ndtr(u).tobytes() == ndtr(u).tobytes() == scalar_ndtr(u).tobytes()
         assert _ndtr(np.empty(0)).shape == (0,)
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from fusecast import blas
 from fusecast.errors import (
     DivergedLoss,
     EmptyDataset,
@@ -173,12 +172,10 @@ class TestAdam:
         assert parts.flat.tobytes() == before.tobytes()
 
 
-@blas.one_thread()
 def reference_train(config: ModelConfig, tconfig: TrainConfig,
                     data: WindowedDataset) -> tuple:
     """The training loop with a new gradient vector from each backward pass
-    and new parameters from each Adam step over the whole vector, in a new
-    workspace each step, at one OpenBLAS thread as ``train`` runs."""
+    and new parameters from each Adam step."""
     params = init_params(config)
     state = init_opt_state(params)
     rng = np.random.default_rng(tconfig.seed)

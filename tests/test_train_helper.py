@@ -243,9 +243,9 @@ def test_traced_functions_run_on_the_main_thread(one_blas_thread, data, helpers,
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
-    # CELL's gradient window holds all n, so Adam runs once a step, as
-    # backward ends; MID_CELL's is smaller, so backward calls it 5 times
-    for cell, flushes in ((CELL, 1), (MID_CELL, 5)):
+    # backward calls Adam for each flush of the gradient window: twice a
+    # step at CELL, once per group at MID_CELL
+    for cell, flushes in ((CELL, 2), (MID_CELL, 10)):
         for seen in threads.values():
             seen.clear()
         train_module.train(cell, TrainConfig(epochs=1, seed=2), data)
@@ -258,8 +258,8 @@ def test_traced_functions_run_on_the_main_thread(one_blas_thread, data, helpers,
 
 
 # cells whose gradient window holds all n (the default cell), and less, so
-# that Adam runs twice a step at 4x64 k=5, the largest cell of the
-# benchmark's tuning space, and five times at MID_CELL, with the split and
+# that Adam runs four times a step at 4x64 k=5, the largest cell of the
+# benchmark's tuning space, and ten times at MID_CELL, with the split and
 # the helper
 WINDOW_CELLS = [ModelConfig(w=15, seed=4), ModelConfig(w=15, cnn_layers=4, filters=64,
                                                        kernel_size=5, heads=4, seed=1), MID_CELL]
@@ -283,14 +283,14 @@ def test_gradient_window_equals_a_full_gradient_bitwise(cell, one_blas_thread, d
 
 
 def test_one_step_allocates_no_full_gradient(rng):
-    # 8 layers of 96 filters: the window is 0.3 n, and Adam's scratch and
+    # 8 layers of 96 filters: the window is 0.17 n, and Adam's scratch and
     # a 4-window workspace are small, so the step's peak stays under the
     # parameters', the two moments' and a full gradient's 4 n floats
     cell = ModelConfig(w=8, cnn_layers=8, filters=96, kernel_size=5, heads=2, seed=1)
     data = WindowedDataset(rng.normal(size=(4, 8)), rng.normal(size=4), 8)
     params = init_params(cell)
     n = params.flat.size
-    assert train_module._gradient_window(params, None, TrainConfig(), None)[0].flat.size < 0.31 * n
+    assert train_module._gradient_window(params, None, TrainConfig(), None)[0].flat.size < 0.18 * n
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
