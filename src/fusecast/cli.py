@@ -368,26 +368,29 @@ def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
     ts = _load_series(cfg)
     data = series.prepare(ts, cfg["data"]["train_frac"], mconfig.w)
 
+    names = ("rmse", "mae", "mape", "msle")
     per_run: list[dict] = []
     reasons: dict[str, str] = {}
     first_params = None
     fit_seconds = 0.0
-    for r in range(runs):
-        tconfig = TrainConfig(**cfg["train"], seed=seed + 200 + r)
-        t0 = time.perf_counter()
-        params, _ = train_model(replace(mconfig, seed=seed + 100 + r), tconfig, data.train)
-        fit_seconds += time.perf_counter() - t0
-        values, undefined = metric_values(*_one_step(params, data.scaler, data.held))
-        per_run.append(values)
-        reasons.update(undefined)
-        if first_params is None:
-            first_params = params
-
-    names = ("rmse", "mae", "mape", "msle")
-    # an undefined MAPE or MSLE is null in the runs, and so are its stats
-    _write_csv(out / "runs.csv", ["run", *names],
-               [[r, *("null" if m[n] is None else _fmt(m[n]) for n in names)]
-                for r, m in enumerate(per_run)])
+    # line-buffered: the header, and each run's row as the run ends, are
+    # on disk at once, so a run that diverges keeps the rows before it
+    with (out / "runs.csv").open("w", newline="", buffering=1) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["run", *names])
+        for r in range(runs):
+            tconfig = TrainConfig(**cfg["train"], seed=seed + 200 + r)
+            t0 = time.perf_counter()
+            params, _ = train_model(replace(mconfig, seed=seed + 100 + r), tconfig, data.train)
+            fit_seconds += time.perf_counter() - t0
+            values, undefined = metric_values(*_one_step(params, data.scaler, data.held))
+            per_run.append(values)
+            reasons.update(undefined)
+            if first_params is None:
+                first_params = params
+            # an undefined MAPE or MSLE is null in the runs, and so are its stats
+            writer.writerow([r, *("null" if values[n] is None else _fmt(values[n])
+                                  for n in names)])
     stats_doc = {}
     for name in names:
         vals = [m[name] for m in per_run]

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
+import os
 import signal
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,7 +199,7 @@ class _CoalitionModel:
         self._workspace: nn.Workspace | None = None
 
     def __enter__(self) -> _CoalitionModel:
-        if "fork" in multiprocessing.get_all_start_methods():
+        if hasattr(os, "fork"):
             self._cpus = blas.cpus()
         return self
 
@@ -269,6 +268,9 @@ class _CoalitionModel:
         tasks = [(present, pattern, x, background[lo:hi], bg_step)
                  for lo, hi in zip(cuts, cuts[1:])]
         if groups > 1 and self._pool is None:
+            # imported here: a command that never forks does not load them
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             self._pool = ProcessPoolExecutor(
                 self._cpus - 1, mp_context=multiprocessing.get_context("fork"),
                 initializer=_adopt, initargs=(self,))

@@ -71,9 +71,13 @@ the forward the shared columns are the last layer's; backward refills
 them for each layer between from the kept activations, and runs each
 deeper layer's col2im in the taps buffer ``dcols``: the shared columns,
 once its kernel gradient has read them, or, in a workspace with a helper
-(below), a buffer of its own, so that the two GEMMs never share memory.
-The workspace records which layer the columns hold, so a second backward
-from the workspace's intermediates refills them too.
+(below), the Q/K/V block, so that the two GEMMs never share memory.
+Backward's scratch lies over forward memory that it has finished with
+when the scratch is written: dQ/dK/dV is the second half of the Q/K/V
+block, which is dead once the first conv layer's task has joined, and the
+row-major Q copy and the softmax Jacobian lie over ``dact`` and ``dpre``,
+which are written only after both are read. So a backward consumes its
+forward, and a second backward from it raises ``ValueError``.
 
 A workspace may carry a helper, an executor with one worker thread, which
 ``train`` opens for wide cells (see :mod:`.blas`), and may be split. A
@@ -334,8 +338,9 @@ class Workspace:
     docstring). The attention's softmax buffers are its attributes
     ``softmax``, ``softmax_kq``, ``stat`` and ``tmean``. The forward's
     intermediates that backward reads, ``q``, ``k``, ``v``, ``att``,
-    ``abar``, ``pooled``, ``z`` and ``act``, are valid until the next
-    forward with it or with any of its views. ``helper``, an executor with
+    ``abar``, ``pooled``, ``z`` and ``act``, are valid until a backward
+    reads them, which writes its scratch over them, or the next forward
+    with it or with any of its views. ``helper``, an executor with
     one worker or None, runs work beside the main thread (see
     :func:`_beside`). A ``split`` workspace cuts the conv GEMMs above
     layer 0 at row ``cut`` and the Q/K/V GEMM at row ``qkv_cut`` (see
@@ -343,13 +348,15 @@ class Workspace:
     rows bit for bit only where BLAS tiles them alike, so ``train`` splits
     only GEMMs of a size where that was measured.
 
-    Each buffer is the leading part of one block sized for ``batch``
+    Each buffer lies at a fixed offset of one block sized for ``batch``
     windows, and :meth:`view` gives a workspace of fewer windows over the
-    same blocks."""
+    same blocks, each buffer at the same offset. Several buffers share a
+    block where backward writes one after it has read the other for the
+    last time (see the module docstring)."""
 
     def __init__(self, config: ModelConfig, batch: int, helper: Executor | None = None,
                  split: bool = False, training: bool = True):
-        self._carve(config, batch, helper, split, training, {})
+        self._carve(config, batch, helper, split, training, {}, [0])
 
     def view(self, batch: int) -> Workspace:
         """A workspace of ``batch`` windows, at most this one's, in the
@@ -366,11 +373,13 @@ class Workspace:
         if batch not in self._views:
             view = self._views[batch] = Workspace.__new__(Workspace)
             view._carve(self.config, batch, self.helper,
-                        self.split and blas.splits(self.config, batch), self.training, self._blocks)
+                        self.split and blas.splits(self.config, batch), self.training,
+                        self._blocks, self._holds)
         return self._views[batch]
 
     def _carve(self, config: ModelConfig, batch: int, helper: Executor | None,
-               split: bool, training: bool, blocks: dict[str, np.ndarray]) -> None:
+               split: bool, training: bool, blocks: dict[str, np.ndarray],
+               holds: list[int]) -> None:
         def empty(name, *shape):
             # the leading part of the block ``name``, made by its first use
             if name not in blocks:
@@ -381,11 +390,23 @@ class Workspace:
         h, dk, layers = config.heads, config.head_dim, config.cnn_layers
         self.config, self.batch, self.training = config, batch, training
         self.helper, self.split, self._blocks, self._views = helper, split, blocks, {}
+        # [the batch of the view whose forward the blocks hold], 0 for none,
+        # shared by the views: the views of one size run on the same memory
+        self._holds = holds
         self.cut = blas.split_cut(f) if split else 0
         self.qkv_cut = blas.split_cut(3 * h * dk) if split else 0
+        if training and not blocks:
+            # the blocks that backward's scratch shares with forward memory,
+            # each buffer at its offset for this batch (see the module
+            # docstring)
+            n = b * w
+            taps = k * f if helper is not None and layers > 1 else 0
+            qkv = np.empty(max(6 * h * dk, taps) * n)
+            dact = np.empty(max(2 * f, h * (dk + 2 * w)) * n)
+            blocks.update(qkv=qkv, dqkv=qkv[3 * h * dk * n:], dcols=qkv,
+                          dact=dact, dpre=dact[f * n:], q_rows=dact, dlogits=dact[h * dk * n:])
         self.cols_in = empty("cols_in", k, 1, b, w)
         self.cols = empty("cols", k, f, b, w) if layers > 1 else None
-        self.held = 0                                    # the layer whose columns cols holds
         slots = layers if training else min(layers, 2)  # layer i's map is in slot i % slots
         self.act = empty("act", slots, f, b, w)
         self.qkv = empty("qkv", 3 * h * dk, b * w)
@@ -407,7 +428,8 @@ class Workspace:
         self.dact = empty("dact", f, b, w)
         self.dpre = empty("dpre", f, b, w)
         # col2im's taps: the columns, which the kernel gradient has read by
-        # then, unless it reads them on the helper meanwhile
+        # then, unless it reads them on the helper meanwhile; then the Q/K/V
+        # block
         self.dcols = self.cols if helper is None or layers == 1 else empty("dcols", k, f, b, w)
 
 
@@ -493,7 +515,7 @@ def _conv_forward(params: ModelParams, xb: np.ndarray, ws: Workspace) -> np.ndar
         _halves(ws.helper, cut, _conv_rows, kmat, bias, cols.reshape(kmat.shape[1], b * w),
                 ws.act[slot])
         h = ws.act[slot]
-    ws.held = cfg.cnn_layers - 1
+    ws._holds[0] = ws.batch
     return h
 
 
@@ -529,7 +551,10 @@ def _backward_batch(params: ModelParams, ws: Workspace, dl_dy: np.ndarray,
     """Analytic gradient of sum_b dl_dy[b] * yhat[b] w.r.t. ``params.flat``,
     each tensor's part written into its view of ``out`` (a new ModelParams
     when not given); returns ``out.flat``. It reads the intermediates that
-    the last forward left in ``ws``, which must be a training workspace.
+    the last forward left in ``ws``, which must be a training workspace,
+    and consumes them: its scratch lies over them. So it raises
+    ``ValueError`` when a backward has already read them, or when a forward
+    through another view of ``ws``'s blocks has run since.
     Weight and input gradients are 2-D GEMMs on the same channel-major
     (., B*w) layouts and weight matrices as the forward pass, each weight
     gradient's GEMM writing into its matrix view of ``out``, and the
@@ -547,6 +572,11 @@ def _backward_batch(params: ModelParams, ws: Workspace, dl_dy: np.ndarray,
     if not ws.training:
         raise ValueError("backward needs a training workspace: an inference "
                          "workspace keeps two conv maps and no backward buffers")
+    if ws._holds[0] != ws.batch:
+        raise ValueError("backward needs the intermediates of a forward through this "
+                         "workspace: a backward has consumed them, or a forward through "
+                         "another view of its blocks has overwritten them")
+    ws._holds[0] = 0
     g = np.asarray(dl_dy, dtype=np.float64)
     b, w, d, dk, h = ws.batch, cfg.w, cfg.filters, cfg.head_dim, cfg.heads
 
@@ -594,9 +624,9 @@ def _backward_batch(params: ModelParams, ws: Workspace, dl_dy: np.ndarray,
         dpre = np.multiply(dact, ws.act[layer] > 0, out=ws.dpre).reshape(d, b * w)
         np.add.reduce(dpre, axis=1, out=out.conv_biases[layer])
         # layer 0's columns are the forward pass's; the deeper layers share
-        # one buffer of columns, which the kernel gradient's task refills
-        # unless it holds the layer's
-        refill = layer > 0 and ws.held != layer
+        # one buffer of columns, which holds the last layer's after the
+        # forward and which the kernel gradient's task refills for the others
+        refill = 0 < layer < cfg.cnn_layers - 1
         task = _beside(ws.helper, _kernel_grad, ws.act[layer - 1] if refill else None,
                        ws.cols if layer else ws.cols_in, dpre, out.conv_mats[layer])
         if layer > 0:
@@ -606,7 +636,6 @@ def _backward_batch(params: ModelParams, ws: Workspace, dl_dy: np.ndarray,
             # 0 as one contiguous run shifted by i
             dcols = np.matmul(kmat.T, dpre, out=ws.dcols.reshape(kmat.shape[1], b * w))
             dcols = dcols.reshape(ws.dcols.shape)
-            ws.held = 0
             dh = dcols[0].reshape(-1)
             for i in range(1, cfg.kernel_size):
                 dcols[i, :, :, :i] = 0.0

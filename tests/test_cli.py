@@ -484,6 +484,31 @@ class TestBench:
         assert not (out / "bench" / "box_msle.svg").exists()
         assert (out / "bench" / "box_rmse.svg").exists()
 
+    def test_diverged_run_keeps_the_rows_before_it(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, **{"train.epochs": 2})
+        assert run("bench", "--config", str(cfg), "--out", str(tmp_path / "whole")) == 0
+        whole = (tmp_path / "whole" / "bench" / "runs.csv").read_bytes().splitlines(True)
+        runs_csv = tmp_path / "o" / "bench" / "runs.csv"
+        seen, real_train = [], cli.train_model
+
+        def diverging(mconfig, tconfig, data):
+            # bench seeds run r's model with seed + 100 + r, the seed being 1
+            r = mconfig.seed - 101
+            # the rows of the runs before this one are on disk already
+            seen.append(runs_csv.read_bytes())
+            if r == 2:
+                raise DivergedLoss("non-finite training loss at step 3")
+            return real_train(mconfig, tconfig, data)
+
+        monkeypatch.setattr(cli, "train_model", diverging)
+        capsys.readouterr()
+        assert run("bench", "--config", str(cfg), "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert err == "numeric failure: non-finite training loss at step 3\n"
+        assert seen == [b"".join(whole[:r + 1]) for r in range(3)]
+        assert runs_csv.read_bytes() == b"".join(whole[:3])
+        assert not (tmp_path / "o" / "bench" / "bench_report.json").exists()
+
     def test_too_few_runs_rejected(self, tmp_path):
         cfg = write_config(tmp_path, **{"bench.runs": 3})
         assert run("bench", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2

@@ -1,4 +1,5 @@
-"""Start-up cost: fusecast never imports ``scipy``.
+"""Start-up cost: fusecast never imports ``scipy``, and ``import
+fusecast.cli`` loads no ``multiprocessing``.
 
 ``scipy.signal`` and ``scipy.stats`` cost about 76 MB and 0.8 s of every
 command's start, and ``scipy.linalg`` and ``scipy.special`` about 31 MB and
@@ -6,6 +7,9 @@ command's start, and ``scipy.linalg`` and ``scipy.special`` about 31 MB and
 fusecast.cli`` and again after every CLI command (with its SVGs) and a call
 into every module, so a deferred import inside a function fails it too. The tuner's
 calls reach its GP: ``tune``'s budget is above its initial design.
+``multiprocessing`` and ``concurrent.futures.process`` cost about 1 MB of
+every command's peak RSS; only ``explain``'s forked workers need them, so
+they are checked after the import alone.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import fusecast.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-seen = {"import": scipy_modules()}
+seen = {"import": scipy_modules(),
+        "multiprocessing": sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing")}
 from fusecast import cli
 from fusecast.bayesopt import Observation, SearchSpace, gp_fit, propose, tune
 from fusecast.explain import ExplainConfig, explain
@@ -72,4 +77,5 @@ def test_no_scipy_after_import_and_calls():
     done = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == {"import": [], "calls": []}
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "import": [], "multiprocessing": [], "calls": []}

@@ -357,10 +357,12 @@ class TestBackward:
         ModelConfig(w=15, cnn_layers=3, filters=40, kernel_size=4, heads=3, seed=5)])
     def test_out_filled_bitwise_as_new_vector(self, config, rng):
         params = init_params(config)
-        _, ws = _forward_batch(params, rng.normal(size=(32, config.w)))
-        dl_dy = rng.normal(size=32)
+        xb, dl_dy = rng.normal(size=(32, config.w)), rng.normal(size=32)
+        _, ws = _forward_batch(params, xb)
         fresh = _backward_batch(params, ws, dl_dy)
         out = ModelParams(config, np.full_like(params.flat, np.nan))
+        # a backward consumes its forward: the same batch again
+        _forward_batch(params, xb, workspace=ws)
         returned = _backward_batch(params, ws, dl_dy, out=out)
         assert returned is out.flat
         np.testing.assert_array_equal(out.flat, fresh)
@@ -621,9 +623,10 @@ class TestWorkspace:
         dict(cnn_layers=3, filters=6, kernel_size=4, heads=3, head_dim=5),
     ], ids=["default", "three-layers"])
     def test_backward_repeats_on_a_reused_workspace(self, cell, rng):
-        # backward refills the shared columns of the deeper layers; a
-        # second backward, or one after another batch's forward, must still
-        # read this batch's
+        # backward refills the shared columns of the deeper layers and
+        # writes its scratch over the forward's intermediates; one after
+        # another batch's forward and backward must still read this batch's,
+        # and a second backward from one forward raises
         params = init_params(ModelConfig(w=15, **cell, seed=4))
         ws = Workspace(params.config, 17)
         xb, g = rng.normal(size=(17, 15)), rng.normal(size=17)
@@ -631,7 +634,8 @@ class TestWorkspace:
         _backward_batch(params, ws, g)
         _forward_batch(params, xb, workspace=ws)
         first = _backward_batch(params, ws, g)
-        np.testing.assert_array_equal(_backward_batch(params, ws, g), first)
+        with pytest.raises(ValueError, match="consumed"):
+            _backward_batch(params, ws, g)
         _, fresh = _forward_batch(params, xb)
         np.testing.assert_array_equal(_backward_batch(params, fresh, g), first)
 
@@ -688,6 +692,20 @@ class TestWorkspace:
             steps.append((yhat, _backward_batch(params, space, g)))
         for again, fresh in zip(*steps):
             assert again.tobytes() == fresh.tobytes()
+
+    def test_backward_refuses_a_forward_through_another_view(self, rng):
+        # the views share the blocks, so a forward through one overwrites
+        # the intermediates that a backward through another would read
+        params = init_params(ModelConfig(w=15, cnn_layers=3, filters=6, kernel_size=4, seed=4))
+        ws = Workspace(params.config, 32)
+        _forward_batch(params, rng.normal(size=(32, 15)), workspace=ws)
+        _forward_batch(params, rng.normal(size=(17, 15)), workspace=ws.view(17))
+        with pytest.raises(ValueError, match="another view"):
+            _backward_batch(params, ws, rng.normal(size=32))
+        # the view's own forward is still there to read, once
+        _backward_batch(params, ws.view(17), rng.normal(size=17))
+        with pytest.raises(ValueError):
+            _backward_batch(params, ws.view(17), rng.normal(size=17))
 
     @pytest.mark.parametrize("batch", [33, 0, -1])
     def test_view_beyond_the_workspace_rejected(self, batch):
