@@ -25,6 +25,7 @@ from .errors import (
     InvalidSpec,
     ObjectiveFailure,
     SingularKernel,
+    check_float,
 )
 
 JITTER_START = 1e-8
@@ -51,6 +52,8 @@ class SearchSpace:
                            for v in bound)):
                 raise InvalidSpec(f"{name} must be a (lo, hi) pair of integers, got {bound!r}")
             lo, hi = bound
+            for v in bound:     # the unit cube and the box radii are computed in floats
+                check_float(v, name)
             if lo > hi:
                 raise InvalidSpec(f"{name}: lo {lo} > hi {hi}")
 
@@ -293,9 +296,11 @@ def _latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:
 
 
 def _check_acquisition(pool_size: int, xi: float) -> None:
-    """A pool needs a point; EI's offset must be a finite number >= 0."""
+    """A pool needs a point, and a size that converts to a float; EI's offset
+    must be a finite number >= 0."""
     if pool_size < 1:
         raise EmptySpace("pool_size must be >= 1")
+    check_float(pool_size, "pool_size")
     if not 0.0 <= xi < np.inf:
         raise InvalidSpec(f"xi must be finite and >= 0, got {xi!r}")
 
@@ -360,36 +365,55 @@ class TuneResult:
     trials: tuple
     incumbent: tuple   # best objective seen up to and including each trial
 
+    @classmethod
+    def of(cls, trials) -> TuneResult:
+        """The result of the trials so far: the best is the first trial with the
+        lowest finite objective (the first trial, while none is finite)."""
+        trials = tuple(trials)
+        finite = [t.objective if np.isfinite(t.objective) else np.inf for t in trials]
+        best = trials[int(np.argmin(finite))]
+        return cls(best.config, best.objective, trials, tuple(itertools.accumulate(finite, min)))
 
-@blas.one_thread()
+
 def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
          seed: int = 0, pool_size: int = 512, xi: float = 0.01) -> TuneResult:
-    """Minimize ``objective(config)`` over the integer grid.
+    """Run :func:`trials` to its end and collect what it yields."""
+    return TuneResult.of(trials(objective, space, budget, init, seed=seed,
+                                pool_size=pool_size, xi=xi))
+
+
+def trials(objective, space: SearchSpace, budget: int, init: int | None = None, *,
+           seed: int = 0, pool_size: int = 512, xi: float = 0.01):
+    """Minimize ``objective(config)`` over the integer grid, yielding each
+    :class:`Trial` as it ends.
 
     ``budget`` >= ``init`` >= 1 (``init`` defaults to min(5, budget)) and a
-    finite ``xi`` >= 0 are checked before the first trial (InvalidSpec), and
-    so is ``pool_size`` >= 1 (EmptySpace); a pool too large for memory, when
-    ``budget`` > ``init``, raises MemoryError there too. The first ``init``
-    trials are a seeded Latin-hypercube design. After that, global EI
-    proposals, each hill-climbed over its grid neighbours while that raises
-    its EI, alternate with exploitation steps that take the best posterior
-    mean over a box of unevaluated cells around the incumbent, so the search
-    concentrates instead of wandering the hypercube; the final trials sweep
-    the incumbent's immediate grid neighbours (best predicted mean
-    alternating with highest posterior uncertainty) to settle the exact
+    finite ``xi`` >= 0 are checked when it is called, before the first trial
+    (InvalidSpec), and so are ``pool_size`` >= 1 (EmptySpace) and a ``budget``
+    and ``pool_size`` that convert to floats (InvalidSpec); a pool too large
+    for memory, when ``budget`` > ``init``, raises MemoryError there too. The
+    first ``init`` trials are a seeded Latin-hypercube design. After that,
+    global EI proposals, each hill-climbed over its grid neighbours while
+    that raises its EI, alternate with exploitation steps that take the best
+    posterior mean over a box of unevaluated cells around the incumbent, so
+    the search concentrates instead of wandering the hypercube; the final
+    trials sweep the incumbent's immediate grid neighbours (best predicted
+    mean alternating with highest posterior uncertainty) to settle the exact
     cell. An objective raising a package error, FloatingPointError or
     LinAlgError is penalized with the worst finite value so far and skipped,
-    and any other exception propagates; ObjectiveFailure is raised when no
-    initial trial gives a finite value.
+    and any other exception propagates; ObjectiveFailure is raised, after
+    the last initial trial is yielded, when no initial trial gives a finite
+    value.
 
-    The trial list is the only record: the incumbent (the first trial with
-    the lowest finite objective), the evaluated cells, the GP's observations
-    (the finite trials, in order) and the result are derived from it. Fully
-    reproducible for fixed seeds; numpy's OpenBLAS, which runs the GP's
-    Cholesky factor and solves, is held at one thread throughout.
+    The trials are the only record: the incumbent (the first trial with the
+    lowest finite objective), the evaluated cells and the GP's observations
+    (the finite trials, in order) are derived from them. Fully reproducible
+    for fixed seeds; numpy's OpenBLAS, which runs the GP's Cholesky factor
+    and solves, is held at one thread while the iteration runs.
     """
     if budget < 1:
         raise InvalidSpec("budget must be >= 1")
+    check_float(budget, "budget")
     if init is None:
         init = min(5, budget)
     if not 1 <= init <= budget:
@@ -397,70 +421,72 @@ def tune(objective, space: SearchSpace, budget: int, init: int | None = None, *,
     _check_acquisition(pool_size, xi)
     if budget > init:
         # the shape of propose's pool: one too large for memory fails here
-        np.empty((pool_size, space.dim))
-
-    init_points = _latin_hypercube(space.dim, init, seed)
-    rng = np.random.default_rng(seed + 1)
-    box_radii = {name: max(2, round(0.1 * (getattr(space, name)[1] - getattr(space, name)[0])))
-                 for name in space.NAMES}
-    polish = min(max(4, round(0.2 * budget)), max(0, (budget - init) // 2))
-
-    def local_pick(state, cells, explore: bool) -> dict:
-        uq = np.stack([space.to_unit(c) for c in cells])
-        mu, var = _posterior_std_units(state, uq)
-        return cells[int(np.argmax(var)) if explore else int(np.argmin(mu))]
-
-    trials: list[Trial] = []
-    last_error: Exception | None = None
-    polish_count = 0
-    for i in range(budget):
-        finite = [t for t in trials if np.isfinite(t.objective)]
-        if i < init:
-            cfg = space.round_to_grid(init_points[i])
-        else:
-            best_cfg = min(finite, key=lambda t: t.objective).config
-            evaluated = {tuple(t.config[n] for n in space.NAMES) for t in trials}
-            state = gp_fit(Observation(x=space.to_unit(t.config), y=t.objective) for t in finite)
-            cfg = None
-            if i >= budget - polish:
-                cells = _coordinate_neighbours(space, best_cfg, evaluated)
-                if cells:
-                    cfg = local_pick(state, cells, explore=polish_count % 2 == 1)
-                    polish_count += 1
-            elif (i - init) % 2 == 1:
-                cells = _box_candidates(space, best_cfg, box_radii, evaluated)
-                if cells:
-                    cfg = local_pick(state, cells, explore=False)
-            if cfg is None:
-                # the global EI pick, hill-climbed over its grid neighbours; the
-                # cell is scored in the same batch as its neighbours, since a
-                # point's EI can differ in the last bit from batch to batch
-                cfg = propose(state, space, pool_size, rng=rng, xi=xi)
-                while True:
-                    cells = [cfg, *_coordinate_neighbours(space, cfg, set())]
-                    ei = _ei_minimize(state, np.stack([space.to_unit(c) for c in cells]), xi)
-                    top = int(np.argmax(ei))    # ties keep the current cell
-                    if top == 0:
-                        break
-                    cfg = cells[top]
-
-        t0 = time.perf_counter()
-        failed, error = False, ""
-        # a bad cell is penalized and skipped; any other exception is a bug
         try:
-            y = float(objective(cfg))
-        except (FusecastError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            failed, error, last_error = True, f"{type(exc).__name__}: {exc}", exc
-            y = max((t.objective for t in finite), default=np.inf)
-        trials.append(Trial(index=i, config=cfg, objective=y,
-                            wall_seconds=time.perf_counter() - t0, failed=failed, error=error))
-        if i == init - 1 and not any(np.isfinite(t.objective) for t in trials):
-            # nothing for the surrogate to fit: a numeric failure, not a bad space
-            raise ObjectiveFailure(i, last_error or RuntimeError("no finite objective"),
-                                   tuple(trials))
+            np.empty((pool_size, space.dim))
+        except ValueError as exc:       # a length past numpy's largest array
+            raise MemoryError(f"pool of shape ({pool_size}, {space.dim}): {exc}") from None
+    return _trials(objective, space, budget, init, seed, pool_size, xi)
 
-    best = min((t for t in trials if np.isfinite(t.objective)), key=lambda t: t.objective)
-    incumbent = itertools.accumulate(
-        (t.objective if np.isfinite(t.objective) else np.inf for t in trials), min)
-    return TuneResult(best_config=best.config, best_objective=best.objective,
-                      trials=tuple(trials), incumbent=tuple(incumbent))
+
+def _trials(objective, space, budget, init, seed, pool_size, xi):
+    """The iteration of :func:`trials`, over checked arguments."""
+    with blas.one_thread():
+        init_points = _latin_hypercube(space.dim, init, seed)
+        rng = np.random.default_rng(seed + 1)
+        bounds = {name: getattr(space, name) for name in space.NAMES}
+        box_radii = {name: max(2, round(0.1 * (hi - lo))) for name, (lo, hi) in bounds.items()}
+        polish = min(max(4, round(0.2 * budget)), max(0, (budget - init) // 2))
+
+        def local_pick(state, cells, explore: bool) -> dict:
+            uq = np.stack([space.to_unit(c) for c in cells])
+            mu, var = _posterior_std_units(state, uq)
+            return cells[int(np.argmax(var)) if explore else int(np.argmin(mu))]
+
+        done: list[Trial] = []
+        last_error: Exception | None = None
+        polish_count = 0
+        for i in range(budget):
+            finite = [t for t in done if np.isfinite(t.objective)]
+            if i < init:
+                cfg = space.round_to_grid(init_points[i])
+            else:
+                best_cfg = min(finite, key=lambda t: t.objective).config
+                evaluated = {tuple(t.config[n] for n in space.NAMES) for t in done}
+                state = gp_fit(Observation(space.to_unit(t.config), t.objective) for t in finite)
+                cfg = None
+                if i >= budget - polish:
+                    cells = _coordinate_neighbours(space, best_cfg, evaluated)
+                    if cells:
+                        cfg = local_pick(state, cells, explore=polish_count % 2 == 1)
+                        polish_count += 1
+                elif (i - init) % 2 == 1:
+                    cells = _box_candidates(space, best_cfg, box_radii, evaluated)
+                    if cells:
+                        cfg = local_pick(state, cells, explore=False)
+                if cfg is None:
+                    # the global EI pick, hill-climbed over its grid neighbours; the
+                    # cell is scored in the same batch as its neighbours, since a
+                    # point's EI can differ in the last bit from batch to batch
+                    cfg = propose(state, space, pool_size, rng=rng, xi=xi)
+                    while True:
+                        cells = [cfg, *_coordinate_neighbours(space, cfg, set())]
+                        ei = _ei_minimize(state, np.stack([space.to_unit(c) for c in cells]), xi)
+                        top = int(np.argmax(ei))    # ties keep the current cell
+                        if top == 0:
+                            break
+                        cfg = cells[top]
+
+            t0 = time.perf_counter()
+            failed, error = False, ""
+            # a bad cell is penalized and skipped; any other exception is a bug
+            try:
+                y = float(objective(cfg))
+            except (FusecastError, FloatingPointError, np.linalg.LinAlgError) as exc:
+                failed, error, last_error = True, f"{type(exc).__name__}: {exc}", exc
+                y = max((t.objective for t in finite), default=np.inf)
+            done.append(Trial(index=i, config=cfg, objective=y,
+                              wall_seconds=time.perf_counter() - t0, failed=failed, error=error))
+            yield done[-1]
+            if i == init - 1 and not any(np.isfinite(t.objective) for t in done):
+                # nothing for the surrogate to fit: a numeric failure, not a bad space
+                raise ObjectiveFailure(i, last_error or RuntimeError("no finite objective"))

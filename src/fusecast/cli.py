@@ -15,6 +15,7 @@ error's base class in :mod:`fusecast.errors` carries its code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import functools
@@ -31,6 +32,7 @@ from . import bayesopt, nn, series, svg
 from .explain import ExplainConfig, explain as explain_window, sample_background
 from .train import (
     TrainConfig,
+    anchor_ends,
     forecast_recursive,
     horizon_eval,
     metric_values,
@@ -38,7 +40,7 @@ from .train import (
     run_stats,
     train as train_model,
 )
-from .errors import ConfigError, FusecastError, ObjectiveFailure, check_seed
+from .errors import ConfigError, FusecastError, check_float, check_seed
 
 OUT_ENV = "FUSECAST_OUT"
 
@@ -86,11 +88,7 @@ def _check_type(default, value, path: str) -> None:
         raise ConfigError(f"{path} must be {type(default).__name__}, "
                           f"got {type(value).__name__} {value!r}")
     if type(default) is float and isinstance(value, int):
-        try:
-            float(value)
-        except OverflowError:
-            raise ConfigError(f"{path} must be a finite float, got an integer of "
-                              f"{len(str(abs(value)))} digits") from None
+        check_float(value, path)
 
 
 def _merge(defaults, override, path="config"):
@@ -156,10 +154,19 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with path.open("w", newline="") as fh:
+@contextlib.contextmanager
+def _csv_writer(path: Path, header):
+    """A CSV writer on ``path`` that has written ``header``. The file is
+    line-buffered, so the header, and each row as it is written, are on disk
+    at once: a run cut short keeps the rows before it."""
+    with path.open("w", newline="", buffering=1) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        yield writer
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with _csv_writer(path, header) as writer:
         writer.writerows(rows)
 
 
@@ -261,23 +268,19 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
         # RMSE is defined even where MAPE or MSLE is not
         return metric_values(*_one_step(params, data.scaler, data.held))[0]["rmse"]
 
-    def report_failed(trials):
+    # the arguments are checked here, before the log is opened
+    trials = bayesopt.trials(objective, space, budget=budget, init=init, seed=seed + 3,
+                             pool_size=cfg["tune"]["pool_size"], xi=cfg["tune"]["xi"])
+    done = []
+    with _csv_writer(out / "tune_log.csv",
+                     ["trial", *space.NAMES, "rmse", "best_so_far", "wall_seconds"]) as log:
         for trial in trials:
+            done.append(trial)
+            result = bayesopt.TuneResult.of(done)
             if trial.failed:
                 print(f"trial {trial.index} failed: {trial.error}", file=sys.stderr)
-
-    try:
-        result = bayesopt.tune(objective, space, budget=budget, init=init, seed=seed + 3,
-                               pool_size=cfg["tune"]["pool_size"], xi=cfg["tune"]["xi"])
-    except ObjectiveFailure as exc:
-        report_failed(exc.trials)
-        raise
-    report_failed(result.trials)
-    _write_csv(out / "tune_log.csv",
-               ["trial", *space.NAMES, "rmse", "best_so_far", "wall_seconds"],
-               [[trial.index, *(trial.config[name] for name in space.NAMES),
-                 _fmt(trial.objective), _fmt(best), _fmt(trial.wall_seconds)]
-                for trial, best in zip(result.trials, result.incumbent)])
+            log.writerow([trial.index, *(trial.config[name] for name in space.NAMES),
+                          *map(_fmt, (trial.objective, result.incumbent[-1], trial.wall_seconds))])
     _write_json(out / "best_config.json",
                 {**result.best_config, "objective_rmse": result.best_objective})
     if make_svg:
@@ -367,17 +370,16 @@ def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
     mconfig = nn.ModelConfig(**cfg["model"])    # before the data, as in train
     ts = _load_series(cfg)
     data = series.prepare(ts, cfg["data"]["train_frac"], mconfig.w)
+    for horizon in cfg["horizons"]:     # before the first run trains
+        anchor_ends(len(ts), data.train_len, mconfig.w, horizon, cfg["bench"]["anchors"])
 
     names = ("rmse", "mae", "mape", "msle")
     per_run: list[dict] = []
     reasons: dict[str, str] = {}
     first_params = None
     fit_seconds = 0.0
-    # line-buffered: the header, and each run's row as the run ends, are
-    # on disk at once, so a run that diverges keeps the rows before it
-    with (out / "runs.csv").open("w", newline="", buffering=1) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", *names])
+    # each run's row is on disk as the run ends
+    with _csv_writer(out / "runs.csv", ["run", *names]) as writer:
         for r in range(runs):
             tconfig = TrainConfig(**cfg["train"], seed=seed + 200 + r)
             t0 = time.perf_counter()

@@ -35,6 +35,16 @@ def check_seed(seed) -> None:
         raise InvalidSpec(f"seed must be >= 0, got {seed}")
 
 
+def check_float(value, name: str) -> None:
+    """Raise :class:`InvalidSpec` for an integer too large for a float, which
+    float arithmetic refuses with a bare OverflowError."""
+    try:
+        float(value)
+    except OverflowError:
+        raise InvalidSpec(f"{name} must be a finite float, got an integer of "
+                          f"{len(str(abs(value)))} digits") from None
+
+
 class InvalidFraction(ConfigError):
     pass
 
@@ -140,11 +150,10 @@ class SingularKernel(NumericFailure, ArithmeticError):
 
 
 class ObjectiveFailure(NumericFailure, RuntimeError):
-    """``trials`` holds every trial run before the failure, failed ones
-    included, so their causes can still be reported."""
+    """No initial trial of a tuning run gave a finite objective; ``cause`` is
+    the last exception an objective raised."""
 
-    def __init__(self, trial: int, cause: BaseException, trials: tuple = ()):
+    def __init__(self, trial: int, cause: BaseException):
         super().__init__(f"objective failed at trial {trial}: {cause!r}")
         self.trial = trial
         self.cause = cause
-        self.trials = trials

@@ -234,13 +234,23 @@ class ModelParams:
         return dict(self._views)
 
 
+def _zeros(config: ModelConfig) -> np.ndarray:
+    """A zero vector as long as ``config``'s parameters; a length numpy
+    refuses (ValueError) raises MemoryError, as any allocation too large."""
+    n = sum(map(math.prod, param_layout(config).values()))
+    try:
+        return np.zeros(n)
+    except ValueError as exc:       # a length past numpy's largest array
+        raise MemoryError(f"{n} parameters: {exc}") from None
+
+
 def init_params(config: ModelConfig) -> ModelParams:
     """Seeded initialization, drawn in layout order: convolution kernels use
     fan-in uniform scaling with rectifier gain (limit sqrt(6/fan_in), entry
     std sqrt(2/fan_in)); projection matrices use fan-average (Glorot)
     uniform; biases start at zero."""
     rng = np.random.default_rng(config.seed)
-    params = ModelParams(config, np.zeros(sum(map(math.prod, param_layout(config).values()))))
+    params = ModelParams(config, _zeros(config))
     for kern in params.conv_kernels:
         _, c_in, k = kern.shape
         limit = np.sqrt(6.0 / (c_in * k))
@@ -710,7 +720,7 @@ def load_checkpoint(path) -> tuple[ModelParams, ScalerParams]:
     layout = param_layout(cfg)
     if set(tensors) != set(layout):
         raise BadCheckpoint("checkpoint tensors do not match the declared config")
-    params = ModelParams(cfg, np.empty(sum(map(math.prod, layout.values()))))
+    params = ModelParams(cfg, _zeros(cfg))
     for name, view in params.tensors().items():
         if tensors[name].shape != view.shape:
             raise BadCheckpoint(f"tensor {name} has shape {tensors[name].shape}, "

@@ -388,6 +388,24 @@ def run_stats(values: np.ndarray) -> RunStats:
     )
 
 
+def anchor_ends(n_values: int, train_len: int, w: int, horizon: int,
+                n_anchors: int = 10) -> np.ndarray:
+    """Where :func:`horizon_eval`'s windows end in a series of ``n_values``
+    points: up to ``n_anchors`` evenly spaced points of the test segment, each
+    with ``horizon`` test points after it and ``w`` points before it."""
+    if n_anchors < 1:
+        raise InvalidSpec(f"n_anchors must be >= 1, got {n_anchors}")
+    n_test = n_values - train_len
+    if n_test < horizon:
+        raise EmptyDataset(f"test segment of {n_test} too short for horizon {horizon}")
+    last_start = n_test - horizon
+    k = min(n_anchors, last_start + 1)
+    ends = train_len + np.unique(np.linspace(0, last_start, k).astype(int))
+    if ends[0] < w:
+        raise ShapeMismatch(f"training segment of {train_len} shorter than window {w}")
+    return ends
+
+
 def horizon_eval(params: ModelParams, scaler: ScalerParams, values: np.ndarray,
                  train_len: int, horizon: int, n_anchors: int = 10
                  ) -> tuple[MetricsReport, MetricsReport]:
@@ -399,19 +417,9 @@ def horizon_eval(params: ModelParams, scaler: ScalerParams, values: np.ndarray,
     value. Returns (model metrics, persistence metrics) in raw units, from
     :func:`metric_values`, so an undefined MAPE or MSLE is None.
     """
-    if n_anchors < 1:
-        raise InvalidSpec(f"n_anchors must be >= 1, got {n_anchors}")
     values = np.asarray(values, dtype=np.float64)
     w = params.config.w
-    n_test = len(values) - train_len
-    if n_test < horizon:
-        raise EmptyDataset(f"test segment of {n_test} too short for horizon {horizon}")
-    last_start = n_test - horizon
-    k = min(n_anchors, last_start + 1)
-    anchors = np.unique(np.linspace(0, last_start, k).astype(int))
-    ends = train_len + anchors
-    if ends[0] < w:
-        raise ShapeMismatch(f"training segment of {train_len} shorter than window {w}")
+    ends = anchor_ends(len(values), train_len, w, horizon, n_anchors)
     windows = np.stack([values[end - w:end] for end in ends])
     model_pred = unscale_values(_rollout(params, scale_values(windows, scaler), horizon), scaler)
     truth = [values[end:end + horizon] for end in ends]

@@ -13,6 +13,7 @@ from fusecast.bayesopt import (
     GPState,
     Observation,
     SearchSpace,
+    TuneResult,
     _ei_minimize,
     _kernel_matrix,
     _latin_hypercube,
@@ -21,6 +22,7 @@ from fusecast.bayesopt import (
     _substitute,
     gp_fit,
     propose,
+    trials,
     tune,
 )
 from fusecast.errors import (DimensionMismatch, DivergedLoss, EmptySpace, InvalidSpec,
@@ -472,6 +474,24 @@ class TestTune:
         assert len(calls) == 3 and info.value.trial == 2
         assert isinstance(info.value.cause, DivergedLoss)
 
+    def test_trials_stream_as_they_end(self):
+        # each trial is yielded before the next one runs, and tune collects
+        # the same trials
+        yielded, calls = [], []
+
+        def objective(cfg):
+            calls.append(len(yielded))
+            return (cfg["filters"] - 100) ** 2 / 1e4 + cfg["heads"]
+
+        space = SearchSpace()
+        for trial in trials(objective, space, budget=8, init=3, seed=5, pool_size=64):
+            yielded.append(trial)
+        assert calls == list(range(8))
+        result = tune(objective, space, budget=8, init=3, seed=5, pool_size=64)
+        fields = lambda t: (t.index, t.config, t.objective, t.failed, t.error)
+        assert list(map(fields, result.trials)) == list(map(fields, yielded))
+        assert TuneResult.of(result.trials) == result
+
     def test_validation(self):
         with pytest.raises(InvalidSpec):
             tune(lambda c: 0.0, SearchSpace(), budget=0)
@@ -481,7 +501,9 @@ class TestTune:
     @pytest.mark.parametrize("init,kwargs,error", [
         (3, {"pool_size": 0}, EmptySpace), (5, {"pool_size": 0}, EmptySpace),
         (3, {"xi": float("nan")}, InvalidSpec), (3, {"xi": -1.0}, InvalidSpec),
-        (3, {"xi": float("inf")}, InvalidSpec)])
+        (3, {"xi": float("inf")}, InvalidSpec), (3, {"pool_size": 10**400}, InvalidSpec),
+        # numpy refuses this pool's length itself (ValueError), not the allocator
+        (3, {"pool_size": 10**20}, MemoryError)])
     def test_arguments_checked_before_first_trial(self, init, kwargs, error):
         # init == budget never proposes, and is checked all the same
         calls = []

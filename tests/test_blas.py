@@ -133,6 +133,28 @@ def test_tune_holds_one_thread_through_its_gp(count, set_threads, monkeypatch):
     assert blas.threads() == count
 
 
+def test_trials_hold_one_thread_while_they_run(set_threads):
+    # the pin is taken in the iteration, not when the stream is made, and a
+    # stream closed part way gives the count back
+    space = bayesopt.SearchSpace(cnn_layers=(1, 3), heads=(1, 2), filters=(4, 8),
+                                 kernel_size=(2, 3))
+    seen = []
+
+    def objective(cfg):
+        seen.append(blas.threads())
+        return float(cfg["filters"])
+
+    set_threads(2)
+    stream = bayesopt.trials(objective, space, budget=4, init=3, pool_size=16)
+    assert blas.threads() == 2
+    next(stream)
+    assert blas.threads() == 1
+    stream.close()
+    assert blas.threads() == 2
+    assert len(list(bayesopt.trials(objective, space, budget=4, init=3, pool_size=16))) == 4
+    assert seen == [1] * 5 and blas.threads() == 2
+
+
 def test_pin_holds_until_the_last_thread_leaves(set_threads):
     # two threads whose pins overlap: the first to leave must not restore the
     # count while the other is still inside

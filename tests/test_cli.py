@@ -3,8 +3,10 @@ import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -260,6 +262,55 @@ class TestTune:
             assert len(list(csv.DictReader(fh))) == budget
         assert json.loads((out / "tune" / "config.json").read_text())["tune"]["init"] == budget
 
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_interrupt_keeps_the_finished_rows(self, tmp_path, capsys, monkeypatch, k):
+        # budget 5, init 3: trial 4 is proposed by the GP
+        cfg = write_config(tmp_path, **{"tune.budget": 5})
+        assert run("tune", "--config", str(cfg), "--out", str(tmp_path / "whole")) == 0
+        whole = mask_timing((tmp_path / "whole" / "tune" / "tune_log.csv").read_text())
+        log = tmp_path / "o" / "tune" / "tune_log.csv"
+        seen, real_train = [], cli.train_model
+
+        def interrupted(*args):
+            # the rows of the trials before this one are on disk already
+            seen.append(mask_timing(log.read_text()))
+            if len(seen) > k:
+                raise KeyboardInterrupt
+            return real_train(*args)
+
+        monkeypatch.setattr(cli, "train_model", interrupted)
+        capsys.readouterr()
+        assert run("tune", "--config", str(cfg), "--out", str(tmp_path / "o")) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+        rows = whole.splitlines()
+        assert seen == ["\n".join(rows[:i + 1]) for i in range(k + 1)]
+        assert mask_timing(log.read_text()) == "\n".join(rows[:k + 1])
+        assert not (tmp_path / "o" / "tune" / "best_config.json").exists()
+
+    def test_sigint_keeps_the_finished_rows(self, tmp_path):
+        # a real SIGINT, delivered once the first row is on disk: the log is
+        # line-buffered, and main turns the interrupt into exit 130
+        cfg = write_config(tmp_path, **{"tune.epochs": 6})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        log = tmp_path / "cut" / "tune" / "tune_log.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fusecast", "tune", "--config", str(cfg),
+             "--out", str(tmp_path / "cut")], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        deadline = time.monotonic() + 60
+        while not (log.is_file() and log.read_text().count("\n") > 1):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130 and err == "interrupted\n"
+        assert run("tune", "--config", str(cfg), "--out", str(tmp_path / "whole")) == 0
+        cut = mask_timing(log.read_text()).splitlines()
+        whole = mask_timing((tmp_path / "whole" / "tune" / "tune_log.csv").read_text())
+        assert 1 < len(cut) < 4 and cut == whole.splitlines()[:len(cut)]
+
     def test_init_above_budget_names_the_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, **{"tune.init": 6})
         out = tmp_path / "o"
@@ -509,6 +560,18 @@ class TestBench:
         assert runs_csv.read_bytes() == b"".join(whole[:3])
         assert not (tmp_path / "o" / "bench" / "bench_report.json").exists()
 
+    def test_horizon_past_the_test_segment_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # 800 days leave a test segment of 160: refused before a run trains
+        trained = []
+        monkeypatch.setattr(cli, "train_model", lambda *a: trained.append(a))
+        cfg = write_config(tmp_path, **{"data.synth.length": 800, "horizons": [5, 5000]})
+        out = tmp_path / "o"
+        assert run("bench", "--config", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == ("data error: test segment of 160 too short "
+                                           "for horizon 5000\n")
+        assert trained == []
+        assert not (out / "bench" / "runs.csv").exists()
+
     def test_too_few_runs_rejected(self, tmp_path):
         cfg = write_config(tmp_path, **{"bench.runs": 3})
         assert run("bench", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
@@ -563,6 +626,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: out of memory: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,overrides", [
+        ("train", {"model.filters": 2**40, "model.cnn_layers": 2}),
+        ("tune", {"tune.space.filters": [16, 2**62]})])
+    def test_out_of_memory_parameter_vector(self, tmp_path, capsys, command, overrides):
+        # numpy refuses these vectors' lengths outright (ValueError), where
+        # 10**6 filters fail in the allocator (MemoryError); the tune run
+        # fails in its first trial, after the log's header is written
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "o"
+        assert run(command, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"config error: out of memory: \d+ parameters: .+\n", err)
+        if command == "tune":
+            assert (out / "tune" / "tune_log.csv").read_text().count("\n") == 1
 
     def test_out_of_memory_acquisition_pool(self, tmp_path, capsys, monkeypatch):
         # the second trial would propose from the pool; it is refused
@@ -768,6 +846,11 @@ class TestExitCodes:
         assert re.findall(r"trial (\d) failed: DivergedLoss", err) == ["0", "1", "2"]
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in err
+        # the failed trials are logged with their penalty
+        with (tmp_path / "o" / "tune" / "tune_log.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["trial"], r["rmse"], r["best_so_far"]) for r in rows] == [
+            (str(i), "inf", "inf") for i in range(3)]
 
     @pytest.mark.parametrize("key,bound", [
         ("tune.space.kernel_size", [2, 12]), ("tune.space.heads", [0, 3]),
@@ -783,7 +866,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key,value,budget", [
         ("tune.pool_size", 0, 5), ("tune.pool_size", 0, 3),
-        ("tune.xi", float("nan"), 5), ("tune.xi", -1.0, 5), ("tune.xi", -1.0, 3)])
+        ("tune.xi", float("nan"), 5), ("tune.xi", -1.0, 5), ("tune.xi", -1.0, 3),
+        # too large for a float: refused where the tuner's set-up, the pool's
+        # probe and the search space's box radii overflowed
+        pytest.param("tune.budget", 10**400, 10**400, id="tune.budget-10**400"),
+        pytest.param("tune.pool_size", 10**400, 5, id="tune.pool_size-10**400-5"),
+        pytest.param("tune.space.filters", [16, 10**400], 5, id="tune.space.filters-10**400-5")])
     def test_tune_arguments_checked_before_any_trial(self, tmp_path, capsys, monkeypatch,
                                                      key, value, budget):
         # init is 3: at budget 3 no trial ever proposes a cell, and the
@@ -794,7 +882,7 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run("tune", "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: " + key.split(".")[1]) and "trial" not in err
+        assert err.startswith("config error: " + key.split(".")[-1]) and "trial" not in err
         assert trained == []
         assert not (out / "tune" / "tune_log.csv").exists()
 
