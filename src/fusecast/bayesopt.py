@@ -25,6 +25,7 @@ from .errors import (
     InvalidSpec,
     ObjectiveFailure,
     SingularKernel,
+    allocated,
     check_float,
 )
 
@@ -286,9 +287,10 @@ def _ndtr(u: np.ndarray) -> np.ndarray:
 
 def _latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:
     """``n`` points in [0, 1)^d, one in each of the ``n`` slices of every
-    axis: ``scipy.stats.qmc.LatinHypercube(d, seed=seed).random(n)``'s bits."""
+    axis: ``scipy.stats.qmc.LatinHypercube(d, seed=seed).random(n)``'s bits;
+    MemoryError for an ``n`` too large (see :func:`fusecast.errors.allocated`)."""
     rng = np.random.default_rng(seed)
-    offsets = rng.uniform(size=(n, d))
+    offsets = allocated(f"design of shape ({n}, {d})", rng.uniform, size=(n, d))
     perms = np.tile(np.arange(1, n + 1), (d, 1))
     for row in perms:
         rng.shuffle(row)
@@ -390,11 +392,12 @@ def trials(objective, space: SearchSpace, budget: int, init: int | None = None, 
     ``budget`` >= ``init`` >= 1 (``init`` defaults to min(5, budget)) and a
     finite ``xi`` >= 0 are checked when it is called, before the first trial
     (InvalidSpec), and so are ``pool_size`` >= 1 (EmptySpace) and a ``budget``
-    and ``pool_size`` that convert to floats (InvalidSpec); a pool too large
-    for memory, when ``budget`` > ``init``, raises MemoryError there too. The
-    first ``init`` trials are a seeded Latin-hypercube design. After that,
-    global EI proposals, each hill-climbed over its grid neighbours while
-    that raises its EI, alternate with exploitation steps that take the best
+    and ``pool_size`` that convert to floats (InvalidSpec). The first ``init``
+    trials are a seeded Latin-hypercube design, also built when it is called:
+    a design too large for memory raises MemoryError there, and so does a
+    pool too large, when ``budget`` > ``init``. After that, global EI
+    proposals, each hill-climbed over its grid neighbours while that raises
+    its EI, alternate with exploitation steps that take the best
     posterior mean over a box of unevaluated cells around the incumbent, so
     the search concentrates instead of wandering the hypercube; the final
     trials sweep the incumbent's immediate grid neighbours (best predicted
@@ -417,21 +420,18 @@ def trials(objective, space: SearchSpace, budget: int, init: int | None = None, 
     if init is None:
         init = min(5, budget)
     if not 1 <= init <= budget:
-        raise InvalidSpec("need budget >= init >= 1")
+        raise InvalidSpec(f"init must lie in [1, budget], got init {init} with budget {budget}")
     _check_acquisition(pool_size, xi)
-    if budget > init:
-        # the shape of propose's pool: one too large for memory fails here
-        try:
-            np.empty((pool_size, space.dim))
-        except ValueError as exc:       # a length past numpy's largest array
-            raise MemoryError(f"pool of shape ({pool_size}, {space.dim}): {exc}") from None
-    return _trials(objective, space, budget, init, seed, pool_size, xi)
+    if budget > init:   # the shape of propose's pool: one too large for memory fails here
+        allocated(f"pool of shape ({pool_size}, {space.dim})", np.empty, (pool_size, space.dim))
+    design = _latin_hypercube(space.dim, init, seed)
+    return _trials(objective, space, budget, init, design, seed, pool_size, xi)
 
 
-def _trials(objective, space, budget, init, seed, pool_size, xi):
-    """The iteration of :func:`trials`, over checked arguments."""
+def _trials(objective, space, budget, init, design, seed, pool_size, xi):
+    """The iteration of :func:`trials`, over checked arguments and the
+    initial trials' design."""
     with blas.one_thread():
-        init_points = _latin_hypercube(space.dim, init, seed)
         rng = np.random.default_rng(seed + 1)
         bounds = {name: getattr(space, name) for name in space.NAMES}
         box_radii = {name: max(2, round(0.1 * (hi - lo))) for name, (lo, hi) in bounds.items()}
@@ -448,7 +448,7 @@ def _trials(objective, space, budget, init, seed, pool_size, xi):
         for i in range(budget):
             finite = [t for t in done if np.isfinite(t.objective)]
             if i < init:
-                cfg = space.round_to_grid(init_points[i])
+                cfg = space.round_to_grid(design[i])
             else:
                 best_cfg = min(finite, key=lambda t: t.objective).config
                 evaluated = {tuple(t.config[n] for n in space.NAMES) for t in done}

@@ -209,10 +209,10 @@ def cmd_synth(cfg: dict, make_svg: bool = False) -> int:
 def cmd_train(cfg: dict, make_svg: bool = False) -> int:
     out = _out_dir(cfg, "train")
     seed = cfg["seed"]
-    # built before the data is cut, so a bad model.w is a config error
+    # built before the data is read, so a bad model.w is a config error
     mconfig = nn.ModelConfig(**cfg["model"], seed=seed)
-    data = series.prepare(_load_series(cfg), cfg["data"]["train_frac"], mconfig.w)
     tconfig = TrainConfig(**cfg["train"], seed=seed + 1)
+    data = series.prepare(_load_series(cfg), cfg["data"]["train_frac"], mconfig.w)
     t0 = time.perf_counter()
     params, history = train_model(mconfig, tconfig, data.train)
     # saved first, so an undefined reporting metric never discards the model
@@ -252,15 +252,9 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
             raise ConfigError(f"tune.space.{name} lower bound must be >= 1")
     if space.kernel_size[1] > w:
         raise ConfigError(f"tune.space.kernel_size upper bound exceeds model.w {w}")
-    budget, init = cfg["tune"]["budget"], cfg["tune"]["init"]
-    if budget >= 1 and not 1 <= init <= budget:
-        raise ConfigError(f"tune.init must lie in [1, tune.budget], got tune.init {init} "
-                          f"with tune.budget {budget}")
-    train_ts, _ = series.split(_load_series(cfg), cfg["data"]["train_frac"])
-    # tuning objective: validation RMSE on the last 20% of the training
-    # segment, so the test segment stays untouched until final training
-    data = series.prepare(train_ts, 0.8, w)
     tconfig = TrainConfig(**{**cfg["train"], "epochs": cfg["tune"]["epochs"]}, seed=seed + 1)
+    # the parameters of the cell of every upper bound: too large ones fail here
+    nn._zeros(nn.ModelConfig(w=w, **{name: getattr(space, name)[1] for name in space.NAMES}))
 
     def objective(trial_cfg: dict) -> float:
         params, _ = train_model(nn.ModelConfig(w=w, **trial_cfg, seed=seed), tconfig,
@@ -268,9 +262,15 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
         # RMSE is defined even where MAPE or MSLE is not
         return metric_values(*_one_step(params, data.scaler, data.held))[0]["rmse"]
 
-    # the arguments are checked here, before the log is opened
-    trials = bayesopt.trials(objective, space, budget=budget, init=init, seed=seed + 3,
+    # the arguments and the design are checked here, before the series is
+    # read (the first trial reads ``data``) and the log is opened
+    trials = bayesopt.trials(objective, space, budget=cfg["tune"]["budget"],
+                             init=cfg["tune"]["init"], seed=seed + 3,
                              pool_size=cfg["tune"]["pool_size"], xi=cfg["tune"]["xi"])
+    train_ts, _ = series.split(_load_series(cfg), cfg["data"]["train_frac"])
+    # tuning objective: validation RMSE on the last 20% of the training
+    # segment, so the test segment stays untouched until final training
+    data = series.prepare(train_ts, 0.8, w)
     done = []
     with _csv_writer(out / "tune_log.csv",
                      ["trial", *space.NAMES, "rmse", "best_so_far", "wall_seconds"]) as log:
@@ -293,9 +293,9 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
 
 def cmd_forecast(cfg: dict, checkpoint: str, make_svg: bool = False) -> int:
     out = _out_dir(cfg, "forecast")
+    ts = _load_series(cfg)      # its config is checked before the checkpoint is read
     params, scaler = nn.load_checkpoint(checkpoint)
     horizon = cfg["horizons"][0]
-    ts = _load_series(cfg)
     w = params.config.w
     window = ts.values[-w:]
     preds = forecast_recursive(params, scaler, window, horizon)
@@ -315,17 +315,16 @@ def cmd_explain(cfg: dict, checkpoint: str, window_index: int,
                 make_svg: bool = False) -> int:
     out = _out_dir(cfg, "explain")
     seed = cfg["seed"]
+    econfig = ExplainConfig(**cfg["explain"], seed=seed + 2)
+    ts = _load_series(cfg)      # its config is checked before the checkpoint is read
     params, scaler = nn.load_checkpoint(checkpoint)
     w = params.config.w
-    data = series.prepare(_load_series(cfg), cfg["data"]["train_frac"], w, scaler)
+    data = series.prepare(ts, cfg["data"]["train_frac"], w, scaler)
     if not 0 <= window_index < len(data.held):
         raise ConfigError(
             f"window index {window_index} outside test range [0, {len(data.held)})")
     x = data.held.inputs[window_index]
-
-    econfig = ExplainConfig(**cfg["explain"], seed=seed + 2)
-    background = sample_background(
-        data.train.inputs, econfig.background_size, seed=seed + 2)
+    background = sample_background(data.train.inputs, econfig.background_size, seed=seed + 2)
     result = explain_window(params, x, background, econfig)
 
     # newest lag (t-1) first; lag number L refers to window position w-L
@@ -368,6 +367,7 @@ def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
     if cfg["bench"]["anchors"] < 1:
         raise ConfigError("bench.anchors must be >= 1")
     mconfig = nn.ModelConfig(**cfg["model"])    # before the data, as in train
+    tconfig = TrainConfig(**cfg["train"], seed=seed + 200)
     ts = _load_series(cfg)
     data = series.prepare(ts, cfg["data"]["train_frac"], mconfig.w)
     for horizon in cfg["horizons"]:     # before the first run trains
@@ -381,9 +381,9 @@ def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
     # each run's row is on disk as the run ends
     with _csv_writer(out / "runs.csv", ["run", *names]) as writer:
         for r in range(runs):
-            tconfig = TrainConfig(**cfg["train"], seed=seed + 200 + r)
             t0 = time.perf_counter()
-            params, _ = train_model(replace(mconfig, seed=seed + 100 + r), tconfig, data.train)
+            params, _ = train_model(replace(mconfig, seed=seed + 100 + r),
+                                    replace(tconfig, seed=seed + 200 + r), data.train)
             fit_seconds += time.perf_counter() - t0
             values, undefined = metric_values(*_one_step(params, data.scaler, data.held))
             per_run.append(values)
@@ -482,19 +482,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, overrides)
-        if args.command == "synth":
-            return cmd_synth(cfg, args.svg)
-        if args.command == "train":
-            return cmd_train(cfg, args.svg)
-        if args.command == "tune":
-            return cmd_tune(cfg, args.svg)
         if args.command == "forecast":
             return cmd_forecast(cfg, args.checkpoint, args.svg)
         if args.command == "explain":
             return cmd_explain(cfg, args.checkpoint, args.window_index, args.svg)
-        if args.command == "bench":
-            return cmd_bench(cfg, args.svg)
-        raise ConfigError(f"unknown command {args.command}")
+        command = {"synth": cmd_synth, "train": cmd_train, "tune": cmd_tune, "bench": cmd_bench}
+        return command[args.command](cfg, args.svg)
     except FusecastError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

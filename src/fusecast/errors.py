@@ -45,6 +45,17 @@ def check_float(value, name: str) -> None:
                           f"{len(str(abs(value)))} digits") from None
 
 
+def allocated(what: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a numpy call that allocates ``what``. A size
+    numpy refuses outright (ValueError, a length past its largest array)
+    raises MemoryError, as a size the host cannot grant does. Pass the numpy
+    call alone: a ConfigError is a ValueError too."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise MemoryError(f"{what}: {exc}") from None
+
+
 class InvalidFraction(ConfigError):
     pass
 

@@ -127,7 +127,7 @@ from pathlib import Path
 import numpy as np
 
 from . import blas
-from .errors import BadCheckpoint, InvalidSpec, ShapeMismatch, check_seed
+from .errors import BadCheckpoint, InvalidSpec, ShapeMismatch, allocated, check_seed
 from .series import ScalerParams
 
 
@@ -235,13 +235,10 @@ class ModelParams:
 
 
 def _zeros(config: ModelConfig) -> np.ndarray:
-    """A zero vector as long as ``config``'s parameters; a length numpy
-    refuses (ValueError) raises MemoryError, as any allocation too large."""
+    """A zero vector as long as ``config``'s parameters; MemoryError for a
+    length too large (see :func:`fusecast.errors.allocated`)."""
     n = sum(map(math.prod, param_layout(config).values()))
-    try:
-        return np.zeros(n)
-    except ValueError as exc:       # a length past numpy's largest array
-        raise MemoryError(f"{n} parameters: {exc}") from None
+    return allocated(f"{n} parameters", np.zeros, n)
 
 
 def init_params(config: ModelConfig) -> ModelParams:

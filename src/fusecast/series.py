@@ -30,6 +30,7 @@ from .errors import (
     ParseError,
     WindowTooLarge,
     ZeroVariance,
+    allocated,
     check_seed,
 )
 
@@ -206,7 +207,7 @@ def synthesize(spec: SynthSpec) -> TimeSeries:
     i.i.d. N(0, noise_std^2) and e[-1] = 0. Bit-deterministic for a fixed
     seed.
     """
-    t = np.arange(spec.length, dtype=np.float64)
+    t = allocated(f"series of {spec.length} points", np.arange, spec.length, dtype=np.float64)
     rng = np.random.default_rng(spec.seed)
     innovations = rng.normal(0.0, spec.noise_std, size=spec.length)
     values = (spec.amplitude * np.sin(2.0 * np.pi * t / spec.period) + spec.trend_slope * t

@@ -33,6 +33,7 @@ from .errors import (
     ShapeMismatch,
     TooFewSamples,
     ZeroVarianceShapeStats,
+    allocated,
     check_seed,
 )
 from .nn import (ModelConfig, ModelParams, Workspace, _backward_batch, _forward_batch,
@@ -278,7 +279,8 @@ def _rollout(params: ModelParams, windows: np.ndarray, horizon: int) -> np.ndarr
     windows = np.asarray(windows, dtype=np.float64)
     if windows.ndim != 2 or windows.shape[1] != params.config.w:
         raise ShapeMismatch(f"expected (N, {params.config.w}) windows, got {windows.shape}")
-    preds = np.empty((len(windows), horizon))
+    preds = allocated(f"forecasts of shape ({len(windows)}, {horizon})", np.empty,
+                      (len(windows), horizon))
     if len(windows):
         workspace = Workspace(params.config, min(len(windows), PREDICT_BLOCK), training=False)
     for start in range(0, len(windows), PREDICT_BLOCK):

@@ -517,6 +517,14 @@ class TestTune:
             tune(objective, SearchSpace(), budget=5, init=init, **kwargs)
         assert calls == []
 
+    def test_design_too_large_fails_at_the_call(self):
+        # numpy refuses the Latin-hypercube design's length outright
+        # (ValueError); the call raises, before any next()
+        calls = []
+        with pytest.raises(MemoryError, match="design of shape"):
+            trials(calls.append, SearchSpace(), budget=10**300, init=10**300)
+        assert calls == []
+
     def test_seeded_run_pinned(self):
         # budget 12, init 3: trials 3, 5 and 7 are global EI picks, 4 and 6
         # box picks (4 fails), 8-11 polish picks; recorded from a known-good

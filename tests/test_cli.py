@@ -53,7 +53,14 @@ def write_config(tmp_path, **overrides):
 
 
 def run(*args):
-    return cli.main(list(args))
+    """``fusecast *args``'s exit code. A config error (exit 2) must leave
+    nothing in the command's output directory but the effective config."""
+    code = cli.main(list(args))
+    if code == 2 and "--out" in args:
+        written = Path(args[args.index("--out") + 1]) / args[0]
+        if written.is_dir():
+            assert {p.name for p in written.iterdir()} <= {"config.json"}
+    return code
 
 
 def mask_timing(text: str) -> str:
@@ -316,7 +323,7 @@ class TestTune:
         out = tmp_path / "o"
         assert run("tune", "--config", str(cfg), "--out", str(out), "--budget", "3") == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: tune.init") and "6" in err and "3" in err
+        assert err.startswith("config error: init") and "6" in err and "3" in err
         assert not (out / "tune" / "tune_log.csv").exists()
 
 
@@ -608,6 +615,13 @@ class TestExitCodes:
         assert run("forecast", "--config", str(cfg), "--out", str(tmp_path / "o"),
                    "--checkpoint", str(ckpt)) == 3
 
+    def test_config_error_before_missing_checkpoint(self, tmp_path, capsys):
+        # the explain section is checked before the checkpoint is read
+        cfg = write_config(tmp_path, **{"explain.shap_mode": "zz"})
+        assert run("explain", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                   "--checkpoint", str(tmp_path / "none.json")) == 2
+        assert capsys.readouterr().err == "config error: unknown shap_mode 'zz'\n"
+
     def test_interrupt_exits_130_without_a_traceback(self, tmp_path, capsys, monkeypatch):
         def interrupted(*args):
             raise KeyboardInterrupt
@@ -621,11 +635,27 @@ class TestExitCodes:
     # sizes of tens of TiB, which the kernel refuses at once rather than
     # granting lazily
     def test_out_of_memory_series(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, **{"data.synth.length": 10**13})
-        assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        # 10**30 points is a length numpy refuses outright (ValueError)
+        for length in (10**13, 10**30):
+            cfg = write_config(tmp_path, **{"data.synth.length": length})
+            assert run("synth", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: out of memory: ")
+            assert "Traceback" not in err
+
+    def test_out_of_memory_horizon(self, tmp_path, capsys):
+        # numpy refuses the forecasts' length outright (ValueError)
+        cfg = write_config(tmp_path)
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, init_params(ModelConfig(**BASE_CONFIG["model"])),
+                        ScalerParams(mean=0.0, std=1.0))
+        out = tmp_path / "o"
+        assert run("forecast", "--config", str(cfg), "--out", str(out), "--checkpoint", str(ckpt),
+                   "--horizon", str(10**30)) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: out of memory: ")
         assert "Traceback" not in err
+        assert not (out / "forecast" / "forecast.csv").exists()
 
     @pytest.mark.parametrize("command,overrides", [
         ("train", {"model.filters": 2**40, "model.cnn_layers": 2}),
@@ -633,14 +663,14 @@ class TestExitCodes:
     def test_out_of_memory_parameter_vector(self, tmp_path, capsys, command, overrides):
         # numpy refuses these vectors' lengths outright (ValueError), where
         # 10**6 filters fail in the allocator (MemoryError); the tune run
-        # fails in its first trial, after the log's header is written
+        # probes its largest cell before the log is opened
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "o"
         assert run(command, "--config", str(cfg), "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert re.fullmatch(r"config error: out of memory: \d+ parameters: .+\n", err)
         if command == "tune":
-            assert (out / "tune" / "tune_log.csv").read_text().count("\n") == 1
+            assert not (out / "tune" / "tune_log.csv").exists()
 
     def test_out_of_memory_acquisition_pool(self, tmp_path, capsys, monkeypatch):
         # the second trial would propose from the pool; it is refused
@@ -662,6 +692,20 @@ class TestExitCodes:
         assert err.startswith("config error: out of memory: ")
         assert "Traceback" not in err
         assert trained == []
+
+    def test_out_of_memory_design(self, tmp_path, capsys, monkeypatch):
+        # numpy refuses the Latin-hypercube design's length outright
+        # (ValueError); it is built before the log is opened
+        trained = []
+        monkeypatch.setattr(cli, "train_model", lambda *a: trained.append(a))
+        cfg = write_config(tmp_path, **{"tune.budget": 10**300, "tune.init": 10**300})
+        out = tmp_path / "o"
+        assert run("tune", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: design of shape (")
+        assert "Traceback" not in err
+        assert trained == []
+        assert not (out / "tune" / "tune_log.csv").exists()
 
     @pytest.mark.parametrize("how", ["flag", "env"])
     def test_output_directory_not_creatable(self, tmp_path, capsys, monkeypatch, how):
@@ -785,6 +829,7 @@ class TestExitCodes:
         ("tune", "train.learning_rate", float("nan")),
         ("explain", "explain.smoothing_sigma", float("nan")),
         ("explain", "explain.smoothing_sigma", float("inf")),
+        ("bench", "train.learning_rate", float("nan")),
     ])
     def test_non_finite_float_is_config_error(self, tmp_path, capfd, command, key, value):
         # JSON reads NaN and Infinity as floats; the config classes reject them
