@@ -33,6 +33,7 @@ from .explain import ExplainConfig, explain as explain_window, sample_background
 from .train import (
     TrainConfig,
     anchor_ends,
+    epochs,
     forecast_recursive,
     horizon_eval,
     metric_values,
@@ -214,12 +215,16 @@ def cmd_train(cfg: dict, make_svg: bool = False) -> int:
     tconfig = TrainConfig(**cfg["train"], seed=seed + 1)
     data = series.prepare(_load_series(cfg), cfg["data"]["train_frac"], mconfig.w)
     t0 = time.perf_counter()
-    params, history = train_model(mconfig, tconfig, data.train)
-    # saved first, so an undefined reporting metric never discards the model
-    # or its training history
+    params, history = nn.init_params(mconfig), []
+    stream = epochs(params, tconfig, data.train)
+    # each row is on disk as its epoch ends, so an interrupted or diverged
+    # run keeps the rows of its finished epochs
+    with _csv_writer(out / "loss_history.csv", ["epoch", "train_mse"]) as log:
+        for loss in stream:
+            history.append(loss)
+            log.writerow([len(history), _fmt(loss)])
+    # saved before the metrics, so an undefined one never discards the model
     nn.save_checkpoint(out / "checkpoint.json", params, data.scaler)
-    _write_csv(out / "loss_history.csv", ["epoch", "train_mse"],
-               [[i + 1, _fmt(loss)] for i, loss in enumerate(history)])
     # an undefined MAPE or MSLE is reported as null with its reason
     values, undefined = metric_values(*_one_step(params, data.scaler, data.held))
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,9 @@
 """Model fitting, recursive forecasting, error metrics, and multi-run
-statistics. :func:`train` holds one parameter vector and Adam's two moment
-vectors for the whole run, and no full gradient: the backward pass writes
+statistics. A training run is one stream, :func:`epochs`, which trains a
+parameter vector in place and yields each epoch's training MSE as that
+epoch ends; :func:`train` collects it, and ``fusecast train`` writes each
+MSE to ``loss_history.csv`` as it comes. A run holds one parameter vector
+and Adam's two moment vectors, and no full gradient: the backward pass writes
 each group of the gradient into a window of min(n, ``ADAM_CHUNK`` + the
 largest group) elements as it finishes it, and :func:`adam_step` takes the
 finished gradients from there, updating the moments and the parameters in
@@ -15,7 +18,7 @@ from __future__ import annotations
 import bisect
 import contextlib
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -217,28 +220,46 @@ def _gradient_window(params: ModelParams, state: OptState, config: TrainConfig,
     return ModelParams(params.config, window, starts), done
 
 
-@blas.one_thread()
 def train(config: ModelConfig, tconfig: TrainConfig,
           data: WindowedDataset) -> tuple[ModelParams, list[float]]:
     """Fit the model on scaled windows with seeded shuffled mini-batches.
 
-    Returns the trained parameters and the per-epoch training MSE history.
-    Raises DivergedLoss as soon as a non-finite batch loss appears.
+    Returns the trained parameters and the per-epoch training MSE history:
+    :func:`epochs` run to its end.
+    """
+    params = init_params(config)
+    return params, list(epochs(params, tconfig, data))
+
+
+def epochs(params: ModelParams, tconfig: TrainConfig,
+           data: WindowedDataset) -> Iterator[float]:
+    """Train ``params`` in place on scaled windows with seeded shuffled
+    mini-batches, yielding each epoch's training MSE as that epoch ends.
+
+    The data is checked (EmptyDataset, ShapeMismatch) and Adam's state is
+    allocated when it is called, before the first epoch. The iteration
+    holds numpy's OpenBLAS at one thread and the helper thread, if any,
+    and gives both back when it ends or is closed. Raises DivergedLoss as
+    soon as a non-finite batch loss appears.
     """
     if len(data) == 0:
         raise EmptyDataset("no training windows")
-    if data.w != config.w:
-        raise ShapeMismatch(f"dataset windows of length {data.w}, model expects {config.w}")
-    params = init_params(config)
-    state = init_opt_state(params)
+    if data.w != params.config.w:
+        raise ShapeMismatch(f"dataset windows of length {data.w}, model expects {params.config.w}")
+    return _epochs(params, tconfig, data, init_opt_state(params))
+
+
+def _epochs(params, tconfig, data, state):
+    """The iteration of :func:`epochs`, over checked data and Adam's state."""
     rng = np.random.default_rng(tconfig.seed)
-    history: list[float] = []
     n, batch = len(data), tconfig.batch_size
-    # one workspace for the run; a partial last batch runs in a view of it
-    split = blas.splits(config, min(batch, n))
-    with (ThreadPoolExecutor(1) if blas.use_helper(split)
-          else contextlib.nullcontext()) as helper:
-        workspace = Workspace(config, min(batch, n), helper, split)
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(blas.one_thread())
+        # decided under the pin, which the split rule reads
+        split = blas.splits(params.config, min(batch, n))
+        helper = stack.enter_context(ThreadPoolExecutor(1)) if blas.use_helper(split) else None
+        # one workspace for the run; a partial last batch runs in a view of it
+        workspace = Workspace(params.config, min(batch, n), helper, split)
         grads, done = _gradient_window(params, state, tconfig, helper)
         for _ in range(tconfig.epochs):
             order = rng.permutation(n)
@@ -257,8 +278,7 @@ def train(config: ModelConfig, tconfig: TrainConfig,
                 sse += loss * len(idx)
                 # backward runs Adam on each group of the gradient it finishes
                 _backward_batch(params, ws, dl_dy, out=grads, done=done)
-            history.append(sse / n)
-    return params, history
+            yield sse / n
 
 
 def predict_batch(params: ModelParams, windows: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from fusecast import bayesopt, blas
-from fusecast.errors import DivergedLoss
+from fusecast.errors import DivergedLoss, EmptyDataset, ShapeMismatch
 from fusecast.explain import ExplainConfig, explain
 from fusecast.nn import ModelConfig, init_params
 from fusecast.series import ScalerParams, WindowedDataset
@@ -153,6 +153,26 @@ def test_trials_hold_one_thread_while_they_run(set_threads):
     assert blas.threads() == 2
     assert len(list(bayesopt.trials(objective, space, budget=4, init=3, pool_size=16))) == 4
     assert seen == [1] * 5 and blas.threads() == 2
+
+
+def test_epochs_hold_one_thread_while_they_run(set_threads):
+    # as with the trials: the data is checked when the stream is made, the pin
+    # is taken at the first epoch, and a stream closed part way gives the
+    # count back
+    rng = np.random.default_rng(0)
+    params, tconfig = init_params(SMALL), TrainConfig(epochs=3, seed=2)
+    set_threads(2)
+    for n, w, error in ((0, SMALL.w, EmptyDataset), (40, SMALL.w + 1, ShapeMismatch)):
+        with pytest.raises(error):
+            train_module.epochs(params, tconfig, WindowedDataset(
+                rng.normal(size=(n, w)), rng.normal(size=n), w))
+    data = WindowedDataset(rng.normal(size=(40, SMALL.w)), rng.normal(size=40), SMALL.w)
+    stream = train_module.epochs(params, tconfig, data)
+    assert blas.threads() == 2
+    next(stream)
+    assert blas.threads() == 1
+    stream.close()
+    assert blas.threads() == 2
 
 
 def test_pin_holds_until_the_last_thread_leaves(set_threads):

@@ -20,6 +20,8 @@ from fusecast.nn import ModelConfig, init_params, load_checkpoint, save_checkpoi
 from fusecast.series import ScalerParams, SynthSpec, TimeSeries, load_csv, save_csv, synthesize
 from fusecast.train import forecast_recursive, persistence_forecast
 
+train_module = sys.modules["fusecast.train"]
+
 
 BASE_CONFIG = {
     "seed": 1,
@@ -202,6 +204,83 @@ class TestTrain:
         assert run("train", "--config", str(cfg), "--out", str(out)) == 0
         doc = json.loads((out / "train" / "metrics.json").read_text())
         assert doc["rmse"] < 5.0  # test-segment level is ~40-60
+
+    def whole_run(self, tmp_path, monkeypatch, cfg):
+        """The lines of an uninterrupted run's loss history, and its batches
+        per epoch, counted as calls of the batch loss."""
+        calls, loss = [], train_module.mse_loss
+        monkeypatch.setattr(train_module, "mse_loss", lambda *a: calls.append(a) or loss(*a))
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "whole")) == 0
+        monkeypatch.setattr(train_module, "mse_loss", loss)
+        lines = (tmp_path / "whole" / "train" / "loss_history.csv").read_bytes().splitlines(True)
+        return lines, len(calls) // (len(lines) - 1)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_interrupt_keeps_the_finished_epochs(self, tmp_path, capsys, monkeypatch, k):
+        cfg = write_config(tmp_path)
+        whole, batches = self.whole_run(tmp_path, monkeypatch, cfg)
+        calls, loss = [], train_module.mse_loss
+
+        def interrupted(*args):
+            # in the last batch of epoch k + 1, whose row is not written
+            calls.append(args)
+            if len(calls) == (k + 1) * batches:
+                raise KeyboardInterrupt
+            return loss(*args)
+
+        monkeypatch.setattr(train_module, "mse_loss", interrupted)
+        capsys.readouterr()
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+        out = tmp_path / "o" / "train"
+        assert (out / "loss_history.csv").read_bytes() == b"".join(whole[:k + 1])
+        assert {p.name for p in out.iterdir()} == {"config.json", "loss_history.csv"}
+
+    def test_diverged_run_keeps_the_finished_epochs(self, tmp_path, capsys, monkeypatch):
+        # from epoch 3 on the batch loss is NaN
+        cfg = write_config(tmp_path)
+        whole, batches = self.whole_run(tmp_path, monkeypatch, cfg)
+        calls, loss = [], train_module.mse_loss
+
+        def diverging(*args):
+            calls.append(args)
+            value, grad = loss(*args)
+            return (np.nan if len(calls) > 2 * batches else value), grad
+
+        monkeypatch.setattr(train_module, "mse_loss", diverging)
+        capsys.readouterr()
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 4
+        assert capsys.readouterr().err == (
+            f"numeric failure: non-finite training loss at step {2 * batches + 1}\n")
+        out = tmp_path / "o" / "train"
+        assert (out / "loss_history.csv").read_bytes() == b"".join(whole[:3])
+        assert {p.name for p in out.iterdir()} == {"config.json", "loss_history.csv"}
+
+    def test_sigint_keeps_the_finished_epochs(self, tmp_path):
+        # a real SIGINT, delivered once the first row is on disk: 100 epochs
+        # at the default config take seconds, time enough to send it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = tmp_path / "cut" / "train"
+        log = out / "loss_history.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fusecast", "train", "--out", str(tmp_path / "cut")], env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        deadline = time.monotonic() + 60
+        while not (log.is_file() and log.read_text().count("\n") > 1):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 130 and err == "interrupted\n"
+        cut = log.read_bytes().splitlines(True)
+        assert 1 < len(cut) < 101
+        assert {p.name for p in out.iterdir()} == {"config.json", "loss_history.csv"}
+        # the first epochs of a run do not depend on how many follow them
+        assert run("train", "--out", str(tmp_path / "whole"), "--epochs", str(len(cut) - 1)) == 0
+        whole = (tmp_path / "whole" / "train" / "loss_history.csv").read_bytes()
+        assert cut == whole.splitlines(True)
 
 
 class TestTune:
@@ -626,7 +705,7 @@ class TestExitCodes:
         def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "train_model", interrupted)
+        monkeypatch.setattr(cli, "epochs", interrupted)
         cfg = write_config(tmp_path)
         assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 130
         err = capsys.readouterr().err

@@ -237,11 +237,15 @@ def test_train_with_helper_equals_serial_bitwise(one_blas_thread, data, helpers,
             params, history = train_module.train(cell, tconfig, data)
             patch.setattr(blas, "use_helper", lambda *args: False)
             serial, serial_history = train_module.train(cell, tconfig, data)
+            # train is its stream collected
+            streamed = init_params(cell)
+            streamed_history = list(train_module.epochs(streamed, tconfig, data))
             patch.setattr(blas, "splits", lambda config, batch: False)
             whole, whole_history = train_module.train(cell, tconfig, data)
         assert ran_beside(helpers[-1]) and FORWARD_TASKS <= helpers[-1].names
-        assert params.flat.tobytes() == serial.flat.tobytes() == whole.flat.tobytes()
-        assert history == serial_history == whole_history
+        assert (params.flat.tobytes() == serial.flat.tobytes() == streamed.flat.tobytes()
+                == whole.flat.tobytes())
+        assert history == serial_history == streamed_history == whole_history
     assert len(helpers) == 2
 
 
@@ -252,6 +256,20 @@ def test_helper_leaves_on_return_and_raise(data, helpers):
     with np.errstate(all="ignore"), pytest.raises(DivergedLoss):
         train_module.train(CELL, TrainConfig(epochs=3, learning_rate=1e40, seed=2), data)
     assert len(helpers) == 2 and all(ran_beside(h) for h in helpers)
+    assert threading.active_count() == before
+
+
+def test_closed_stream_stops_its_helper(data, monkeypatch):
+    # the real split rule under the stream's own pin, on two CPUs: the first
+    # epoch runs with the helper, and closing the stream after it stops it
+    if blas.threads() is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be read")
+    monkeypatch.setattr(blas, "cpus", lambda: 2)
+    before = threading.active_count()
+    stream = train_module.epochs(init_params(MID_CELL), TrainConfig(epochs=3, seed=2), data)
+    next(stream)
+    assert threading.active_count() == before + 1
+    stream.close()
     assert threading.active_count() == before
 
 
@@ -296,13 +314,15 @@ WINDOW_CELLS = [ModelConfig(w=15, seed=4), ModelConfig(w=15, cnn_layers=4, filte
 def test_gradient_window_equals_a_full_gradient_bitwise(cell, one_blas_thread, data, helpers):
     # two epochs, each ending in a partial batch in a view of the workspace;
     # the reference takes a full gradient vector and one Adam call over it
-    # each step, unsplit and without a helper
+    # each step, unsplit and without a helper; train and its stream,
+    # collected, give the reference's bytes
     tconfig = TrainConfig(epochs=2, learning_rate=3e-3, seed=2)
     assert N_WINDOWS % tconfig.batch_size
     params, history = train_module.train(cell, tconfig, data)
     expected, expected_history = reference_train(cell, tconfig, data)
-    assert params.flat.tobytes() == expected.flat.tobytes()
-    assert history == expected_history
+    streamed = init_params(cell)
+    assert list(train_module.epochs(streamed, tconfig, data)) == history == expected_history
+    assert params.flat.tobytes() == streamed.flat.tobytes() == expected.flat.tobytes()
     assert ran_beside(helpers[0])
     assert blas.splits(cell, 32) == (cell is MID_CELL)
     window = train_module._gradient_window(params, None, tconfig, None)[0].flat.size
