@@ -224,65 +224,13 @@ def _ei_minimize(state: GPState, uq: np.ndarray, xi: float) -> np.ndarray:
     return ei
 
 
-# cephes' rational approximations (ndtr.c), in the order polevl/p1evl read them
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
-           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
-_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
-           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-_SQRTH = 7.07106781186547524401e-1
-_MAXLOG = 7.09782712893383996843e2
-
-
-def _horner(x: np.ndarray, coef: tuple, monic: bool = False) -> np.ndarray:
-    """Horner's rule over ``coef``, highest power first, at each point of
-    ``x``: cephes' polevl, whose first step 0 * x + c is c, and with
-    ``monic`` p1evl, which puts an unstored leading 1 before them."""
-    y = x + coef[0] if monic else np.full_like(x, coef[0])
-    for c in coef[1:]:
-        y *= x
-        y += c
-    return y
-
-
-def _erf(x: np.ndarray) -> np.ndarray:
-    """cephes' erf at each point, for ``|x|`` <= 1."""
-    xx = x * x
-    return x * _horner(xx, _ERF_T) / _horner(xx, _ERF_U, monic=True)
-
-
 def _ndtr(u: np.ndarray) -> np.ndarray:
-    """The standard normal CDF of each point by cephes' ndtr, its erf and
-    erfc branches each over its own points, with each multiply and add a
-    numpy pass, and ``math.exp`` (the C library's ``exp``) per point: the
-    bits of ``scipy.special.ndtr``."""
-    x = u * _SQRTH
-    z = np.abs(x)
-    out = np.empty_like(x)
-    near = z < _SQRTH
-    out[near] = 0.5 + 0.5 * _erf(x[near])
-    z = z[~near]
-    erfc = np.zeros_like(z)         # 0 where exp(-z*z) underflows
-    mid = z < 1.0
-    erfc[mid] = 1.0 - _erf(z[mid])
-    for tail, p, q in ((~mid & (z < 8.0), _ERFC_P, _ERFC_Q), (z >= 8.0, _ERFC_R, _ERFC_S)):
-        tail &= -z * z >= -_MAXLOG
-        t = z[tail]
-        erfc[tail] = (np.fromiter(map(math.exp, (-t * t).tolist()), float, len(t))
-                      * _horner(t, p) / _horner(t, q, monic=True))
-    half = 0.5 * erfc
-    out[~near] = np.where(x[~near] > 0, 1.0 - half, half)
-    out[np.isnan(u)] = np.nan        # cephes' own NaN, whatever the input's sign
-    return out
+    """The standard normal CDF of each point of a 1-D ``u``, 0.5 erfc(-u /
+    sqrt 2) by the C library's ``erfc`` (``math.erfc``): NaN stays NaN, and
+    inf and -inf give 1 and 0. Within 2e-14 relative of
+    ``scipy.special.ndtr``, and the tuner's picks are the same."""
+    x = (u * -math.sqrt(0.5)).tolist()
+    return 0.5 * np.fromiter(map(math.erfc, x), float, len(x))
 
 
 def _latin_hypercube(d: int, n: int, seed: int) -> np.ndarray:

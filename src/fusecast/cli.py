@@ -276,16 +276,18 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
     # tuning objective: validation RMSE on the last 20% of the training
     # segment, so the test segment stays untouched until final training
     data = series.prepare(train_ts, 0.8, w)
-    done = []
+    done, best = [], np.inf     # best: TuneResult's incumbent, kept as the trials end
     with _csv_writer(out / "tune_log.csv",
                      ["trial", *space.NAMES, "rmse", "best_so_far", "wall_seconds"]) as log:
         for trial in trials:
             done.append(trial)
-            result = bayesopt.TuneResult.of(done)
+            if np.isfinite(trial.objective):
+                best = min(best, trial.objective)
             if trial.failed:
                 print(f"trial {trial.index} failed: {trial.error}", file=sys.stderr)
             log.writerow([trial.index, *(trial.config[name] for name in space.NAMES),
-                          *map(_fmt, (trial.objective, result.incumbent[-1], trial.wall_seconds))])
+                          *map(_fmt, (trial.objective, best, trial.wall_seconds))])
+    result = bayesopt.TuneResult.of(done)
     _write_json(out / "best_config.json",
                 {**result.best_config, "objective_rmse": result.best_objective})
     if make_svg:

@@ -37,6 +37,7 @@ from .errors import (
     TooFewSamples,
     ZeroVarianceShapeStats,
     allocated,
+    check_float,
     check_seed,
 )
 from .nn import (ModelConfig, ModelParams, Workspace, _backward_batch, _forward_batch,
@@ -62,6 +63,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise InvalidSpec("epochs and batch_size must be >= 1")
+        for name in ("epochs", "batch_size"):   # as tune's budget: past float64 is an error
+            check_float(getattr(self, name), name)
         for name in ("learning_rate", "eps"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

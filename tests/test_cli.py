@@ -1,17 +1,23 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
 import os
 import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fusecast import cli
 from fusecast.errors import (DimensionMismatch, DivergedLoss, FusecastError, MalformedAttention,
@@ -936,6 +942,18 @@ class TestExitCodes:
         assert err.startswith(f"config error: config.{key} must be a finite float")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,key", [
+        ("train", "train.epochs"), ("train", "train.batch_size"), ("tune", "tune.epochs")])
+    def test_epoch_count_beyond_float64_is_config_error(self, tmp_path, capfd, command, key):
+        # an integer field takes any int: found by the exit-code fuzz test,
+        # where tune.epochs 10**400 trained without end
+        cfg = write_config(tmp_path, **{key: 10**400})
+        capfd.readouterr()
+        assert run(command, "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+        err = capfd.readouterr().err
+        assert err.startswith(f"config error: {key.split('.')[1]} must be a finite float")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("flags,key,value", [
         (["--seed", "-5"], None, None), ([], "seed", -1), ([], "data.synth.seed", -2)])
     def test_negative_seed_is_config_error(self, tmp_path, capfd, flags, key, value):
@@ -1132,6 +1150,48 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         assert run("synth", "--config", str(cfg)) == 0
         assert (tmp_path / "envroot" / "synth" / "series.csv").is_file()
+
+
+def config_leaves(tree, prefix=""):
+    """The dotted paths of the tree's values that are not objects."""
+    for key, value in tree.items():
+        if isinstance(value, dict) and value:
+            yield from config_leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+HOSTILE_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(max_value=-1),
+    st.floats(max_value=-1e-9, allow_infinity=False), st.sampled_from(
+        [10**400, math.nan, math.inf, -math.inf]))
+HOSTILE_VALUES = st.one_of(
+    HOSTILE_SCALARS, st.lists(st.one_of(HOSTILE_SCALARS, st.integers(-2, 3)), max_size=3),
+    st.dictionaries(st.text(max_size=2), HOSTILE_SCALARS, max_size=1))
+
+
+class TestExitCodeFuzz:
+    """One hostile value in one leaf of a config that otherwise trains in
+    moments: every run ends in a documented exit code, never a traceback."""
+
+    @given(command=st.sampled_from(["train", "tune"]),
+           leaf=st.sampled_from(sorted(config_leaves(cli.DEFAULT_CONFIG))),
+           value=HOSTILE_VALUES)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_hostile_leaf_exits_with_a_documented_code(self, command, leaf, value):
+        flags = ["--epochs", "1"] if command == "train" else ["--budget", "2"]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = write_config(tmp, **{
+                "data.synth.length": 120, "data.synth.period": 12, "tune.init": 1,
+                "tune.epochs": 1, "tune.pool_size": 8, leaf: value})
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = run(command, "--config", str(cfg), "--out", str(tmp / "o"), *flags)
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestModuleEntry:

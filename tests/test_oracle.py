@@ -13,9 +13,10 @@
 On a host with the same fingerprint the hashes must match. Elsewhere BLAS
 kernels sum in another order, so the values must agree within ``RTOL`` and
 ``ATOL``. A change that moves output bits on purpose regenerates the files
-and lists in CHANGES.md which outputs moved and by how much:
+and lists in CHANGES.md which outputs moved and by how much; a new run
+writes its own file alone, named on the command line:
 
-    PYTHONPATH=src python tests/test_oracle.py
+    PYTHONPATH=src python tests/test_oracle.py [run ...]
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from fusecast import blas, cli
 from fusecast.explain import ExplainConfig, explain, sample_background
 from fusecast.nn import ModelConfig, init_params
 from fusecast.series import SynthSpec, WindowedDataset, prepare, synthesize
-from fusecast.train import TrainConfig, predict_batch, train
+from fusecast.train import TrainConfig, _rollout, predict_batch, train
 
 ORACLE = Path(__file__).resolve().parent / "oracle"
 # Measured by running every run under OpenBLAS's Haswell, SandyBridge and
@@ -164,6 +165,17 @@ def run_predict(out: Path) -> tuple[dict, dict]:
     return {"yhat": _array_sha(yhat)}, {"yhat": yhat.tolist()}
 
 
+def run_rollout(out: Path) -> tuple[dict, dict]:
+    """``_rollout`` of a 2x16 k=3 model over 45 held-out windows at horizon
+    8: a block of ``PREDICT_BLOCK`` (32) windows, then the other 13 in a view
+    of its workspace, each step's forecasts fed back into the windows."""
+    params = init_params(ModelConfig(w=15, cnn_layers=2, filters=16, kernel_size=3, heads=2,
+                                     seed=6))
+    params.b_out[...] = 0.25     # as in explain-3x40k4: forecasts away from 0
+    preds = _rollout(params, _windows().held.inputs[:45], 8)
+    return {"preds": _array_sha(preds)}, {"preds": preds.tolist()}
+
+
 def run_explain_3x40k4(out: Path) -> tuple[dict, dict]:
     """``explain``, sampled with m=20 and background 16, of a 3x40 k=4 model:
     R = 10, so the masks are their own representatives."""
@@ -212,7 +224,8 @@ def run_train_10x110k3(out: Path) -> tuple[dict, dict]:
 
 
 RUNS = {"fit": run_fit, "explain-default": run_explain_default, "tune": run_tune,
-        "tune-gp": run_tune_gp, "predict": run_predict, "explain-3x40k4": run_explain_3x40k4,
+        "tune-gp": run_tune_gp, "predict": run_predict, "rollout": run_rollout,
+        "explain-3x40k4": run_explain_3x40k4,
         "bench": run_bench, "train-10x110k3": run_train_10x110k3}
 
 
@@ -252,10 +265,11 @@ def test_outputs_match_the_oracle(name, out_dir):
     assert_values_close(values, doc["values"], name)
 
 
-def regenerate() -> None:
+def regenerate(names) -> None:
     ORACLE.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, run in RUNS.items():
+        for name in names:
+            run = RUNS[name]
             shas, values = run(Path(tmp))
             doc = {"run": " ".join(run.__doc__.split()),
                    "host": host(), "sha256": shas, "values": values}
@@ -264,4 +278,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:] or RUNS)
