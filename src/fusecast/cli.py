@@ -137,18 +137,27 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-def _out_dir(cfg: dict, cmd: str) -> Path:
-    """The command's output directory, holding the effective config."""
+def _out_dir(cfg: dict, cmd: str) -> tuple[Path, dict[str, int]]:
+    """The command's output directory, made to hold the effective config,
+    and the :func:`_stamps` of the files that it held before."""
     if cfg["out_dir"] is not None and not isinstance(cfg["out_dir"], str):
         raise ConfigError(f"out_dir must be a string, got {cfg['out_dir']!r}")
-    base = cfg["out_dir"] or os.environ.get(OUT_ENV) or "fusecast_out"
-    out = Path(base) / cmd
+    out = Path(cfg["out_dir"] or os.environ.get(OUT_ENV) or "fusecast_out") / cmd
+    before = _stamps(out)
     try:
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "config.json", cfg)
     except OSError as exc:
         raise ConfigError(f"cannot write output directory {out}: {exc}") from None
-    return out
+    return out, before
+
+
+def _stamps(out: Path) -> dict[str, int]:
+    """Name -> modification time (ns) of each file in ``out``; none when
+    ``out`` is missing or unreadable."""
+    with contextlib.suppress(OSError):
+        return {p.name: p.stat().st_mtime_ns for p in out.iterdir() if p.is_file()}
+    return {}
 
 
 def _write_json(path: Path, doc) -> None:
@@ -194,8 +203,7 @@ def _one_step(params, scaler, windows) -> tuple[np.ndarray, np.ndarray]:
     return series.unscale_values(windows.targets, scaler), yhat
 
 
-def cmd_synth(cfg: dict, make_svg: bool = False) -> int:
-    out = _out_dir(cfg, "synth")
+def cmd_synth(cfg: dict, out: Path, make_svg: bool = False) -> int:
     ts = series.synthesize(series.SynthSpec(**cfg["data"]["synth"]))
     series.save_csv(ts, out / "series.csv")
     if make_svg:
@@ -207,8 +215,7 @@ def cmd_synth(cfg: dict, make_svg: bool = False) -> int:
     return 0
 
 
-def cmd_train(cfg: dict, make_svg: bool = False) -> int:
-    out = _out_dir(cfg, "train")
+def cmd_train(cfg: dict, out: Path, make_svg: bool = False) -> int:
     seed = cfg["seed"]
     # built before the data is read, so a bad model.w is a config error
     mconfig = nn.ModelConfig(**cfg["model"], seed=seed)
@@ -246,8 +253,7 @@ def cmd_train(cfg: dict, make_svg: bool = False) -> int:
     return 0
 
 
-def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
-    out = _out_dir(cfg, "tune")
+def cmd_tune(cfg: dict, out: Path, make_svg: bool = False) -> int:
     seed = cfg["seed"]
     w = cfg["model"]["w"]
     space = bayesopt.SearchSpace(**{k: tuple(v) for k, v in cfg["tune"]["space"].items()})
@@ -298,8 +304,7 @@ def cmd_tune(cfg: dict, make_svg: bool = False) -> int:
     return 0
 
 
-def cmd_forecast(cfg: dict, checkpoint: str, make_svg: bool = False) -> int:
-    out = _out_dir(cfg, "forecast")
+def cmd_forecast(cfg: dict, out: Path, checkpoint: str, make_svg: bool = False) -> int:
     ts = _load_series(cfg)      # its config is checked before the checkpoint is read
     params, scaler = nn.load_checkpoint(checkpoint)
     horizon = cfg["horizons"][0]
@@ -318,9 +323,8 @@ def cmd_forecast(cfg: dict, checkpoint: str, make_svg: bool = False) -> int:
     return 0
 
 
-def cmd_explain(cfg: dict, checkpoint: str, window_index: int,
+def cmd_explain(cfg: dict, out: Path, checkpoint: str, window_index: int,
                 make_svg: bool = False) -> int:
-    out = _out_dir(cfg, "explain")
     seed = cfg["seed"]
     econfig = ExplainConfig(**cfg["explain"], seed=seed + 2)
     ts = _load_series(cfg)      # its config is checked before the checkpoint is read
@@ -365,8 +369,7 @@ def cmd_explain(cfg: dict, checkpoint: str, window_index: int,
     return 0
 
 
-def cmd_bench(cfg: dict, make_svg: bool = False) -> int:
-    out = _out_dir(cfg, "bench")
+def cmd_bench(cfg: dict, out: Path, make_svg: bool = False) -> int:
     seed = cfg["seed"]
     runs = cfg["bench"]["runs"]
     if runs < 4:
@@ -487,14 +490,17 @@ def main(argv=None) -> int:
     if "horizons" in overrides:
         overrides["horizons"] = [overrides["horizons"]]
 
+    out = None
     try:
         cfg = load_config(args.config, overrides)
+        # made here, so that an interrupt can name what the command wrote there
+        out, before = _out_dir(cfg, args.command)
         if args.command == "forecast":
-            return cmd_forecast(cfg, args.checkpoint, args.svg)
+            return cmd_forecast(cfg, out, args.checkpoint, args.svg)
         if args.command == "explain":
-            return cmd_explain(cfg, args.checkpoint, args.window_index, args.svg)
+            return cmd_explain(cfg, out, args.checkpoint, args.window_index, args.svg)
         command = {"synth": cmd_synth, "train": cmd_train, "tune": cmd_tune, "bench": cmd_bench}
-        return command[args.command](cfg, args.svg)
+        return command[args.command](cfg, out, args.svg)
     except FusecastError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -503,8 +509,11 @@ def main(argv=None) -> int:
         print(f"{ConfigError.label}: out of memory: {exc}", file=sys.stderr)
         return ConfigError.exit_code
     except KeyboardInterrupt:
-        # Ctrl-C: the shell's code for SIGINT, without a traceback
-        print("interrupted", file=sys.stderr)
+        # Ctrl-C: the shell's code for SIGINT, without a traceback, naming
+        # the files that the command wrote before it
+        now = _stamps(out) if out else {}
+        kept = ", ".join(sorted(name for name in now if before.get(name) != now[name]))
+        print(f"interrupted; kept {out}: {kept}" if kept else "interrupted", file=sys.stderr)
         return 130
 
 

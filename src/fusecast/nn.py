@@ -71,13 +71,16 @@ the forward the shared columns are the last layer's; backward refills
 them for each layer between from the kept activations, and runs each
 deeper layer's col2im in the taps buffer ``dcols``: the shared columns,
 once its kernel gradient has read them, or, in a workspace with a helper
-(below), the Q/K/V block, so that the two GEMMs never share memory.
-Backward's scratch lies over forward memory that it has finished with
-when the scratch is written: dQ/dK/dV is the second half of the Q/K/V
-block, which is dead once the first conv layer's task has joined, and the
-row-major Q copy and the softmax Jacobian lie over ``dact`` and ``dpre``,
-which are written only after both are read. So a backward consumes its
-forward, and a second backward from it raises ``ValueError``.
+(below), the Q/K/V block, dead once the Q/K/V weight gradient's task has
+joined, so that the two GEMMs never share memory. Backward writes each
+gradient over the forward buffer that it has just read for the last
+time: dV over V once u has read V, dQ over Q once Q is copied row-major,
+dK over K once dQ's product has read K, the Jacobian's A (A u) term over
+the softmax A, and each conv layer's dpre over its activation map once
+the ReLU mask is read from it. The row-major Q copy and the Jacobian lie
+over ``dact``, which the dact GEMM writes only after both are read. So a
+backward consumes its forward, and a second backward from it raises
+``ValueError``.
 
 A workspace may carry a helper, an executor with one worker thread, which
 ``train`` opens for wide cells (see :mod:`.blas`), and may be split. A
@@ -121,7 +124,7 @@ import json
 import math
 from collections.abc import Callable
 from concurrent.futures import Executor, Future
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -236,8 +239,13 @@ class ModelParams:
 
 def _zeros(config: ModelConfig) -> np.ndarray:
     """A zero vector as long as ``config``'s parameters; MemoryError for a
-    length too large (see :func:`fusecast.errors.allocated`)."""
-    n = sum(map(math.prod, param_layout(config).values()))
+    length too large (see :func:`fusecast.errors.allocated`). Each conv
+    layer above the first has f * (f * k + 1) parameters, so they are
+    counted without a layout, which for a cnn_layers of 10**400 grows
+    until memory runs out."""
+    f, layers = config.filters, config.cnn_layers
+    n = (sum(map(math.prod, param_layout(replace(config, cnn_layers=1)).values()))
+         + (layers - 1) * f * (f * config.kernel_size + 1))
     return allocated(f"{n} parameters", np.zeros, n)
 
 
@@ -346,7 +354,7 @@ class Workspace:
     ``softmax``, ``softmax_kq``, ``stat`` and ``tmean``. The forward's
     intermediates that backward reads, ``q``, ``k``, ``v``, ``att``,
     ``abar``, ``pooled``, ``z`` and ``act``, are valid until a backward
-    reads them, which writes its scratch over them, or the next forward
+    reads them, which writes its gradients over them, or the next forward
     with it or with any of its views. ``helper``, an executor with
     one worker or None, runs work beside the main thread (see
     :func:`_beside`). A ``split`` workspace cuts the conv GEMMs above
@@ -359,7 +367,11 @@ class Workspace:
     windows, and :meth:`view` gives a workspace of fewer windows over the
     same blocks, each buffer at the same offset. Several buffers share a
     block where backward writes one after it has read the other for the
-    last time (see the module docstring)."""
+    last time (see the module docstring). So a training workspace's Q/K/V
+    block is max(3*h*d_k, taps) * B*w elements, taps being k*f with a
+    helper and more than one conv layer and 0 otherwise, and its ``dact``
+    block, shared with ``q_rows`` and ``dlogits``, max(f, h*(d_k + w)) *
+    B*w."""
 
     def __init__(self, config: ModelConfig, batch: int, helper: Executor | None = None,
                  split: bool = False, training: bool = True):
@@ -406,12 +418,10 @@ class Workspace:
             # the blocks that backward's scratch shares with forward memory,
             # each buffer at its offset for this batch (see the module
             # docstring)
-            n = b * w
             taps = k * f if helper is not None and layers > 1 else 0
-            qkv = np.empty(max(6 * h * dk, taps) * n)
-            dact = np.empty(max(2 * f, h * (dk + 2 * w)) * n)
-            blocks.update(qkv=qkv, dqkv=qkv[3 * h * dk * n:], dcols=qkv,
-                          dact=dact, dpre=dact[f * n:], q_rows=dact, dlogits=dact[h * dk * n:])
+            qkv = np.empty(max(3 * h * dk, taps) * b * w)
+            dact = np.empty(max(f, h * (dk + w)) * b * w)
+            blocks.update(qkv=qkv, dcols=qkv, dact=dact, q_rows=dact, dlogits=dact[h * dk * b * w:])
         self.cols_in = empty("cols_in", k, 1, b, w)
         self.cols = empty("cols", k, f, b, w) if layers > 1 else None
         slots = layers if training else min(layers, 2)  # layer i's map is in slot i % slots
@@ -429,11 +439,9 @@ class Workspace:
         self.tmean = np.full(w, 1.0 / w)
         if not training:
             return
-        self.dqkv = empty("dqkv", 3, h, dk, b, w)
         self.q_rows = empty("q_rows", b, h, w, dk)
-        self.dlogits = empty("dlogits", 2, w, b, h, w)   # the Jacobian and its A*sum term
+        self.dlogits = empty("dlogits", w, b, h, w)      # the softmax Jacobian, key-major
         self.dact = empty("dact", f, b, w)
-        self.dpre = empty("dpre", f, b, w)
         # col2im's taps: the columns, which the kernel gradient has read by
         # then, unless it reads them on the helper meanwhile; then the Q/K/V
         # block
@@ -506,7 +514,6 @@ def _conv_forward(params: ModelParams, xb: np.ndarray, ws: Workspace) -> np.ndar
     if (ws.config, ws.batch) != (cfg, len(xb)):
         raise ShapeMismatch(f"workspace for {ws.batch} windows of {ws.config}, "
                             f"got {len(xb)} of {cfg}")
-    b, w = xb.shape
     h = xb[None]
     for layer, (kmat, bias) in enumerate(zip(params.conv_mats, params.conv_biases)):
         if layer:
@@ -519,7 +526,7 @@ def _conv_forward(params: ModelParams, xb: np.ndarray, ws: Workspace) -> np.ndar
             _im2col(h, ws.cols_in)
             cols, cut = ws.cols_in, 0
         slot = layer % len(ws.act)
-        _halves(ws.helper, cut, _conv_rows, kmat, bias, cols.reshape(kmat.shape[1], b * w),
+        _halves(ws.helper, cut, _conv_rows, kmat, bias, cols.reshape(kmat.shape[1], xb.size),
                 ws.act[slot])
         h = ws.act[slot]
     ws._holds[0] = ws.batch
@@ -559,9 +566,12 @@ def _backward_batch(params: ModelParams, ws: Workspace, dl_dy: np.ndarray,
     each tensor's part written into its view of ``out`` (a new ModelParams
     when not given); returns ``out.flat``. It reads the intermediates that
     the last forward left in ``ws``, which must be a training workspace,
-    and consumes them: its scratch lies over them. So it raises
-    ``ValueError`` when a backward has already read them, or when a forward
-    through another view of ``ws``'s blocks has run since.
+    and consumes them: it writes dV, dQ and dK over V, Q and K, the
+    softmax Jacobian's A (A u) term over the softmax, and each conv layer's
+    dpre over its activation map, each as soon as it has read that buffer
+    for the last time. So it raises ``ValueError`` when a backward has
+    already read them, or when a forward through another view of ``ws``'s
+    blocks has run since.
     Weight and input gradients are 2-D GEMMs on the same channel-major
     (., B*w) layouts and weight matrices as the forward pass, each weight
     gradient's GEMM writing into its matrix view of ``out``, and the
@@ -596,25 +606,23 @@ def _backward_batch(params: ModelParams, ws: Workspace, dl_dy: np.ndarray,
     # pooled attention: the upstream gradient is the same for every query
     np.matmul(ws.pooled.T, dz[:, d:], out=out.wo)
     dpooled = (dz[:, d:] @ params.wo.T).reshape(b, h, 1, dk)
-    dq, dk_ = ws.dqkv.transpose(0, 3, 1, 4, 2)[:2]
-    # dv in the memory order of dqkv, (h, d_k, B, w)
-    np.multiply(ws.abar.transpose(1, 0, 2)[:, None], dpooled.transpose(1, 3, 0, 2), out=ws.dqkv[2])
     # dL/dA[q, key] = u[key] for every q; the logits' 1/sqrt(d_k) folded in
     u = (ws.v @ dpooled.swapaxes(-1, -2)).transpose(2, 0, 1, 3) / (w * math.sqrt(dk))
-    # softmax Jacobian A * (u - A u), key-major as in the forward
-    a, stat = ws.softmax, ws.stat
-    dlogits, a_sum = ws.dlogits
-    np.multiply(a, u, out=dlogits)
-    dlogits -= np.multiply(a, np.add.reduce(dlogits, axis=0, out=stat), out=a_sum)
-    np.matmul(dlogits.transpose(1, 2, 3, 0), ws.k, out=dq)
-    # BLAS takes this product 2-3x faster with Q row-major than as q's view
+    # dV over V, which u was the last to read, in its memory order (h, d_k, B, w)
+    np.multiply(ws.abar.transpose(1, 0, 2)[:, None], dpooled.transpose(1, 3, 0, 2),
+                out=ws.qkv.reshape(3, h, dk, b, w)[2])
+    # softmax Jacobian A * (u - A u), key-major as in the forward; A (A u) over A
+    dlogits = np.multiply(ws.softmax, u, out=ws.dlogits)
+    dlogits -= np.multiply(ws.softmax, np.add.reduce(dlogits, axis=0, out=ws.stat),
+                           out=ws.softmax)
+    # dQ over Q and dK over K; BLAS takes the dK product 2-3x faster with Q
+    # row-major than as q's view, so it reads a copy
     np.copyto(ws.q_rows, ws.q)
-    np.matmul(dlogits.transpose(1, 2, 0, 3), ws.q_rows, out=dk_)
+    np.matmul(dlogits.transpose(1, 2, 3, 0), ws.k, out=ws.q)
+    np.matmul(dlogits.transpose(1, 2, 0, 3), ws.q_rows, out=ws.k)
 
-    dqkv = ws.dqkv.reshape(3 * h * dk, b * w)
-    h_cnn = ws.act[-1].reshape(d, b * w)
-    task = _beside(ws.helper, np.matmul, dqkv, h_cnn.T, out.wqkv)
-    dact = np.matmul(params.wqkv.T, dqkv, out=ws.dact.reshape(d, b * w)).reshape(d, b, w)
+    task = _beside(ws.helper, np.matmul, ws.qkv, ws.act[-1].reshape(d, b * w).T, out.wqkv)
+    dact = np.matmul(params.wqkv.T, ws.qkv, out=ws.dact.reshape(d, b * w)).reshape(d, b, w)
     # z is the time mean of the conv map, so each step gets dL/dz / w
     dact += dz[:, :d].T[:, :, None] / w
 
@@ -627,8 +635,10 @@ def _backward_batch(params: ModelParams, ws: Workspace, dl_dy: np.ndarray,
         _join(task)
         if done is not None:
             done(layer + 1)
-        # the ReLU mask: act = max(pre, 0) is positive exactly where pre is
-        dpre = np.multiply(dact, ws.act[layer] > 0, out=ws.dpre).reshape(d, b * w)
+        # the ReLU mask: act = max(pre, 0) is positive exactly where pre
+        # is. dpre goes over the map: the mask and the task joined above
+        # were its last readers
+        dpre = np.multiply(dact, ws.act[layer] > 0, out=ws.act[layer]).reshape(d, b * w)
         np.add.reduce(dpre, axis=1, out=out.conv_biases[layer])
         # layer 0's columns are the forward pass's; the deeper layers share
         # one buffer of columns, which holds the last layer's after the
@@ -714,8 +724,9 @@ def load_checkpoint(path) -> tuple[ModelParams, ScalerParams]:
         tensors = {name: _tensor_from_doc(t) for name, t in doc["tensors"].items()}
     except (KeyError, TypeError, InvalidSpec) as exc:
         raise BadCheckpoint(f"bad checkpoint fields: {exc}") from None
-    layout = param_layout(cfg)
-    if set(tensors) != set(layout):
+    # two tensors per conv layer and six more, counted first: a layout of
+    # 10**400 declared layers grows until memory runs out
+    if len(tensors) != 2 * cfg.cnn_layers + 6 or set(tensors) != set(param_layout(cfg)):
         raise BadCheckpoint("checkpoint tensors do not match the declared config")
     params = ModelParams(cfg, _zeros(cfg))
     for name, view in params.tensors().items():

@@ -161,12 +161,14 @@ def load_csv(path) -> TimeSeries:
         raise ParseError(raw.count(b"\n", 0, exc.start) + 1, "not UTF-8 text") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
+        header, *rows = reader
+    except ValueError:
         raise ParseError(1, "empty file") from None
+    except csv.Error as exc:    # a field past csv.field_size_limit(), or NUL before 3.11
+        raise ParseError(reader.line_num, str(exc)) from None
     if [c.strip() for c in header] != list(CSV_HEADER):
         raise ParseError(1, f"expected header {','.join(CSV_HEADER)}")
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(rows, start=2):
         if len(row) != 2:
             raise ParseError(lineno, f"expected 2 fields, got {len(row)}")
         try:

@@ -37,20 +37,20 @@ def workspace_sizes(workspaces) -> list:
     return [(ws.batch, ws.training, sorted(ws._views)) for ws in workspaces]
 
 
-def assert_view_step_is_a_fresh_step(params, rng, batch=32, size=17):
+def assert_view_step_is_a_fresh_step(params, rng, batch=32, size=17, helper=None):
     """Assert that a forward and backward of ``size`` windows in a view of a
     ``batch``-window training workspace, run after a full batch through the
     workspace, are the bytes of the same step in a new ``size``-window
-    workspace. Each splits as ``blas.splits`` says at its size. Returns the
-    workspace and its view."""
+    workspace. Each splits as ``blas.splits`` says at its size, and both
+    have ``helper``. Returns the workspace and its view."""
     cfg = params.config
-    ws = nn.Workspace(cfg, batch, split=blas.splits(cfg, batch))
+    ws = nn.Workspace(cfg, batch, helper, split=blas.splits(cfg, batch))
     _, ws = _forward_batch(params, rng.normal(size=(batch, cfg.w)), workspace=ws)
     _backward_batch(params, ws, rng.normal(size=batch))
     xb, g = rng.normal(size=(size, cfg.w)), rng.normal(size=size)
     view = ws.view(size)
     steps = []
-    for space in (view, nn.Workspace(cfg, size, split=blas.splits(cfg, size))):
+    for space in (view, nn.Workspace(cfg, size, helper, split=blas.splits(cfg, size))):
         yhat, _ = _forward_batch(params, xb, workspace=space)
         steps.append((yhat, space.act, space.att, space.z, _backward_batch(params, space, g)))
     for in_view, fresh in zip(*steps):

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import hashlib
 import io
@@ -237,8 +238,9 @@ class TestTrain:
         monkeypatch.setattr(train_module, "mse_loss", interrupted)
         capsys.readouterr()
         assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 130
-        assert capsys.readouterr().err == "interrupted\n"
         out = tmp_path / "o" / "train"
+        kept = f"interrupted; kept {out}: config.json, loss_history.csv\n"
+        assert capsys.readouterr().err == kept
         assert (out / "loss_history.csv").read_bytes() == b"".join(whole[:k + 1])
         assert {p.name for p in out.iterdir()} == {"config.json", "loss_history.csv"}
 
@@ -279,7 +281,8 @@ class TestTrain:
             time.sleep(0.005)
         proc.send_signal(signal.SIGINT)
         _, err = proc.communicate(timeout=60)
-        assert proc.returncode == 130 and err == "interrupted\n"
+        assert proc.returncode == 130
+        assert err == f"interrupted; kept {out}: config.json, loss_history.csv\n"
         cut = log.read_bytes().splitlines(True)
         assert 1 < len(cut) < 101
         assert {p.name for p in out.iterdir()} == {"config.json", "loss_history.csv"}
@@ -373,7 +376,8 @@ class TestTune:
         monkeypatch.setattr(cli, "train_model", interrupted)
         capsys.readouterr()
         assert run("tune", "--config", str(cfg), "--out", str(tmp_path / "o")) == 130
-        assert capsys.readouterr().err == "interrupted\n"
+        assert capsys.readouterr().err == (
+            f"interrupted; kept {log.parent}: config.json, tune_log.csv\n")
         rows = whole.splitlines()
         assert seen == ["\n".join(rows[:i + 1]) for i in range(k + 1)]
         assert mask_timing(log.read_text()) == "\n".join(rows[:k + 1])
@@ -397,7 +401,8 @@ class TestTune:
             time.sleep(0.005)
         proc.send_signal(signal.SIGINT)
         _, err = proc.communicate(timeout=60)
-        assert proc.returncode == 130 and err == "interrupted\n"
+        assert proc.returncode == 130
+        assert err == f"interrupted; kept {log.parent}: config.json, tune_log.csv\n"
         assert run("tune", "--config", str(cfg), "--out", str(tmp_path / "whole")) == 0
         cut = mask_timing(log.read_text()).splitlines()
         whole = mask_timing((tmp_path / "whole" / "tune" / "tune_log.csv").read_text())
@@ -715,7 +720,39 @@ class TestExitCodes:
         cfg = write_config(tmp_path)
         assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 130
         err = capsys.readouterr().err
-        assert err == "interrupted\n"
+        assert err == f"interrupted; kept {tmp_path / 'o' / 'train'}: config.json\n"
+
+    def test_interrupt_names_only_the_files_it_wrote(self, tmp_path, capsys, monkeypatch):
+        # an earlier run's checkpoint and metrics stay in the directory, but
+        # the interrupted rerun did not write them
+        cfg = write_config(tmp_path, **{"train.epochs": 2})
+        out = tmp_path / "o" / "train"
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 0
+        for earlier in out.iterdir():   # an hour old
+            stat = earlier.stat()
+            os.utime(earlier, ns=(stat.st_atime_ns, stat.st_mtime_ns - 3600 * 10**9))
+        loss = train_module.mse_loss
+
+        def interrupted(*args):
+            if (out / "loss_history.csv").read_text().count("\n") > 1:
+                raise KeyboardInterrupt
+            return loss(*args)
+
+        monkeypatch.setattr(train_module, "mse_loss", interrupted)
+        capsys.readouterr()
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 130
+        kept = f"interrupted; kept {out}: config.json, loss_history.csv\n"
+        assert capsys.readouterr().err == kept
+        assert {"checkpoint.json", "metrics.json"} <= {p.name for p in out.iterdir()}
+
+    def test_interrupt_before_any_file_is_plain(self, tmp_path, capsys, monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "load_config", interrupted)
+        assert run("train", "--out", str(tmp_path / "o")) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+        assert not (tmp_path / "o").exists()
 
     # sizes of tens of TiB, which the kernel refuses at once rather than
     # granting lazily
@@ -744,11 +781,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,overrides", [
         ("train", {"model.filters": 2**40, "model.cnn_layers": 2}),
-        ("tune", {"tune.space.filters": [16, 2**62]})])
+        ("tune", {"tune.space.filters": [16, 2**62]}),
+        ("train", {"model.cnn_layers": 10**400}),
+        ("tune", {"tune.space.cnn_layers": [1, 2**62]})])
     def test_out_of_memory_parameter_vector(self, tmp_path, capsys, command, overrides):
         # numpy refuses these vectors' lengths outright (ValueError), where
         # 10**6 filters fail in the allocator (MemoryError); the tune run
-        # probes its largest cell before the log is opened
+        # probes its largest cell before the log is opened. 10**400 or 2**62
+        # layers are counted, not laid out: a layout of them grew until memory ran out
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "o"
         assert run(command, "--config", str(cfg), "--out", str(out)) == 2
@@ -845,6 +885,17 @@ class TestExitCodes:
         assert err.startswith("data error: row 3: not UTF-8 text")
         assert "Traceback" not in err
 
+    def test_csv_field_past_the_csv_modules_limit(self, tmp_path, capsys):
+        # csv.reader refuses a field of more than 131072 characters with
+        # csv.Error, which ended in a traceback (the CSV fuzz test found it)
+        csv_path = tmp_path / "series.csv"
+        csv_path.write_bytes(b"timestamp,value\n2020-01-01,1.0\n2020-01-02," + b"9" * 200_000)
+        cfg = write_config(tmp_path, **{"data.source": "csv", "data.csv_path": str(csv_path)})
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: row 3: field larger than field limit")
+        assert "Traceback" not in err
+
     @staticmethod
     def _edited_checkpoint(tmp_path, edit):
         ckpt = tmp_path / "ckpt.json"
@@ -856,11 +907,15 @@ class TestExitCodes:
         return ckpt
 
     @pytest.mark.parametrize("command", ["forecast", "explain"])
-    @pytest.mark.parametrize("edit", ["empty-list", "null", "nan"])
+    @pytest.mark.parametrize("edit", ["empty-list", "null", "nan", "3-layers", "10**400-layers"])
     def test_bad_checkpoint_tensors(self, tmp_path, capsys, command, edit):
+        # the tensors of a declared cnn_layers are counted before its layout
+        # is built, which for 10**400 layers grew until memory ran out
         def spoil(doc):
             if edit == "nan":
                 doc["tensors"]["head.b_out"]["data"] = [float("nan")]
+            elif edit.endswith("-layers"):
+                doc["model_config"]["cnn_layers"] = 3 if edit == "3-layers" else 10**400
             else:
                 doc["tensors"] = [] if edit == "empty-list" else None
 
@@ -1044,11 +1099,12 @@ class TestExitCodes:
         (SingularKernel("kernel matrix singular"), 4, "numeric failure")])
     def test_error_base_class_sets_exit_code(self, tmp_path, capsys, monkeypatch,
                                              error, code, prefix):
-        def failing(cfg, make_svg=False):
+        def failing(cfg, out, make_svg=False):
             raise error
 
         monkeypatch.setattr(cli, "cmd_synth", failing)
-        assert run("synth", "--config", str(write_config(tmp_path))) == code
+        assert run("synth", "--config", str(write_config(tmp_path)),
+                   "--out", str(tmp_path / "o")) == code
         assert capsys.readouterr().err == f"{prefix}: {error}\n"
 
     def test_every_error_class_has_an_exit_code(self):
@@ -1190,6 +1246,107 @@ class TestExitCodeFuzz:
             with contextlib.redirect_stderr(err), warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 code = run(command, "--config", str(cfg), "--out", str(tmp / "o"), *flags)
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    # hostile bytes for a valid series of 120 days: not UTF-8, NUL, a BOM, a
+    # separator, a line end, a quote, huge, tiny and non-finite numbers, a
+    # field past the csv module's limit, a date
+    CSV_BYTES = st.sampled_from([
+        b"\xff\xfe", b"\xc3", b"\x00", b"\xef\xbb\xbf", b",", b"\n", b"\r", b'"', b" ",
+        b"nan", b"inf", b"-inf", b"1e400", b"1e300", b"-1e308", b"1e-320", b"0", b"1" * 400,
+        b"9" * 200_000, b"2000-01-05"])
+    CSV_EDITS = st.lists(st.tuples(
+        st.sampled_from(["delete", "insert", "replace", "value", "duplicate row", "short row",
+                         "prefix"]),
+        st.integers(1, 120), st.integers(0, 40), CSV_BYTES), min_size=1, max_size=3)
+
+    @staticmethod
+    def edited(data: bytes, edits) -> bytes:
+        """``data`` with each edit (kind, row, offset or count, bytes) applied
+        to its row in turn; "prefix" puts the bytes before the header."""
+        lines = data.split(b"\n")
+        for kind, row, n, chunk in edits:
+            row = min(row, len(lines) - 1)
+            line, at = lines[row], min(n, len(lines[row]))
+            if kind == "delete":
+                lines[row] = line[:at] + line[at + 1 + n % 8:]
+            elif kind == "insert":
+                lines[row] = line[:at] + chunk + line[at:]
+            elif kind == "replace":
+                lines[row] = line[:at] + chunk + line[at + len(chunk):]
+            elif kind == "value":
+                lines[row] = line.split(b",")[0] + b"," + chunk
+            elif kind == "duplicate row":
+                lines.insert(row, line)
+            elif kind == "short row":
+                lines[row] = line.split(b",")[0]
+            else:
+                lines[0] = chunk + lines[0]
+        return b"\n".join(lines)
+
+    @given(edits=CSV_EDITS)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_hostile_csv_exits_with_a_documented_code(self, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            save_csv(synthesize(SynthSpec(length=120, period=12, seed=3)), tmp / "valid.csv")
+            (tmp / "s.csv").write_bytes(self.edited((tmp / "valid.csv").read_bytes(), edits))
+            cfg = write_config(tmp, **{"data.source": "csv", "data.csv_path": str(tmp / "s.csv")})
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = run("train", "--config", str(cfg), "--out", str(tmp / "o"),
+                           "--epochs", "1")
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+    # JSON values for a checkpoint's leaves and tensors, each drawn as a
+    # fresh copy, as a later edit may write into it; "deep" stands for
+    # arrays nested past the recursion limit, "nested" for 200 levels
+    CHECKPOINT_VALUES = st.sampled_from([
+        None, True, "x", "NaN", [], {}, -1, 0, 1.5, 10**400, 2**64, math.nan, math.inf,
+        [2, 3], [10**400], [[1.0]], "deep", "nested"]).map(copy.deepcopy)
+
+    @staticmethod
+    def checkpoint_paths(doc, prefix=()):
+        """The key paths of a checkpoint document's objects and of the first
+        element of each list in it."""
+        for key, value in (doc.items() if isinstance(doc, dict) else [(0, doc[0])]):
+            yield prefix + (key,)
+            if isinstance(value, dict) or (isinstance(value, list) and value):
+                yield from TestExitCodeFuzz.checkpoint_paths(value, prefix + (key,))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_hostile_checkpoint_exits_with_a_documented_code(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            ckpt = tmp / "ckpt.json"
+            save_checkpoint(ckpt, init_params(ModelConfig(w=15)), ScalerParams(mean=3.0, std=2.0))
+            doc = json.loads(ckpt.read_text())
+            paths = sorted(self.checkpoint_paths(doc), key=str)
+            for _ in range(data.draw(st.integers(1, 3))):
+                *parents, last = data.draw(st.sampled_from(paths))
+                value = data.draw(st.one_of(st.just(KeyError), self.CHECKPOINT_VALUES))
+                node = doc
+                # an earlier edit may have replaced a part of the path
+                with contextlib.suppress(KeyError, IndexError, TypeError):
+                    for key in parents:
+                        node = node[key]
+                    if value is KeyError:
+                        del node[last]
+                    else:
+                        node[last] = value
+            text = json.dumps(doc).replace('"deep"', "[" * 100_000 + "]" * 100_000)
+            ckpt.write_text(text.replace('"nested"', "[" * 200 + "1.0" + "]" * 200))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = run("forecast", "--config", str(write_config(tmp)), "--out",
+                           str(tmp / "o"), "--checkpoint", str(ckpt))
         assert code in (0, 2, 3, 4), err.getvalue()
         assert "Traceback" not in err.getvalue()
 

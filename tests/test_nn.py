@@ -655,7 +655,7 @@ class TestWorkspace:
     def test_backward_refuses_an_inference_cache(self, rng):
         params = init_params(ModelConfig(w=15, cnn_layers=3, filters=6, kernel_size=4, seed=4))
         ws = Workspace(params.config, 5, training=False)
-        assert not hasattr(ws, "dpre")
+        assert not hasattr(ws, "dact")
         _forward_batch(params, rng.normal(size=(5, 15)), workspace=ws)
         with pytest.raises(ValueError, match="training workspace"):
             _backward_batch(params, ws, np.ones(5))
@@ -669,29 +669,54 @@ class TestWorkspace:
         assert ws.view(17) is view and ws.view(32) is ws
         fresh = Workspace(cfg, 17, training=training)
         names = ["cols_in", "cols", "act", "qkv", "softmax", "stat"]
-        names += ["dqkv", "q_rows", "dlogits", "dact", "dpre", "dcols"] if training else []
+        names += ["q_rows", "dlogits", "dact", "dcols"] if training else []
         for name in names:
             part, whole = getattr(view, name), getattr(ws, name)
             assert part.shape == getattr(fresh, name).shape and part.flags.c_contiguous
             assert np.shares_memory(part, whole)
             assert part.__array_interface__["data"][0] == whole.__array_interface__["data"][0]
 
-    @pytest.mark.parametrize("cell", [
-        dict(),
-        dict(cnn_layers=4, filters=64, kernel_size=5, heads=4),
-    ], ids=["default", "4x64-k5"])
-    def test_view_step_equals_a_fresh_workspace_bitwise(self, cell, rng):
+    @pytest.mark.parametrize("cell,helper", [
+        (dict(), False),
+        (dict(cnn_layers=4, filters=64, kernel_size=5, heads=4), False),
+        (dict(cnn_layers=4, filters=64, kernel_size=5, heads=4), True),
+    ], ids=["default", "4x64-k5", "4x64-k5-helper"])
+    def test_view_step_equals_a_fresh_workspace_bitwise(self, cell, helper, rng):
+        # backward writes its gradients over the forward's buffers, and with
+        # a helper col2im's taps over the Q/K/V block: none of it may leak
+        # into the next forward through the workspace or a view of it
         params = init_params(ModelConfig(w=15, **cell, seed=4))
-        ws, view = assert_view_step_is_a_fresh_step(params, rng)
-        # and the full batch again, in the workspace whose leading part the
-        # view overwrote
-        xb, g = rng.normal(size=(32, 15)), rng.normal(size=32)
-        steps = []
-        for space in (ws, Workspace(params.config, 32)):
-            yhat, _ = _forward_batch(params, xb, workspace=space)
-            steps.append((yhat, _backward_batch(params, space, g)))
+        with ThreadPoolExecutor(1) if helper else contextlib.nullcontext() as pool:
+            ws, view = assert_view_step_is_a_fresh_step(params, rng, helper=pool)
+            # and the full batch again, in the workspace whose leading part
+            # the view overwrote
+            xb, g = rng.normal(size=(32, 15)), rng.normal(size=32)
+            steps = []
+            for space in (ws, Workspace(params.config, 32, pool, ws.split)):
+                yhat, _ = _forward_batch(params, xb, workspace=space)
+                steps.append((yhat, _backward_batch(params, space, g)))
         for again, fresh in zip(*steps):
             assert again.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("cell,helper", [
+        (dict(w=15), False),
+        (dict(w=15, cnn_layers=4, filters=51, kernel_size=4, heads=3), False),
+        (dict(w=15, cnn_layers=12, filters=256, kernel_size=5, heads=5), True),
+    ], ids=["default", "4x51-k4", "widecell-helper"])
+    def test_training_blocks_are_sized_for_the_overwrites(self, cell, helper):
+        # backward writes dQ/dK/dV over Q/K/V and dpre over the conv maps, so
+        # a training workspace's Q/K/V block holds Q/K/V alone, or col2im's
+        # taps when a helper puts them there, and its dact block the larger
+        # of dact and the row-major Q copy beside the softmax Jacobian
+        cfg = ModelConfig(**cell)
+        f, k, h, dk = cfg.filters, cfg.kernel_size, cfg.heads, cfg.head_dim
+        n = 32 * cfg.w
+        with ThreadPoolExecutor(1) if helper else contextlib.nullcontext() as pool:
+            blocks = Workspace(cfg, 32, pool)._blocks
+        taps = k * f if helper else 0
+        assert blocks["qkv"].nbytes == 8 * max(3 * h * dk, taps) * n
+        assert blocks["dact"].nbytes == 8 * max(f, h * (dk + cfg.w)) * n
+        assert {"dqkv", "dpre"}.isdisjoint(blocks)
 
     def test_backward_refuses_a_forward_through_another_view(self, rng):
         # the views share the blocks, so a forward through one overwrites

@@ -175,13 +175,15 @@ def test_backward_beside_equals_inline_bitwise(batch, rng):
 
 @pytest.mark.parametrize("cell", [
     ModelConfig(w=9, cnn_layers=1, filters=52, kernel_size=3, heads=3, seed=1),
-    ModelConfig(w=9, cnn_layers=3, filters=52, kernel_size=3, heads=3, seed=1),
+    ModelConfig(w=9, cnn_layers=3, filters=52, kernel_size=3, heads=3, head_dim=18, seed=1),
     ModelConfig(w=9, cnn_layers=3, filters=52, kernel_size=7, heads=1, seed=1),
 ], ids=["one-layer", "qkv-pair-larger", "taps-larger"])
 def test_helper_col2im_runs_in_the_qkv_block(cell, rng):
-    # with a helper, col2im's taps lie over Q/K/V and dQ/dK/dV, both dead
-    # by then; each view's buffers still start where the workspace's do,
-    # and a step is the same bits as inline
+    # with a helper, col2im's taps lie over the Q/K/V block, where backward
+    # wrote dQ/dK/dV over Q/K/V, dead by then: the block is the larger of
+    # the two (3*h*d_k = 162 or k*f = 156 rows at 3 heads of 18; 7*52 rows
+    # at one head of 52). Each view's buffers still start where the
+    # workspace's do, and a step is the same bits as inline
     params = init_params(cell)
     xb, g = rng.normal(size=(32, cell.w)), rng.normal(size=32)
     inline = _backward_batch(params, _forward_batch(params, xb)[1], g)
@@ -192,10 +194,11 @@ def test_helper_col2im_runs_in_the_qkv_block(cell, rng):
     if cell.cnn_layers == 1:
         assert ws.dcols is None
         return
-    assert np.shares_memory(ws.dcols, ws.qkv) and np.shares_memory(ws.dcols, ws.dqkv)
-    assert not np.shares_memory(ws.qkv, ws.dqkv) and not np.shares_memory(ws.dcols, ws.cols)
+    h, dk, f, k = cell.heads, cell.head_dim, cell.filters, cell.kernel_size
+    assert ws._blocks["qkv"].size == max(3 * h * dk, k * f) * 32 * cell.w
+    assert np.shares_memory(ws.dcols, ws.qkv) and not np.shares_memory(ws.dcols, ws.cols)
     view = ws.view(17)
-    for name in ("qkv", "dqkv", "dcols"):
+    for name in ("qkv", "dcols"):
         part, whole = getattr(view, name), getattr(ws, name)
         assert part.__array_interface__["data"][0] == whole.__array_interface__["data"][0]
 
